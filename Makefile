@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check doclint test test-short race bench bench-json bench-smoke bench-check soak-smoke fleet-smoke artifacts labd labd-smoke chaos-smoke ci
+.PHONY: build vet fmt-check doclint test test-short race bench bench-smoke bench-check soak-smoke fleet-smoke artifacts labd labd-smoke chaos-smoke ci
 
 ## build: compile every package and command
 build:
@@ -36,17 +36,6 @@ race:
 ## bench: the root benchmark harness (tables, figures, ablations, codecs)
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
-
-## bench-json: run the full benchmark suite and refresh the machine-
-## readable trajectory in BENCH_10.json — the recorded pre-PR baseline
-## is preserved, "current" is replaced, and per-benchmark speedups are
-## recomputed (see cmd/benchjson); the fleet-scaling sub-benchmarks
-## carry machine-independent cpath-events/op in each metric's "extra"
-bench-json:
-	@tmp=$$(mktemp) && \
-	{ $(GO) test -bench=. -benchmem -run='^$$' . > $$tmp && \
-	  $(GO) run ./cmd/benchjson -pr 10 -update BENCH_10.json < $$tmp; } ; \
-	status=$$?; rm -f $$tmp; exit $$status
 
 ## bench-smoke: every benchmark exactly once, as a does-it-run gate
 bench-smoke:

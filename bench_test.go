@@ -53,25 +53,6 @@ func runArtifact(b *testing.B, pool *runner.Runner, id string, overrides map[str
 	}
 }
 
-// --- the scenario-fleet engine: sequential vs parallel ----------------
-
-// benchFleet regenerates the full deterministic artefact set (every
-// table and figure except the wall-clock C&C run) on a pool of the
-// given width. Comparing Fleet/seq with Fleet/par measures the
-// end-to-end speedup of the concurrent scenario-fleet engine.
-func benchFleet(b *testing.B, workers int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		pool := runner.New(workers)
-		for _, spec := range artifact.Deterministic() {
-			runArtifact(b, pool, spec.ID, benchSizes)
-		}
-	}
-}
-
-func BenchmarkFleet_Sequential(b *testing.B) { benchFleet(b, 1) }
-func BenchmarkFleet_Parallel(b *testing.B)   { benchFleet(b, 0) }
-
 // --- the sharded netsim fabric: shard workers 1 → 8 -------------------
 
 // BenchmarkFleet_ShardedScaling drains one fixed 12 800-bot fleet
@@ -168,8 +149,8 @@ func BenchmarkCountermeasures(b *testing.B) {
 // --- §VI-C covert channel throughput (the 100 KB/s claim) -------------
 
 // cncPayloadSize is the command volume each C&C benchmark op moves; the
-// sequential-vs-parallel pairs mirror the Fleet ones so the concurrency
-// win stays measurable through refactors.
+// concurrent-vs-sequential pairs keep the concurrency win measurable
+// through refactors.
 const cncPayloadSize = 16 * 1024
 
 func benchCNCDownstream(b *testing.B, concurrency int) {

@@ -5,7 +5,6 @@ import (
 
 	"masterparasite/internal/cnc"
 	"masterparasite/internal/httpsim"
-	"masterparasite/internal/tcpsim"
 )
 
 // CNCAdapter serves a cnc.MasterServer over httpsim, so the same covert
@@ -28,10 +27,4 @@ func CNCAdapter(m *cnc.MasterServer) httpsim.HandlerFunc {
 		cnc.SetResponseHeaders(status, ctype, out.Header.Set)
 		return out
 	}
-}
-
-// NewCNCServer starts the in-simulation C&C endpoint on the attacker's
-// remote server stack.
-func NewCNCServer(stack *tcpsim.Stack, port uint16, m *cnc.MasterServer) (*httpsim.Server, error) {
-	return httpsim.NewServer(stack, port, CNCAdapter(m))
 }

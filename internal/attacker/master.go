@@ -285,22 +285,3 @@ func RegisterEvictionBehavior(rt *script.Runtime) {
 		return nil
 	})
 }
-
-// NewJunkServer serves the eviction module's junk images from the
-// attacker's domain: /junkNNN.jpg objects of size bytes, long-lived so
-// they occupy cache space.
-func NewJunkServer(stack *tcpsim.Stack, port uint16, size int) (*httpsim.Server, error) {
-	blob := make([]byte, size)
-	for i := range blob {
-		blob[i] = byte('j')
-	}
-	return httpsim.NewServer(stack, port, func(req *httpsim.Request) *httpsim.Response {
-		if !strings.HasPrefix(req.PathOnly(), "/junk") {
-			return httpsim.NewResponse(404, nil)
-		}
-		resp := httpsim.NewResponse(200, blob)
-		resp.Header.Set("Content-Type", "image/jpeg")
-		resp.Header.Set("Cache-Control", "public, max-age=31536000")
-		return resp
-	})
-}

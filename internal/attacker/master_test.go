@@ -156,30 +156,6 @@ func itoa(n int) string {
 	return s
 }
 
-func TestJunkServer(t *testing.T) {
-	n := netsim.New()
-	seg := n.MustSegment("net", time.Millisecond)
-	srvIfc := seg.MustAttach("atk", 0, nil)
-	stack := tcpsim.NewStack(n, srvIfc, tcpsim.WithSeed(3))
-	if _, err := NewJunkServer(stack, 80, 1024); err != nil {
-		t.Fatal(err)
-	}
-	cliIfc := seg.MustAttach("cli", 0, nil)
-	client := httpsim.NewClient(tcpsim.NewStack(n, cliIfc, tcpsim.WithSeed(4)))
-	var got *httpsim.Response
-	client.Get("atk", 80, "attacker.com", "/junk001.jpg", func(r *httpsim.Response, err error) { got = r })
-	n.Run(0)
-	if got == nil || got.StatusCode != 200 || len(got.Body) != 1024 {
-		t.Fatalf("junk response = %+v", got)
-	}
-	var miss *httpsim.Response
-	client.Get("atk", 80, "attacker.com", "/other", func(r *httpsim.Response, err error) { miss = r })
-	n.Run(0)
-	if miss == nil || miss.StatusCode != 404 {
-		t.Fatal("non-junk path served")
-	}
-}
-
 func TestMasterSkipsReloadOriginalRequests(t *testing.T) {
 	// The ?t= camouflage request must pass through uninjected, or the
 	// page would never recover its genuine functionality (Fig. 2 step 4).

@@ -24,6 +24,18 @@ import (
 // CNCAddr is the C&C master's address on the backbone shard.
 const CNCAddr netsim.Addr = "cnc-master"
 
+// Fixed fleet shape.
+const (
+	// uplinkLatency is the declared minimum LAN→backbone crossing time;
+	// it becomes the fabric's lookahead.
+	uplinkLatency = 5 * time.Millisecond
+	// gossipFanout is how many LAN neighbours each newly infected bot
+	// attacks.
+	gossipFanout = 3
+	// commandBytes sizes the C&C command each registered bot receives.
+	commandBytes = 96
+)
+
 // FleetConfig parameterises a botnet fleet topology.
 type FleetConfig struct {
 	// LANs is the number of LAN shards (coffee-shop WiFis).
@@ -33,35 +45,9 @@ type FleetConfig struct {
 	// Seed drives every random choice: patient zero per LAN, gossip
 	// targets and delays. Zero selects 1.
 	Seed int64
-	// UplinkLatency is the declared minimum LAN→backbone crossing time;
-	// it becomes the fabric's lookahead. Zero selects 5ms.
-	UplinkLatency time.Duration
-	// GossipFanout is how many LAN neighbours each newly infected bot
-	// attacks. Zero selects 3.
-	GossipFanout int
-	// CommandBytes sizes the C&C command each registered bot receives.
-	// Zero selects 96.
-	CommandBytes int
 	// Link, when non-nil, impairs every LAN segment with the given
 	// fault profile (each LAN draws from its own seeded PRNG).
 	Link *netsim.LinkProfile
-}
-
-// withDefaults resolves the zero-value knobs.
-func (c FleetConfig) withDefaults() FleetConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.UplinkLatency == 0 {
-		c.UplinkLatency = 5 * time.Millisecond
-	}
-	if c.GossipFanout == 0 {
-		c.GossipFanout = 3
-	}
-	if c.CommandBytes == 0 {
-		c.CommandBytes = 96
-	}
-	return c
 }
 
 // InfectionEvent is one bot falling to the parasite.
@@ -163,9 +149,11 @@ type Fleet struct {
 }
 
 // NewFleet builds the topology: one shard per LAN plus the backbone
-// shard with the C&C master, all uplinks declaring cfg.UplinkLatency.
+// shard with the C&C master, all uplinks declaring uplinkLatency.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
 	if cfg.LANs < 1 || cfg.BotsPerLAN < 1 {
 		return nil, fmt.Errorf("core: fleet needs at least 1 LAN and 1 bot per LAN (got %d×%d)", cfg.LANs, cfg.BotsPerLAN)
 	}
@@ -179,7 +167,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	cmd := make([]byte, cfg.CommandBytes)
+	cmd := make([]byte, commandBytes)
 	copy(cmd, "CMD")
 	for i := 3; i < len(cmd); i++ {
 		cmd[i] = byte('a' + i%26)
@@ -192,7 +180,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		f.master.sent += len(cmd)
 		masterIfc.Send(netsim.Packet{Dst: pkt.Src, Proto: netsim.ProtoRaw, Payload: cmd})
 	})
-	if err := f.backbone.Uplink(bbSeg, "gw-backbone", cfg.UplinkLatency); err != nil {
+	if err := f.backbone.Uplink(bbSeg, "gw-backbone", uplinkLatency); err != nil {
 		return nil, err
 	}
 
@@ -222,7 +210,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 				return nil, err
 			}
 		}
-		if err := lan.shard.Uplink(lan.seg, netsim.Addr(fmt.Sprintf("gw-l%d", l)), cfg.UplinkLatency); err != nil {
+		if err := lan.shard.Uplink(lan.seg, netsim.Addr(fmt.Sprintf("gw-l%d", l)), uplinkLatency); err != nil {
 			return nil, err
 		}
 		// Patient zero: the eavesdropping master on this WiFi wins its
@@ -274,7 +262,7 @@ func (f *Fleet) infect(lan *fleetLAN, b int) {
 	if n == 1 {
 		return
 	}
-	for g := 0; g < f.cfg.GossipFanout; g++ {
+	for g := 0; g < gossipFanout; g++ {
 		peer := (b + 1 + lan.rng.Intn(n-1)) % n
 		delay := time.Millisecond + time.Duration(lan.rng.Intn(24000))*time.Microsecond
 		target := lan.bots[peer].ifc.Addr()

@@ -54,9 +54,6 @@ type Config struct {
 	OS browser.OS
 	// Seed keeps runs reproducible.
 	Seed int64
-	// EnforceCSP toggles victim-side CSP enforcement (default on; set
-	// DisableCSP to turn off).
-	DisableCSP bool
 	// ReassemblyPolicy overrides the victim TCP stack's overlap handling
 	// (FirstWins by default; LastWins for the ablation).
 	ReassemblyPolicy tcpsim.ReassemblyPolicy
@@ -96,10 +93,6 @@ type Scenario struct {
 	// request so the response is sealed with the same one. The event loop
 	// is single-threaded, so request/response pairing is safe.
 	lastTLSKey string
-
-	// StrictCSP is a convenience knob experiments set before installing
-	// pages: when true they serve "default-src 'self'" policies.
-	StrictCSP bool
 
 	// retransmit remembers whether stacks are built with retransmission,
 	// so AddVictim attaches extra victims with the same transport.
@@ -210,9 +203,6 @@ func NewScenario(cfg Config) (*Scenario, error) {
 		return nil, fmt.Errorf("scenario victim: %w", err)
 	}
 	s.Victim = victim
-	if cfg.DisableCSP {
-		s.Victim.EnforceCSP = false
-	}
 
 	// The master's tap, closest to the victim.
 	var opts []attacker.Option

@@ -47,10 +47,11 @@ func (d CountermeasuresData) Table() (header []string, rows [][]string) {
 // independent scenario job.
 func Countermeasures(env artifact.Env) (*artifact.Result, error) {
 	type variant struct {
-		name string
-		cfg  core.Config
-		prep func(*core.Scenario)
-		note string
+		name      string
+		cfg       core.Config
+		prep      func(*core.Scenario)
+		strictCSP bool // pages serve "default-src 'self'"
+		note      string
 	}
 	variants := []variant{
 		{name: "none (baseline)", cfg: core.Config{Seed: 61}},
@@ -77,8 +78,8 @@ func Countermeasures(env artifact.Env) (*artifact.Result, error) {
 		},
 		{
 			name: "strict CSP on pages", cfg: core.Config{Seed: 61},
-			prep: func(s *core.Scenario) { s.StrictCSP = true },
-			note: "C&C and iframe propagation blocked while CSP delivered",
+			strictCSP: true,
+			note:      "C&C and iframe propagation blocked while CSP delivered",
 		},
 		{
 			name: "last-wins reassembly (ablation)",
@@ -88,7 +89,7 @@ func Countermeasures(env artifact.Env) (*artifact.Result, error) {
 	}
 
 	rows, err := runner.Map(env.Runner, variants, func(_ int, v variant) (CountermeasureRow, error) {
-		row, err := runCountermeasure(v.cfg, v.prep)
+		row, err := runCountermeasure(v.cfg, v.prep, v.strictCSP)
 		if err != nil {
 			return row, fmt.Errorf("countermeasure %q: %w", v.name, err)
 		}
@@ -117,22 +118,18 @@ func partitionedChrome() *browser.Profile {
 	return &p
 }
 
-func runCountermeasure(cfg core.Config, prep func(*core.Scenario)) (CountermeasureRow, error) {
+func runCountermeasure(cfg core.Config, prep func(*core.Scenario), strictCSP bool) (CountermeasureRow, error) {
 	var row CountermeasureRow
 	s, err := core.NewScenario(cfg)
 	if err != nil {
 		return row, err
 	}
-	csp := map[string]string{}
 	if prep != nil {
 		prep(s)
 	}
-	if s.StrictCSP {
-		csp["Content-Security-Policy"] = "default-src 'self'"
-	}
 	hdr := map[string]string{"Cache-Control": "no-store"}
-	for k, v := range csp {
-		hdr[k] = v
+	if strictCSP {
+		hdr["Content-Security-Policy"] = "default-src 'self'"
 	}
 	s.AddPage("somesite.com", "/", `<html><body><script src="/my.js"></script></body></html>`, hdr)
 	s.AddPage("somesite.com", "/my.js", "function site(){}",

@@ -9,12 +9,10 @@ import (
 	"time"
 
 	"masterparasite/internal/artifact"
-	"masterparasite/internal/attacker"
 	"masterparasite/internal/cnc"
 	"masterparasite/internal/core"
 	"masterparasite/internal/crawler"
 	"masterparasite/internal/netsim"
-	"masterparasite/internal/parasite"
 	"masterparasite/internal/webcorpus"
 )
 
@@ -206,81 +204,30 @@ func (d FlowsData) Table() (header []string, rows [][]string) {
 	return header, rows
 }
 
-// MessageFlows renders the Fig. 1 / Fig. 2 / Fig. 4 message sequences by
-// tracing a scripted kill-chain run.
+// MessageFlows renders the Fig. 1 / Fig. 2 / Fig. 4 message sequences
+// from the wire tap of a scripted kill-chain run: every frame delivered
+// to its addressee, appended to the phase that is running.
 func MessageFlows(artifact.Env) (*artifact.Result, error) {
 	s, err := core.NewScenario(core.Config{Seed: 77})
 	if err != nil {
 		return nil, err
 	}
-	tl := netsim.NewTraceLog()
-	defer tl.Release()
-	s.Net.SetTrace(func(e netsim.TraceEvent) {
-		if !e.Tapped {
-			tl.Append(e)
-		}
-	})
-	s.AddPage("somesite.com", "/", `<html><body><script src="/my.js"></script></body></html>`,
-		map[string]string{"Cache-Control": "no-store"})
-	s.AddPage("somesite.com", "/my.js", "function site(){}",
-		map[string]string{"Cache-Control": "max-age=600"})
-	s.AddPage("top1.com", "/", `<html><body><script src="/persistent.js"></script></body></html>`, nil)
-	s.AddPage("top1.com", "/persistent.js", "function lib(){}",
-		map[string]string{"Cache-Control": "max-age=600"})
-
-	cfg := parasite.NewConfig("flow", "bot-flow", core.MasterHost)
-	cfg.PropagationTargets = []string{"top1.com"}
-	s.Registry.Add(cfg)
-	for _, name := range []string{"somesite.com/my.js", "top1.com/persistent.js"} {
-		s.Master.AddTarget(attacker.Target{Name: name, Kind: attacker.KindJS,
-			ParasitePayload: "flow", Original: []byte("function original(){}")})
-	}
-	s.Master.EnableEviction(core.JunkHost, 4, 1024, "any.com")
-	s.AddPage("any.com", "/", "<html><body>x</body></html>", map[string]string{"Cache-Control": "no-store"})
-
-	// Phase 1 (Fig. 1): eviction. Phase 2 (Fig. 2): infection +
-	// propagation. Phase 3 (Fig. 4): C&C from the home network.
-	phase := func(name string, fn func() error) (FlowPhase, error) {
-		tl.Reset()
-		if err := fn(); err != nil {
-			return FlowPhase{}, err
-		}
-		p := FlowPhase{Name: name}
-		for _, e := range tl.Events() {
-			p.Events = append(p.Events, FlowEvent{
-				TimeMs: float64(e.Time.Microseconds()) / 1000,
-				Src:    string(e.Src), Dst: string(e.Dst), Bytes: e.Size,
-			})
-		}
-		return p, nil
-	}
 	var phases FlowsData
-	p, err := phase("Fig. 1: cache eviction", func() error {
-		_, err := s.Visit("any.com", "/")
-		return err
+	s.Net.SetWireTap(func(e netsim.WireEvent) {
+		if e.Kind != netsim.WireDeliver && e.Kind != netsim.WireDupDeliver {
+			return
+		}
+		p := &phases[len(phases)-1]
+		p.Events = append(p.Events, FlowEvent{
+			TimeMs: float64(e.Time.Microseconds()) / 1000,
+			Src:    string(e.Src), Dst: string(e.Dst), Bytes: len(e.Payload),
+		})
 	})
-	if err != nil {
+	if err := scriptKillChain(s, "flow", func(name string) {
+		phases = append(phases, FlowPhase{Name: name})
+	}); err != nil {
 		return nil, err
 	}
-	phases = append(phases, p)
-	p, err = phase("Fig. 2: cache infection + propagation", func() error {
-		_, err := s.Visit("somesite.com", "/")
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	phases = append(phases, p)
-	s.LeaveAttackerNetwork()
-	s.CNC.QueueCommand("bot-flow", []byte("noop|"))
-	p, err = phase("Fig. 4: C&C after moving networks", func() error {
-		_, err := s.Visit("top1.com", "/")
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	phases = append(phases, p)
 
 	var out strings.Builder
 	for _, ph := range phases {

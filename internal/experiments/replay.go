@@ -51,7 +51,16 @@ func RunKillChain(opts KillChainOpts, rec *replay.Recorder, chk *replay.Checker)
 		return err
 	}
 	s.AttachReplay(rec, chk)
+	return scriptKillChain(s, "replay", nil)
+}
 
+// scriptKillChain stages the scripted kill chain on s and runs its three
+// phases, one per message-flow figure: eviction (Fig. 1), infection +
+// propagation (Fig. 2), and C&C after the victim leaves the attacker's
+// network (Fig. 4). strain names the parasite and its bot ("bot-"+strain);
+// both appear in C&C URLs, so the name sets frame sizes. onPhase, when
+// non-nil, receives each phase's title just before the phase runs.
+func scriptKillChain(s *core.Scenario, strain string, onPhase func(name string)) error {
 	s.AddPage("somesite.com", "/", `<html><body><script src="/my.js"></script></body></html>`,
 		map[string]string{"Cache-Control": "no-store"})
 	s.AddPage("somesite.com", "/my.js", "function site(){}",
@@ -61,27 +70,34 @@ func RunKillChain(opts KillChainOpts, rec *replay.Recorder, chk *replay.Checker)
 		map[string]string{"Cache-Control": "max-age=600"})
 	s.AddPage("any.com", "/", "<html><body>x</body></html>", map[string]string{"Cache-Control": "no-store"})
 
-	cfg := parasite.NewConfig("replay", "bot-replay", core.MasterHost)
+	bot := "bot-" + strain
+	cfg := parasite.NewConfig(strain, bot, core.MasterHost)
 	cfg.PropagationTargets = []string{"top1.com"}
 	s.Registry.Add(cfg)
 	for _, name := range []string{"somesite.com/my.js", "top1.com/persistent.js"} {
 		s.Master.AddTarget(attacker.Target{Name: name, Kind: attacker.KindJS,
-			ParasitePayload: "replay", Original: []byte("function original(){}")})
+			ParasitePayload: strain, Original: []byte("function original(){}")})
 	}
 	s.Master.EnableEviction(core.JunkHost, 4, 1024, "any.com")
 
-	if _, err := s.Visit("any.com", "/"); err != nil {
-		return fmt.Errorf("eviction phase: %w", err)
+	visit := func(name, host string) error {
+		if onPhase != nil {
+			onPhase(name)
+		}
+		if _, err := s.Visit(host, "/"); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		return nil
 	}
-	if _, err := s.Visit("somesite.com", "/"); err != nil {
-		return fmt.Errorf("infection phase: %w", err)
+	if err := visit("Fig. 1: cache eviction", "any.com"); err != nil {
+		return err
+	}
+	if err := visit("Fig. 2: cache infection + propagation", "somesite.com"); err != nil {
+		return err
 	}
 	s.LeaveAttackerNetwork()
-	s.CNC.QueueCommand("bot-replay", []byte("noop|"))
-	if _, err := s.Visit("top1.com", "/"); err != nil {
-		return fmt.Errorf("c&c phase: %w", err)
-	}
-	return nil
+	s.CNC.QueueCommand(bot, []byte("noop|"))
+	return visit("Fig. 4: C&C after moving networks", "top1.com")
 }
 
 // replayRow is one seed's record/replay verdict.

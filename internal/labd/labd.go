@@ -53,6 +53,11 @@ const (
 // chaos.StoreSites, everything the kill-point recovery matrix sweeps.
 var FleetSites = []string{SiteJobStart, SiteJobCrash, SiteJobRender}
 
+// maxResumes bounds how many daemon restarts a resumable run may survive
+// mid-flight before recovery latches it failed instead of re-enqueueing
+// it.
+const maxResumes = 3
+
 // Config parameterises a Server.
 type Config struct {
 	// StoreDir is the durable run-record directory (required).
@@ -68,10 +73,6 @@ type Config struct {
 	// time.Now. Tests inject a fixed clock to make event bytes
 	// deterministic across transports.
 	Now func() time.Time
-	// MaxResumes bounds how many daemon restarts a resumable run may
-	// survive mid-flight before recovery latches it failed instead of
-	// re-enqueueing it. <= 0 selects 3.
-	MaxResumes int
 	// FS is the filesystem the store commits through; nil selects
 	// chaos.OS, the real filesystem. The chaos harness and cmd/labd
 	// -chaos inject chaos.BindFS(ctrl) to fault it.
@@ -113,9 +114,6 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.MaxResumes <= 0 {
-		cfg.MaxResumes = 3
-	}
 	store, err := OpenStoreFS(cfg.StoreDir, cfg.FS)
 	if err != nil {
 		return nil, err
@@ -145,12 +143,12 @@ func Open(cfg Config) (*Server, error) {
 			// Anything else cannot be resumed (scenario state was in
 			// memory), so latch the failure durably.
 			spec, known := artifact.Get(r.Spec)
-			if known && spec.Resumable && r.Resumes < cfg.MaxResumes {
+			if known && spec.Resumable && r.Resumes < maxResumes {
 				r.Resumes++
 				r.Status = StatusResumed
 				r.Stages = append(r.Stages, Stage{
 					Stage: StatusResumed, At: cfg.Now().UTC(),
-					Detail: fmt.Sprintf("resumed after restart (%d/%d)", r.Resumes, cfg.MaxResumes),
+					Detail: fmt.Sprintf("resumed after restart (%d/%d)", r.Resumes, maxResumes),
 				})
 				if err := store.PutRecord(r); err != nil {
 					return nil, err

@@ -10,7 +10,7 @@ import (
 // instead end in failed — an execution, render, or store error, or a
 // stage record that could not be persisted. A daemon restart moves a run that was mid-flight when the process
 // died either to resumed — when its spec is Resumable and the resume
-// budget (Config.MaxResumes) is not exhausted, after which the run
+// budget (maxResumes, 3 restarts) is not exhausted, after which the run
 // re-enters running and skips fleet chunks its checkpoint already
 // committed — or straight to failed (detail "interrupted by restart").
 type Status string
@@ -61,8 +61,8 @@ type Record struct {
 	Error  string  `json:"error,omitempty"`
 
 	// Resumes counts how many daemon restarts this run has survived
-	// mid-flight; recovery latches the run failed once it exceeds
-	// Config.MaxResumes instead of resuming forever.
+	// mid-flight; recovery latches the run failed once it reaches
+	// maxResumes instead of resuming forever.
 	Resumes int `json:"resumes,omitempty"`
 
 	// Bytes and SHA256 describe the rendered artifact once Status is

@@ -126,8 +126,8 @@ func (s *Shard) Name() string { return s.name }
 // ID returns the shard's merge-tie-break ID (creation order).
 func (s *Shard) ID() int { return s.id }
 
-// Network returns the shard's own network. Attach segments, hosts, wire
-// taps, and trace hooks here exactly as on an unsharded simulation —
+// Network returns the shard's own network. Attach segments, hosts, and
+// wire taps here exactly as on an unsharded simulation —
 // but never share handler state between shards: during a window every
 // shard executes concurrently with the others.
 func (s *Shard) Network() *Network { return s.net }

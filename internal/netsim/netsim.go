@@ -17,16 +17,15 @@
 // slices handed to a Handler are therefore only valid for the duration of
 // the call — a receiver that retains bytes must copy them (Packet.Clone).
 //
-// Two observation hooks exist: SetTrace reports deliveries (sizes only;
-// the message-flow figures), and SetWireTap reports every send, delivery,
-// tap delivery, and drop with payload bytes — the capture point of the
-// deterministic record/replay subsystem (internal/replay).
+// One observation hook exists: SetWireTap reports every send, delivery,
+// tap delivery, and drop with payload bytes. It is the capture point of
+// the deterministic record/replay subsystem (internal/replay), and the
+// message-flow figures read their delivered frame sizes from it.
 package netsim
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -113,11 +112,11 @@ func (k WireKind) String() string {
 }
 
 // WireEvent is one observable event on the simulated medium, reported to
-// the network's wire tap (SetWireTap). Unlike TraceEvent it carries the
-// payload bytes: the record/replay subsystem (internal/replay) encodes
-// the full frame so a run can be re-driven from the log alone. Payload
-// aliases pooled frame storage and is only valid for the duration of the
-// tap call — a tap that retains bytes must copy them.
+// the network's wire tap (SetWireTap). It carries the payload bytes: the
+// record/replay subsystem (internal/replay) encodes the full frame so a
+// run can be re-driven from the log alone. Payload aliases pooled frame
+// storage and is only valid for the duration of the tap call — a tap
+// that retains bytes must copy them.
 type WireEvent struct {
 	Kind    WireKind
 	Time    time.Duration
@@ -126,48 +125,6 @@ type WireEvent struct {
 	Dst     Addr
 	Proto   Protocol
 	Payload []byte
-}
-
-// TraceEvent records one delivery for message-flow rendering (Fig. 1, 2
-// and 4 of the paper are message sequence diagrams).
-type TraceEvent struct {
-	Time    time.Duration
-	Segment string
-	Src     Addr
-	Dst     Addr
-	Proto   Protocol
-	Size    int
-	Tapped  bool // delivered to an eavesdropper tap, not the addressee
-}
-
-// TraceLog is a pooled, pre-sized arena for captured trace events, so
-// repeated capture phases (the message-flow artifact renders three) append
-// into reused backing storage instead of regrowing a fresh slice.
-type TraceLog struct {
-	events []TraceEvent
-}
-
-var traceLogPool = sync.Pool{
-	New: func() any { return &TraceLog{events: make([]TraceEvent, 0, 512)} },
-}
-
-// NewTraceLog returns an arena from the pool.
-func NewTraceLog() *TraceLog { return traceLogPool.Get().(*TraceLog) }
-
-// Append records one event.
-func (l *TraceLog) Append(e TraceEvent) { l.events = append(l.events, e) }
-
-// Events returns the captured events; the slice is valid until the next
-// Reset or Release.
-func (l *TraceLog) Events() []TraceEvent { return l.events }
-
-// Reset discards captured events, keeping the arena's capacity.
-func (l *TraceLog) Reset() { l.events = l.events[:0] }
-
-// Release resets the arena and returns it to the pool.
-func (l *TraceLog) Release() {
-	l.Reset()
-	traceLogPool.Put(l)
 }
 
 // frame is one transmitted payload, shared (ref-counted) by all of the
@@ -208,7 +165,6 @@ type Network struct {
 	framePool []*frame
 
 	segments map[string]*Segment
-	trace    func(TraceEvent)
 	wiretap  func(WireEvent)
 
 	// dropScratch materializes payloads of frames that never make it
@@ -236,9 +192,6 @@ func (n *Network) Now() time.Duration { return n.now }
 
 // Delivered reports how many packets have been delivered to addressees.
 func (n *Network) Delivered() int { return n.delivered }
-
-// SetTrace installs a delivery trace hook. A nil hook disables tracing.
-func (n *Network) SetTrace(fn func(TraceEvent)) { n.trace = fn }
 
 // SetWireTap installs the wire-event hook used by the record/replay
 // subsystem: it observes every send, delivery, tap delivery, and drop on
@@ -410,13 +363,6 @@ func (n *Network) Step() bool {
 func (n *Network) deliver(fr *frame, target *Interface, dup bool) {
 	if !target.dropRx && target.handler != nil {
 		n.delivered++
-		if n.trace != nil {
-			n.trace(TraceEvent{
-				Time: n.now, Segment: fr.seg.name,
-				Src: fr.pkt.Src, Dst: fr.pkt.Dst,
-				Proto: fr.pkt.Proto, Size: len(fr.pkt.Payload),
-			})
-		}
 		if n.wiretap != nil {
 			kind := WireDeliver
 			if dup {
@@ -436,14 +382,6 @@ func (n *Network) deliver(fr *frame, target *Interface, dup bool) {
 // deliverTap runs a promiscuous delivery and releases the frame reference.
 func (n *Network) deliverTap(fr *frame, target *Tap) {
 	if target.handler != nil {
-		if n.trace != nil {
-			n.trace(TraceEvent{
-				Time: n.now, Segment: fr.seg.name,
-				Src: fr.pkt.Src, Dst: fr.pkt.Dst,
-				Proto: fr.pkt.Proto, Size: len(fr.pkt.Payload),
-				Tapped: true,
-			})
-		}
 		if n.wiretap != nil {
 			n.emitWire(WireTapDeliver, fr.seg, fr.pkt.Src, fr.pkt.Dst, fr.pkt.Proto, fr.pkt.Payload)
 		}
@@ -611,16 +549,10 @@ func (i *Interface) SetHandler(h Handler) { i.handler = h }
 // host that left the network but whose address remains configured.
 func (i *Interface) SetReceiveDrop(drop bool) { i.dropRx = drop }
 
-// Send transmits a frame. Src is forced to the interface address unless
-// spoofed sending is required, in which case use SendSpoofed.
+// Send transmits a frame. Src is forced to the interface address; spoofed
+// frames go out through a Tap (Inject, InjectPayload).
 func (i *Interface) Send(pkt Packet) {
 	pkt.Src = i.addr
-	i.seg.transmit(i.delay, pkt)
-}
-
-// SendSpoofed transmits a frame preserving whatever source address the
-// caller set. Injected attack segments use this to impersonate the server.
-func (i *Interface) SendSpoofed(pkt Packet) {
 	i.seg.transmit(i.delay, pkt)
 }
 
@@ -651,13 +583,6 @@ func (t *Tap) Inject(pkt Packet) {
 func (t *Tap) InjectPayload(src, dst Addr, proto Protocol, fill func([]byte) []byte) {
 	t.seg.net.injected++
 	t.seg.transmitPayload(t.delay, src, dst, proto, fill)
-}
-
-// InjectAfter transmits a spoofed frame after an additional delay. The
-// payload must remain valid until the frame goes out.
-func (t *Tap) InjectAfter(d time.Duration, pkt Packet) {
-	t.seg.net.injected++
-	t.seg.net.Schedule(d, func() { t.seg.transmit(t.delay, pkt) })
 }
 
 // Injected reports how many frames were injected network-wide.

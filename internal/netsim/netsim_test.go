@@ -228,30 +228,23 @@ func TestRouterPreservesSpoofedSource(t *testing.T) {
 	}
 }
 
-func TestTraceEvents(t *testing.T) {
+func TestWireTapEvents(t *testing.T) {
 	n := New()
 	seg := n.MustSegment("wifi", 0)
 	seg.MustAttach("dst", 0, func(time.Duration, Packet) {})
 	seg.AttachTap(0, func(time.Duration, Packet) {})
 	src := seg.MustAttach("src", 0, nil)
-	var events []TraceEvent
-	n.SetTrace(func(e TraceEvent) { events = append(events, e) })
+	kinds := map[WireKind]int{}
+	n.SetWireTap(func(e WireEvent) {
+		kinds[e.Kind]++
+		if len(e.Payload) != 3 || e.Proto != ProtoTCP || e.Segment != "wifi" {
+			t.Errorf("bad wire event: %+v", e)
+		}
+	})
 	src.Send(Packet{Dst: "dst", Proto: ProtoTCP, Payload: []byte("abc")})
 	n.Run(0)
-	if len(events) != 2 {
-		t.Fatalf("trace events = %d, want 2 (unicast + tap)", len(events))
-	}
-	tapped := 0
-	for _, e := range events {
-		if e.Tapped {
-			tapped++
-		}
-		if e.Size != 3 || e.Proto != ProtoTCP || e.Segment != "wifi" {
-			t.Fatalf("bad trace event: %+v", e)
-		}
-	}
-	if tapped != 1 {
-		t.Fatalf("tapped events = %d, want 1", tapped)
+	if kinds[WireDeliver] != 1 || kinds[WireTapDeliver] != 1 {
+		t.Fatalf("wire events = %v, want one deliver and one tap", kinds)
 	}
 }
 
@@ -329,9 +322,10 @@ func TestEmptyPayloadCloneDoesNotAlias(t *testing.T) {
 	}
 }
 
-func TestEmptyFrameInjectionStillTraces(t *testing.T) {
+func TestEmptyFrameInjectionStillTapped(t *testing.T) {
 	// Zero-length frames (bare ACK-style probes) must still be delivered
-	// and traced — the pooled frame path must not special-case them away.
+	// and reported to the wire tap — the pooled frame path must not
+	// special-case them away.
 	n := New()
 	seg := n.MustSegment("wifi", 0)
 	delivered := 0
@@ -343,21 +337,21 @@ func TestEmptyFrameInjectionStillTraces(t *testing.T) {
 	})
 	tapped := 0
 	seg.AttachTap(0, func(time.Duration, Packet) { tapped++ })
-	var events []TraceEvent
-	n.SetTrace(func(e TraceEvent) { events = append(events, e) })
+	kinds := map[WireKind]int{}
+	n.SetWireTap(func(e WireEvent) {
+		kinds[e.Kind]++
+		if len(e.Payload) != 0 {
+			t.Errorf("wire payload = %q, want empty", e.Payload)
+		}
+	})
 	tap := seg.AttachTap(0, nil)
 	tap.Inject(Packet{Src: "ghost", Dst: "dst", Proto: ProtoTCP})
 	n.Run(0)
 	if delivered != 1 || tapped != 1 {
 		t.Fatalf("delivered=%d tapped=%d, want 1/1", delivered, tapped)
 	}
-	if len(events) != 2 {
-		t.Fatalf("trace events = %d, want 2", len(events))
-	}
-	for _, e := range events {
-		if e.Size != 0 {
-			t.Fatalf("trace size = %d, want 0", e.Size)
-		}
+	if kinds[WireDeliver] != 1 || kinds[WireTapDeliver] != 1 {
+		t.Fatalf("wire events = %v, want one deliver and one tap", kinds)
 	}
 }
 
