@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check doclint test test-short race bench bench-smoke bench-check soak-smoke fleet-smoke artifacts labd labd-smoke chaos-smoke ci
+.PHONY: build vet fmt-check doclint test test-short race allocs bench bench-smoke bench-check soak-smoke fleet-smoke artifacts labd labd-smoke chaos-smoke ci
 
 ## build: compile every package and command
 build:
@@ -32,6 +32,13 @@ test-short:
 ## race: full suite under the race detector
 race:
 	$(GO) test -race ./...
+
+## allocs: the allocation-budget tests (Test*Allocs) — they skip under
+## -short because the race detector perturbs allocation counts, so the
+## race run in `make ci` never holds them; this runs them without -short
+## or -race
+allocs:
+	$(GO) test -count=1 -run 'Allocs$$' ./...
 
 ## bench: the root benchmark harness (tables, figures, ablations, codecs)
 bench:
@@ -93,12 +100,13 @@ chaos-smoke:
 
 ## ci: what .github/workflows/ci.yml runs — gofmt + vet + doclint, build,
 ## race tests on the short corpora (the full-size crawl would dominate the
-## race run), a single-iteration benchmark smoke pass, the bench/
-## module build and short tests, the short soak gate, the sharded-fleet
-## determinism gate, the serving smoke gate, the kill-point recovery
-## gate, and the artifact regeneration
+## race run), the allocation budgets, a single-iteration benchmark smoke
+## pass, the bench/ module build and short tests, the short soak gate,
+## the sharded-fleet determinism gate, the serving smoke gate, the
+## kill-point recovery gate, and the artifact regeneration
 ci: fmt-check vet doclint build
 	$(GO) test -short -race ./...
+	$(MAKE) allocs
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check
 	$(MAKE) soak-smoke

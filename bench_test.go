@@ -349,6 +349,23 @@ func BenchmarkDOM_ParseHTML(b *testing.B) {
 	}
 }
 
+func BenchmarkDOM_ScanTags(b *testing.B) {
+	site := webcorpus.Generate(webcorpus.Params{Sites: 1, Seed: 3}).Sites[0]
+	page := site.RenderPage(0).Body
+	b.SetBytes(int64(len(page)))
+	scripts := 0
+	for i := 0; i < b.N; i++ {
+		dom.ScanTags(page, func(tag string, _ dom.AttrList) {
+			if tag == "script" {
+				scripts++
+			}
+		})
+	}
+	if scripts == 0 {
+		b.Fatal("no <script> tag scanned")
+	}
+}
+
 func BenchmarkCrawl_OneSiteDay(b *testing.B) {
 	corpus := webcorpus.Generate(webcorpus.Params{Sites: 100, Seed: 5})
 	b.ResetTimer()

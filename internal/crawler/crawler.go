@@ -4,9 +4,11 @@
 // and names ... ran daily over a period of 100 days") and the security-
 // header survey behind Fig. 5 and the §V/§VIII statistics.
 //
-// The crawler consumes rendered pages — it parses HTML and response
-// headers exactly as a crawler over the live web would — with the
-// synthetic corpus standing in for the Alexa population.
+// The crawler consumes rendered pages as a crawler over the live web
+// would, with the synthetic corpus standing in for the Alexa
+// population: the persistency crawl scans each rendered body's start
+// tags for script names and hashes (dom.ScanTags, no document tree),
+// and the header survey reads the response headers.
 //
 // Crawling is embarrassingly parallel: pages render purely from the
 // corpus's deterministic generators, so the daily crawl tiles into
@@ -77,28 +79,27 @@ func (r *PersistencyResult) Table() (header []string, rows [][]string) {
 // scriptObs is what the crawler extracts from one page: same-site script
 // names mapped to their content hashes. The map is nil for pages that
 // carry no qualifying script — the common case on a crawl — so the
-// JS-free fast path allocates nothing beyond the parse itself.
+// JS-free fast path allocates nothing beyond the scan itself.
 type scriptObs struct {
 	scripts map[string]string // name → hash
 }
 
-// crawlDay fetches and parses one site's page for a day. Only same-site
-// scripts are counted for the persistence study; shared third-party files
-// (the analytics vector of §VI-B1) are tracked separately because they
-// would otherwise dominate the statistic.
-func crawlDay(site *webcorpus.Site, day int) (scriptObs, bool) {
-	resp := site.RenderPage(day)
-	if resp.StatusCode != 200 {
-		return scriptObs{}, false
+// crawl renders one site's page for a day into page, scans it, and adds
+// its scripts to o, allocating o's map on the first one. Only same-site
+// scripts are counted for the persistence study; shared third-party
+// files (the analytics vector of §VI-B1) are tracked separately because
+// they would otherwise dominate the statistic. crawl returns the page
+// buffer for the next render, and false when the site does not answer.
+func (o *scriptObs) crawl(site *webcorpus.Site, day int, page []byte) ([]byte, bool) {
+	page, ok := site.AppendPage(page[:0], day)
+	if !ok {
+		return page, false
 	}
-	doc := dom.ParseHTML(site.Host+"/", resp.Body)
-	var obs scriptObs
-	hostPrefix := site.Host + "/"
-	doc.Root.Walk(func(el *dom.Element) {
-		if el.Tag != "script" {
+	dom.ScanTags(page, func(tag string, attrs dom.AttrList) {
+		if tag != "script" {
 			return
 		}
-		src := strings.TrimPrefix(el.Attr("src"), "//")
+		src := strings.TrimPrefix(attrs.Get("src"), "//")
 		if src == "" {
 			return
 		}
@@ -109,15 +110,15 @@ func crawlDay(site *webcorpus.Site, day int) (scriptObs, bool) {
 		if !strings.HasSuffix(path, ".js") {
 			return
 		}
-		if !strings.HasPrefix(src, hostPrefix) {
+		if rest, ok := strings.CutPrefix(src, site.Host); !ok || !strings.HasPrefix(rest, "/") {
 			return // third-party
 		}
-		if obs.scripts == nil {
-			obs.scripts = make(map[string]string, 8)
+		if o.scripts == nil {
+			o.scripts = make(map[string]string, 8)
 		}
-		obs.scripts[src] = el.Attr("data-hash")
+		o.scripts[src] = attrs.Get("data-hash")
 	})
-	return obs, true
+	return page, true
 }
 
 // Baseline is the memoized day-0 crawl of a corpus: one observation per
@@ -141,7 +142,8 @@ func CrawlBaseline(r *runner.Runner, c *webcorpus.Corpus) *Baseline {
 		ok  bool
 	}
 	crawls, _ := runner.Map(r, c.Sites, func(_ int, s *webcorpus.Site) (obsOK, error) {
-		o, ok := crawlDay(s, 0)
+		var o scriptObs
+		_, ok := o.crawl(s, 0, nil)
 		return obsOK{obs: o, ok: ok}, nil
 	})
 	b := &Baseline{
@@ -222,12 +224,15 @@ func CrawlPersistencyFrom(r *runner.Runner, base *Baseline, days int) *Persisten
 	}
 	counts, _ := runner.Map(r, tiles, func(_ int, t dayTile) (tileCounts, error) {
 		var tc tileCounts
+		var page []byte   // one render buffer for the tile
+		var obs scriptObs // one observation map, cleared per site
 		for i := t.lo; i < t.hi; i++ {
 			if !base.ok[i] {
 				continue
 			}
-			obs, ok := crawlDay(c.Sites[i], t.day)
-			if !ok {
+			clear(obs.scripts)
+			var ok bool
+			if page, ok = obs.crawl(c.Sites[i], t.day, page); !ok {
 				continue
 			}
 			if len(obs.scripts) > 0 {
@@ -290,8 +295,8 @@ func SelectTargetsFrom(r *runner.Runner, base *Baseline, window int) map[string]
 		if !base.ok[i] || len(base.obs[i].scripts) == 0 {
 			return nil, nil
 		}
-		last, ok := crawlDay(s, window)
-		if !ok {
+		var last scriptObs
+		if _, ok := last.crawl(s, window, nil); !ok {
 			return nil, nil
 		}
 		var names []string

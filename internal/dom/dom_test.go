@@ -65,6 +65,31 @@ func TestParseAttributeStyles(t *testing.T) {
 	}
 }
 
+// TestParseAttrsSplitOnLineBreaks pins '\n' and '\r' as attribute
+// separators, in both consumers of the tokenizer: a tag written across
+// lines keeps every attribute.
+func TestParseAttrsSplitOnLineBreaks(t *testing.T) {
+	page := []byte("<body><input\nname=user\nvalue=v><img src=a.png\r\nid=logo></body>")
+	const want = "name=user value=v src=a.png id=logo"
+	var parsed, scanned []string
+	ParseHTML("x", page).Root.Walk(func(el *Element) {
+		for _, a := range el.Attrs {
+			parsed = append(parsed, a.Key+"="+a.Value)
+		}
+	})
+	ScanTags(page, func(_ string, attrs AttrList) {
+		for _, a := range attrs {
+			scanned = append(scanned, a.Key+"="+a.Value)
+		}
+	})
+	if got := strings.Join(parsed, " "); got != want {
+		t.Errorf("ParseHTML attrs = %q, want %q", got, want)
+	}
+	if got := strings.Join(scanned, " "); got != want {
+		t.Errorf("ScanTags attrs = %q, want %q", got, want)
+	}
+}
+
 func TestParseUnclosedTags(t *testing.T) {
 	d := ParseHTML("x", []byte(`<body><div id="a"><p>text`))
 	if d.FindByID("a") == nil {

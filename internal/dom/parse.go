@@ -2,6 +2,7 @@ package dom
 
 import (
 	"strings"
+	"sync"
 )
 
 // ParseHTML builds a document from HTML bytes. The parser is tolerant:
@@ -11,11 +12,11 @@ import (
 // synthetic corpus and the simulated applications — and, importantly, for
 // whatever bytes an attacker injects.
 //
-// The tokenizer is a single pass over one string conversion of the
-// input: every tag name, attribute, and text fragment is a substring of
-// that one allocation, elements come from a chunked arena, and
-// lowercasing/case-folding never allocates on the (overwhelmingly
-// common) already-lowercase path.
+// ParseHTML is the tree builder over the package's one tokenizer, which
+// ScanTags shares: every tag name, attribute, and text fragment is a
+// substring of one string conversion of the input, elements come from a
+// chunked arena, and lowercasing/case-folding never allocates on the
+// (overwhelmingly common) already-lowercase path.
 func ParseHTML(url string, content []byte) *Document {
 	d := &Document{URL: url}
 	var arena elemArena
@@ -24,85 +25,182 @@ func ParseHTML(url string, content []byte) *Document {
 	d.Root = root
 
 	stack := []*Element{root}
-	top := func() *Element { return stack[len(stack)-1] }
+	z := tokenizer{s: string(content)}
+	for {
+		tok := z.next(&attrs)
+		top := stack[len(stack)-1]
+		switch tok.kind {
+		case tokenEOF:
+			return d
+		case tokenText:
+			top.Text += tok.text
+		case tokenEndTag:
+			for n := len(stack) - 1; n > 0; n-- {
+				// ASCII fold only, matching the </script> scan: Unicode
+				// fold pairs must not close an element.
+				if len(stack[n].Tag) == len(tok.name) && foldEq(stack[n].Tag, tok.name) {
+					stack = stack[:n]
+					break
+				}
+			}
+		case tokenStartTag:
+			if tok.name == "html" {
+				// Merge attributes into the existing root instead of
+				// nesting a second html element.
+				for _, a := range tok.attrs {
+					root.SetAttr(a.Key, a.Value)
+				}
+				continue
+			}
+			el := arena.new(tok.name)
+			el.Attrs = tok.attrs
+			el.Text = tok.text
+			top.Append(el)
+			if tok.name != "script" && !tok.selfClose && !voidTags[tok.name] {
+				stack = append(stack, el)
+			}
+		}
+	}
+}
 
-	s := string(content)
-	i := 0
-	for i < len(s) {
+// ScanTags calls fn for every start tag in content, in document order,
+// without building a tree: the elements ParseHTML would build, in its
+// Walk order, plus the <html> tags it merges into its root. It shares
+// ParseHTML's tokenizer, so tag names and attribute keys are lower-case,
+// a duplicate attribute keeps its last value, and markup inside a
+// <script> is raw text, never a tag.
+//
+// attrs is scratch that the next tag overwrites: it is valid only during
+// fn. tag and the strings in attrs are substrings of one copy of content
+// and stay valid.
+func ScanTags(content []byte, fn func(tag string, attrs AttrList)) {
+	w := scanScratch.Get().(*attrWriter)
+	z := tokenizer{s: string(content)}
+	for tok := z.next(w); tok.kind != tokenEOF; tok = z.next(w) {
+		if tok.kind == tokenStartTag {
+			fn(tok.name, tok.attrs)
+			w.buf = w.buf[:0]
+		}
+	}
+	scanScratch.Put(w)
+}
+
+// scanScratch recycles the attribute list ScanTags hands its callback.
+var scanScratch = sync.Pool{New: func() any { return new(attrWriter) }}
+
+// tokenKind classifies a token.
+type tokenKind uint8
+
+const (
+	tokenEOF tokenKind = iota
+	tokenText
+	tokenStartTag
+	tokenEndTag
+)
+
+// token is one lexical unit of a page.
+type token struct {
+	kind tokenKind
+	// name is a start tag's lower-cased name, or an end tag's name as
+	// written, trimmed.
+	name string
+	// text is a text token's content, or a <script> start tag's raw
+	// text up to its closer.
+	text string
+	// attrs are a start tag's attributes, carved from the attrWriter
+	// passed to next.
+	attrs     AttrList
+	selfClose bool // the start tag was written "<name ... />"
+}
+
+// tokenizer is the HTML lexer behind ParseHTML and ScanTags. It skips
+// comments and doctypes, consumes a <script>'s content as raw text (so
+// markup inside a script never becomes a tag), and parses attributes.
+// Every string it emits is a substring of s.
+type tokenizer struct {
+	s string
+	i int // read offset into s
+}
+
+// next returns the next token, parsing a start tag's attributes into w.
+func (z *tokenizer) next(w *attrWriter) token {
+	s := z.s
+	for z.i < len(s) {
+		i := z.i
 		lt := strings.IndexByte(s[i:], '<')
 		if lt < 0 {
-			top().Text += s[i:]
-			break
+			z.i = len(s)
+			return token{kind: tokenText, text: s[i:]}
 		}
 		if lt > 0 {
-			top().Text += s[i : i+lt]
-			i += lt
+			z.i = i + lt
+			return token{kind: tokenText, text: s[i : i+lt]}
 		}
 		gt := strings.IndexByte(s[i:], '>')
 		if gt < 0 {
-			top().Text += s[i:]
-			break
+			z.i = len(s)
+			return token{kind: tokenText, text: s[i:]}
 		}
 		tag := s[i+1 : i+gt]
-		i += gt + 1
+		z.i = i + gt + 1
 		switch {
 		case strings.HasPrefix(tag, "!--"):
 			// Comment: skip to the closing marker if the '>' we found was
 			// not it.
 			if !strings.HasSuffix(tag, "--") {
-				if end := strings.Index(s[i:], "-->"); end >= 0 {
-					i += end + 3
+				if end := strings.Index(s[z.i:], "-->"); end >= 0 {
+					z.i += end + 3
 				} else {
-					i = len(s)
+					z.i = len(s)
 				}
 			}
 		case strings.HasPrefix(tag, "!"):
 			// Doctype: ignore.
 		case strings.HasPrefix(tag, "/"):
-			name := strings.TrimSpace(tag[1:])
-			for n := len(stack) - 1; n > 0; n-- {
-				// ASCII fold only, matching the </script> scan: Unicode
-				// fold pairs must not close an element.
-				if len(stack[n].Tag) == len(name) && foldEq(stack[n].Tag, name) {
-					stack = stack[:n]
-					break
-				}
-			}
+			return token{kind: tokenEndTag, name: strings.TrimSpace(tag[1:])}
 		default:
-			selfClose := strings.HasSuffix(tag, "/")
-			if selfClose {
-				tag = strings.TrimSuffix(tag, "/")
-			}
-			el := parseTag(&arena, &attrs, tag)
-			if el == nil {
-				continue
-			}
-			if el.Tag == "html" {
-				// Merge attributes into the existing root instead of
-				// nesting a second html element.
-				for _, a := range el.Attrs {
-					root.SetAttr(a.Key, a.Value)
-				}
-				continue
-			}
-			top().Append(el)
-			if el.Tag == "script" {
-				// Raw-text element: consume everything to </script>.
-				if end := indexFold(s[i:], "</script>"); end >= 0 {
-					el.Text = s[i : i+end]
-					i += end + len("</script>")
-				} else {
-					el.Text = s[i:]
-					i = len(s)
-				}
-				continue
-			}
-			if !selfClose && !voidTags[el.Tag] {
-				stack = append(stack, el)
+			if tok, ok := z.startTag(tag, w); ok {
+				return tok
 			}
 		}
 	}
-	return d
+	return token{kind: tokenEOF}
+}
+
+// startTag parses what lies between a start tag's angle brackets,
+// "name attr=val attr2='v'" with an optional trailing "/". A tag with
+// no name, such as a stray "<>", is not a token.
+func (z *tokenizer) startTag(raw string, w *attrWriter) (token, bool) {
+	tok := token{kind: tokenStartTag}
+	if strings.HasSuffix(raw, "/") {
+		tok.selfClose = true
+		raw = raw[:len(raw)-1]
+	}
+	raw = strings.TrimSpace(raw)
+	if raw == "" {
+		return tok, false
+	}
+	name, rest := raw, ""
+	if n := strings.IndexAny(raw, " \t\n\r"); n >= 0 {
+		name, rest = raw[:n], raw[n:]
+	}
+	tok.name = lowerASCII(name)
+	if rest != "" {
+		w.begin()
+		parseAttrs(w, rest)
+		tok.attrs = w.finish()
+	}
+	if tok.name == "script" {
+		// Raw-text element: consume everything to </script>.
+		if end := indexFold(z.s[z.i:], "</script>"); end >= 0 {
+			tok.text = z.s[z.i : z.i+end]
+			z.i += end + len("</script>")
+		} else {
+			tok.text = z.s[z.i:]
+			z.i = len(z.s)
+		}
+	}
+	return tok, true
 }
 
 // arenaChunk is how many elements one arena allocation holds; a typical
@@ -224,33 +322,14 @@ func (w *attrWriter) finish() AttrList {
 	return w.buf[w.start:len(w.buf):len(w.buf)]
 }
 
-// parseTag parses "name attr=val attr2='v'" into an element.
-func parseTag(arena *elemArena, attrs *attrWriter, raw string) *Element {
-	raw = strings.TrimSpace(raw)
-	if raw == "" {
-		return nil
-	}
-	nameEnd := strings.IndexAny(raw, " \t\n\r")
-	name := raw
-	rest := ""
-	if nameEnd >= 0 {
-		name = raw[:nameEnd]
-		rest = raw[nameEnd:]
-	}
-	el := arena.new(lowerASCII(name))
-	if rest != "" {
-		attrs.begin()
-		parseAttrs(attrs, rest)
-		el.Attrs = attrs.finish()
-	}
-	return el
-}
+// isSpace reports whether c separates a tag's name and attributes.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
+// parseAttrs parses "attr=val attr2='v' flag" into w.
 func parseAttrs(w *attrWriter, s string) {
 	i := 0
 	for i < len(s) {
-		// Skip whitespace.
-		for i < len(s) && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r') {
+		for i < len(s) && isSpace(s[i]) {
 			i++
 		}
 		if i >= len(s) {
@@ -258,7 +337,7 @@ func parseAttrs(w *attrWriter, s string) {
 		}
 		// Attribute name.
 		start := i
-		for i < len(s) && s[i] != '=' && s[i] != ' ' && s[i] != '\t' {
+		for i < len(s) && s[i] != '=' && !isSpace(s[i]) {
 			i++
 		}
 		name := s[start:i]
@@ -283,7 +362,7 @@ func parseAttrs(w *attrWriter, s string) {
 				}
 			} else {
 				vstart := i
-				for i < len(s) && s[i] != ' ' && s[i] != '\t' {
+				for i < len(s) && !isSpace(s[i]) {
 					i++
 				}
 				value = s[vstart:i]

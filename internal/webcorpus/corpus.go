@@ -15,6 +15,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -416,7 +417,7 @@ func (s *Site) SecurityHeaders() httpsim.Header {
 	return h
 }
 
-// statePool recycles the object-state scratch RenderPage assembles a
+// statePool recycles the object-state scratch AppendPage assembles a
 // page from; the states never escape the call.
 var statePool = sync.Pool{New: func() any { return new([]ObjectState) }}
 
@@ -442,8 +443,24 @@ const (
 // paper's daily crawler fetched and hashed. The rendered bytes are
 // identical to the historical strings.Builder+Fprintf rendering.
 func (s *Site) RenderPage(day int) *httpsim.Response {
-	if !s.Responds {
+	body, ok := s.AppendPage(nil, day)
+	if !ok {
 		return httpsim.NewResponse(404, nil)
+	}
+	resp := httpsim.NewResponse(200, body)
+	resp.Header = s.SecurityHeaders()
+	resp.Header.Set("Content-Type", "text/html")
+	resp.Header.Set("Cache-Control", "max-age=600")
+	return resp
+}
+
+// AppendPage appends the HTML body RenderPage serves for a day to dst
+// and returns the extended buffer, so a crawler can render every page
+// into one reused buffer. A site that does not respond has no page:
+// AppendPage returns dst and false.
+func (s *Site) AppendPage(dst []byte, day int) ([]byte, bool) {
+	if !s.Responds {
+		return dst, false
 	}
 	scratch := statePool.Get().(*[]ObjectState)
 	states := s.appendObjectsOn((*scratch)[:0], day)
@@ -459,35 +476,30 @@ func (s *Site) RenderPage(day int) *httpsim.Response {
 			n += len(imgOpen) + len(o.Name) + len(imgClose)
 		}
 	}
-	body := make([]byte, 0, n)
-	body = append(body, pagePrefix...)
+	dst = slices.Grow(dst, n)
+	dst = append(dst, pagePrefix...)
 	for i := range states {
 		switch o := &states[i]; o.Kind {
 		case KindJS:
-			body = append(body, scriptOpen...)
-			body = append(body, o.Name...)
-			body = append(body, scriptHash...)
-			body = append(body, o.Hash...)
-			body = append(body, scriptClose...)
+			dst = append(dst, scriptOpen...)
+			dst = append(dst, o.Name...)
+			dst = append(dst, scriptHash...)
+			dst = append(dst, o.Hash...)
+			dst = append(dst, scriptClose...)
 		case KindCSS:
-			body = append(body, cssOpen...)
-			body = append(body, o.Name...)
-			body = append(body, cssClose...)
+			dst = append(dst, cssOpen...)
+			dst = append(dst, o.Name...)
+			dst = append(dst, cssClose...)
 		case KindImg:
-			body = append(body, imgOpen...)
-			body = append(body, o.Name...)
-			body = append(body, imgClose...)
+			dst = append(dst, imgOpen...)
+			dst = append(dst, o.Name...)
+			dst = append(dst, imgClose...)
 		}
 	}
-	body = append(body, pageBodyOpen...)
-	body = append(body, s.memo.banner...)
-	body = append(body, pageSuffix...)
+	dst = append(dst, pageBodyOpen...)
+	dst = append(dst, s.memo.banner...)
+	dst = append(dst, pageSuffix...)
 	*scratch = states
 	statePool.Put(scratch)
-
-	resp := httpsim.NewResponse(200, body)
-	resp.Header = s.SecurityHeaders()
-	resp.Header.Set("Content-Type", "text/html")
-	resp.Header.Set("Cache-Control", "max-age=600")
-	return resp
+	return dst, true
 }

@@ -235,12 +235,26 @@ func TestRenderPageAllocs(t *testing.T) {
 	if got > 8 {
 		t.Errorf("RenderPage allocs/op = %.0f, want <= 8", got)
 	}
+
+	// The crawl renders into a reused buffer: a warm one needs no
+	// allocation at all.
+	buf, _ := site.AppendPage(nil, 0)
+	got = testing.AllocsPerRun(200, func() {
+		buf, _ = site.AppendPage(buf[:0], 0)
+	})
+	if got != 0 {
+		t.Errorf("AppendPage allocs/op into a warm buffer = %.0f, want 0", got)
+	}
 }
 
 // TestRenderPageMatchesHistoricalRendering pins byte-identity of the
 // exact-size renderer against the original strings.Builder+Fprintf
-// formatting, which the golden artifacts were recorded under.
+// formatting, which the golden artifacts were recorded under — served
+// by RenderPage, and appended by AppendPage to a reused buffer that
+// already holds bytes.
 func TestRenderPageMatchesHistoricalRendering(t *testing.T) {
+	const prefix = "HTTP/1.1 200 OK\r\n\r\n"
+	var buf []byte
 	c := Generate(Params{Sites: 40, Seed: 17})
 	for _, s := range c.Sites {
 		if !s.Responds {
@@ -264,6 +278,12 @@ func TestRenderPageMatchesHistoricalRendering(t *testing.T) {
 			b.WriteString("</body></html>")
 			if got := string(s.RenderPage(day).Body); got != b.String() {
 				t.Fatalf("site %s day %d: rendered bytes diverge from historical formatting", s.Host, day)
+			}
+			buf = append(buf[:0], prefix...)
+			var ok bool
+			buf, ok = s.AppendPage(buf, day)
+			if !ok || string(buf) != prefix+b.String() {
+				t.Fatalf("site %s day %d: AppendPage into a reused buffer diverges from historical formatting", s.Host, day)
 			}
 		}
 	}
