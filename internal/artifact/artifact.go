@@ -61,13 +61,6 @@ type Spec struct {
 	// measurements. Deterministic artifacts must fingerprint
 	// identically at any worker count.
 	Deterministic bool
-	// Resumable marks artifacts whose Run is safe to re-execute after
-	// a crash: it is deterministic, shares no state across attempts,
-	// and drives its fleet through runner.ResumeMap so an orchestrator
-	// can hand it a checkpoint (Env.Checkpoint) and resume an
-	// interrupted run at the last committed chunk. Non-resumable runs
-	// interrupted by a crash are latched failed on recovery.
-	Resumable bool
 	// Run regenerates the artifact. The returned Result needs only
 	// Text and Dataset; Exec stamps identity and params from the Spec.
 	Run func(Env) (*Result, error)
@@ -77,13 +70,7 @@ type Spec struct {
 // jobs out on, plus the validated parameter values.
 type Env struct {
 	Runner *runner.Runner
-	// Checkpoint, when non-nil, is the durable chunk-resume sink a
-	// Resumable spec passes to runner.ResumeMap: completed fleet
-	// chunks are committed as they finish, and a run restarted after a
-	// crash skips them. Batch frontends leave it nil (no resume);
-	// labd binds a per-run checkpoint file for resumable specs.
-	Checkpoint runner.Checkpoint
-	params     map[string]int
+	params map[string]int
 }
 
 // Param returns a validated parameter value. Asking for a name the

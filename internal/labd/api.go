@@ -30,10 +30,10 @@ func artifactContentType(format string) string {
 	}
 }
 
-// Route dispatches one API request, appending the response body to dst
-// (whose capacity is reused). It is the transport-independent core
-// shared by the in-process Client and ServeHTTP — the same bytes flow
-// through both. Routes:
+// Route dispatches one API request and returns the response as a
+// (status, content type, body) triple. It is the transport-independent
+// core: ServeHTTP serves every route through it, so a direct call and a
+// net/http request see the same bytes. Routes:
 //
 //	GET  /healthz                 → liveness ("ok")
 //	GET  /readyz                  → readiness (503 while draining)
@@ -49,150 +49,149 @@ func artifactContentType(format string) string {
 // complete SSE-framed body; over real net/http, ServeHTTP upgrades the
 // same route to a live stream whose total bytes — once the run is
 // terminal — equal this snapshot exactly.
-func (s *Server) Route(method, path string, body []byte, dst []byte) (status int, contentType string, respBody []byte) {
+func (s *Server) Route(method, path string, body []byte) (status int, contentType string, respBody []byte) {
 	p := strings.Trim(path, "/")
 	switch {
 	case p == "healthz":
-		return s.routeHealthz(method, dst)
+		return s.routeHealthz(method)
 	case p == "readyz":
-		return s.routeReadyz(method, dst)
+		return s.routeReadyz(method)
 	case p == "v1/specs":
-		return s.routeSpecs(method, dst)
+		return s.routeSpecs(method)
 	case strings.HasPrefix(p, "v1/specs/"):
-		return s.routeSpec(method, strings.TrimPrefix(p, "v1/specs/"), dst)
+		return s.routeSpec(method, strings.TrimPrefix(p, "v1/specs/"))
 	case p == "v1/runs":
-		return s.routeRuns(method, body, dst)
+		return s.routeRuns(method, body)
 	case strings.HasPrefix(p, "v1/runs/"):
 		rest := strings.TrimPrefix(p, "v1/runs/")
 		id, sub, _ := strings.Cut(rest, "/")
 		switch sub {
 		case "":
-			return s.routeRun(method, id, dst)
+			return s.routeRun(method, id)
 		case "artifact":
-			return s.routeArtifact(method, id, dst)
+			return s.routeArtifact(method, id)
 		case "events":
-			return s.routeEvents(method, id, dst)
+			return s.routeEvents(method, id)
 		}
 	}
-	return errBody(dst, http.StatusNotFound, "404 page not found")
+	return errBody(http.StatusNotFound, "404 page not found")
 }
 
 // errBody renders a small text body the way http.Error spells errors
 // on the wire (it also serves the healthz/readyz "ok").
-func errBody(dst []byte, status int, msg string) (int, string, []byte) {
-	dst = append(dst, msg...)
-	return status, plainContentType, append(dst, '\n')
+func errBody(status int, msg string) (int, string, []byte) {
+	return status, plainContentType, []byte(msg + "\n")
 }
 
 // jsonBody marshals v as the response body (indented, trailing
 // newline — the same framing the manifest file uses).
-func jsonBody(dst []byte, status int, v any) (int, string, []byte) {
+func jsonBody(status int, v any) (int, string, []byte) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return errBody(dst, http.StatusInternalServerError, err.Error())
+		return errBody(http.StatusInternalServerError, err.Error())
 	}
-	dst = append(dst, b...)
-	return status, jsonContentType, append(dst, '\n')
+	return status, jsonContentType, append(b, '\n')
 }
 
-func methodNotAllowed(dst []byte) (int, string, []byte) {
-	return errBody(dst, http.StatusMethodNotAllowed, "method not allowed")
+func methodNotAllowed() (int, string, []byte) {
+	return errBody(http.StatusMethodNotAllowed, "method not allowed")
 }
 
-func (s *Server) routeHealthz(method string, dst []byte) (int, string, []byte) {
+func (s *Server) routeHealthz(method string) (int, string, []byte) {
 	if method != http.MethodGet {
-		return methodNotAllowed(dst)
+		return methodNotAllowed()
 	}
-	return errBody(dst, http.StatusOK, "ok")
+	return errBody(http.StatusOK, "ok")
 }
 
-func (s *Server) routeReadyz(method string, dst []byte) (int, string, []byte) {
+func (s *Server) routeReadyz(method string) (int, string, []byte) {
 	if method != http.MethodGet {
-		return methodNotAllowed(dst)
+		return methodNotAllowed()
 	}
 	if !s.Ready() {
-		return errBody(dst, http.StatusServiceUnavailable, "draining")
+		return errBody(http.StatusServiceUnavailable, "draining")
 	}
-	return errBody(dst, http.StatusOK, "ok")
+	return errBody(http.StatusOK, "ok")
 }
 
-func (s *Server) routeSpecs(method string, dst []byte) (int, string, []byte) {
+func (s *Server) routeSpecs(method string) (int, string, []byte) {
 	if method != http.MethodGet {
-		return methodNotAllowed(dst)
+		return methodNotAllowed()
 	}
-	return jsonBody(dst, http.StatusOK, artifact.Summaries())
+	return jsonBody(http.StatusOK, artifact.Summaries())
 }
 
-func (s *Server) routeSpec(method, id string, dst []byte) (int, string, []byte) {
+func (s *Server) routeSpec(method, id string) (int, string, []byte) {
 	if method != http.MethodGet {
-		return methodNotAllowed(dst)
+		return methodNotAllowed()
 	}
 	spec, ok := artifact.Get(id)
 	if !ok {
-		return errBody(dst, http.StatusNotFound, "unknown spec "+id)
+		return errBody(http.StatusNotFound, "unknown spec "+id)
 	}
-	return jsonBody(dst, http.StatusOK, spec.Summary())
+	return jsonBody(http.StatusOK, spec.Summary())
 }
 
-func (s *Server) routeRuns(method string, body, dst []byte) (int, string, []byte) {
+func (s *Server) routeRuns(method string, body []byte) (int, string, []byte) {
 	switch method {
 	case http.MethodGet:
-		return jsonBody(dst, http.StatusOK, s.List())
+		return jsonBody(http.StatusOK, s.List())
 	case http.MethodPost:
 		var req EnqueueRequest
 		if err := json.Unmarshal(body, &req); err != nil {
-			return errBody(dst, http.StatusBadRequest, "bad request body: "+err.Error())
+			return errBody(http.StatusBadRequest, "bad request body: "+err.Error())
 		}
 		rec, err := s.Enqueue(req)
 		if err != nil {
 			if s.draining.Load() {
-				return errBody(dst, http.StatusServiceUnavailable, err.Error())
+				return errBody(http.StatusServiceUnavailable, err.Error())
 			}
-			return errBody(dst, http.StatusBadRequest, err.Error())
+			return errBody(http.StatusBadRequest, err.Error())
 		}
-		return jsonBody(dst, http.StatusAccepted, rec)
+		return jsonBody(http.StatusAccepted, rec)
 	default:
-		return methodNotAllowed(dst)
+		return methodNotAllowed()
 	}
 }
 
-func (s *Server) routeRun(method, id string, dst []byte) (int, string, []byte) {
+func (s *Server) routeRun(method, id string) (int, string, []byte) {
 	if method != http.MethodGet {
-		return methodNotAllowed(dst)
+		return methodNotAllowed()
 	}
 	rec, ok := s.Get(id)
 	if !ok {
-		return errBody(dst, http.StatusNotFound, "unknown run "+id)
+		return errBody(http.StatusNotFound, "unknown run "+id)
 	}
-	return jsonBody(dst, http.StatusOK, rec)
+	return jsonBody(http.StatusOK, rec)
 }
 
-func (s *Server) routeArtifact(method, id string, dst []byte) (int, string, []byte) {
+func (s *Server) routeArtifact(method, id string) (int, string, []byte) {
 	if method != http.MethodGet {
-		return methodNotAllowed(dst)
+		return methodNotAllowed()
 	}
 	b, rec, err := s.Artifact(id)
 	if err != nil {
 		if rec == nil {
-			return errBody(dst, http.StatusNotFound, err.Error())
+			return errBody(http.StatusNotFound, err.Error())
 		}
-		return errBody(dst, http.StatusConflict, err.Error())
+		return errBody(http.StatusConflict, err.Error())
 	}
-	return http.StatusOK, artifactContentType(rec.Format), append(dst, b...)
+	return http.StatusOK, artifactContentType(rec.Format), b
 }
 
-func (s *Server) routeEvents(method, id string, dst []byte) (int, string, []byte) {
+func (s *Server) routeEvents(method, id string) (int, string, []byte) {
 	if method != http.MethodGet {
-		return methodNotAllowed(dst)
+		return methodNotAllowed()
 	}
 	rec, ok := s.Get(id)
 	if !ok {
-		return errBody(dst, http.StatusNotFound, "unknown run "+id)
+		return errBody(http.StatusNotFound, "unknown run "+id)
 	}
+	var out []byte
 	for _, ev := range eventsFromStages(id, rec.Stages) {
-		dst = AppendSSE(dst, ev)
+		out = AppendSSE(out, ev)
 	}
-	return http.StatusOK, sseContentType, dst
+	return http.StatusOK, sseContentType, out
 }
 
 // setResponseHeaders applies the API's response-header policy: run

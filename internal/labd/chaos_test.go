@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,57 +18,9 @@ import (
 	"masterparasite/internal/runner"
 )
 
-// ---- checkpointable test specs --------------------------------------
-//
-// labd-t-ckpt is the resumable workhorse of the chaos tests: a
-// deterministic artifact that drives its fleet through runner.ResumeMap,
-// so a crashed run restarted over its checkpoint skips completed
-// chunks. ckptComputes counts chunk computations globally; tests that
-// assert on the count are not parallel (they own the counter while
-// they run).
-
-var ckptComputes atomic.Int64
-
-func ckptRun(env artifact.Env, n int) (*artifact.Result, error) {
-	chunks, err := runner.ResumeMap(env.Runner, n, env.Checkpoint, func(lo, hi int) (kvDataset, error) {
-		ckptComputes.Add(1)
-		var d kvDataset
-		for i := lo; i < hi; i++ {
-			d = append(d, struct {
-				Name  string `json:"name"`
-				Value int    `json:"value"`
-			}{Name: fmt.Sprintf("row%d", i), Value: i*i + 7})
-		}
-		return d, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var all kvDataset
-	for _, c := range chunks {
-		all = append(all, c...)
-	}
-	var text strings.Builder
-	for _, r := range all {
-		fmt.Fprintf(&text, "%s = %d\n", r.Name, r.Value)
-	}
-	return &artifact.Result{Text: text.String(), Dataset: all}, nil
-}
-
-func init() {
-	artifact.MustRegister(artifact.Spec{
-		ID: "labd-t-ckpt", Title: "labd checkpointable artifact", Section: "test",
-		Deterministic: true, Resumable: true,
-		Params: []artifact.Param{{Name: "labd-rows", Usage: "row count", Default: 256, Min: 1}},
-		Run: func(env artifact.Env) (*artifact.Result, error) {
-			return ckptRun(env, env.Param("labd-rows"))
-		},
-	})
-}
-
 // batchRender regenerates a spec exactly as the batch CLI would and
 // returns the rendered bytes plus the manifest fingerprint — the
-// ground truth every recovered daemon run must reproduce.
+// ground truth every run that reaches done must reproduce.
 func batchRender(t *testing.T, specID, format string, overrides map[string]int) ([]byte, string) {
 	t.Helper()
 	spec, ok := artifact.Get(specID)
@@ -108,23 +59,27 @@ func scenarioSeed(site string, hit, workers int) int64 {
 	return s
 }
 
-// TestKillPointRecoveryMatrix is the tentpole gate: enumerate every
-// declared fault site along enqueue → run → render → persist, crash
-// the "process" at that site, restart over the surviving disk state,
-// and verify the recovery invariants:
+// TestKillPointRecoveryMatrix is the crash-recovery gate: enumerate
+// every declared fault site along enqueue → run → render → persist,
+// crash the "process" at that site, restart over the surviving disk
+// state, and verify the recovery invariants:
 //
 //   - no acknowledged run is ever lost;
 //   - a sequence number, once issued, is never reissued;
-//   - an in-flight resumable run resumes and its artifact carries the
-//     exact batch-CLI manifest fingerprint;
-//   - an in-flight non-resumable run is latched failed ("interrupted by
-//     restart") — never left dangling;
+//   - every acknowledged run ends done with the exact batch-CLI
+//     manifest fingerprint, or failed "interrupted by restart" — never
+//     left dangling;
 //   - runs finished before the crash still serve their artifacts.
 //
 // The assertions are invariant-based on purpose: which writes became
 // durable before a kill depends on where the site sits in the
 // operation sequence, so the matrix checks properties that must hold
 // at every interleaving instead of golden per-site outcomes.
+//
+// The workers axis sets the per-run pool width (Config.Workers) and is
+// a coordinate of the cell's chaos seed. labd-t-ok renders the same at
+// any width, so across the axis a cell differs in its seed, which picks
+// where a crashed torn write (store.write.short) is cut.
 func TestKillPointRecoveryMatrix(t *testing.T) {
 	t.Parallel()
 	sites := append(append([]string(nil), chaos.StoreSites...), labd.FleetSites...)
@@ -140,7 +95,7 @@ func TestKillPointRecoveryMatrix(t *testing.T) {
 	if testing.Short() {
 		hits = []int{1}
 	}
-	wantBytes, wantSHA := batchRender(t, "labd-t-ckpt", "json", nil)
+	wantBytes, wantSHA := batchRender(t, "labd-t-ok", "text", nil)
 
 	for _, site := range sites {
 		for _, hit := range hits {
@@ -175,7 +130,6 @@ func TestKillPointRecoveryMatrix(t *testing.T) {
 					ctrl := chaos.New(scenarioSeed(site, hit, workers))
 					ctrl.ArmAt(site, hit, chaos.Crash)
 					var acked []string
-					resumableID := ""
 					srv1, err := labd.Open(labd.Config{
 						StoreDir: dir, Fleets: 1, Workers: workers,
 						Chaos: ctrl, FS: chaos.BindFS(ctrl),
@@ -188,16 +142,12 @@ func TestKillPointRecoveryMatrix(t *testing.T) {
 							t.Fatalf("chaos-armed open failed without a kill: %v", err)
 						}
 					} else {
-						if rec, err := srv1.Enqueue(labd.EnqueueRequest{Spec: "labd-t-ckpt", Format: "json"}); err == nil {
-							acked = append(acked, rec.ID)
-							resumableID = rec.ID
-						} else if !ctrl.Killed() {
-							t.Fatalf("enqueue failed without a kill: %v", err)
-						}
-						if rec, err := srv1.Enqueue(labd.EnqueueRequest{Spec: "labd-t-ok"}); err == nil {
-							acked = append(acked, rec.ID)
-						} else if !ctrl.Killed() {
-							t.Fatalf("enqueue failed without a kill: %v", err)
+						for i := 0; i < 2; i++ {
+							if rec, err := srv1.Enqueue(labd.EnqueueRequest{Spec: "labd-t-ok"}); err == nil {
+								acked = append(acked, rec.ID)
+							} else if !ctrl.Killed() {
+								t.Fatalf("enqueue failed without a kill: %v", err)
+							}
 						}
 						deadline := time.Now().Add(30 * time.Second)
 						for !ctrl.Killed() {
@@ -242,22 +192,20 @@ func TestKillPointRecoveryMatrix(t *testing.T) {
 							t.Fatalf("acknowledged run %s lost across the crash", id)
 						}
 						final := waitDone(t, srv2, id)
-						if id == resumableID {
-							if final.Status != labd.StatusDone {
-								t.Fatalf("resumable run %s = %s (%q), want done", id, final.Status, final.Error)
-							}
+						switch {
+						case final.Status == labd.StatusDone:
 							if final.SHA256 != wantSHA {
-								t.Fatalf("resumed fingerprint %s != batch manifest %s", final.SHA256, wantSHA)
+								t.Fatalf("run %s fingerprint %s != batch manifest %s", id, final.SHA256, wantSHA)
 							}
 							body, _, err := srv2.Artifact(id)
 							if err != nil {
 								t.Fatal(err)
 							}
 							if string(body) != string(wantBytes) {
-								t.Fatalf("resumed artifact bytes diverge from the batch CLI render")
+								t.Fatalf("run %s artifact bytes diverge from the batch CLI render", id)
 							}
-						} else if final.Status != labd.StatusDone &&
-							!(final.Status == labd.StatusFailed && strings.Contains(final.Error, "interrupted by restart")) {
+						case final.Status == labd.StatusFailed && strings.Contains(final.Error, "interrupted by restart"):
+						default:
 							t.Fatalf("run %s = %s (%q), want done or interrupted-by-restart", id, final.Status, final.Error)
 						}
 					}
@@ -271,86 +219,6 @@ func TestKillPointRecoveryMatrix(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestCheckpointResumeSkipsCompletedChunks pins the checkpoint math: a
-// run killed partway through its fleet recomputes only the chunks that
-// were not durably committed, and the resumed output is byte-identical
-// to an uninterrupted batch render.
-//
-// Not parallel: asserts exact deltas on the global chunk-compute
-// counter.
-func TestCheckpointResumeSkipsCompletedChunks(t *testing.T) {
-	dir := t.TempDir()
-	wantBytes, wantSHA := batchRender(t, "labd-t-ckpt", "json", nil)
-
-	// With 4 workers, 256 rows split into 16 chunks of 16. The store's
-	// WriteFile sequence is: record queued (1), record running (2), then
-	// one checkpoint rewrite per committed chunk (3..18). Killing write
-	// 10 leaves exactly 7 chunks durable.
-	ctrl := chaos.New(scenarioSeed("ckpt-resume", 10, 4))
-	ctrl.ArmAt(chaos.SiteWrite, 10, chaos.Crash)
-	srv1, err := labd.Open(labd.Config{
-		StoreDir: dir, Fleets: 1, Workers: 4,
-		Chaos: ctrl, FS: chaos.BindFS(ctrl),
-		Now: fakeClock(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := srv1.Enqueue(labd.EnqueueRequest{Spec: "labd-t-ckpt", Format: "json"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for !ctrl.Killed() {
-		if time.Now().After(deadline) {
-			t.Fatal("kill-point never fired")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	_ = srv1.Close(ctx)
-	cancel()
-
-	before := ckptComputes.Load()
-	srv2 := openServer(t, labd.Config{StoreDir: dir, Fleets: 1, Workers: 4})
-	final := waitDone(t, srv2, rec.ID)
-	resumedComputes := ckptComputes.Load() - before
-
-	if final.Status != labd.StatusDone {
-		t.Fatalf("resumed run = %s (%q), want done", final.Status, final.Error)
-	}
-	if final.Resumes != 1 {
-		t.Fatalf("resumes = %d, want 1", final.Resumes)
-	}
-	if resumedComputes != 9 {
-		t.Fatalf("resumed run computed %d chunks, want 9 (7 of 16 were durable)", resumedComputes)
-	}
-	var stages []labd.Status
-	for _, st := range final.Stages {
-		stages = append(stages, st.Stage)
-	}
-	want := []labd.Status{
-		labd.StatusQueued, labd.StatusRunning, labd.StatusResumed,
-		labd.StatusRunning, labd.StatusRendering, labd.StatusDone,
-	}
-	if fmt.Sprint(stages) != fmt.Sprint(want) {
-		t.Fatalf("stages = %v, want %v", stages, want)
-	}
-	if final.SHA256 != wantSHA {
-		t.Fatalf("resumed fingerprint %s != batch manifest %s", final.SHA256, wantSHA)
-	}
-	body, _, err := srv2.Artifact(rec.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(body) != string(wantBytes) {
-		t.Fatal("resumed artifact bytes diverge from the batch CLI render")
-	}
-	if _, err := os.Stat(filepath.Join(dir, rec.ID+".ckpt")); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint file not removed after done: %v", err)
 	}
 }
 
@@ -373,20 +241,19 @@ func readSSEStages(body *bufio.Scanner, stop func(stage string) bool) []string {
 	return stages
 }
 
-// TestSSEStreamAcrossRestart drives the satellite end-to-end: a client
-// watching a run's live SSE stream over real HTTP loses the connection
-// when the daemon is killed mid-run, reconnects to the restarted
-// daemon, and sees the full ordered timeline — the stages from before
-// the crash and the resumed stage recovery appended.
+// TestSSEStreamAcrossRestart: a client watching a run's live SSE stream
+// over real HTTP loses the connection when the daemon is killed
+// mid-run, reconnects to the restarted daemon, and sees the full
+// ordered timeline — the stages from before the crash and the failed
+// stage recovery appended.
 func TestSSEStreamAcrossRestart(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	_, wantSHA := batchRender(t, "labd-t-ckpt", "text", nil)
 
-	// Writes: record queued (1), running (2), checkpoint chunk (3),
-	// rendering (4), artifact (5) — killed.
-	ctrl := chaos.New(scenarioSeed("sse-restart", 5, 1))
-	ctrl.ArmAt(chaos.SiteWrite, 5, chaos.Crash)
+	// Writes: record queued (1), running (2), rendering (3), artifact
+	// (4) — killed.
+	ctrl := chaos.New(scenarioSeed("sse-restart", 4, 1))
+	ctrl.ArmAt(chaos.SiteWrite, 4, chaos.Crash)
 	srv1, err := labd.Open(labd.Config{
 		StoreDir: dir, Fleets: 1, Workers: 1,
 		Chaos: ctrl, FS: chaos.BindFS(ctrl),
@@ -399,7 +266,7 @@ func TestSSEStreamAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := srv1.Enqueue(labd.EnqueueRequest{Spec: "labd-t-ckpt"})
+	rec, err := srv1.Enqueue(labd.EnqueueRequest{Spec: "labd-t-ok"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,9 +305,8 @@ func TestSSEStreamAcrossRestart(t *testing.T) {
 	}
 	defer shutdown2()
 	final := waitDone(t, srv2, rec.ID)
-	if final.Status != labd.StatusDone || final.SHA256 != wantSHA {
-		t.Fatalf("resumed run = %s sha %s (%q), want done with batch fingerprint %s",
-			final.Status, final.SHA256, final.Error, wantSHA)
+	if final.Status != labd.StatusFailed || final.Error != "interrupted by restart" {
+		t.Fatalf("recovered run = %s (%q), want failed: interrupted by restart", final.Status, final.Error)
 	}
 	resp2, err := http.Get(base2 + "/v1/runs/" + rec.ID + "/events")
 	if err != nil {
@@ -448,7 +314,7 @@ func TestSSEStreamAcrossRestart(t *testing.T) {
 	}
 	defer resp2.Body.Close()
 	replayed := readSSEStages(bufio.NewScanner(resp2.Body), nil)
-	want := []string{"queued", "running", "rendering", "resumed", "running", "rendering", "done"}
+	want := []string{"queued", "running", "rendering", "failed"}
 	if fmt.Sprint(replayed) != fmt.Sprint(want) {
 		t.Fatalf("replayed timeline = %v, want %v", replayed, want)
 	}
@@ -530,52 +396,46 @@ func TestStoreFailFaultsSurfaceCleanly(t *testing.T) {
 func TestTerminalCommitFailureNeverPublishesDone(t *testing.T) {
 	t.Parallel()
 	// The done record is a run's last store write: labd-t-ok commits
-	// queued, running, rendering, artifact, done (5 writes); labd-t-ckpt
-	// commits one checkpoint chunk before rendering (6).
-	specs := []struct {
-		id        string
-		doneWrite int
-	}{{"labd-t-ok", 5}, {"labd-t-ckpt", 6}}
+	// queued, running, rendering, artifact, done (5 writes).
+	const doneWrite = 5
 	for _, site := range []string{chaos.SiteWrite, chaos.SiteWriteShort, chaos.SiteSync, chaos.SiteRename, chaos.SiteSyncDir} {
-		for _, sp := range specs {
-			site, sp := site, sp
-			t.Run(site+"/"+sp.id, func(t *testing.T) {
-				t.Parallel()
-				dir := t.TempDir()
-				ctrl := chaos.New(scenarioSeed(site, sp.doneWrite, 1))
-				ctrl.ArmAt(site, sp.doneWrite, chaos.Fail)
-				srv := openServer(t, labd.Config{
-					StoreDir: dir, Fleets: 1, Workers: 1,
-					Chaos: ctrl, FS: chaos.BindFS(ctrl),
-				})
-				rec, err := srv.Enqueue(labd.EnqueueRequest{Spec: sp.id})
-				if err != nil {
-					t.Fatal(err)
-				}
-				events, _ := srv.Subscribe(rec.ID)
-				var seen []labd.Status
-				for ev := range events {
-					seen = append(seen, ev.Stage)
-				}
-				want := []labd.Status{labd.StatusQueued, labd.StatusRunning, labd.StatusRendering, labd.StatusFailed}
-				if fmt.Sprint(seen) != fmt.Sprint(want) {
-					t.Fatalf("client saw %v, want %v", seen, want)
-				}
-				if ctrl.Fired(site) != 1 {
-					t.Fatalf("fault at %s fired %d times, want 1", site, ctrl.Fired(site))
-				}
-				final, _ := srv.Get(rec.ID)
-				if final.Status != labd.StatusFailed || !strings.Contains(final.Error, "record "+rec.ID) || final.SHA256 != "" {
-					t.Fatalf("final = %s %q sha %q, want failed on the record commit, no fingerprint", final.Status, final.Error, final.SHA256)
-				}
-				closeServer(t, srv)
-
-				after := waitDone(t, openServer(t, labd.Config{StoreDir: dir, Fleets: 1, Workers: 1}), rec.ID)
-				if after.Status != labd.StatusFailed || after.Error != final.Error || after.Resumes != 0 {
-					t.Fatalf("after restart = %s %q (resumes %d), want the failure the client saw: %q",
-						after.Status, after.Error, after.Resumes, final.Error)
-				}
+		site := site
+		t.Run(site+"/labd-t-ok", func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			ctrl := chaos.New(scenarioSeed(site, doneWrite, 1))
+			ctrl.ArmAt(site, doneWrite, chaos.Fail)
+			srv := openServer(t, labd.Config{
+				StoreDir: dir, Fleets: 1, Workers: 1,
+				Chaos: ctrl, FS: chaos.BindFS(ctrl),
 			})
-		}
+			rec, err := srv.Enqueue(labd.EnqueueRequest{Spec: "labd-t-ok"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			events, _ := srv.Subscribe(rec.ID)
+			var seen []labd.Status
+			for ev := range events {
+				seen = append(seen, ev.Stage)
+			}
+			want := []labd.Status{labd.StatusQueued, labd.StatusRunning, labd.StatusRendering, labd.StatusFailed}
+			if fmt.Sprint(seen) != fmt.Sprint(want) {
+				t.Fatalf("client saw %v, want %v", seen, want)
+			}
+			if ctrl.Fired(site) != 1 {
+				t.Fatalf("fault at %s fired %d times, want 1", site, ctrl.Fired(site))
+			}
+			final, _ := srv.Get(rec.ID)
+			if final.Status != labd.StatusFailed || !strings.Contains(final.Error, "record "+rec.ID) || final.SHA256 != "" {
+				t.Fatalf("final = %s %q sha %q, want failed on the record commit, no fingerprint", final.Status, final.Error, final.SHA256)
+			}
+			closeServer(t, srv)
+
+			after := waitDone(t, openServer(t, labd.Config{StoreDir: dir, Fleets: 1, Workers: 1}), rec.ID)
+			if after.Status != labd.StatusFailed || after.Error != final.Error {
+				t.Fatalf("after restart = %s %q, want the failure the client saw: %q",
+					after.Status, after.Error, final.Error)
+			}
+		})
 	}
 }

@@ -49,9 +49,9 @@ func eventsFromStages(id string, stages []Stage) []Event {
 }
 
 // maxStages bounds the live stages one process appends to a run
-// (running, rendering, done or failed — plus resumed on recovery);
-// subscriber channels are buffered beyond it so a stage append never
-// blocks on a slow consumer.
+// (running, rendering, done or failed), with headroom; subscriber
+// channels are buffered beyond it so a stage append never blocks on a
+// slow consumer.
 const maxStages = 12
 
 // subscribers tracks live event channels per run. All methods are

@@ -9,14 +9,17 @@
 // manifest-style SHA-256 fingerprint — and streams progress events
 // (queued → running → rendering → done/failed) as Server-Sent Events.
 //
-// The transport boundary is pluggable the way cnc.MasterServer.Route
-// is: Route is the transport-independent core dispatch, shared
-// verbatim by the in-process Client (unit tests, zero sockets) and
-// ServeHTTP (the real net/http daemon, cmd/labd). A deterministic
-// artifact enqueued through either renders byte-identically to the
-// batch CLI — the record's fingerprint equals the cmd/experiments
-// manifest entry for the same spec, params, and format at any worker
-// count.
+// Route is the transport-independent core dispatch, the way
+// cnc.MasterServer.Route is: tests call it directly, and ServeHTTP (the
+// real net/http daemon, cmd/labd) serves every route through it. A
+// deterministic artifact enqueued over either renders byte-identically
+// to the batch CLI — the record's fingerprint equals the
+// cmd/experiments manifest entry for the same spec, params, and format
+// at any worker count.
+//
+// A run executes at most once. After a restart, runs still queued
+// re-enter the queue and runs that were mid-flight end failed
+// ("interrupted by restart"): their scenario state lived in memory.
 package labd
 
 import (
@@ -53,11 +56,6 @@ const (
 // chaos.StoreSites, everything the kill-point recovery matrix sweeps.
 var FleetSites = []string{SiteJobStart, SiteJobCrash, SiteJobRender}
 
-// maxResumes bounds how many daemon restarts a resumable run may survive
-// mid-flight before recovery latches it failed instead of re-enqueueing
-// it.
-const maxResumes = 3
-
 // Config parameterises a Server.
 type Config struct {
 	// StoreDir is the durable run-record directory (required).
@@ -85,9 +83,7 @@ type Config struct {
 // Server is the orchestrator: store + index, queue, fleets, events.
 // Construct with Open, which also recovers state from a previous
 // process: still-queued runs are re-enqueued; runs that were mid-flight
-// when the process died are resumed (resumable specs with budget left —
-// their checkpoint skips completed fleet chunks) or marked failed
-// ("interrupted by restart").
+// when the process died are marked failed ("interrupted by restart").
 type Server struct {
 	cfg   Config
 	store *Store
@@ -133,39 +129,18 @@ func Open(cfg Config) (*Server, error) {
 	for _, r := range recs {
 		switch {
 		case r.Status == StatusQueued:
-			// Never started: resume exactly where the last process
-			// left off.
+			// Never started: queue it again, exactly where the last
+			// process left it.
 			s.queue.Push(r.ID)
 		case !r.Status.Terminal():
-			// The owning process died mid-run. A resumable spec with
-			// budget left re-enters the queue: its Run is safe to
-			// re-execute and its checkpoint skips completed chunks.
-			// Anything else cannot be resumed (scenario state was in
-			// memory), so latch the failure durably.
-			spec, known := artifact.Get(r.Spec)
-			if known && spec.Resumable && r.Resumes < maxResumes {
-				r.Resumes++
-				r.Status = StatusResumed
-				r.Stages = append(r.Stages, Stage{
-					Stage: StatusResumed, At: cfg.Now().UTC(),
-					Detail: fmt.Sprintf("resumed after restart (%d/%d)", r.Resumes, maxResumes),
-				})
-				if err := store.PutRecord(r); err != nil {
-					return nil, err
-				}
-				s.queue.Push(r.ID)
-				break
-			}
+			// The owning process died mid-run, and the scenario state
+			// died with it: latch the failure durably.
 			r.Status = StatusFailed
 			r.Error = "interrupted by restart"
-			if known && spec.Resumable {
-				r.Error = "interrupted by restart (resume budget exhausted)"
-			}
 			r.Stages = append(r.Stages, Stage{Stage: StatusFailed, At: cfg.Now().UTC(), Detail: r.Error})
 			if err := store.PutRecord(r); err != nil {
 				return nil, err
 			}
-			store.RemoveCheckpoint(r.ID)
 		}
 		s.recs[r.ID] = r
 		s.order = append(s.order, r.ID)
@@ -355,10 +330,10 @@ func (s *Server) Subscribe(id string) (<-chan Event, bool) {
 	if !ok {
 		return nil, false
 	}
-	// Buffer the full replay plus headroom for live transitions: a run
-	// recovered across several restarts can carry more recorded stages
-	// than maxStages, and the replay loop below must never block while
-	// the server lock is held.
+	// Buffer the full replay plus headroom for live transitions: a
+	// record an older daemon resumed across several restarts can carry
+	// more recorded stages than maxStages, and the replay loop below
+	// must never block while the server lock is held.
 	ch := make(chan Event, len(rec.Stages)+maxStages)
 	for _, ev := range eventsFromStages(id, rec.Stages) {
 		ch <- ev
@@ -399,7 +374,7 @@ func (s *Server) Wait(ctx context.Context, id string) (*Record, error) {
 // exception is failed itself: a run that cannot go on must still
 // release its waiters, so a failed stage is published even when its
 // write is lost. Its disk record then still shows an earlier stage,
-// which the next Open resumes or latches failed.
+// which the next Open latches failed.
 func (s *Server) setStage(id string, st Status, detail string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -473,12 +448,6 @@ func (s *Server) execute(id string) {
 		s.fail(id, err)
 		return
 	}
-	if spec.Resumable {
-		// Hand the run its durable chunk checkpoint: completed fleet
-		// chunks from a previous attempt are skipped, fresh ones are
-		// committed as they finish.
-		env.Checkpoint = s.store.Checkpoint(id)
-	}
 	res, err := spec.Exec(env)
 	if err != nil {
 		s.fail(id, err)
@@ -514,10 +483,7 @@ func (s *Server) execute(id string) {
 	s.mu.Unlock()
 	if err := s.setStage(id, StatusDone, "sha256:"+fp); err != nil {
 		s.fail(id, err)
-		return
 	}
-	// The chunks served their purpose; drop the checkpoint file.
-	s.store.RemoveCheckpoint(id)
 }
 
 // step crosses a fleet kill-point, then enters the next stage.

@@ -338,7 +338,7 @@ func TestDrainRejectsNewWorkAndTimesOutOnStuckRuns(t *testing.T) {
 	if _, err := srv.Enqueue(labd.EnqueueRequest{Spec: "labd-t-ok"}); err == nil || !strings.Contains(err.Error(), "draining") {
 		t.Fatalf("enqueue while draining: err = %v", err)
 	}
-	status, _, body := srv.Route("GET", "/readyz", nil, nil)
+	status, _, body := srv.Route("GET", "/readyz", nil)
 	if status != 503 || !strings.Contains(string(body), "draining") {
 		t.Fatalf("readyz while draining = %d %q", status, body)
 	}

@@ -8,7 +8,7 @@ import "sync"
 // daemon's scheduling observable and testable), and Close wakes every
 // blocked popper so a draining daemon's fleets exit cleanly while
 // still-queued runs stay durably "queued" in the store for the next
-// process to resume.
+// process to run.
 type fifo struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

@@ -8,18 +8,15 @@ import (
 // Status is a run's position in its lifecycle. Transitions are strictly
 // forward: queued → running → rendering → done, where any stage may
 // instead end in failed — an execution, render, or store error, or a
-// stage record that could not be persisted. A daemon restart moves a run that was mid-flight when the process
-// died either to resumed — when its spec is Resumable and the resume
-// budget (maxResumes, 3 restarts) is not exhausted, after which the run
-// re-enters running and skips fleet chunks its checkpoint already
-// committed — or straight to failed (detail "interrupted by restart").
+// stage record that could not be persisted. A daemon restart moves a
+// run that was mid-flight when the process died straight to failed
+// (detail "interrupted by restart").
 type Status string
 
 // The run lifecycle stages, in order.
 const (
 	StatusQueued    Status = "queued"
 	StatusRunning   Status = "running"
-	StatusResumed   Status = "resumed"
 	StatusRendering Status = "rendering"
 	StatusDone      Status = "done"
 	StatusFailed    Status = "failed"
@@ -59,11 +56,6 @@ type Record struct {
 	Status Status  `json:"status"`
 	Stages []Stage `json:"stages"`
 	Error  string  `json:"error,omitempty"`
-
-	// Resumes counts how many daemon restarts this run has survived
-	// mid-flight; recovery latches the run failed once it reaches
-	// maxResumes instead of resuming forever.
-	Resumes int `json:"resumes,omitempty"`
 
 	// Bytes and SHA256 describe the rendered artifact once Status is
 	// done; SHA256 is comparable against artifact.ManifestEntry.SHA256.

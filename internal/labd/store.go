@@ -14,12 +14,11 @@ import (
 	"masterparasite/internal/chaos"
 )
 
-// Store persists run records, rendered artifacts, and run checkpoints
-// in a directory, one run per file set:
+// Store persists run records and rendered artifacts in a directory, one
+// run per file pair:
 //
 //	<dir>/run-000042.json  — the Record (indented JSON + checksum trailer)
 //	<dir>/run-000042.out   — the rendered artifact bytes (once done)
-//	<dir>/run-000042.ckpt  — the chunk checkpoint (while a resumable run executes)
 //
 // # Durability contract
 //
@@ -33,12 +32,13 @@ import (
 //
 // # Integrity
 //
-// Record and checkpoint files carry a trailing "sha256:<hex>" line
-// over their body. Load verifies it: a file that is torn, truncated,
-// or undecodable is quarantined — renamed to "<name>.corrupt" — and
-// recovery continues with the rest, instead of aborting the daemon.
-// Quarantined run files still pin their sequence numbers, so a
-// corrupted record can never cause a run ID to be reissued.
+// Record files carry a trailing "sha256:<hex>" line over their body.
+// Load verifies it: a file that is torn, truncated, or undecodable is
+// quarantined — renamed to "<name>.corrupt" — and recovery continues
+// with the rest, instead of aborting the daemon. Quarantined run files
+// still pin their sequence numbers, so a corrupted record can never
+// cause a run ID to be reissued; so does any other run-numbered file,
+// such as a ".ckpt" an older daemon left behind.
 //
 // The Store does no run-level locking; the Server serialises writes
 // per run (each run is owned by exactly one fleet goroutine after
@@ -79,9 +79,8 @@ func OpenStoreFS(dir string, fsys chaos.FS) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) recordPath(id string) string     { return filepath.Join(s.dir, id+".json") }
-func (s *Store) artifactPath(id string) string   { return filepath.Join(s.dir, id+".out") }
-func (s *Store) checkpointPath(id string) string { return filepath.Join(s.dir, id+".ckpt") }
+func (s *Store) recordPath(id string) string   { return filepath.Join(s.dir, id+".json") }
+func (s *Store) artifactPath(id string) string { return filepath.Join(s.dir, id+".out") }
 
 // writeAtomic commits data to path with the full durability chain:
 // tmp write → fsync(tmp) → rename → fsync(dir). See the Store doc
@@ -104,7 +103,7 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 const sealTrailerLen = 7 + sha256.Size*2 + 1
 
 // seal appends the integrity trailer — one "sha256:<hex>\n" line over
-// body — producing the on-disk form of record and checkpoint files.
+// body — producing the on-disk form of record files.
 func seal(body []byte) []byte {
 	sum := sha256.Sum256(body)
 	out := make([]byte, 0, len(body)+sealTrailerLen)

@@ -57,62 +57,120 @@ func TestStoreReloadServesFinishedRuns(t *testing.T) {
 	}
 }
 
-// TestRestartRecovery locks the crash contract: runs still queued when
-// the process died are resumed and executed by the next process; runs
-// that were mid-flight latch a durable "interrupted by restart" failure.
+// TestRestartRecovery locks the crash contract over every mid-flight
+// record a store can hold, including those an older daemon left
+// behind: runs still queued when the process died are executed by the
+// next process; runs that were mid-flight latch a durable "interrupted
+// by restart" failure; stale .tmp files are swept; and every
+// run-numbered file — a leftover .ckpt included — pins its sequence
+// number.
 func TestRestartRecovery(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
-	store, err := labd.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	queued := &labd.Record{
-		ID: "run-000007", Spec: "labd-t-ok", Format: "text",
-		Params: map[string]int{"labd-n": 2, "labd-seed": 1},
-		Status: labd.StatusQueued,
-		Stages: []labd.Stage{{Stage: labd.StatusQueued, At: at}},
-	}
-	running := &labd.Record{
-		ID: "run-000003", Spec: "labd-t-ok", Format: "text",
-		Params: map[string]int{"labd-n": 2, "labd-seed": 1},
-		Status: labd.StatusRunning,
-		Stages: []labd.Stage{
-			{Stage: labd.StatusQueued, At: at},
-			{Stage: labd.StatusRunning, At: at.Add(time.Second)},
-		},
-	}
-	for _, r := range []*labd.Record{queued, running} {
-		if err := store.PutRecord(r); err != nil {
-			t.Fatal(err)
+	putRecord := func(st labd.Status) func(t *testing.T, store *labd.Store) {
+		return func(t *testing.T, store *labd.Store) {
+			stages := []labd.Stage{
+				{Stage: labd.StatusQueued, At: at},
+				{Stage: labd.StatusRunning, At: at.Add(time.Second)},
+			}
+			if st != labd.StatusRunning {
+				stages = append(stages, labd.Stage{Stage: st, At: at.Add(2 * time.Second)})
+			}
+			if err := store.PutRecord(&labd.Record{
+				ID: "run-000003", Spec: "labd-t-ok", Format: "text",
+				Params: map[string]int{"labd-n": 2, "labd-seed": 1},
+				Status: st, Stages: stages,
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// A crash mid-write leaves a .tmp file; Open must sweep it.
-	tmp := filepath.Join(dir, "run-000009.json.tmp")
-	if err := os.WriteFile(tmp, []byte(`{"id":"run-0000`), 0o644); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		write func(t *testing.T, store *labd.Store)
+	}{
+		{"running", putRecord(labd.StatusRunning)},
+		{"rendering", putRecord(labd.StatusRendering)},
+		// A run an older daemon resumed once, in the trailerless JSON a
+		// store accepts as a legacy file.
+		{"legacy-resumed", func(t *testing.T, store *labd.Store) {
+			legacy := `{
+  "id": "run-000003",
+  "spec": "labd-t-ok",
+  "title": "labd test artifact",
+  "section": "test",
+  "params": {"labd-n": 2, "labd-seed": 1},
+  "deterministic": true,
+  "format": "text",
+  "status": "resumed",
+  "stages": [
+    {"stage": "queued", "at": "2026-01-01T00:00:00Z"},
+    {"stage": "running", "at": "2026-01-01T00:00:01Z"},
+    {"stage": "resumed", "at": "2026-01-01T00:00:02Z", "detail": "resumed after restart (1/3)"}
+  ],
+  "resumes": 1
+}
+`
+			if err := os.WriteFile(filepath.Join(store.Dir(), "run-000003.json"), []byte(legacy), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"legacy-retrying", putRecord(labd.Status("retrying"))},
 	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			store, err := labd.OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.write(t, store)
+			if err := store.PutRecord(&labd.Record{
+				ID: "run-000007", Spec: "labd-t-ok", Format: "text",
+				Params: map[string]int{"labd-n": 2, "labd-seed": 1},
+				Status: labd.StatusQueued,
+				Stages: []labd.Stage{{Stage: labd.StatusQueued, At: at}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			// A crash mid-write leaves a .tmp file; Open must sweep it.
+			tmp := filepath.Join(dir, "run-000009.json.tmp")
+			if err := os.WriteFile(tmp, []byte(`{"id":"run-0000`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// A chunk checkpoint an older daemon wrote for a run whose
+			// record is gone: its sequence number stays burned.
+			ckpt := filepath.Join(dir, "run-000011.ckpt")
+			if err := os.WriteFile(ckpt, []byte(`{"run":"run-000011","chunks":{}}`), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	srv := openServer(t, labd.Config{StoreDir: dir})
-	interrupted, ok := srv.Get("run-000003")
-	if !ok || interrupted.Status != labd.StatusFailed || !strings.Contains(interrupted.Error, "interrupted by restart") {
-		t.Fatalf("mid-flight run not latched failed: %+v", interrupted)
-	}
-	resumed := waitDone(t, srv, "run-000007")
-	if resumed.Status != labd.StatusDone {
-		t.Fatalf("queued run not resumed: %+v", resumed)
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("stale .tmp not swept: %v", err)
-	}
-	// Fresh IDs start after the highest recovered sequence.
-	rec, err := srv.Enqueue(labd.EnqueueRequest{Spec: "labd-t-ok"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.ID != "run-000008" {
-		t.Fatalf("next ID = %s, want run-000008", rec.ID)
+			srv := openServer(t, labd.Config{StoreDir: dir})
+			interrupted, ok := srv.Get("run-000003")
+			if !ok || interrupted.Status != labd.StatusFailed || interrupted.Error != "interrupted by restart" {
+				t.Fatalf("mid-flight run not latched failed: %+v", interrupted)
+			}
+			if last := interrupted.Stages[len(interrupted.Stages)-1]; last.Stage != labd.StatusFailed {
+				t.Fatalf("last stage = %s, want failed", last.Stage)
+			}
+			queued := waitDone(t, srv, "run-000007")
+			if queued.Status != labd.StatusDone {
+				t.Fatalf("queued run not executed: %+v", queued)
+			}
+			if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+				t.Fatalf("stale .tmp not swept: %v", err)
+			}
+			// Fresh IDs start after the highest run-numbered file.
+			rec, err := srv.Enqueue(labd.EnqueueRequest{Spec: "labd-t-ok"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.ID != "run-000012" {
+				t.Fatalf("next ID = %s, want run-000012", rec.ID)
+			}
+		})
 	}
 }
 
@@ -175,64 +233,6 @@ func TestLoadQuarantinesCorruptRecords(t *testing.T) {
 	if rec.ID != "run-000003" {
 		t.Fatalf("fresh run = %s, want run-000003 (quarantined seq must stay burned)", rec.ID)
 	}
-}
-
-// TestCheckpointRoundTrip locks the checkpoint file format: committed
-// chunks survive a store reopen, and a corrupted checkpoint is
-// quarantined and treated as empty (recompute, never corrupt).
-func TestCheckpointRoundTrip(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	store, err := labd.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := store.Checkpoint("run-000042")
-	if err := ck.Commit("chunk:v1:8:0-4", []byte(`[1,2,3,4]`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Commit("chunk:v1:8:4-8", []byte(`[5,6,7,8]`)); err != nil {
-		t.Fatal(err)
-	}
-
-	store2, err := labd.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck2 := store2.Checkpoint("run-000042")
-	if ck2.Len() != 2 {
-		t.Fatalf("reloaded checkpoint holds %d chunks, want 2", ck2.Len())
-	}
-	if b, ok := ck2.Lookup("chunk:v1:8:4-8"); !ok || string(b) != `[5,6,7,8]` {
-		t.Fatalf("chunk lookup = %q, %v", b, ok)
-	}
-	if _, ok := ck2.Lookup("chunk:v1:9:0-4"); ok {
-		t.Fatal("layout-mismatched key resolved")
-	}
-
-	// Flip a byte inside the sealed body: the checksum must catch it.
-	path := filepath.Join(dir, "run-000042.ckpt")
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/3] ^= 0x40
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	store3, err := labd.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck3 := store3.Checkpoint("run-000042")
-	if ck3.Len() != 0 {
-		t.Fatalf("corrupt checkpoint served %d chunks, want 0", ck3.Len())
-	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Fatalf("corrupt checkpoint not quarantined: %v", err)
-	}
-
-	store.RemoveCheckpoint("run-000042")
 }
 
 // TestArtifactCorruptionDetected locks the serve-side integrity check:

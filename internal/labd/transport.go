@@ -9,48 +9,14 @@ import (
 	"time"
 )
 
-// This file holds the two transport bindings over the one Route
-// dispatch, the way cnc.MasterServer.Route is shared by its ServeHTTP
-// and the simulation's CNCAdapter:
-//
-//	Client    — in-process, zero sockets (unit tests, embedding)
-//	ServeHTTP — real net/http (cmd/labd), with live SSE streaming
-//
-// Both produce byte-identical (status, content type, body) triples for
-// the same request sequence; the transport test locks that
-// equivalence.
-
-// Response is one API response as a transport-independent triple.
-type Response struct {
-	Status      int
-	ContentType string
-	Body        []byte
-}
-
-// Client calls the API in-process: the same Route dispatch ServeHTTP
-// uses, without any socket or serialization between.
-type Client struct {
-	srv *Server
-}
-
-// NewClient wraps a server.
-func NewClient(srv *Server) *Client { return &Client{srv: srv} }
-
-// Do dispatches one request and returns the response triple. The body
-// is freshly allocated per call, so callers may retain it.
-func (c *Client) Do(method, path string, body []byte) Response {
-	status, ctype, respBody := c.srv.Route(method, path, body, nil)
-	return Response{Status: status, ContentType: ctype, Body: respBody}
-}
-
 var _ http.Handler = (*Server)(nil)
 
 // ServeHTTP serves the API over real net/http. Every route goes
-// through the same Route dispatch as Client; the events route alone
-// is upgraded from snapshot to live stream — events are
-// written and flushed as the run progresses and the response ends
-// after the terminal event, at which point the total bytes sent equal
-// the Route snapshot of the finished run exactly.
+// through the Route dispatch; the events route alone is upgraded from
+// snapshot to live stream — events are written and flushed as the run
+// progresses and the response ends after the terminal event, at which
+// point the total bytes sent equal the Route snapshot of the finished
+// run exactly.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if id, ok := eventsRunID(r.URL.Path); ok && r.Method == http.MethodGet {
 		s.serveEventStream(w, r, id)
@@ -63,17 +29,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			// A truncated body must never be routed: its prefix may
 			// still decode as a valid request.
-			status, ctype, resp := errBody(nil, http.StatusBadRequest, "read request body: "+err.Error())
+			status, ctype, resp := errBody(http.StatusBadRequest, "read request body: "+err.Error())
 			writeResponse(w, status, ctype, resp)
 			return
 		}
 		if len(body) > maxBodyBytes {
-			status, ctype, resp := errBody(nil, http.StatusRequestEntityTooLarge, "request body too large")
+			status, ctype, resp := errBody(http.StatusRequestEntityTooLarge, "request body too large")
 			writeResponse(w, status, ctype, resp)
 			return
 		}
 	}
-	status, ctype, resp := s.Route(r.Method, r.URL.Path, body, nil)
+	status, ctype, resp := s.Route(r.Method, r.URL.Path, body)
 	writeResponse(w, status, ctype, resp)
 }
 
@@ -107,7 +73,7 @@ func eventsRunID(path string) (string, bool) {
 func (s *Server) serveEventStream(w http.ResponseWriter, r *http.Request, id string) {
 	ch, ok := s.Subscribe(id)
 	if !ok {
-		status, ctype, resp := errBody(nil, http.StatusNotFound, "unknown run "+id)
+		status, ctype, resp := errBody(http.StatusNotFound, "unknown run "+id)
 		writeResponse(w, status, ctype, resp)
 		return
 	}

@@ -20,15 +20,22 @@ import (
 	"masterparasite/internal/runner"
 )
 
-// doFunc issues one API request over some transport and returns the
-// transport-independent response triple.
-type doFunc func(t *testing.T, method, path string, body []byte) labd.Response
+// response is one API response as a transport-independent triple.
+type response struct {
+	Status      int
+	ContentType string
+	Body        []byte
+}
 
-// inprocTransport dispatches through the in-process Client.
-func inprocTransport(srv *labd.Server) doFunc {
-	client := labd.NewClient(srv)
-	return func(_ *testing.T, method, path string, body []byte) labd.Response {
-		return client.Do(method, path, body)
+// doFunc issues one API request over some transport and returns the
+// response triple.
+type doFunc func(t *testing.T, method, path string, body []byte) response
+
+// routeTransport calls the Route dispatch directly, with no socket.
+func routeTransport(srv *labd.Server) doFunc {
+	return func(_ *testing.T, method, path string, body []byte) response {
+		status, ctype, respBody := srv.Route(method, path, body)
+		return response{Status: status, ContentType: ctype, Body: respBody}
 	}
 }
 
@@ -41,7 +48,7 @@ func httpTransport(t *testing.T, srv *labd.Server) doFunc {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = shutdown() })
-	return func(t *testing.T, method, path string, body []byte) labd.Response {
+	return func(t *testing.T, method, path string, body []byte) response {
 		t.Helper()
 		req, err := http.NewRequest(method, base+path, bytes.NewReader(body))
 		if err != nil {
@@ -56,7 +63,7 @@ func httpTransport(t *testing.T, srv *labd.Server) doFunc {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return labd.Response{
+		return response{
 			Status:      resp.StatusCode,
 			ContentType: resp.Header.Get("Content-Type"),
 			Body:        respBody,
@@ -67,9 +74,9 @@ func httpTransport(t *testing.T, srv *labd.Server) doFunc {
 // driveScript runs the deterministic request sequence every transport
 // must answer identically: health, spec introspection, enqueue, then —
 // after the run completes — record, events, artifact, and the run list.
-func driveScript(t *testing.T, srv *labd.Server, do doFunc) []labd.Response {
+func driveScript(t *testing.T, srv *labd.Server, do doFunc) []response {
 	t.Helper()
-	var out []labd.Response
+	var out []response
 	step := func(method, path string, body []byte) {
 		out = append(out, do(t, method, path, body))
 	}
@@ -92,20 +99,21 @@ func driveScript(t *testing.T, srv *labd.Server, do doFunc) []labd.Response {
 }
 
 // TestTransportsAreByteIdentical is the seam proof: the same request
-// sequence against two fresh daemons — one per transport, both with
-// the same deterministic clock — produces byte-identical status,
-// content type, and body at every step, and the served artifact
-// fingerprint equals the batch CLI's manifest entry.
+// sequence against two fresh daemons — one called through Route
+// directly, one over net/http, both with the same deterministic clock —
+// produces byte-identical status, content type, and body at every step,
+// and the served artifact fingerprint equals the batch CLI's manifest
+// entry.
 func TestTransportsAreByteIdentical(t *testing.T) {
 	t.Parallel()
 	transports := []struct {
 		name string
 		run  func(t *testing.T, srv *labd.Server) doFunc
 	}{
-		{"inproc", func(_ *testing.T, srv *labd.Server) doFunc { return inprocTransport(srv) }},
+		{"route", func(_ *testing.T, srv *labd.Server) doFunc { return routeTransport(srv) }},
 		{"nethttp", httpTransport},
 	}
-	results := make([][]labd.Response, len(transports))
+	results := make([][]response, len(transports))
 	for i, tr := range transports {
 		srv := openServer(t, labd.Config{Workers: 1})
 		results[i] = driveScript(t, srv, tr.run(t, srv))
@@ -269,7 +277,7 @@ func TestLiveSSEMatchesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	status, ctype, snapshot := srv.Route("GET", "/v1/runs/"+rec.ID+"/events", nil, nil)
+	status, ctype, snapshot := srv.Route("GET", "/v1/runs/"+rec.ID+"/events", nil)
 	if status != http.StatusOK || ctype != "text/event-stream" {
 		t.Fatalf("snapshot route = %d %s", status, ctype)
 	}

@@ -82,9 +82,9 @@ type WireKind uint8
 
 // Wire event kinds, in lifecycle order: a frame is sent onto a segment,
 // then delivered to its addressee and/or observed by taps — or dropped
-// (segment down, receiver gone, nobody listening, or eaten by the link's
-// loss model). WireDupDeliver marks the extra copy a faulty link's
-// duplication model produced, so replay logs show faults explicitly.
+// (the addressee is not receiving, or the link's loss model ate it).
+// WireDupDeliver marks the extra copy a faulty link's duplication model
+// produced, so replay logs show faults explicitly.
 const (
 	WireSend WireKind = iota + 1
 	WireDeliver
@@ -167,8 +167,8 @@ type Network struct {
 	segments map[string]*Segment
 	wiretap  func(WireEvent)
 
-	// dropScratch materializes payloads of frames that never make it
-	// onto the medium (segment down), so the wire tap still records them.
+	// dropScratch materializes the payload of a frame sent where nobody
+	// is attached to hear it, so the wire tap still records the send.
 	dropScratch []byte
 
 	// Frame-pool flow counters: every acquire must eventually be matched
@@ -462,7 +462,6 @@ type Segment struct {
 	ifaces  []*Interface
 	byAddr  map[Addr]*Interface // address index: attach checks and delivery lookups stay O(1) at fleet scale
 	taps    []*Tap
-	down    bool
 
 	// Fault model (see link.go). faulty caches !profile.Clean() so the
 	// perfect-wire fast path stays a single predicate with zero PRNG
@@ -481,11 +480,6 @@ func (s *Segment) Name() string { return s.name }
 
 // Latency returns the segment's base propagation delay.
 func (s *Segment) Latency() time.Duration { return s.latency }
-
-// SetDown disconnects the segment: frames sent while down are dropped.
-// This models the victim leaving the network (§VI-C: the victim moves to a
-// different, e.g. home, network and the C&C channel must survive).
-func (s *Segment) SetDown(down bool) { s.down = down }
 
 // ErrAddrInUse is returned when attaching a duplicate address to a segment.
 var ErrAddrInUse = errors.New("netsim: address already attached to segment")
@@ -600,15 +594,6 @@ func (s *Segment) transmit(senderDelay time.Duration, pkt Packet) {
 // receiver that mutates its payload cannot alter what the eavesdropper
 // (or the genuine addressee) sees.
 func (s *Segment) transmitPayload(senderDelay time.Duration, src, dst Addr, proto Protocol, fill func([]byte) []byte) {
-	if s.down {
-		if s.net.wiretap != nil {
-			// The frame never reaches the medium; materialize the payload
-			// into per-network scratch so the tap still records the drop.
-			s.net.dropScratch = fill(s.net.dropScratch[:0])
-			s.net.emitWire(WireDrop, s, src, dst, proto, s.net.dropScratch)
-		}
-		return
-	}
 	target := s.byAddr[dst]
 	if target == nil && len(s.taps) == 0 {
 		if s.net.wiretap != nil {
@@ -685,51 +670,4 @@ func (s *Segment) transmitPayload(senderDelay time.Duration, src, dst Addr, prot
 	for _, tap := range s.taps {
 		s.net.push(event{at: base + tap.delay, fr: tapFr, tap: tap})
 	}
-}
-
-// Router forwards frames between two segments, modelling the WiFi
-// gateway's uplink to the internet. It rewrites nothing: addresses are
-// global, as in the paper's message diagrams.
-type Router struct {
-	a, b *Interface
-}
-
-// NewRouter attaches a forwarding element with address addr to both
-// segments. Frames destined to other addresses on the far segment are
-// relayed; the router is invisible to the endpoints.
-func NewRouter(addr Addr, segA, segB *Segment, delay time.Duration) (*Router, error) {
-	r := &Router{}
-	known := func(seg *Segment, dst Addr) bool {
-		return seg.lookup(dst) != nil
-	}
-	fwd := func(to *Segment) Handler {
-		return func(_ time.Duration, pkt Packet) {
-			// The delivery frame is recycled when this handler returns;
-			// clone before the deferred re-transmit.
-			out := pkt.Clone() // keep the original (possibly spoofed) source
-			to.net.Schedule(0, func() { to.transmit(delay, out) })
-		}
-	}
-	ifaceA, err := segA.Attach(addr, delay, nil)
-	if err != nil {
-		return nil, fmt.Errorf("router attach %s: %w", segA.name, err)
-	}
-	ifaceB, err := segB.Attach(addr, delay, nil)
-	if err != nil {
-		return nil, fmt.Errorf("router attach %s: %w", segB.name, err)
-	}
-	// A router forwards frames whose destination lives on the other side.
-	// It taps both segments so it can pick up transit traffic.
-	segA.AttachTap(delay, func(_ time.Duration, pkt Packet) {
-		if pkt.Dst != addr && !known(segA, pkt.Dst) && known(segB, pkt.Dst) {
-			fwd(segB)(0, pkt)
-		}
-	})
-	segB.AttachTap(delay, func(_ time.Duration, pkt Packet) {
-		if pkt.Dst != addr && !known(segB, pkt.Dst) && known(segA, pkt.Dst) {
-			fwd(segA)(0, pkt)
-		}
-	})
-	r.a, r.b = ifaceA, ifaceB
-	return r, nil
 }

@@ -114,26 +114,6 @@ func TestDeterministicOrderingAtEqualTimestamps(t *testing.T) {
 	}
 }
 
-func TestSegmentDownDropsFrames(t *testing.T) {
-	n := New()
-	seg := n.MustSegment("wifi", 0)
-	delivered := 0
-	seg.MustAttach("dst", 0, func(time.Duration, Packet) { delivered++ })
-	src := seg.MustAttach("src", 0, nil)
-	seg.SetDown(true)
-	src.Send(Packet{Dst: "dst", Payload: []byte("x")})
-	n.Run(0)
-	if delivered != 0 {
-		t.Fatalf("delivered = %d on a down segment, want 0", delivered)
-	}
-	seg.SetDown(false)
-	src.Send(Packet{Dst: "dst", Payload: []byte("y")})
-	n.Run(0)
-	if delivered != 1 {
-		t.Fatalf("delivered = %d after segment up, want 1", delivered)
-	}
-}
-
 func TestScheduleOrderingAndClock(t *testing.T) {
 	n := New()
 	var at []time.Duration
@@ -191,40 +171,6 @@ func TestDuplicateSegmentRejected(t *testing.T) {
 	n.MustSegment("lan", 0)
 	if _, err := n.NewSegment("lan", 0); err == nil {
 		t.Fatal("duplicate segment succeeded, want error")
-	}
-}
-
-func TestRouterForwardsBetweenSegments(t *testing.T) {
-	n := New()
-	wifi := n.MustSegment("wifi", time.Millisecond)
-	wan := n.MustSegment("wan", 5*time.Millisecond)
-	var got string
-	wan.MustAttach("server", 0, func(_ time.Duration, p Packet) { got = string(p.Payload) })
-	client := wifi.MustAttach("client", 0, nil)
-	if _, err := NewRouter("gw", wifi, wan, time.Millisecond); err != nil {
-		t.Fatalf("NewRouter: %v", err)
-	}
-	client.Send(Packet{Dst: "server", Payload: []byte("req")})
-	n.Run(0)
-	if got != "req" {
-		t.Fatalf("server got %q, want req", got)
-	}
-}
-
-func TestRouterPreservesSpoofedSource(t *testing.T) {
-	n := New()
-	wifi := n.MustSegment("wifi", time.Millisecond)
-	wan := n.MustSegment("wan", time.Millisecond)
-	var src Addr
-	wan.MustAttach("server", 0, func(_ time.Duration, p Packet) { src = p.Src })
-	if _, err := NewRouter("gw", wifi, wan, 0); err != nil {
-		t.Fatalf("NewRouter: %v", err)
-	}
-	tap := wifi.AttachTap(0, nil)
-	tap.Inject(Packet{Src: "someone-else", Dst: "server", Payload: []byte("x")})
-	n.Run(0)
-	if src != "someone-else" {
-		t.Fatalf("forwarded src = %q, want someone-else", src)
 	}
 }
 

@@ -20,7 +20,6 @@ package runner
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -143,77 +142,6 @@ func Chunks(n, workers int) [][2]int {
 		}
 	}
 	return out
-}
-
-// Checkpoint is the durable chunk-resume sink ResumeMap consults: an
-// orchestrator (labd's per-run checkpoint file) implements it so a
-// batch interrupted by a crash restarts at the last committed chunk
-// instead of from zero. Lookup and Commit may be called concurrently
-// from distinct workers; implementations serialise internally.
-type Checkpoint interface {
-	// Lookup returns the committed payload for key, if any.
-	Lookup(key string) ([]byte, bool)
-	// Commit durably records the payload for key. A Commit error aborts
-	// the batch — a checkpoint that cannot persist must not pretend to.
-	Commit(key string, payload []byte) error
-}
-
-// ChunkKey names one [lo, hi) span of an n-item batch in a checkpoint.
-// The batch size is part of the key, so a checkpoint taken against a
-// different chunk layout simply misses and the span recomputes — stale
-// layouts can never corrupt a resumed run.
-func ChunkKey(n, lo, hi int) string {
-	return fmt.Sprintf("chunk:v1:%d:%d-%d", n, lo, hi)
-}
-
-// ResumeMap applies fn to every Chunks(n, workers) span on the pool
-// and returns the per-span results in span order — Map's determinism
-// contract at chunk granularity — with optional crash resume: when
-// ckpt is non-nil, spans whose results a previous attempt committed
-// are decoded from the checkpoint and skipped, and every freshly
-// computed span is committed as its worker finishes it.
-//
-// Resume correctness needs two properties from the caller: fn must be
-// a pure function of [lo, hi) (rule 1 of the fleet engine — no state
-// shared across spans), and R must round-trip losslessly through
-// encoding/json, because a decoded result replaces recomputation
-// byte-for-byte in the fold. Integer/string datasets qualify; lossy
-// float round-trips do not. An undecodable committed payload is
-// treated as absent (the span recomputes), never as an error.
-func ResumeMap[R any](r *Runner, n int, ckpt Checkpoint, fn func(lo, hi int) (R, error)) ([]R, error) {
-	spans := Chunks(n, r.workers)
-	out := make([]R, len(spans))
-	pending := make([]int, 0, len(spans))
-	for i, sp := range spans {
-		if ckpt != nil {
-			if b, ok := ckpt.Lookup(ChunkKey(n, sp[0], sp[1])); ok {
-				if err := json.Unmarshal(b, &out[i]); err == nil {
-					continue
-				}
-				out[i] = *new(R)
-			}
-		}
-		pending = append(pending, i)
-	}
-	_, err := Map(r, pending, func(_ int, i int) (struct{}, error) {
-		sp := spans[i]
-		v, err := fn(sp[0], sp[1])
-		if err != nil {
-			return struct{}{}, err
-		}
-		out[i] = v
-		if ckpt != nil {
-			b, err := json.Marshal(v)
-			if err != nil {
-				return struct{}{}, fmt.Errorf("chunk %d-%d: encode checkpoint: %w", sp[0], sp[1], err)
-			}
-			if err := ckpt.Commit(ChunkKey(n, sp[0], sp[1]), b); err != nil {
-				return struct{}{}, fmt.Errorf("chunk %d-%d: commit checkpoint: %w", sp[0], sp[1], err)
-			}
-		}
-		return struct{}{}, nil
-	})
-	return out, err
 }
 
 // Seed derives a per-job RNG seed from a batch base seed and the

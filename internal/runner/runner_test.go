@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -276,147 +275,5 @@ func TestChunksRespectMinimumSpan(t *testing.T) {
 				t.Fatalf("n=%d workers=%d: span %d below minimum %d", c.n, c.workers, span, minChunk)
 			}
 		}
-	}
-}
-
-// memCkpt is an in-memory Checkpoint for ResumeMap tests.
-type memCkpt struct {
-	mu      sync.Mutex
-	chunks  map[string][]byte
-	commits int
-	fail    error // non-nil makes Commit fail
-}
-
-func newMemCkpt() *memCkpt { return &memCkpt{chunks: make(map[string][]byte)} }
-
-func (c *memCkpt) Lookup(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.chunks[key]
-	return b, ok
-}
-
-func (c *memCkpt) Commit(key string, payload []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.fail != nil {
-		return c.fail
-	}
-	c.commits++
-	c.chunks[key] = append([]byte(nil), payload...)
-	return nil
-}
-
-// resumeRows is the pure chunk function ResumeMap tests run: rows are
-// a function of the index alone, so any chunk layout folds to the same
-// sequence.
-func resumeRows(lo, hi int) ([]int, error) {
-	out := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, i*i+7)
-	}
-	return out, nil
-}
-
-func flatten(chunks [][]int) []int {
-	var out []int
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	return out
-}
-
-// TestResumeMapMatchesSequential: with or without a checkpoint, at any
-// worker count, ResumeMap folds to the sequential result.
-func TestResumeMapMatchesSequential(t *testing.T) {
-	const n = 300
-	want, _ := resumeRows(0, n)
-	for _, workers := range []int{1, 4, 8} {
-		for _, ckpt := range []Checkpoint{nil, newMemCkpt()} {
-			got, err := ResumeMap(New(workers), n, ckpt, resumeRows)
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			if fmt.Sprint(flatten(got)) != fmt.Sprint(want) {
-				t.Fatalf("workers=%d ckpt=%v: fold diverges from sequential", workers, ckpt != nil)
-			}
-		}
-	}
-}
-
-// TestResumeMapSkipsCommittedChunks: a second pass over a fully
-// committed checkpoint recomputes nothing; a tampered (undecodable)
-// payload recomputes exactly its own chunk.
-func TestResumeMapSkipsCommittedChunks(t *testing.T) {
-	const n = 300
-	ckpt := newMemCkpt()
-	r := New(4)
-	want, _ := ResumeMap(r, n, ckpt, resumeRows)
-	spans := Chunks(n, 4)
-	if ckpt.commits != len(spans) {
-		t.Fatalf("first pass committed %d chunks, want %d", ckpt.commits, len(spans))
-	}
-
-	var computes int
-	var mu sync.Mutex
-	counting := func(lo, hi int) ([]int, error) {
-		mu.Lock()
-		computes++
-		mu.Unlock()
-		return resumeRows(lo, hi)
-	}
-	got, err := ResumeMap(r, n, ckpt, counting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computes != 0 {
-		t.Fatalf("resume over a complete checkpoint recomputed %d chunks", computes)
-	}
-	if fmt.Sprint(flatten(got)) != fmt.Sprint(flatten(want)) {
-		t.Fatal("resumed fold diverges from computed fold")
-	}
-
-	// Corrupt one committed payload: only that chunk recomputes.
-	sp := spans[len(spans)/2]
-	ckpt.chunks[ChunkKey(n, sp[0], sp[1])] = []byte("{torn")
-	computes = 0
-	got, err = ResumeMap(r, n, ckpt, counting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computes != 1 {
-		t.Fatalf("tampered checkpoint recomputed %d chunks, want 1", computes)
-	}
-	if fmt.Sprint(flatten(got)) != fmt.Sprint(flatten(want)) {
-		t.Fatal("fold after tamper-recompute diverges")
-	}
-}
-
-// TestResumeMapLayoutMismatchRecomputes: a checkpoint taken at one
-// worker count misses at another layout (different spans) but the fold
-// stays identical — stale layouts degrade to recompute, never corrupt.
-func TestResumeMapLayoutMismatchRecomputes(t *testing.T) {
-	const n = 300
-	ckpt := newMemCkpt()
-	if _, err := ResumeMap(New(4), n, ckpt, resumeRows); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ResumeMap(New(1), n, ckpt, resumeRows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := resumeRows(0, n)
-	if fmt.Sprint(flatten(got)) != fmt.Sprint(want) {
-		t.Fatal("cross-layout resume diverges from sequential")
-	}
-}
-
-// TestResumeMapCommitFailureAborts: a checkpoint that cannot persist
-// aborts the batch instead of silently losing durability.
-func TestResumeMapCommitFailureAborts(t *testing.T) {
-	ckpt := newMemCkpt()
-	ckpt.fail = errors.New("disk full")
-	if _, err := ResumeMap(New(2), 300, ckpt, resumeRows); err == nil || !strings.Contains(err.Error(), "commit checkpoint") {
-		t.Fatalf("commit failure not surfaced: %v", err)
 	}
 }
