@@ -41,12 +41,16 @@ allocs:
 	$(GO) test -count=1 -run 'Allocs$$' ./...
 
 ## fuzz-smoke: each native fuzz target for a short time box — the HTML
-## tokenizer (ScanTags held to ParseHTML) and the C&C master's Route on
+## tokenizer (ScanTags held to ParseHTML), the C&C master's Route on
 ## arbitrary request paths (no panic, a known status, served images
-## that parse back); -fuzz takes one package per run
+## that parse back), and httpsim's request and response parsers (held
+## to the map-and-split parsers they replaced, and to their own
+## Marshal); -fuzz takes one target per run
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanTags$$' -fuzztime 5s ./internal/dom
 	$(GO) test -run '^$$' -fuzz '^FuzzMasterRoute$$' -fuzztime 5s ./internal/cnc
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 5s ./internal/httpsim
+	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 5s ./internal/httpsim
 
 ## bench: the root benchmark harness (tables, figures, ablations, codecs)
 bench:

@@ -33,8 +33,12 @@ var (
 
 // Browser is one victim browser instance on the simulated network.
 type Browser struct {
+	// Profile is fixed at New, which renders userAgent from it once;
+	// nothing reassigns it afterwards.
 	Profile Profile
 	OS      OS
+
+	userAgent string
 
 	net     *netsim.Network
 	ifc     *netsim.Interface
@@ -130,6 +134,7 @@ func New(network *netsim.Network, cfg Config) (*Browser, error) {
 			Partitioned: cfg.Profile.PartitionedCache,
 			Ballooning:  cfg.Profile.Ballooning,
 		}),
+		userAgent:  cfg.Profile.UserAgent(),
 		cacheAPI:   httpcache.NewCacheAPIStore(),
 		cookies:    httpcache.NewCookieJar(),
 		storage:    make(map[string]map[string]string),
@@ -272,7 +277,7 @@ func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(fetchResul
 		return
 	}
 	req := httpsim.NewRequest("GET", host, pathOf(url))
-	req.Header.Set("User-Agent", b.Profile.UserAgent())
+	req.Header.Set("User-Agent", b.userAgent)
 	if c := b.cookies.All(host); c != "" {
 		req.Header.Set("Cookie", c)
 	}

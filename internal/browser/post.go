@@ -26,7 +26,7 @@ func (p *Page) Post(path string, form map[string]string, cb func(*httpsim.Respon
 	}
 	req := httpsim.NewRequest("POST", host, pathOf(url))
 	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	req.Header.Set("User-Agent", b.Profile.UserAgent())
+	req.Header.Set("User-Agent", b.userAgent)
 	if c := b.cookies.All(host); c != "" {
 		req.Header.Set("Cookie", c)
 	}

@@ -59,8 +59,8 @@ func (e *Entry) Fresh(now time.Duration) bool {
 // Size is the entry's accounting size in bytes.
 func (e *Entry) Size() int {
 	n := len(e.Body) + len(e.URL)
-	for k, v := range e.Header {
-		n += len(k) + len(v)
+	for _, f := range e.Header {
+		n += len(f.Key) + len(f.Value)
 	}
 	return n
 }

@@ -2,6 +2,7 @@ package httpsim
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -287,34 +288,68 @@ func TestParseResponseZeroCopyBody(t *testing.T) {
 }
 
 // TestMessageCodecAllocs locks in the allocation budget of the HTTP
-// codec under the crawler, the proxy cache, and the C&C channel.
-// Skipped in -short mode: the CI race detector perturbs counts.
+// codec under the crawler, the proxy cache, the C&C channel and the
+// master's sniffer. Skipped in -short mode: the CI race detector
+// perturbs counts.
 func TestMessageCodecAllocs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("allocation counts shift under -race; tier-1 runs this")
+		t.Skip("allocation counts shift under -race; make allocs runs this")
 	}
 	resp := NewResponse(200, bytes.Repeat([]byte("b"), 4096))
 	resp.Header.Set("Cache-Control", "max-age=60")
-	wire := resp.Marshal()
+	respWire := resp.Marshal()
+	req := NewRequest("GET", "cdn.example.com", "/lib.js?v=1")
+	req.Header.Set("User-Agent", "Chrome/86.0")
+	req.Header.Set("Cookie", "sid=1")
+	reqWire := req.Marshal()
 
-	parse := testing.AllocsPerRun(500, func() {
-		if _, _, err := ParseResponse(wire); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		budget float64 // measured with Go 1.24.0
+		op     func() error
+	}{
+		// The head string, the header slice and the message; the body is
+		// zero-copy.
+		{"ParseResponse", 3, func() error { _, _, err := ParseResponse(respWire); return err }},
+		{"ParseRequest", 3, func() error { _, _, err := ParseRequest(reqWire); return err }},
+		// The sniffer's miss on a response is refused before any copy.
+		{"ParseRequest(response)", 0, func() error {
+			if _, _, err := ParseRequest(respWire); err != ErrMalformed {
+				return fmt.Errorf("err = %v, want the bare ErrMalformed", err)
+			}
+			return nil
+		}},
+		// The exact-size message.
+		{"Response.Marshal", 1, func() error { resp.Marshal(); return nil }},
+		{"Request.Marshal", 1, func() error { req.Marshal(); return nil }},
+		{"Header.Set(existing)", 0, func() error { req.Header.Set("Cookie", "sid=2"); return nil }},
+	} {
+		var err error
+		got := testing.AllocsPerRun(500, func() {
+			if e := c.op(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
 		}
-	})
-	// Measured 4 (head string, header map, start-line split, message
-	// struct); the body is zero-copy. Historical parser took 7+.
-	if parse > 5 {
-		t.Errorf("ParseResponse allocs/op = %.0f, want <= 5", parse)
+		if got > c.budget {
+			t.Errorf("%s allocs/op = %.0f, want <= %.0f", c.name, got, c.budget)
+		}
 	}
+}
 
-	marshal := testing.AllocsPerRun(500, func() {
-		if len(resp.Marshal()) == 0 {
-			t.Fatal("empty marshal")
+// TestParseOversizedContentLength feeds both parsers Content-Length
+// values near MaxInt64, where bodyOff+clen wraps negative: each must
+// return an error instead of slicing past the buffer.
+func TestParseOversizedContentLength(t *testing.T) {
+	for _, clen := range []string{"9223372036854775807", "9223372036854775800", "9223372036854775780"} {
+		hdr := "Content-Length: " + clen + "\r\n\r\nbody"
+		if _, _, err := ParseRequest([]byte("POST / HTTP/1.1\r\n" + hdr)); err == nil {
+			t.Errorf("request with Content-Length %s parsed", clen)
 		}
-	})
-	// Measured 2: the exact-size message and the sorted-key scratch.
-	if marshal > 3 {
-		t.Errorf("Response.Marshal allocs/op = %.0f, want <= 3", marshal)
+		if _, _, err := ParseResponse([]byte("HTTP/1.1 200 OK\r\n" + hdr)); err == nil {
+			t.Errorf("response with Content-Length %s parsed", clen)
+		}
 	}
 }

@@ -14,53 +14,74 @@ import (
 	"errors"
 	"fmt"
 	"net/textproto"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Header is a single-valued header map with canonicalised keys.
-type Header map[string]string
+// Field is one header line.
+type Field struct {
+	Key, Value string
+}
+
+// Header is a single-valued header kept sorted by canonical key, so
+// Marshal writes it in order without sorting. A message carries about
+// ten fields at most, so lookups scan. Set and Del edit in place: two
+// struct copies of a message share in-place edits but not appends, so
+// a copy that will be edited takes a Clone.
+type Header []Field
+
+// find returns the index of the canonical key in h, or the index it
+// would be inserted at, and whether it is present.
+func (h Header) find(key string) (int, bool) {
+	for i, f := range h {
+		if f.Key >= key {
+			return i, f.Key == key
+		}
+	}
+	return len(h), false
+}
 
 // Set stores value under the canonical form of key.
-func (h Header) Set(key, value string) {
-	h[textproto.CanonicalMIMEHeaderKey(key)] = value
+func (h *Header) Set(key, value string) {
+	key = textproto.CanonicalMIMEHeaderKey(key)
+	i, ok := h.find(key)
+	switch {
+	case ok:
+		(*h)[i].Value = value
+	case cap(*h) == 0:
+		// A built message mostly carries one or two fields (a handler's
+		// Content-Type and Cache-Control, say): room for two up front
+		// spares the regrowth.
+		*h = append(make(Header, 0, 2), Field{key, value})
+	default:
+		*h = slices.Insert(*h, i, Field{key, value})
+	}
 }
 
 // Get returns the value for key ("" when absent).
 func (h Header) Get(key string) string {
-	return h[textproto.CanonicalMIMEHeaderKey(key)]
+	if i, ok := h.find(textproto.CanonicalMIMEHeaderKey(key)); ok {
+		return h[i].Value
+	}
+	return ""
 }
 
 // Has reports whether key is present.
 func (h Header) Has(key string) bool {
-	_, ok := h[textproto.CanonicalMIMEHeaderKey(key)]
+	_, ok := h.find(textproto.CanonicalMIMEHeaderKey(key))
 	return ok
 }
 
 // Del removes key.
-func (h Header) Del(key string) {
-	delete(h, textproto.CanonicalMIMEHeaderKey(key))
+func (h *Header) Del(key string) {
+	if i, ok := h.find(textproto.CanonicalMIMEHeaderKey(key)); ok {
+		*h = slices.Delete(*h, i, i+1)
+	}
 }
 
 // Clone returns an independent copy.
-func (h Header) Clone() Header {
-	out := make(Header, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
-
-// keysSorted returns keys in deterministic order for marshalling.
-func (h Header) keysSorted() []string {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (h Header) Clone() Header { return slices.Clone(h) }
 
 // Request is an HTTP request message.
 type Request struct {
@@ -71,9 +92,9 @@ type Request struct {
 	Body   []byte
 }
 
-// NewRequest builds a GET-style request with an empty header map.
+// NewRequest builds a request with an empty header.
 func NewRequest(method, host, path string) *Request {
-	return &Request{Method: method, Host: host, Path: path, Header: Header{}}
+	return &Request{Method: method, Host: host, Path: path}
 }
 
 // URL returns the host-qualified URL (scheme-less), the cache key space
@@ -112,18 +133,16 @@ func appendHeaderLine(b []byte, k, v string) []byte {
 }
 
 // Marshal encodes the request in HTTP/1.1 wire format. The message is
-// assembled into one exact-size allocation (plus the sorted key
-// scratch) — this sits under every simulated fetch.
+// assembled into one exact-size allocation — this sits under every
+// simulated fetch.
 func (r *Request) Marshal() []byte {
-	hdr := r.Header
-	keys := hdr.keysSorted()
 	n := len(r.Method) + 1 + len(r.Path) + len(" HTTP/1.1\r\n") +
 		len("Host: ") + len(r.Host) + 2
-	for _, k := range keys {
-		if k == "Host" || k == "Content-Length" {
+	for _, f := range r.Header {
+		if f.Key == "Host" || f.Key == "Content-Length" {
 			continue
 		}
-		n += len(k) + 2 + len(hdr[k]) + 2
+		n += len(f.Key) + 2 + len(f.Value) + 2
 	}
 	if len(r.Body) > 0 {
 		n += len("Content-Length: ") + intLen(len(r.Body)) + 2
@@ -136,11 +155,11 @@ func (r *Request) Marshal() []byte {
 	b = append(b, r.Path...)
 	b = append(b, " HTTP/1.1\r\n"...)
 	b = appendHeaderLine(b, "Host", r.Host)
-	for _, k := range keys {
-		if k == "Host" || k == "Content-Length" {
+	for _, f := range r.Header {
+		if f.Key == "Host" || f.Key == "Content-Length" {
 			continue
 		}
-		b = appendHeaderLine(b, k, hdr[k])
+		b = appendHeaderLine(b, f.Key, f.Value)
 	}
 	if len(r.Body) > 0 {
 		b = append(b, "Content-Length: "...)
@@ -161,7 +180,7 @@ type Response struct {
 
 // NewResponse builds a response with standard status text.
 func NewResponse(code int, body []byte) *Response {
-	return &Response{StatusCode: code, Status: statusText(code), Header: Header{}, Body: body}
+	return &Response{StatusCode: code, Status: statusText(code), Body: body}
 }
 
 func statusText(code int) string {
@@ -206,14 +225,12 @@ func (r *Response) Marshal() []byte {
 	if status == "" {
 		status = statusText(r.StatusCode)
 	}
-	hdr := r.Header
-	keys := hdr.keysSorted()
 	n := len("HTTP/1.1 ") + intLen(r.StatusCode) + 1 + len(status) + 2
-	for _, k := range keys {
-		if k == "Content-Length" {
+	for _, f := range r.Header {
+		if f.Key == "Content-Length" {
 			continue
 		}
-		n += len(k) + 2 + len(hdr[k]) + 2
+		n += len(f.Key) + 2 + len(f.Value) + 2
 	}
 	n += len("Content-Length: ") + intLen(len(r.Body)) + 2 + 2 + len(r.Body)
 
@@ -223,11 +240,11 @@ func (r *Response) Marshal() []byte {
 	b = append(b, ' ')
 	b = append(b, status...)
 	b = append(b, '\r', '\n')
-	for _, k := range keys {
-		if k == "Content-Length" {
+	for _, f := range r.Header {
+		if f.Key == "Content-Length" {
 			continue
 		}
-		b = appendHeaderLine(b, k, hdr[k])
+		b = appendHeaderLine(b, f.Key, f.Value)
 	}
 	b = append(b, "Content-Length: "...)
 	b = strconv.AppendInt(b, int64(len(r.Body)), 10)
@@ -251,9 +268,20 @@ func splitHead(data []byte) (head []byte, bodyOff int, err error) {
 	return data[:i], i + 4, nil
 }
 
+// isRequestLine reports whether the head opens with a request line,
+// "METHOD SP target SP HTTP/…", reading the bytes in place: the master
+// runs ParseRequest on every payload it overhears, responses included,
+// and such a miss must allocate nothing.
+func isRequestLine(head []byte) bool {
+	line, _, _ := bytes.Cut(head, []byte("\r\n"))
+	_, rest, ok1 := bytes.Cut(line, []byte(" "))
+	_, proto, ok2 := bytes.Cut(rest, []byte(" "))
+	return ok1 && ok2 && bytes.HasPrefix(proto, []byte("HTTP/"))
+}
+
 // parseHead converts the header block into one string (the only parse
-// allocation besides the header map itself — every line, key, and value
-// is a substring of it) and splits off the start line.
+// allocation besides the header slice and the message — every line,
+// key, and value is a substring of it) and splits off the start line.
 func parseHead(head []byte) (startLine, rest string) {
 	s := string(head)
 	if i := strings.Index(s, "\r\n"); i >= 0 {
@@ -263,9 +291,10 @@ func parseHead(head []byte) (startLine, rest string) {
 }
 
 // parseHeaders decodes "Key: value\r\n" lines from the header block,
-// walking line by line instead of materialising a []string split.
+// walking line by line instead of materialising a []string split, into
+// a slice sized once from the line count.
 func parseHeaders(s string) (Header, error) {
-	h := make(Header, 8)
+	h := make(Header, 0, strings.Count(s, "\r\n")+1)
 	for len(s) > 0 {
 		ln := s
 		if i := strings.Index(s, "\r\n"); i >= 0 {
@@ -301,19 +330,22 @@ func contentLength(hdr Header) (int, error) {
 
 // ParseRequest decodes one request from data, returning the message and
 // the number of bytes consumed. It returns ErrIncomplete until a full
-// message is buffered. The returned Body aliases data — callers that
-// mutate or recycle the wire buffer must copy it first (the simulated
-// stacks never do: wire buffers are written once per message).
+// message is buffered. A head that does not open with a request line
+// fails with the bare ErrMalformed before anything is allocated. The
+// returned Body aliases data — callers that mutate or recycle the wire
+// buffer must copy it first (the simulated stacks never do: wire
+// buffers are written once per message).
 func ParseRequest(data []byte) (*Request, int, error) {
 	head, bodyOff, err := splitHead(data)
 	if err != nil {
 		return nil, 0, err
 	}
-	startLine, rest := parseHead(head)
-	parts := strings.SplitN(startLine, " ", 3)
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
-		return nil, 0, fmt.Errorf("%w: request line %q", ErrMalformed, startLine)
+	if !isRequestLine(head) {
+		return nil, 0, ErrMalformed
 	}
+	startLine, rest := parseHead(head)
+	method, target, _ := strings.Cut(startLine, " ")
+	path, _, _ := strings.Cut(target, " ")
 	hdr, err := parseHeaders(rest)
 	if err != nil {
 		return nil, 0, err
@@ -322,18 +354,18 @@ func ParseRequest(data []byte) (*Request, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(data) < bodyOff+clen {
+	if clen > len(data)-bodyOff {
 		return nil, 0, ErrIncomplete
 	}
-	req := &Request{
-		Method: parts[0],
-		Path:   parts[1],
-		Host:   hdr.Get("Host"),
+	host := hdr.Get("Host")
+	hdr.Del("Host")
+	return &Request{
+		Method: method,
+		Path:   path,
+		Host:   host,
 		Header: hdr,
 		Body:   data[bodyOff : bodyOff+clen : bodyOff+clen],
-	}
-	hdr.Del("Host")
-	return req, bodyOff + clen, nil
+	}, bodyOff + clen, nil
 }
 
 // ParseResponse decodes one response from data, returning the message and
@@ -345,17 +377,14 @@ func ParseResponse(data []byte) (*Response, int, error) {
 		return nil, 0, err
 	}
 	startLine, rest := parseHead(head)
-	parts := strings.SplitN(startLine, " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
+	proto, codeStatus, ok := strings.Cut(startLine, " ")
+	if !ok || !strings.HasPrefix(proto, "HTTP/") {
 		return nil, 0, fmt.Errorf("%w: status line %q", ErrMalformed, startLine)
 	}
-	code, err := strconv.Atoi(parts[1])
+	codeText, status, _ := strings.Cut(codeStatus, " ")
+	code, err := strconv.Atoi(codeText)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: status code %q", ErrMalformed, parts[1])
-	}
-	status := ""
-	if len(parts) == 3 {
-		status = parts[2]
+		return nil, 0, fmt.Errorf("%w: status code %q", ErrMalformed, codeText)
 	}
 	hdr, err := parseHeaders(rest)
 	if err != nil {
@@ -365,7 +394,7 @@ func ParseResponse(data []byte) (*Response, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(data) < bodyOff+clen {
+	if clen > len(data)-bodyOff {
 		return nil, 0, ErrIncomplete
 	}
 	return &Response{
