@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
 	"masterparasite/internal/netsim"
@@ -35,6 +37,10 @@ const (
 	// commandBytes sizes the C&C command each registered bot receives.
 	commandBytes = 96
 )
+
+// infPayload is the gossip frame that infects a LAN neighbour. Every
+// gossip send shares it: Send copies the payload into a pooled frame.
+var infPayload = []byte("INF")
 
 // FleetConfig parameterises a botnet fleet topology.
 type FleetConfig struct {
@@ -113,10 +119,14 @@ func (r FleetResult) LatencyPercentiles() (p50, p90, p99, max time.Duration) {
 // fleetBot is one victim station's whole state — deliberately tiny, so
 // a 10⁶-bot fleet stays in memory.
 type fleetBot struct {
-	ifc      *netsim.Interface
+	ifc     *netsim.Interface
+	regAt   time.Duration
+	latency time.Duration
+	// peers are the LAN neighbours the bot gossips to, drawn when it is
+	// infected. A bot is infected only once, so they cannot change while
+	// its gossip is pending.
+	peers    [gossipFanout]int32
 	infected bool
-	regAt    time.Duration
-	latency  time.Duration
 }
 
 // fleetLAN is one LAN shard's world: bots, the local infection log, and
@@ -128,6 +138,7 @@ type fleetLAN struct {
 	seg        *netsim.Segment
 	bots       []fleetBot
 	rng        *rand.Rand
+	gossip     func(int32) // ScheduleCall target: arg = bot×gossipFanout + g
 	infections []InfectionEvent
 	commanded  int
 	lastCmdAt  time.Duration
@@ -156,6 +167,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	if cfg.LANs < 1 || cfg.BotsPerLAN < 1 {
 		return nil, fmt.Errorf("core: fleet needs at least 1 LAN and 1 bot per LAN (got %d×%d)", cfg.LANs, cfg.BotsPerLAN)
+	}
+	if cfg.BotsPerLAN > math.MaxInt32/gossipFanout {
+		return nil, fmt.Errorf("core: %d bots per LAN overflow a gossip call's int32 argument", cfg.BotsPerLAN)
 	}
 	f := &Fleet{cfg: cfg, fab: netsim.NewFabric()}
 
@@ -186,6 +200,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 
 	for l := 0; l < cfg.LANs; l++ {
 		lan := &fleetLAN{id: l, rng: rand.New(rand.NewSource(runner.Seed(cfg.Seed, fmt.Sprintf("fleet-lan-%d", l))))}
+		lan.gossip = func(arg int32) { f.gossip(lan, int(arg)) }
 		lan.shard, err = f.fab.AddShard(fmt.Sprintf("lan%04d", l))
 		if err != nil {
 			return nil, err
@@ -250,27 +265,35 @@ func (f *Fleet) infect(lan *fleetLAN, b int) {
 	if bot.infected {
 		return
 	}
-	now := lan.shard.Network().Now()
+	net := lan.shard.Network()
+	now := net.Now()
 	bot.infected = true
 	lan.infections = append(lan.infections, InfectionEvent{At: now, LAN: lan.id, Bot: b})
 	bot.regAt = now
-	bot.ifc.Send(netsim.Packet{
-		Dst: CNCAddr, Proto: netsim.ProtoRaw,
-		Payload: []byte(fmt.Sprintf("REG|%d|%d", lan.id, b)),
+	// REG|<lan>|<bot>, written straight into the pooled frame.
+	bot.ifc.SendPayload(CNCAddr, netsim.ProtoRaw, func(p []byte) []byte {
+		p = append(p, "REG|"...)
+		p = strconv.AppendInt(p, int64(lan.id), 10)
+		p = append(p, '|')
+		return strconv.AppendInt(p, int64(b), 10)
 	})
 	n := len(lan.bots)
 	if n == 1 {
 		return
 	}
 	for g := 0; g < gossipFanout; g++ {
-		peer := (b + 1 + lan.rng.Intn(n-1)) % n
+		bot.peers[g] = int32((b + 1 + lan.rng.Intn(n-1)) % n)
 		delay := time.Millisecond + time.Duration(lan.rng.Intn(24000))*time.Microsecond
-		target := lan.bots[peer].ifc.Addr()
-		src := bot.ifc
-		lan.shard.Network().Schedule(delay, func() {
-			src.Send(netsim.Packet{Dst: target, Proto: netsim.ProtoRaw, Payload: []byte("INF")})
-		})
+		net.ScheduleCall(delay, lan.gossip, int32(b*gossipFanout+g))
 	}
+}
+
+// gossip sends the parasite from bot arg/gossipFanout to its peer
+// arg%gossipFanout, as infect scheduled it.
+func (f *Fleet) gossip(lan *fleetLAN, arg int) {
+	bot := &lan.bots[arg/gossipFanout]
+	peer := lan.bots[bot.peers[arg%gossipFanout]].ifc
+	bot.ifc.Send(netsim.Packet{Dst: peer.Addr(), Proto: netsim.ProtoRaw, Payload: infPayload})
 }
 
 // Fabric exposes the underlying sharded fabric (lookahead, shards).
@@ -301,6 +324,10 @@ func (f *Fleet) Run(workers int) (FleetResult, error) {
 	}
 	for _, lan := range f.lans {
 		res.Infected += len(lan.infections)
+	}
+	res.Infections = make([]InfectionEvent, 0, res.Infected)
+	res.Latencies = make([]time.Duration, 0, res.Bots)
+	for _, lan := range f.lans {
 		res.Infections = append(res.Infections, lan.infections...)
 		res.Commanded += lan.commanded
 		res.CommandBytes += lan.bytesGot

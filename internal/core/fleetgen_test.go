@@ -1,6 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -47,12 +52,32 @@ func runFleet(t *testing.T, workers int, lossy, taps bool) (FleetResult, map[str
 	return res, prints
 }
 
+// fleetDigest folds a fleet result and its per-shard replay
+// fingerprints, in shard-name order, into one value.
+func fleetDigest(res FleetResult, prints map[string]string) string {
+	names := make([]string, 0, len(prints))
+	for name := range prints {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		fmt.Fprintf(h, "%s=%s\n", name, prints[name])
+	}
+	fmt.Fprintf(h, "%+v\n", res)
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
 // TestFleetDeterministicAcrossWorkers: one fleet topology drained at 1,
 // 4, and 8 shard workers produces the identical infection log, latency
 // vector, counters, and — with a replay recorder attached to every
 // shard — identical per-shard replay fingerprints, on a clean wire and
-// under a lossy, duplicating LinkProfile alike.
+// under a lossy, duplicating LinkProfile alike. The sequential run's
+// digest over all of it is pinned, so the fleet's wire bytes (REG,
+// INF and command frames, boundary crossings) cannot change even
+// uniformly across worker counts.
 func TestFleetDeterministicAcrossWorkers(t *testing.T) {
+	pinned := map[string]string{"clean": "f98847b4be04e640", "lossy": "89ab6f6fa92b395a"}
 	for _, lossy := range []bool{false, true} {
 		name := "clean"
 		if lossy {
@@ -62,6 +87,9 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 			ref, refPrints := runFleet(t, 1, lossy, true)
 			if ref.Infected == 0 || ref.Commanded == 0 {
 				t.Fatalf("reference run did nothing: %+v", ref)
+			}
+			if d := fleetDigest(ref, refPrints); d != pinned[name] {
+				t.Errorf("digest %s, pinned %s", d, pinned[name])
 			}
 			for _, workers := range []int{4, 8} {
 				got, prints := runFleet(t, workers, lossy, true)
@@ -147,5 +175,56 @@ func TestFleetStatsExposeParallelStructure(t *testing.T) {
 	}
 	if st.CriticalPath >= st.Events {
 		t.Fatalf("critical path %d not below total %d at 8 workers — no parallel slack", st.CriticalPath, st.Events)
+	}
+}
+
+// TestFleetRunAllocs is the fleet's allocation ratchet, on the 32×400,
+// seed-10 fleet of the root BenchmarkFleet_ShardedScaling: draining it
+// on one worker must stay within fleetRunAllocBudget allocations, the
+// measured count plus 3%, the BENCHMARK.json bound. A change that lowers
+// the count lowers the budget with it. The same run pins the fleet's
+// event count and its 8-worker critical path exactly: both are pure
+// functions of the topology. Skipped in -short mode, where the race
+// detector perturbs counts; `make allocs` runs it.
+func TestFleetRunAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts shift under -race; make allocs runs this")
+	}
+	const (
+		fleetRunAllocBudget = 16067 // measured 15,599 on Go 1.24.0, +3%
+		wantEvents          = 204712
+		wantCriticalPath8   = 48300
+	)
+	cfg := FleetConfig{LANs: 32, BotsPerLAN: 400, Seed: 10}
+	fleet, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := fleet.Run(1)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("Run(1): %d allocations, %.3f per event", allocs, float64(allocs)/float64(res.Events))
+	if allocs > fleetRunAllocBudget {
+		t.Errorf("Run(1) made %d allocations, budget %d", allocs, fleetRunAllocBudget)
+	}
+	if res.Events != wantEvents {
+		t.Errorf("events = %d, pinned %d", res.Events, wantEvents)
+	}
+
+	fleet, err = NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.Run(8); err != nil {
+		t.Fatal(err)
+	}
+	if cp := fleet.Fabric().Stats().CriticalPath; cp != wantCriticalPath8 {
+		t.Errorf("8-worker critical path = %d, pinned %d", cp, wantCriticalPath8)
 	}
 }

@@ -1,0 +1,92 @@
+package experiments
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"masterparasite/internal/artifact"
+	"masterparasite/internal/netsim"
+	"masterparasite/internal/replay"
+	"masterparasite/internal/runner"
+)
+
+// goldenParams are the `make artifacts` sizes the byte gate regenerates
+// at; every other param keeps its default.
+var goldenParams = map[string]int{"sites": 400, "days": 20, "payload": 8192}
+
+// TestArtifactBytesMatchGolden is the byte gate: every deterministic
+// artifact, rendered as JSON at the `make artifacts` sizes, must match
+// the SHA-256 and length committed in testdata/golden-manifest.json,
+// and the seed-97 kill-chain recordings must match their committed
+// divergence fingerprints, clean and on coffee-shop-wifi. It is fast
+// enough for every CI tier, so -short does not skip it. A change that
+// alters bytes on purpose regenerates the golden files and says why:
+//
+//	go run ./cmd/experiments -run table1,table2,table3,table4,table5,fig3,fig5,flows,countermeasures,replay,conditions,fleet/infection-curve,fleet/cnc-fanout \
+//	    -sites 400 -days 20 -payload 8192 -format json -parallel 2 -manifest internal/experiments/testdata/golden-manifest.json
+//	go run ./cmd/experiments -record /tmp/kc.replay -seed 97 && cp /tmp/kc.replay.fp internal/experiments/testdata/killchain-seed97.fp
+//	go run ./cmd/experiments -record /tmp/kc.replay -seed 97 -conditions coffee-shop-wifi && cp /tmp/kc.replay.fp internal/experiments/testdata/killchain-seed97-coffee-shop-wifi.fp
+func TestArtifactBytesMatchGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden-manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden artifact.Manifest
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatalf("golden manifest: %v", err)
+	}
+	want := make(map[string]artifact.ManifestEntry, len(golden.Artifacts))
+	for _, e := range golden.Artifacts {
+		want[e.ID] = e
+	}
+	renderer, err := artifact.RendererFor(golden.Format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := runner.New(golden.Workers)
+	specs := artifact.Deterministic()
+	if len(specs) != len(want) {
+		t.Errorf("%d deterministic specs registered, golden manifest pins %d", len(specs), len(want))
+	}
+	for _, spec := range specs {
+		g, ok := want[spec.ID]
+		if !ok {
+			t.Errorf("%s: no golden entry", spec.ID)
+			continue
+		}
+		_, rendered, err := artifact.RunRendered(spec, pool, goldenParams, renderer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := artifact.Fingerprint(rendered); sum != g.SHA256 || len(rendered) != g.Bytes {
+			t.Errorf("%s: %d bytes, sha256 %.12s; golden %d bytes, %.12s", spec.ID, len(rendered), sum, g.Bytes, g.SHA256)
+		}
+	}
+
+	wifi, err := netsim.ProfileByName("coffee-shop-wifi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		file string
+		link *netsim.LinkProfile
+	}{
+		{"killchain-seed97.fp", nil},
+		{"killchain-seed97-coffee-shop-wifi.fp", &wifi},
+	} {
+		fp, err := os.ReadFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := replay.NewRecorder(nil)
+		if err := RunKillChain(KillChainOpts{Seed: 97, Link: c.link}, rec, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rec.Fingerprint(), strings.TrimSpace(string(fp)); got != want {
+			t.Errorf("%s: replay fingerprint %.12s, golden %.12s", c.file, got, want)
+		}
+	}
+}

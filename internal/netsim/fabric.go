@@ -11,11 +11,14 @@
 //     reach another shard before t+L.
 //   - Frames leaving a shard are captured into per-(src-shard,
 //     dst-shard) mailboxes, in the src shard's deterministic execution
-//     order, with payloads copied out of the src shard's frame pool.
+//     order, with payloads appended to the src shard's boundary byte
+//     arena: a mailbox entry holds offsets into it.
 //   - At the window barrier the mailboxes are merged into each
 //     destination shard in a fixed order — arrival timestamp, then src
-//     shard ID, then per-mailbox send order — and scheduled as ordinary
-//     events, landing in the dst shard's own frame pool on delivery.
+//     shard ID, then per-mailbox send order. Each payload is copied into
+//     a frame from the dst shard's own pool and scheduled as a forward
+//     event, which re-transmits it on its segment at the arrival
+//     instant. The arenas then reset: no event points into one.
 //
 // Because each shard is deterministic on its own, the mailboxes fill
 // deterministically, and the merge order is a pure function of their
@@ -28,6 +31,8 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"masterparasite/internal/runner"
@@ -40,16 +45,23 @@ import (
 // window the shards are running unsynchronised.
 var ErrZeroLookahead = errors.New("netsim: inter-shard uplink needs a positive minimum latency — it is the lookahead of the conservative time-window protocol")
 
-// boundary is one frame crossing a shard boundary: payload bytes copied
-// out of the source shard's frame pool (frames never cross pools), plus
+// boundary is one frame crossing a shard boundary: its payload's
+// offsets in the source shard's arena (frames never cross pools), plus
 // the precomputed arrival instant and the destination segment.
 type boundary struct {
-	at      time.Duration // arrival at the destination shard
-	src     Addr
-	dst     Addr
-	proto   Protocol
-	payload []byte
-	seg     *Segment // destination segment (owned by the dst shard)
+	at         time.Duration // arrival at the destination shard
+	src        Addr
+	dst        Addr
+	proto      Protocol
+	start, end int      // payload = source shard's arena[start:end]
+	seg        *Segment // destination segment (owned by the dst shard)
+}
+
+// mailboxRun is one source shard's sorted mailbox in the barrier's
+// k-way merge, with the arena its offsets point into.
+type mailboxRun struct {
+	mb    []boundary
+	arena []byte
 }
 
 // owner records where an address lives: which shard, and on which of
@@ -70,7 +82,7 @@ type Fabric struct {
 	uplinks   int
 	sealed    bool
 
-	mergeScratch [][]boundary // barrier k-way merge heads, reused across windows
+	mergeScratch []mailboxRun // barrier k-way merge heads, reused across windows
 	stats        RunStats     // last Run's parallel structure
 }
 
@@ -87,6 +99,7 @@ type Shard struct {
 
 	gateways   map[Addr]bool // uplink gateway addrs, excluded from the owner table
 	outbox     [][]boundary  // per-destination-shard mailbox, filled in execution order
+	arena      []byte        // this window's exported payloads, reset at the barrier
 	unroutable int
 }
 
@@ -171,20 +184,23 @@ func (s *Shard) Uplink(seg *Segment, gwAddr Addr, minLatency time.Duration) erro
 	return nil
 }
 
-// export copies one outbound frame into the mailbox for its owner
-// shard. It runs on the shard's executor (single-threaded) and touches
-// only this shard's outbox, so parallel windows need no locking. The
-// payload is copied: pooled frame buffers never cross a shard boundary.
+// export queues one outbound frame in the mailbox for its owner shard.
+// It runs on the shard's executor (single-threaded) and touches only
+// this shard's outbox and arena, so parallel windows need no locking.
+// The payload is copied into the arena: pooled frame buffers never cross
+// a shard boundary.
 func (s *Shard) export(at time.Duration, pkt Packet) {
 	own, ok := s.fab.owners[pkt.Dst] // read-only after seal: safe concurrently
 	if !ok {
 		s.unroutable++
 		return
 	}
+	start := len(s.arena)
+	s.arena = append(s.arena, pkt.Payload...)
 	s.outbox[own.shard.id] = append(s.outbox[own.shard.id], boundary{
 		at: at, src: pkt.Src, dst: pkt.Dst, proto: pkt.Proto,
-		payload: append([]byte(nil), pkt.Payload...),
-		seg:     own.seg,
+		start: start, end: len(s.arena),
+		seg: own.seg,
 	})
 }
 
@@ -216,20 +232,29 @@ func (f *Fabric) Stats() RunStats { return f.stats }
 
 // seal freezes the topology: the global owner table is built from every
 // shard's attached interfaces (gateways excluded), and each shard gets
-// its per-destination mailboxes. An address attached on two shards is
-// an error — ownership is what makes boundary routing deterministic.
+// its per-destination mailboxes. An address with two owners — on two
+// shards, or on two segments of one shard — is an error: ownership is
+// what makes boundary routing deterministic. Shards are visited in ID
+// order and segments in name order, so the error is the same on every
+// build of a topology.
 func (f *Fabric) seal() error {
 	if f.sealed {
 		return nil
 	}
 	for _, s := range f.shards {
+		segs := make([]*Segment, 0, len(s.net.segments))
 		for _, seg := range s.net.segments {
+			segs = append(segs, seg)
+		}
+		slices.SortFunc(segs, func(a, b *Segment) int { return strings.Compare(a.name, b.name) })
+		for _, seg := range segs {
 			for _, ifc := range seg.ifaces {
 				if s.gateways[ifc.addr] {
 					continue
 				}
-				if prev, dup := f.owners[ifc.addr]; dup && prev.shard != s {
-					return fmt.Errorf("netsim: address %s owned by shards %s and %s", ifc.addr, prev.shard.name, s.name)
+				if prev, dup := f.owners[ifc.addr]; dup {
+					return fmt.Errorf("netsim: address %s owned by %s/%s and %s/%s",
+						ifc.addr, prev.shard.name, prev.seg.name, s.name, seg.name)
 				}
 				f.owners[ifc.addr] = owner{shard: s, seg: seg}
 			}
@@ -277,37 +302,48 @@ func sortMailbox(mb []boundary) {
 // k-way pick over the per-src sorted runs: at fleet scale the barrier
 // is on the critical path of every window, and a reflection-based
 // stable sort here costs more than the simulation itself.
+//
+// Each payload is copied out of its source arena into a frame from d's
+// pool, which a forward event re-transmits at the arrival instant —
+// possibly several windows later, when uplink latencies differ. Once
+// every mailbox has drained, no event points into an arena, so the
+// arenas reset for the next window.
 func (f *Fabric) exchange() {
 	for _, d := range f.shards {
-		lists := f.mergeScratch[:0]
+		runs := f.mergeScratch[:0]
 		for _, src := range f.shards { // src shard ID order: the second merge key
 			if mb := src.outbox[d.id]; len(mb) > 0 {
 				sortMailbox(mb)
-				lists = append(lists, mb)
+				runs = append(runs, mailboxRun{mb: mb, arena: src.arena})
 			}
 		}
-		for len(lists) > 0 {
+		for len(runs) > 0 {
 			// Pick the earliest head; ties go to the lowest src shard ID,
-			// which is the order lists were gathered in.
+			// which is the order runs were gathered in.
 			min := 0
-			for l := 1; l < len(lists); l++ {
-				if lists[l][0].at < lists[min][0].at {
-					min = l
+			for r := 1; r < len(runs); r++ {
+				if runs[r].mb[0].at < runs[min].mb[0].at {
+					min = r
 				}
 			}
-			b := lists[min][0]
-			if lists[min] = lists[min][1:]; len(lists[min]) == 0 {
-				lists = append(lists[:min], lists[min+1:]...)
-			}
+			run := &runs[min]
+			b := &run.mb[0]
 			f.stats.Boundary++
-			d.net.Schedule(b.at-d.net.now, func() {
-				b.seg.transmit(0, Packet{Src: b.src, Dst: b.dst, Proto: b.proto, Payload: b.payload})
-			})
+			fr := d.net.acquireFrame()
+			fr.load(b.seg, b.src, b.dst, b.proto, append(fr.buf[:0], run.arena[b.start:b.end]...))
+			fr.refs = 1
+			d.net.push(event{at: b.at, kind: evForward, fr: fr})
+			if run.mb = run.mb[1:]; len(run.mb) == 0 {
+				runs = append(runs[:min], runs[min+1:]...)
+			}
 		}
 		for _, src := range f.shards {
 			src.outbox[d.id] = src.outbox[d.id][:0]
 		}
-		f.mergeScratch = lists[:0]
+		f.mergeScratch = runs[:0]
+	}
+	for _, s := range f.shards {
+		s.arena = s.arena[:0]
 	}
 }
 

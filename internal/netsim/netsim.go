@@ -137,16 +137,32 @@ type frame struct {
 	refs int
 }
 
+// eventKind selects what Step does with a slab event.
+type eventKind uint8
+
+const (
+	evCallback   eventKind = iota // fn() (Network.Schedule)
+	evCall                        // call(arg) (Network.ScheduleCall)
+	evDeliver                     // unicast delivery of fr to ifc
+	evDupDeliver                  // the extra copy a link's duplication model made
+	evTap                         // delivery of fr to fr.seg.taps[arg]
+	evForward                     // re-transmit fr on fr.seg, then release it
+)
+
 // event is a scheduled callback or frame delivery, stored in the network's
-// slab. Exactly one of fn, ifc, tap is set.
+// slab. kind says which of the other fields are set. A tap is stored as
+// its index in fr.seg.taps (taps are never detached, so the index stays
+// valid); it shares arg with ScheduleCall's argument, inside the padding
+// after kind, which keeps the record at 56 bytes.
 type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()     // generic callback (Network.Schedule)
-	fr  *frame     // payload for a delivery event
-	ifc *Interface // unicast delivery target
-	tap *Tap       // tap delivery target
-	dup bool       // extra copy from the link's duplication model
+	at   time.Duration
+	seq  uint64
+	fn   func()      // evCallback
+	call func(int32) // evCall
+	fr   *frame      // the frame of a delivery, tap or forward event
+	ifc  *Interface  // unicast delivery target
+	kind eventKind
+	arg  int32 // evCall argument, or evTap index
 }
 
 // Network owns the virtual clock and the event queue. The zero value is
@@ -284,9 +300,9 @@ func (n *Network) popMin() int32 {
 	return root
 }
 
-// acquireFrame fills a pooled frame with the payload produced by fill
-// (which appends to its argument and returns the result).
-func (n *Network) acquireFrame(seg *Segment, src, dst Addr, proto Protocol, fill func([]byte) []byte) *frame {
+// acquireFrame takes a frame from the pool; the caller fills it with
+// load.
+func (n *Network) acquireFrame() *frame {
 	var fr *frame
 	if k := len(n.framePool); k > 0 {
 		fr = n.framePool[k-1]
@@ -295,13 +311,17 @@ func (n *Network) acquireFrame(seg *Segment, src, dst Addr, proto Protocol, fill
 		fr = &frame{}
 	}
 	n.framesAcquired++
-	buf := fill(fr.buf[:0])
+	return fr
+}
+
+// load sets the frame's packet. buf holds the payload and must have been
+// appended to fr.buf[:0], so the pooled storage is reused.
+func (fr *frame) load(seg *Segment, src, dst Addr, proto Protocol, buf []byte) {
 	fr.buf = buf
 	// Hand receivers a capacity-capped view so a stray append cannot
 	// scribble on the pooled storage.
 	fr.pkt = Packet{Src: src, Dst: dst, Proto: proto, Payload: buf[:len(buf):len(buf)]}
 	fr.seg = seg
-	return fr
 }
 
 // releaseFrame returns the frame's buffer to the pool once its last
@@ -331,7 +351,18 @@ func (n *Network) Schedule(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	n.push(event{at: n.now + d, fn: fn})
+	n.push(event{at: n.now + d, kind: evCallback, fn: fn})
+}
+
+// ScheduleCall runs fn(arg) at virtual time now+d. It orders with every
+// other event exactly as Schedule does. One fn can serve every call, with
+// arg selecting the work, so a hot timer allocates nothing where a
+// Schedule closure would allocate per call.
+func (n *Network) ScheduleCall(d time.Duration, fn func(int32), arg int32) {
+	if d < 0 {
+		d = 0
+	}
+	n.push(event{at: n.now + d, kind: evCall, call: fn, arg: arg})
 }
 
 // Step executes the next pending event and returns false when the queue is
@@ -345,13 +376,18 @@ func (n *Network) Step() bool {
 	n.events[idx] = event{} // drop fn/frame references for reuse
 	n.free = append(n.free, idx)
 	n.now = ev.at
-	switch {
-	case ev.ifc != nil:
-		n.deliver(ev.fr, ev.ifc, ev.dup)
-	case ev.tap != nil:
-		n.deliverTap(ev.fr, ev.tap)
-	default:
+	switch ev.kind {
+	case evCallback:
 		ev.fn()
+	case evCall:
+		ev.call(ev.arg)
+	case evDeliver, evDupDeliver:
+		n.deliver(ev.fr, ev.ifc, ev.kind == evDupDeliver)
+	case evTap:
+		n.deliverTap(ev.fr, ev.fr.seg.taps[ev.arg])
+	case evForward:
+		ev.fr.seg.transmit(0, ev.fr.pkt)
+		n.releaseFrame(ev.fr)
 	}
 	return true
 }
@@ -603,7 +639,8 @@ func (s *Segment) transmitPayload(senderDelay time.Duration, src, dst Addr, prot
 		}
 		return
 	}
-	main := s.net.acquireFrame(s, src, dst, proto, fill)
+	main := s.net.acquireFrame()
+	main.load(s, src, dst, proto, fill(main.buf[:0]))
 	if s.net.wiretap != nil {
 		s.net.emitWire(WireSend, s, src, dst, proto, main.pkt.Payload)
 	}
@@ -646,9 +683,8 @@ func (s *Segment) transmitPayload(senderDelay time.Duration, src, dst Addr, prot
 	if deliveries > 0 {
 		main.refs = deliveries
 		if len(s.taps) > 0 {
-			pay := main.pkt.Payload
-			tapFr = s.net.acquireFrame(s, src, dst, proto,
-				func(dst []byte) []byte { return append(dst, pay...) })
+			tapFr = s.net.acquireFrame()
+			tapFr.load(s, src, dst, proto, append(tapFr.buf[:0], main.pkt.Payload...))
 		}
 	}
 	if tapFr != main || deliveries == 0 {
@@ -665,9 +701,13 @@ func (s *Segment) transmitPayload(senderDelay time.Duration, src, dst Addr, prot
 				extra += s.profile.ReorderDelay
 			}
 		}
-		s.net.push(event{at: base + target.delay + extra, fr: main, ifc: target, dup: copyNo > 0})
+		kind := evDeliver
+		if copyNo > 0 {
+			kind = evDupDeliver
+		}
+		s.net.push(event{at: base + target.delay + extra, kind: kind, fr: main, ifc: target})
 	}
-	for _, tap := range s.taps {
-		s.net.push(event{at: base + tap.delay, fr: tapFr, tap: tap})
+	for i, tap := range s.taps {
+		s.net.push(event{at: base + tap.delay, kind: evTap, fr: tapFr, arg: int32(i)})
 	}
 }
