@@ -43,14 +43,17 @@ allocs:
 ## fuzz-smoke: each native fuzz target for a short time box — the HTML
 ## tokenizer (ScanTags held to ParseHTML), the C&C master's Route on
 ## arbitrary request paths (no panic, a known status, served images
-## that parse back), and httpsim's request and response parsers (held
+## that parse back), httpsim's request and response parsers (held
 ## to the map-and-split parsers they replaced, and to their own
-## Marshal); -fuzz takes one target per run
+## Marshal), and the replay log reader (allocation bounded by the
+## input, and every accepted log re-recorded byte for byte); -fuzz
+## takes one target per run
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanTags$$' -fuzztime 5s ./internal/dom
 	$(GO) test -run '^$$' -fuzz '^FuzzMasterRoute$$' -fuzztime 5s ./internal/cnc
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 5s ./internal/httpsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 5s ./internal/httpsim
+	$(GO) test -run '^$$' -fuzz '^FuzzReadLog$$' -fuzztime 5s ./internal/replay
 
 ## bench: the root benchmark harness (tables, figures, ablations, codecs)
 bench:

@@ -251,13 +251,13 @@ func BenchmarkAblation_SharedCacheIsolationCost(b *testing.B) {
 	infected.Header.Set("Cache-Control", httpcache.MaxFreshness)
 	b.Run("shared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cache := proxycache.NewSharedCache("squid", 1<<20, false, nil)
+			cache := proxycache.NewSharedCache("squid", 1<<20, false)
 			proxycache.RunInfection(cache, infected, 32)
 		}
 	})
 	b.Run("isolated", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cache := proxycache.NewSharedCache("squid", 1<<20, true, nil)
+			cache := proxycache.NewSharedCache("squid", 1<<20, true)
 			proxycache.RunInfection(cache, infected, 32)
 		}
 	})

@@ -75,8 +75,7 @@ func run(args []string, stdout io.Writer) error {
 
 	if *targets {
 		corpus := webcorpus.Generate(webcorpus.Params{Sites: *sites, Seed: int64(*seed)})
-		base := crawler.CrawlBaseline(pool, corpus)
-		sel := crawler.SelectTargetsFrom(pool, base, *days)
+		sel := crawler.SelectTargets(pool, corpus, *days)
 		fmt.Fprintf(stdout, "\nsites with whole-window name-stable scripts: %d\n", len(sel))
 		hosts := make([]string, 0, len(sel))
 		for host := range sel {

@@ -47,11 +47,11 @@ func recordRun(path string, seed int64, perturb time.Duration, link *netsim.Link
 // the shared fingerprint; any difference — e.g. one injected with
 // -perturb — is reported at its exact event index and fails the command.
 func replayRun(path string, seed int64, perturb time.Duration, link *netsim.LinkProfile, stdout io.Writer) error {
-	rp, err := replay.LoadFile(path)
+	events, err := replay.ReadLogFile(path)
 	if err != nil {
 		return err
 	}
-	chk := replay.NewChecker(rp.Events())
+	chk := replay.NewChecker(events)
 	if err := experiments.RunKillChain(experiments.KillChainOpts{Seed: seed, ServerDelay: perturb, Link: link}, nil, chk); err != nil {
 		return err
 	}
@@ -60,7 +60,7 @@ func replayRun(path string, seed int64, perturb time.Duration, link *netsim.Link
 		return fmt.Errorf("replay diverged at event #%d", div.Index)
 	}
 	fmt.Fprintf(stdout, "replay %s: PASS — %d events reproduced, fingerprint %s\n",
-		path, len(rp.Events()), rp.Fingerprint())
+		path, len(events), replay.FingerprintEvents(events))
 	return nil
 }
 
@@ -75,30 +75,30 @@ func runReplayVerb(args []string, stdout io.Writer) error {
 		if len(args) != 2 {
 			return fmt.Errorf("usage: experiments replay fingerprint FILE")
 		}
-		rp, err := replay.LoadFile(args[1])
+		events, err := replay.ReadLogFile(args[1])
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "%s  %s (%d events)\n", rp.Fingerprint(), args[1], len(rp.Events()))
+		fmt.Fprintf(stdout, "%s  %s (%d events)\n", replay.FingerprintEvents(events), args[1], len(events))
 		return nil
 
 	case "diff":
 		if len(args) != 3 {
 			return fmt.Errorf("usage: experiments replay diff A B")
 		}
-		a, err := replay.LoadFile(args[1])
+		a, err := replay.ReadLogFile(args[1])
 		if err != nil {
 			return err
 		}
-		b, err := replay.LoadFile(args[2])
+		b, err := replay.ReadLogFile(args[2])
 		if err != nil {
 			return err
 		}
-		if div := replay.Diff(a.Events(), b.Events()); div != nil {
+		if div := replay.Diff(a, b); div != nil {
 			fmt.Fprintf(stdout, "%s\n", div)
 			return fmt.Errorf("logs diverge at event #%d", div.Index)
 		}
-		fmt.Fprintf(stdout, "identical: %d events, fingerprint %s\n", len(a.Events()), a.Fingerprint())
+		fmt.Fprintf(stdout, "identical: %d events, fingerprint %s\n", len(a), replay.FingerprintEvents(a))
 		return nil
 
 	case "drive":
@@ -110,11 +110,11 @@ func runReplayVerb(args []string, stdout io.Writer) error {
 		if err := fs.Parse(args[2:]); err != nil {
 			return err
 		}
-		rp, err := replay.LoadFile(args[1])
+		events, err := replay.ReadLogFile(args[1])
 		if err != nil {
 			return err
 		}
-		res, err := rp.Drive(*timeDiv)
+		res, err := replay.Drive(events, *timeDiv)
 		if err != nil {
 			return err
 		}

@@ -47,7 +47,7 @@ func run() error {
 		ParasitePayload: "heist", Original: []byte("function bankApp(){}"),
 	})
 
-	wire := func(p *browser.Page) { bank.Wire(p, nil) }
+	wired := browser.VisitOpts{OnDocument: func(p *browser.Page) { bank.Wire(p, nil) }}
 	submit := func(p *browser.Page, form string, values map[string]string) error {
 		el := p.Doc.FindByID(form)
 		if el == nil {
@@ -62,7 +62,7 @@ func run() error {
 
 	// The user logs in at the bank (the infection happens on this visit:
 	// the master is on-path and poisons /js/bank.js).
-	page, err := s.VisitWired(bank.Host, "/", wire)
+	page, err := s.VisitWith(s.Victim, bank.Host, "/", wired)
 	if err != nil {
 		return err
 	}
@@ -77,7 +77,7 @@ func run() error {
 	s.CNC.QueueCommand("bot-h", []byte("transaction-manipulation|iban=XX99 ATTACKER,amount=9500"))
 
 	// Alice transfers 50 EUR to grandma.
-	page, err = s.VisitWired(bank.Host, "/", wire)
+	page, err = s.VisitWith(s.Victim, bank.Host, "/", wired)
 	if err != nil {
 		return err
 	}
@@ -91,7 +91,7 @@ func run() error {
 	// The confirmation screen: the parasite rewrites the displayed
 	// details so alice sees her intended transfer.
 	s.CNC.QueueCommand("bot-h", []byte("bypass-2fa|Transfer 50 EUR to DE22 GRANDMA"))
-	confirm, err := s.VisitWired(bank.Host, "/confirm", wire)
+	confirm, err := s.VisitWith(s.Victim, bank.Host, "/confirm", wired)
 	if err != nil {
 		return err
 	}

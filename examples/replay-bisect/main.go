@@ -46,7 +46,7 @@ func main() {
 	// 3. Stub-driven replay at 8× time compression: the recorded sends
 	//    are re-injected at t/8 with the outbound legs stubbed out, and
 	//    the send-level stream still reproduces exactly.
-	res, err := replay.NewReplayer(rec.Events()).Drive(8)
+	res, err := replay.Drive(rec.Events(), 8)
 	if err != nil {
 		log.Fatal(err)
 	}

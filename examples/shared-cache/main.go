@@ -30,7 +30,7 @@ func main() {
 		if !dev.Shared || !dev.HTTP.Vulnerable() {
 			continue
 		}
-		cache := proxycache.NewSharedCache(dev.Instance, 1<<20, false, nil)
+		cache := proxycache.NewSharedCache(dev.Instance, 1<<20, false)
 		res := proxycache.RunInfection(cache, infected, clients)
 		fmt.Printf("%-30s %-6s %2d/%-6d %-14d\n",
 			dev.Instance, dev.HTTP.Symbol(), res.VictimsServed, clients, res.OriginFetches)
@@ -40,7 +40,7 @@ func main() {
 	// contained, but every client now costs an origin round trip — "which
 	// however would harm performance" (§VI-B2).
 	fmt.Println()
-	isolated := proxycache.NewSharedCache("squid (per-client isolation)", 1<<20, true, nil)
+	isolated := proxycache.NewSharedCache("squid (per-client isolation)", 1<<20, true)
 	res := proxycache.RunInfection(isolated, infected, clients)
 	fmt.Printf("%-30s %-6s %2d/%-6d %-14d  <- contained, at a performance cost\n",
 		isolated.Name(), "●", res.VictimsServed, clients, res.OriginFetches)

@@ -401,19 +401,6 @@ func (s *Social) feedPage(user string) string {
 	return b.String()
 }
 
-// Wire connects forms to the server.
-func (s *Social) Wire(page *browser.Page, onResult func(*httpsim.Response, error)) {
-	if onResult == nil {
-		onResult = func(*httpsim.Response, error) {}
-	}
-	page.Doc.OnSubmit("login", func(values map[string]string) {
-		page.Post("/login", values, onResult)
-	})
-	page.Doc.OnSubmit("post", func(values map[string]string) {
-		page.Post("/post", values, onResult)
-	})
-}
-
 // Withdrawal is one crypto-exchange withdrawal.
 type Withdrawal struct {
 	User    string
@@ -489,19 +476,6 @@ func (e *Exchange) walletPage(user string) string {
 <div id="wallet">%d sat</div>
 <form id="withdraw" action="/withdraw"><input name="address" value=""><input name="amount" value=""></form>
 </body></html>`, exchangeScript, e.Balances[user])
-}
-
-// Wire connects forms to the server.
-func (e *Exchange) Wire(page *browser.Page, onResult func(*httpsim.Response, error)) {
-	if onResult == nil {
-		onResult = func(*httpsim.Response, error) {}
-	}
-	page.Doc.OnSubmit("login", func(values map[string]string) {
-		page.Post("/login", values, onResult)
-	})
-	page.Doc.OnSubmit("withdraw", func(values map[string]string) {
-		page.Post("/withdraw", values, onResult)
-	})
 }
 
 // ChatMessage is one chat message.

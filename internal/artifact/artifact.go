@@ -30,40 +30,44 @@ import (
 // (corpus sizes, study days, payload bytes, seeds); a frontend exposes
 // each declared name as a flag and the Spec validates supplied values.
 type Param struct {
-	Name    string
-	Usage   string
-	Default int
+	Name    string `json:"name"`
+	Usage   string `json:"usage"`
+	Default int    `json:"default"`
 	// Min is the smallest accepted value. Values below Min fail
 	// validation in NewEnv.
-	Min int
+	Min int `json:"min"`
 }
 
-// Spec describes one regenerable artifact.
+// Spec describes one regenerable artifact. Its JSON form is everything
+// a remote caller needs to construct a valid run request — identity,
+// declared params with defaults and bounds, the base seed, and whether
+// the rendered output is deterministic — without the Run function;
+// labd's spec routes serve it.
 type Spec struct {
 	// ID is the stable registry key ("table1" ... "fig5", "cnc").
-	ID string
+	ID string `json:"id"`
 	// Title heads the rendered artifact, e.g. "Table I: cache eviction
 	// on popular browsers".
-	Title string
+	Title string `json:"title"`
 	// Section names the paper artefact being reproduced ("Table I",
 	// "Fig. 3", "§VI-C", ...).
-	Section string
+	Section string `json:"section"`
 	// Params are the accepted inputs, applied as defaults and validated
 	// by NewEnv. Specs sharing a param name must agree on its
 	// declaration (enforced at registration).
-	Params []Param
+	Params []Param `json:"params,omitempty"`
 	// Seed is the base seed the artifact's scenarios derive their
 	// randomness from; recorded in the manifest. Zero means the
 	// artifact takes its seed from a "seed" param or uses none.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Deterministic marks artifacts whose rendered output is a pure
 	// function of the seeds and params — everything except wall-clock
 	// measurements. Deterministic artifacts must fingerprint
 	// identically at any worker count.
-	Deterministic bool
+	Deterministic bool `json:"deterministic"`
 	// Run regenerates the artifact. The returned Result needs only
 	// Text and Dataset; Exec stamps identity and params from the Spec.
-	Run func(Env) (*Result, error)
+	Run func(Env) (*Result, error) `json:"-"`
 }
 
 // Env is what a Spec.Run receives: the scenario-fleet runner to fan

@@ -1,8 +1,6 @@
 package attacker
 
 import (
-	"time"
-
 	"masterparasite/internal/cnc"
 	"masterparasite/internal/httpsim"
 )
@@ -17,11 +15,6 @@ import (
 // transports stay byte-identical on the wire.
 func CNCAdapter(m *cnc.MasterServer) httpsim.HandlerFunc {
 	return func(req *httpsim.Request) *httpsim.Response {
-		if m.Delay > 0 {
-			// Honour the per-request service-delay knob exactly as the
-			// net/http path does.
-			time.Sleep(m.Delay)
-		}
 		status, ctype, body := m.Route(req.Path, nil)
 		out := httpsim.NewResponse(status, body)
 		cnc.SetResponseHeaders(status, ctype, out.Header.Set)

@@ -137,9 +137,6 @@ func (m *Master) EnableEviction(junkHost string, junkCount, junkSize int, trigge
 	}
 }
 
-// DisableEviction stops the eviction module.
-func (m *Master) DisableEviction() { m.evictionOn = false }
-
 // onSegment reacts to every TCP segment on the tapped network.
 func (m *Master) onSegment(o tcpsim.Observed) {
 	if len(o.Seg.Payload) == 0 {
@@ -147,7 +144,7 @@ func (m *Master) onSegment(o tcpsim.Observed) {
 	}
 	payload := o.Seg.Payload
 	sealed := false
-	if looksSealed(payload) {
+	if httpsim.LooksSealed(payload) {
 		// HTTPS stand-in: without a fraudulent certificate the master
 		// sees only ciphertext and must stand down.
 		plain, ok := m.tryUnseal(payload)
@@ -188,10 +185,6 @@ func (m *Master) onSegment(o tcpsim.Observed) {
 func isNavigation(req *httpsim.Request) bool {
 	p := req.PathOnly()
 	return p == "/" || strings.HasSuffix(p, ".html")
-}
-
-func looksSealed(b []byte) bool {
-	return len(b) >= 4 && b[0] == 'T' && b[1] == 'L' && b[2] == 'S' && b[3] == '1'
 }
 
 // tryUnseal attempts every fraudulent certificate's key.

@@ -163,7 +163,7 @@ func TestMasterSkipsReloadOriginalRequests(t *testing.T) {
 	seg := n.MustSegment("wifi", time.Millisecond)
 	srvIfc := seg.MustAttach("server", 5*time.Millisecond, nil)
 	serverStack := tcpsim.NewStack(n, srvIfc, tcpsim.WithSeed(5))
-	if _, err := httpsim.NewServer(serverStack, 80, func(*httpsim.Request) *httpsim.Response {
+	if _, err := httpsim.NewServer(serverStack, 80, nil, func(*httpsim.Request) *httpsim.Response {
 		return httpsim.NewResponse(200, []byte("GENUINE"))
 	}); err != nil {
 		t.Fatal(err)
@@ -175,12 +175,12 @@ func TestMasterSkipsReloadOriginalRequests(t *testing.T) {
 	client := httpsim.NewClient(tcpsim.NewStack(n, cliIfc, tcpsim.WithSeed(6)))
 
 	var plain, busted string
-	client.Get("server", 80, "a.com", "/x.js", func(r *httpsim.Response, err error) {
+	client.Do("server", 80, nil, httpsim.NewRequest("GET", "a.com", "/x.js"), func(r *httpsim.Response, err error) {
 		if err == nil {
 			plain = string(r.Body)
 		}
 	})
-	client.Get("server", 80, "a.com", "/x.js?t=123", func(r *httpsim.Response, err error) {
+	client.Do("server", 80, nil, httpsim.NewRequest("GET", "a.com", "/x.js?t=123"), func(r *httpsim.Response, err error) {
 		if err == nil {
 			busted = string(r.Body)
 		}

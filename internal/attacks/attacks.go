@@ -69,7 +69,6 @@ type Attack struct {
 
 // Errors modules report when their Table V requirements are unmet.
 var (
-	ErrRequiresLogin      = errors.New("attacks: user is not logged in")
 	ErrRequiresOpenApp    = errors.New("attacks: target application not open")
 	ErrRequiresPermission = errors.New("attacks: browser permission not granted")
 )

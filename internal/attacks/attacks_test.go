@@ -71,7 +71,7 @@ func newLab(t *testing.T) *lab {
 // visit loads a page with the app's wiring installed.
 func (l *lab) visit(host, path string, wire func(*browser.Page)) *browser.Page {
 	l.t.Helper()
-	page, err := l.s.VisitWired(host, path, wire)
+	page, err := l.s.VisitWith(l.s.Victim, host, path, browser.VisitOpts{OnDocument: wire})
 	if err != nil {
 		l.t.Fatalf("visit %s%s: %v", host, path, err)
 	}

@@ -28,7 +28,6 @@ var (
 	ErrUnresolvable  = errors.New("browser: host does not resolve")
 	ErrBrowserKilled = errors.New("browser: process killed by OS (out of memory)")
 	ErrBlockedByCSP  = errors.New("browser: request blocked by content security policy")
-	ErrBlockedBySRI  = errors.New("browser: script blocked by subresource integrity")
 )
 
 // Browser is one victim browser instance on the simulated network.
@@ -70,7 +69,6 @@ type Browser struct {
 	cspBlocked  int
 	netFetches  int
 	cacheServes int
-	apiServes   int
 }
 
 // Runtime is re-exported so callers register parasite behaviours without
@@ -178,11 +176,8 @@ func (b *Browser) OOMKilled() bool { return b.oomKilled }
 // Counters for the experiments.
 func (b *Browser) NetFetches() int  { return b.netFetches }
 func (b *Browser) CacheServes() int { return b.cacheServes }
-func (b *Browser) CacheAPIServes() int {
-	return b.apiServes
-}
-func (b *Browser) CSPBlocked() int { return b.cspBlocked }
-func (b *Browser) SRIBlocked() int { return b.sriBlocked }
+func (b *Browser) CSPBlocked() int  { return b.cspBlocked }
+func (b *Browser) SRIBlocked() int  { return b.sriBlocked }
 
 // HSTSKnown reports whether the browser has pinned host to HTTPS.
 func (b *Browser) HSTSKnown(host string) bool { return b.hsts[host] }
@@ -255,7 +250,6 @@ func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(fetchResul
 	// 1. Cache API (service-worker) interception.
 	if b.Profile.SupportsCacheAPI && !opts.bypassCacheAPI {
 		if e, ok := b.cacheAPI.Get(url); ok {
-			b.apiServes++
 			cb(fetchResult{resp: e.ToResponse(), fromAPI: true}, nil)
 			return
 		}
@@ -271,16 +265,7 @@ func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(fetchResul
 	}
 	// 3. Network, possibly conditional.
 	host := hostOf(url)
-	ep, ok := b.resolve(host)
-	if !ok {
-		cb(fetchResult{}, fmt.Errorf("%w: %s", ErrUnresolvable, host))
-		return
-	}
 	req := httpsim.NewRequest("GET", host, pathOf(url))
-	req.Header.Set("User-Agent", b.userAgent)
-	if c := b.cookies.All(host); c != "" {
-		req.Header.Set("Cookie", c)
-	}
 	var stale *httpcache.Entry
 	if !opts.bypassCache {
 		if e, ok := b.cache.Get(pageHost, url); ok && e.ETag != "" {
@@ -288,7 +273,7 @@ func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(fetchResul
 			req.Header.Set("If-None-Match", e.ETag)
 		}
 	}
-	handle := func(resp *httpsim.Response, err error) {
+	b.send(req, func(resp *httpsim.Response, err error) {
 		if err != nil {
 			cb(fetchResult{}, err)
 			return
@@ -311,17 +296,36 @@ func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(fetchResul
 			}
 		}
 		cb(fetchResult{resp: resp}, nil)
+	})
+}
+
+// send is the browser's one way onto the network. It resolves req's
+// host, stamps the browser's User-Agent and the host's cookies, and
+// sends req sealed with the host's key to an HTTPS endpoint, in
+// plaintext otherwise — except that HSTS pins a host to HTTPS, so a
+// plaintext send to a pinned host is refused before it leaves the
+// browser. cb runs inside the event loop; absorbing the response is the
+// caller's, since a revalidated fetch answers from its stale entry.
+func (b *Browser) send(req *httpsim.Request, cb func(*httpsim.Response, error)) {
+	host := req.Host
+	ep, ok := b.resolve(host)
+	if !ok {
+		cb(nil, fmt.Errorf("%w: %s", ErrUnresolvable, host))
+		return
+	}
+	req.Header.Set("User-Agent", b.userAgent)
+	if c := b.cookies.All(host); c != "" {
+		req.Header.Set("Cookie", c)
 	}
 	if ep.TLS {
-		b.client.DoSealed(ep.Addr, ep.Port, httpsim.XORSealer{Key: httpsim.HostKey(host)}, req, handle)
+		b.client.Do(ep.Addr, ep.Port, httpsim.XORSealer{Key: httpsim.HostKey(host)}, req, cb)
 		return
 	}
 	if b.hsts[host] {
-		// HSTS pins the host to HTTPS; a plaintext endpoint is refused.
-		cb(fetchResult{}, fmt.Errorf("browser: %s pinned by HSTS but endpoint is plaintext", host))
+		cb(nil, fmt.Errorf("browser: %s pinned by HSTS but endpoint is plaintext", host))
 		return
 	}
-	b.client.Do(ep.Addr, ep.Port, req, handle)
+	b.client.Do(ep.Addr, ep.Port, nil, req, cb)
 }
 
 // absorb applies response side effects: cookies and HSTS pinning.

@@ -55,7 +55,7 @@ func newWeb(t *testing.T) *web {
 		}
 		return httpsim.NewResponse(404, []byte("not found"))
 	}
-	if _, err := httpsim.NewServer(stack, 80, handler); err != nil {
+	if _, err := httpsim.NewServer(stack, 80, nil, handler); err != nil {
 		t.Fatalf("web server: %v", err)
 	}
 	return w
@@ -466,6 +466,32 @@ func TestHSTSPinning(t *testing.T) {
 	w.net.Run(0)
 	if ferr == nil {
 		t.Fatal("plaintext fetch to HSTS-pinned host succeeded")
+	}
+}
+
+// TestPostRefusesPlaintextToHSTSHost holds a form POST to the same HSTS
+// rule as a fetch: once the host is pinned, a plaintext endpoint is
+// refused before anything goes on the wire.
+func TestPostRefusesPlaintextToHSTSHost(t *testing.T) {
+	w := newWeb(t)
+	w.addPage("secure.com", "/", `<html><body><form id="login"></form></body></html>`,
+		map[string]string{"Strict-Transport-Security": "max-age=63072000"})
+	b := w.browser(t, "Chrome")
+	page := w.visit(t, b, "secure.com", "/")
+	if !b.HSTSKnown("secure.com") {
+		t.Fatal("HSTS header not absorbed")
+	}
+	var perr error
+	answered := false
+	page.Post("/login", map[string]string{"user": "alice"}, func(_ *httpsim.Response, err error) {
+		answered, perr = true, err
+	})
+	w.net.Run(0)
+	if !answered || perr == nil {
+		t.Fatalf("plaintext POST to HSTS-pinned host: answered=%v err=%v, want a refusal", answered, perr)
+	}
+	if n := w.served["secure.com/login"]; n != 0 {
+		t.Fatalf("server served the POST %d times; it must never leave the browser", n)
 	}
 }
 

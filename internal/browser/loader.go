@@ -103,30 +103,17 @@ type loader struct {
 	onDone    func(*Page, error)
 }
 
-// enqueueDocument walks the DOM in document order and queues external and
-// inline work.
+// enqueueDocument queues the document's subresources, external and
+// inline, in document order.
 func (l *loader) enqueueDocument(doc *dom.Document) {
-	doc.Root.Walk(func(e *dom.Element) {
-		switch e.Tag {
-		case "script":
-			if src := e.Attr("src"); src != "" {
-				l.queue = append(l.queue, job{kind: dom.ResScript, url: normalizeURL(l.page.Host, src), el: e})
-			} else if e.Text != "" {
-				l.queue = append(l.queue, job{kind: dom.ResScript, inline: []byte(e.Text), el: e})
-			}
-		case "img":
-			if src := e.Attr("src"); src != "" {
-				l.queue = append(l.queue, job{kind: dom.ResImage, url: normalizeURL(l.page.Host, src), el: e})
-			}
-		case "link":
-			if e.Attr("rel") == "stylesheet" && e.Attr("href") != "" {
-				l.queue = append(l.queue, job{kind: dom.ResStylesheet, url: normalizeURL(l.page.Host, e.Attr("href")), el: e})
-			}
-		case "iframe":
-			if src := e.Attr("src"); src != "" {
-				l.queue = append(l.queue, job{kind: dom.ResIframe, url: normalizeURL(l.page.Host, src), el: e})
-			}
+	doc.EachResource(func(r dom.Resource) {
+		j := job{kind: r.Kind, el: r.El}
+		if r.URL != "" {
+			j.url = normalizeURL(l.page.Host, r.URL)
+		} else {
+			j.inline = []byte(r.El.Text)
 		}
+		l.queue = append(l.queue, j)
 	})
 }
 

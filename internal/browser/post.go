@@ -1,7 +1,6 @@
 package browser
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -13,37 +12,22 @@ import (
 // inside the event loop. The path is resolved against the page host.
 func (p *Page) Post(path string, form map[string]string, cb func(*httpsim.Response, error)) {
 	b := p.browser
-	url := normalizeURL(p.Host, path)
-	host := hostOf(url)
 	if b.oomKilled {
 		cb(nil, ErrBrowserKilled)
 		return
 	}
-	ep, ok := b.resolve(host)
-	if !ok {
-		cb(nil, fmt.Errorf("%w: %s", ErrUnresolvable, host))
-		return
-	}
-	req := httpsim.NewRequest("POST", host, pathOf(url))
+	url := normalizeURL(p.Host, path)
+	req := httpsim.NewRequest("POST", hostOf(url), pathOf(url))
 	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	req.Header.Set("User-Agent", b.userAgent)
-	if c := b.cookies.All(host); c != "" {
-		req.Header.Set("Cookie", c)
-	}
 	req.Body = []byte(EncodeForm(form))
-	handle := func(resp *httpsim.Response, err error) {
+	b.send(req, func(resp *httpsim.Response, err error) {
 		if err != nil {
 			cb(nil, err)
 			return
 		}
-		b.absorb(host, resp)
+		b.absorb(req.Host, resp)
 		cb(resp, nil)
-	}
-	if ep.TLS {
-		b.client.DoSealed(ep.Addr, ep.Port, httpsim.XORSealer{Key: httpsim.HostKey(host)}, req, handle)
-		return
-	}
-	b.client.Do(ep.Addr, ep.Port, req, handle)
+	})
 }
 
 // EncodeForm renders form values as application/x-www-form-urlencoded

@@ -29,10 +29,12 @@ type command struct {
 //	GET /up/{bot}/{stream}/{seq}/{chunk} → upstream data chunk
 //	GET /up/{bot}/{stream}/fin    → upstream stream complete
 type MasterServer struct {
-	// Delay is an artificial per-request service delay, used by the
-	// throughput experiments to model a network RTT: the channel is
-	// RTT-bound, which is why the paper's 100 KB/s figure requires
-	// "a client which sends requests for multiple images simultaneously".
+	// Delay is an artificial per-request service delay that ServeHTTP
+	// applies, and only ServeHTTP: the real-socket throughput experiment
+	// uses it to model a network RTT. The channel is RTT-bound, which is
+	// why the paper's 100 KB/s figure requires "a client which sends
+	// requests for multiple images simultaneously". Route, and the
+	// in-simulation transports built on it, never sleep.
 	Delay time.Duration
 
 	mu       sync.Mutex

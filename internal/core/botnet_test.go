@@ -46,7 +46,7 @@ func TestBotnetMultipleVictims(t *testing.T) {
 	if _, err := s.Visit("somesite.com", "/"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.VisitAs(victim2, "top1.com", "/"); err != nil {
+	if _, err := s.VisitWith(victim2, "top1.com", "/", browser.VisitOpts{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,7 +57,7 @@ func TestBotnetMultipleVictims(t *testing.T) {
 	if _, err := s.Visit("somesite.com", "/"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.VisitAs(victim2, "top1.com", "/"); err != nil {
+	if _, err := s.VisitWith(victim2, "top1.com", "/", browser.VisitOpts{}); err != nil {
 		t.Fatal(err)
 	}
 

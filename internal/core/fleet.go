@@ -194,7 +194,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		f.master.sent += len(cmd)
 		masterIfc.Send(netsim.Packet{Dst: pkt.Src, Proto: netsim.ProtoRaw, Payload: cmd})
 	})
-	if err := f.backbone.Uplink(bbSeg, "gw-backbone", uplinkLatency); err != nil {
+	if err := f.backbone.Uplink(bbSeg, uplinkLatency); err != nil {
 		return nil, err
 	}
 
@@ -225,7 +225,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 				return nil, err
 			}
 		}
-		if err := lan.shard.Uplink(lan.seg, netsim.Addr(fmt.Sprintf("gw-l%d", l)), uplinkLatency); err != nil {
+		if err := lan.shard.Uplink(lan.seg, uplinkLatency); err != nil {
 			return nil, err
 		}
 		// Patient zero: the eavesdropping master on this WiFi wins its

@@ -154,10 +154,10 @@ func NewScenario(cfg Config) (*Scenario, error) {
 		return nil, fmt.Errorf("scenario web attach: %w", err)
 	}
 	webStack := tcpsim.NewStack(s.Net, webIfc, stackOpts(cfg.Seed+100)...)
-	if _, err := httpsim.NewServer(webStack, 80, s.serve); err != nil {
+	if _, err := httpsim.NewServer(webStack, 80, nil, s.serve); err != nil {
 		return nil, fmt.Errorf("scenario web server: %w", err)
 	}
-	if _, err := httpsim.NewServerSealed(webStack, 443, vhostSealer{s: s}, s.serve); err != nil {
+	if _, err := httpsim.NewServer(webStack, 443, vhostSealer{s: s}, s.serve); err != nil {
 		return nil, fmt.Errorf("scenario tls server: %w", err)
 	}
 
@@ -171,7 +171,7 @@ func NewScenario(cfg Config) (*Scenario, error) {
 	s.CNC = cnc.NewMasterServer()
 	cncHandler := attacker.CNCAdapter(s.CNC)
 	junkBlob := strings.Repeat("j", 4096)
-	if _, err := httpsim.NewServer(atkStack, 80, func(req *httpsim.Request) *httpsim.Response {
+	if _, err := httpsim.NewServer(atkStack, 80, nil, func(req *httpsim.Request) *httpsim.Response {
 		switch req.Host {
 		case MasterHost:
 			return cncHandler(req)
@@ -313,28 +313,16 @@ func (s *Scenario) resolve(host string) (browser.Endpoint, bool) {
 
 // Visit loads a page in the victim browser and drains the network.
 func (s *Scenario) Visit(host, path string) (*browser.Page, error) {
-	return s.visit(host, path, browser.VisitOpts{})
+	return s.VisitWith(s.Victim, host, path, browser.VisitOpts{})
 }
 
-// VisitHard performs a Ctrl+F5 load.
-func (s *Scenario) VisitHard(host, path string) (*browser.Page, error) {
-	return s.visit(host, path, browser.VisitOpts{HardReload: true})
-}
-
-// VisitWired loads a page with an application wiring callback that runs
-// before scripts execute (the app's genuine submit handlers).
-func (s *Scenario) VisitWired(host, path string, wire func(*browser.Page)) (*browser.Page, error) {
-	return s.visit(host, path, browser.VisitOpts{OnDocument: wire})
-}
-
-// Run drains pending network events (after DOM interactions that trigger
-// background requests).
-func (s *Scenario) Run() { s.Net.Run(0) }
-
-func (s *Scenario) visit(host, path string, opts browser.VisitOpts) (*browser.Page, error) {
+// VisitWith loads a page in browser b — the victim or one added with
+// AddVictim — with explicit options (a Ctrl+F5 HardReload, or an
+// application's OnDocument wiring), and drains the network.
+func (s *Scenario) VisitWith(b *browser.Browser, host, path string, opts browser.VisitOpts) (*browser.Page, error) {
 	var page *browser.Page
 	var verr error
-	s.Victim.VisitWith(host, path, opts, func(p *browser.Page, err error) { page, verr = p, err })
+	b.VisitWith(host, path, opts, func(p *browser.Page, err error) { page, verr = p, err })
 	s.Net.Run(0)
 	if verr != nil {
 		return nil, verr
@@ -344,6 +332,10 @@ func (s *Scenario) visit(host, path string, opts browser.VisitOpts) (*browser.Pa
 	}
 	return page, nil
 }
+
+// Run drains pending network events (after DOM interactions that trigger
+// background requests).
+func (s *Scenario) Run() { s.Net.Run(0) }
 
 // AttachReplay wires the record/replay subsystem into the scenario: the
 // netsim wire tap and the C&C exchange observer feed one replay.Tap,
@@ -405,19 +397,4 @@ func (s *Scenario) AddVictim(addr netsim.Addr, profile string, seed int64) (*bro
 	attacker.RegisterEvictionBehavior(b.ScriptRuntime())
 	parasite.RegisterBehaviors(b.ScriptRuntime(), s.Registry)
 	return b, nil
-}
-
-// VisitAs loads a page in a specific victim browser.
-func (s *Scenario) VisitAs(b *browser.Browser, host, path string) (*browser.Page, error) {
-	var page *browser.Page
-	var verr error
-	b.Visit(host, path, func(p *browser.Page, err error) { page, verr = p, err })
-	s.Net.Run(0)
-	if verr != nil {
-		return nil, verr
-	}
-	if page == nil {
-		return nil, errors.New("core: page load did not complete")
-	}
-	return page, nil
 }

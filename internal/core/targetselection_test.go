@@ -9,6 +9,7 @@ import (
 	"masterparasite/internal/crawler"
 	"masterparasite/internal/httpsim"
 	"masterparasite/internal/parasite"
+	"masterparasite/internal/runner"
 	"masterparasite/internal/script"
 	"masterparasite/internal/webcorpus"
 )
@@ -19,7 +20,7 @@ func TestCrawlerSelectedTargetsAreInfectable(t *testing.T) {
 	// the victim then browses the live site (served from the same corpus)
 	// and the selected object gets infected.
 	corpus := webcorpus.Generate(webcorpus.Params{Sites: 40, Seed: 21})
-	targets := crawler.SelectTargets(corpus, 30)
+	targets := crawler.SelectTargets(runner.New(1), corpus, 30)
 	if len(targets) == 0 {
 		t.Fatal("crawler selected no targets")
 	}

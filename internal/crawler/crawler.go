@@ -121,22 +121,16 @@ func (o *scriptObs) crawl(site *webcorpus.Site, day int, page []byte) ([]byte, b
 	return page, true
 }
 
-// Baseline is the memoized day-0 crawl of a corpus: one observation per
-// site, in site order. CrawlPersistencyFrom and SelectTargetsFrom both
-// compare later days against it, so a caller holding both can crawl
-// day 0 once instead of once per consumer.
-type Baseline struct {
-	corpus  *webcorpus.Corpus
+// baseline is the day-0 crawl of a corpus: one observation per site, in
+// site order. Both measurements compare later days against it.
+type baseline struct {
 	obs     []scriptObs
 	ok      []bool
 	crawled int
 }
 
-// Crawled reports how many sites answered the baseline crawl.
-func (b *Baseline) Crawled() int { return b.crawled }
-
-// CrawlBaseline crawls every site once on day 0, one job per site.
-func CrawlBaseline(r *runner.Runner, c *webcorpus.Corpus) *Baseline {
+// crawlBaseline crawls every site once on day 0, one job per site.
+func crawlBaseline(r *runner.Runner, c *webcorpus.Corpus) *baseline {
 	type obsOK struct {
 		obs scriptObs
 		ok  bool
@@ -146,10 +140,9 @@ func CrawlBaseline(r *runner.Runner, c *webcorpus.Corpus) *Baseline {
 		_, ok := o.crawl(s, 0, nil)
 		return obsOK{obs: o, ok: ok}, nil
 	})
-	b := &Baseline{
-		corpus: c,
-		obs:    make([]scriptObs, len(crawls)),
-		ok:     make([]bool, len(crawls)),
+	b := &baseline{
+		obs: make([]scriptObs, len(crawls)),
+		ok:  make([]bool, len(crawls)),
 	}
 	for i, cr := range crawls {
 		b.obs[i] = cr.obs
@@ -175,22 +168,16 @@ type tileCounts struct {
 }
 
 // CrawlPersistency runs the daily crawl for the given number of days and
-// produces the Fig. 3 curves, crawling day 0 itself. Use CrawlBaseline +
-// CrawlPersistencyFrom to share the baseline with target selection.
+// produces the Fig. 3 curves against a day-0 baseline crawl. The
+// measurement fans out as (site-chunk × day) tiles rather than one
+// monolithic all-sites job per day, so a wide worker pool stays
+// load-balanced even when the study has fewer days than the pool has
+// workers; per-tile integer counts are folded in day order.
 func CrawlPersistency(r *runner.Runner, c *webcorpus.Corpus, days int) *PersistencyResult {
-	return CrawlPersistencyFrom(r, CrawlBaseline(r, c), days)
-}
-
-// CrawlPersistencyFrom produces the Fig. 3 curves against an existing
-// day-0 baseline. The measurement fans out as (site-chunk × day) tiles
-// rather than one monolithic all-sites job per day, so a wide worker
-// pool stays load-balanced even when the study has fewer days than the
-// pool has workers; per-tile integer counts are folded in day order.
-func CrawlPersistencyFrom(r *runner.Runner, base *Baseline, days int) *PersistencyResult {
 	if days <= 0 {
 		days = webcorpus.StudyDays
 	}
-	c := base.corpus
+	base := crawlBaseline(r, c)
 	crawled := base.crawled
 	// Percentages are over successfully crawled sites, as in the paper
 	// (its statistics are over the 13,419 responders). An all-404 corpus
@@ -279,18 +266,11 @@ func CrawlPersistencyFrom(r *runner.Runner, base *Baseline, days int) *Persisten
 
 // SelectTargets returns, per site, the scripts that remained name-stable
 // over the whole window — "these scripts are perfect targets to be
-// infected with parasites" (§VI-A). It crawls its own baseline; use
-// SelectTargetsFrom to reuse one already crawled.
-func SelectTargets(c *webcorpus.Corpus, window int) map[string][]string {
-	return SelectTargetsFrom(runner.New(1), CrawlBaseline(runner.New(1), c), window)
-}
-
-// SelectTargetsFrom selects name-stable scripts against an existing
-// day-0 baseline, crawling each site only once (on the window's last
-// day) instead of re-crawling day 0. One job per site; the fold keeps
-// site order, so the result is identical at any worker count.
-func SelectTargetsFrom(r *runner.Runner, base *Baseline, window int) map[string][]string {
-	c := base.corpus
+// infected with parasites" (§VI-A). It compares a day-0 baseline crawl
+// with one crawl on the window's last day. One job per site; the fold
+// keeps site order, so the result is identical at any worker count.
+func SelectTargets(r *runner.Runner, c *webcorpus.Corpus, window int) map[string][]string {
+	base := crawlBaseline(r, c)
 	stable, _ := runner.Map(r, c.Sites, func(i int, s *webcorpus.Site) ([]string, error) {
 		if !base.ok[i] || len(base.obs[i].scripts) == 0 {
 			return nil, nil

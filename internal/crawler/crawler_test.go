@@ -192,26 +192,22 @@ func TestPersistencyResultAt(t *testing.T) {
 	}
 }
 
-// TestSelectTargetsFromSharedBaseline pins the baseline-reuse path: the
-// selection computed against a shared day-0 baseline matches the
-// self-contained SelectTargets at any worker count.
-func TestSelectTargetsFromSharedBaseline(t *testing.T) {
+// TestSelectTargetsSameAtAnyWorkerCount pins the fold: the selection
+// is identical whether the baseline and last-day crawls run on one
+// worker or four.
+func TestSelectTargetsSameAtAnyWorkerCount(t *testing.T) {
 	t.Parallel()
 	c := webcorpus.Generate(webcorpus.Params{Sites: 300, Seed: 3})
-	want := SelectTargets(c, 30)
-	for _, workers := range []int{1, 4} {
-		r := runner.New(workers)
-		got := SelectTargetsFrom(r, CrawlBaseline(r, c), 30)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: SelectTargetsFrom differs from SelectTargets", workers)
-		}
+	want := SelectTargets(runner.New(1), c, 30)
+	if got := SelectTargets(runner.New(4), c, 30); !reflect.DeepEqual(want, got) {
+		t.Fatal("SelectTargets at 4 workers differs from 1 worker")
 	}
 }
 
 func TestSelectTargetsStableNames(t *testing.T) {
 	t.Parallel()
 	c := webcorpus.Generate(webcorpus.Params{Sites: 300, Seed: 3})
-	targets := SelectTargets(c, 30)
+	targets := SelectTargets(testRunner(), c, 30)
 	if len(targets) == 0 {
 		t.Fatal("no targets selected")
 	}

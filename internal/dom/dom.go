@@ -215,41 +215,45 @@ func (k ResourceKind) String() string {
 	}
 }
 
-// Resource is one subresource reference found in the document.
+// Resource is one subresource reference found in the document. URL is
+// the reference as written; it is empty for an inline script, whose
+// source is El.Text.
 type Resource struct {
 	Kind ResourceKind
 	URL  string
 	El   *Element
 }
 
-// Resources lists subresource references in document order.
-func (d *Document) Resources() []Resource {
-	var out []Resource
+// EachResource calls fn for every subresource in document order: scripts
+// (external, and inline ones with text), images, stylesheets and
+// iframes. It is the one rule for what a page pulls in, and builds
+// nothing per page.
+func (d *Document) EachResource(fn func(Resource)) {
 	d.Root.Walk(func(e *Element) {
 		switch e.Tag {
 		case "script":
 			if src := e.Attr("src"); src != "" {
-				out = append(out, Resource{Kind: ResScript, URL: src, El: e})
+				fn(Resource{Kind: ResScript, URL: src, El: e})
+			} else if e.Text != "" {
+				fn(Resource{Kind: ResScript, El: e})
 			}
 		case "img":
 			if src := e.Attr("src"); src != "" {
-				out = append(out, Resource{Kind: ResImage, URL: src, El: e})
+				fn(Resource{Kind: ResImage, URL: src, El: e})
 			}
 		case "link":
-			if e.Attr("rel") == "stylesheet" && e.Attr("href") != "" {
-				out = append(out, Resource{Kind: ResStylesheet, URL: e.Attr("href"), El: e})
+			if e.Attr("rel") == "stylesheet" {
+				if href := e.Attr("href"); href != "" {
+					fn(Resource{Kind: ResStylesheet, URL: href, El: e})
+				}
 			}
 		case "iframe":
 			if src := e.Attr("src"); src != "" {
-				out = append(out, Resource{Kind: ResIframe, URL: src, El: e})
+				fn(Resource{Kind: ResIframe, URL: src, El: e})
 			}
 		}
 	})
-	return out
 }
-
-// Forms returns all form elements.
-func (d *Document) Forms() []*Element { return d.FindByTag("form") }
 
 // FormValues collects the input name→value pairs of a form element.
 func FormValues(form *Element) map[string]string {

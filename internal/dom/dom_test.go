@@ -24,11 +24,17 @@ const samplePage = `<!DOCTYPE html>
 </body>
 </html>`
 
+// resources collects d's subresources through EachResource.
+func resources(d *Document) []Resource {
+	var out []Resource
+	d.EachResource(func(r Resource) { out = append(out, r) })
+	return out
+}
+
 func TestParseResources(t *testing.T) {
 	d := ParseHTML("bank.com/", []byte(samplePage))
-	res := d.Resources()
 	var kinds []string
-	for _, r := range res {
+	for _, r := range resources(d) {
 		kinds = append(kinds, r.Kind.String()+":"+r.URL)
 	}
 	want := []string{
@@ -36,6 +42,7 @@ func TestParseResources(t *testing.T) {
 		"script:/js/app.js",
 		"img:/img/logo.png",
 		"iframe:https://ads.example/frame",
+		"script:", // the inline script, whose source is its element's text
 	}
 	if strings.Join(kinds, ",") != strings.Join(want, ",") {
 		t.Fatalf("resources = %v, want %v", kinds, want)
@@ -102,7 +109,7 @@ func TestParseUnclosedTags(t *testing.T) {
 
 func TestParseComments(t *testing.T) {
 	d := ParseHTML("x", []byte(`<body><!-- <script src="/evil.js"></script> --><div id="d"></div></body>`))
-	if len(d.Resources()) != 0 {
+	if len(resources(d)) != 0 {
 		t.Fatal("commented-out resource parsed")
 	}
 	if d.FindByID("d") == nil {
@@ -239,7 +246,7 @@ func TestHTMLSerializationRoundTrip(t *testing.T) {
 	img.SetAttr("src", "cdn.com/track.svg")
 	d.Body().Append(img)
 	out := ParseHTML("x", d.HTML())
-	res := out.Resources()
+	res := resources(out)
 	if len(res) != 1 || res[0].URL != "cdn.com/track.svg" {
 		t.Fatalf("round trip resources = %v", res)
 	}
@@ -251,7 +258,7 @@ func TestInjectedScriptBeforeBodyClose(t *testing.T) {
 	script := NewElement("script")
 	script.SetAttr("src", "/js/app.js?parasite=1")
 	d.Body().Append(script)
-	res := d.Resources()
+	res := resources(d)
 	last := res[len(res)-1]
 	if last.Kind != ResScript || last.URL != "/js/app.js?parasite=1" {
 		t.Fatalf("injected script not last: %v", res)
@@ -267,7 +274,7 @@ func TestIframePropagationVector(t *testing.T) {
 		f.SetAttr("src", target)
 		d.Body().Append(f)
 	}
-	res := d.Resources()
+	res := resources(d)
 	if len(res) != 2 || res[0].Kind != ResIframe || res[1].Kind != ResIframe {
 		t.Fatalf("iframes = %v", res)
 	}

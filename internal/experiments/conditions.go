@@ -284,7 +284,7 @@ func cncGoodput(lp netsim.LinkProfile, payload int, seed int64) (goodputResult, 
 	cliStack := tcpsim.NewStack(net, cliIfc, tcpsim.WithSeed(seed+2), tcpsim.WithRetransmit())
 
 	master := cnc.NewMasterServer()
-	if _, err := httpsim.NewServer(srvStack, 80, attacker.CNCAdapter(master)); err != nil {
+	if _, err := httpsim.NewServer(srvStack, 80, nil, attacker.CNCAdapter(master)); err != nil {
 		return goodputResult{}, err
 	}
 	msg := make([]byte, payload)
@@ -295,7 +295,7 @@ func cncGoodput(lp netsim.LinkProfile, payload int, seed int64) (goodputResult, 
 
 	client := httpsim.NewClient(cliStack)
 	get := func(path string, cb func(*httpsim.Response, error)) {
-		client.Get(serverAddr, 80, core.MasterHost, path, cb)
+		client.Do(serverAddr, 80, nil, httpsim.NewRequest("GET", core.MasterHost, path), cb)
 	}
 	var (
 		dims     []cnc.Dim

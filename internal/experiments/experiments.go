@@ -368,7 +368,7 @@ func refreshRemovesParasite(p browser.Profile, method string) (bool, error) {
 
 	switch method {
 	case "ctrlf5":
-		if _, err := s.VisitHard("top1.com", "/"); err != nil {
+		if _, err := s.VisitWith(s.Victim, "top1.com", "/", browser.VisitOpts{HardReload: true}); err != nil {
 			return false, err
 		}
 	case "clearcache":

@@ -162,15 +162,14 @@ func ReplayStability(env artifact.Env) (*artifact.Result, error) {
 		}
 
 		// Stub-driven replay: byte-identical send-level stream.
-		rp := replay.NewReplayer(rec.Events())
-		res, err := rp.Drive(1)
+		res, err := replay.Drive(rec.Events(), 1)
 		if err != nil {
 			return replayRow{}, err
 		}
 		row.DriveOK = res.Divergence == nil && res.Fingerprint == res.WantFingerprint
 
 		// 8× time compression preserves the verdict.
-		comp, err := rp.Drive(8)
+		comp, err := replay.Drive(rec.Events(), 8)
 		if err != nil {
 			return replayRow{}, err
 		}

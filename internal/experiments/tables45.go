@@ -51,7 +51,7 @@ func TableIV(env artifact.Env) (*artifact.Result, error) {
 	rows, err := runner.Map(env.Runner, proxycache.Devices(), func(_ int, d proxycache.Device) (TableIVRow, error) {
 		row := TableIVRow{Device: d, VictimsServed: -1}
 		if d.Shared && d.HTTP.Vulnerable() {
-			cache := proxycache.NewSharedCache(d.Instance, 1<<20, false, nil)
+			cache := proxycache.NewSharedCache(d.Instance, 1<<20, false)
 			res := proxycache.RunInfection(cache, infectedJS(), tableIVClients)
 			row.VictimsServed = res.VictimsServed
 		}
@@ -192,10 +192,10 @@ func runTableVAttack(attack, app, params, stream, setup string) (bool, string, e
 	if app == "bank" {
 		host = bank.Host
 	}
-	wire := func(p *browser.Page) {
+	wired := browser.VisitOpts{OnDocument: func(p *browser.Page) {
 		bank.Wire(p, nil)
 		chat.Wire(p, nil)
-	}
+	}}
 	submitAs := func(p *browser.Page, formID string, values map[string]string) error {
 		form := p.Doc.FindByID(formID)
 		if form == nil {
@@ -233,7 +233,7 @@ func runTableVAttack(attack, app, params, stream, setup string) (bool, string, e
 		s.AddPage("iot-cam.local", "/", "cam", map[string]string{"Cache-Control": "no-store"})
 	case "side-send":
 		s.CNC.QueueCommand("bot-tv", []byte("side-channel|send"))
-		if _, err := s.VisitWired(host, "/", wire); err != nil {
+		if _, err := s.VisitWith(s.Victim, host, "/", wired); err != nil {
 			return false, "", err
 		}
 	case "logged-in", "submit-login", "logged-in-transfer", "pending-transfer":
@@ -243,7 +243,7 @@ func runTableVAttack(attack, app, params, stream, setup string) (bool, string, e
 	// Login flows for the bank runs.
 	needLogin := setup == "logged-in" || setup == "logged-in-transfer" || setup == "pending-transfer"
 	if needLogin {
-		page, err := s.VisitWired(bank.Host, "/", wire)
+		page, err := s.VisitWith(s.Victim, bank.Host, "/", wired)
 		if err != nil {
 			return false, "", err
 		}
@@ -256,7 +256,7 @@ func runTableVAttack(attack, app, params, stream, setup string) (bool, string, e
 		// Stage the attacker's pending transfer via the manipulation
 		// module, then evaluate bypass-2fa on the confirmation page.
 		s.CNC.QueueCommand("bot-tv", []byte("transaction-manipulation|iban=XX99 EVIL,amount=9000"))
-		page, err := s.VisitWired(bank.Host, "/", wire)
+		page, err := s.VisitWith(s.Victim, bank.Host, "/", wired)
 		if err != nil {
 			return false, "", err
 		}
@@ -272,7 +272,7 @@ func runTableVAttack(attack, app, params, stream, setup string) (bool, string, e
 	if setup == "pending-transfer" {
 		path = "/confirm"
 	}
-	page, err := s.VisitWired(host, path, wire)
+	page, err := s.VisitWith(s.Victim, host, path, wired)
 	if err != nil {
 		return false, "", err
 	}

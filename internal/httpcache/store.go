@@ -251,12 +251,6 @@ func (s *Store) Capacity() int64 { return s.opts.Capacity }
 // Stats returns a copy of the counters.
 func (s *Store) Stats() Stats { return s.stats }
 
-// Partitioned reports whether the store keys by calling context.
-func (s *Store) Partitioned() bool { return s.opts.Partitioned }
-
-// Ballooning reports whether eviction is disabled.
-func (s *Store) Ballooning() bool { return s.opts.Ballooning }
-
 // Domains returns the distinct entry domains, sorted. Used by the
 // inter-domain eviction experiment (Table I column "I.D.").
 func (s *Store) Domains() []string {

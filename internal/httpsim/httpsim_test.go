@@ -152,7 +152,7 @@ func newHTTPLab(t *testing.T) (*netsim.Network, *netsim.Segment, *Client, *tcpsi
 
 func TestClientServerEndToEnd(t *testing.T) {
 	n, _, client, serverStack := newHTTPLab(t)
-	srv, err := NewServer(serverStack, 80, func(req *Request) *Response {
+	srv, err := NewServer(serverStack, 80, nil, func(req *Request) *Response {
 		if req.PathOnly() != "/lib.js" {
 			return NewResponse(404, nil)
 		}
@@ -164,7 +164,7 @@ func TestClientServerEndToEnd(t *testing.T) {
 		t.Fatalf("NewServer: %v", err)
 	}
 	var got *Response
-	client.Get("server", 80, "cdn.example.com", "/lib.js", func(r *Response, err error) {
+	client.Do("server", 80, nil, NewRequest("GET", "cdn.example.com", "/lib.js"), func(r *Response, err error) {
 		if err != nil {
 			t.Errorf("get: %v", err)
 			return
@@ -186,13 +186,13 @@ func TestClientServerEndToEnd(t *testing.T) {
 func TestLargeResponseAcrossSegments(t *testing.T) {
 	n, _, client, serverStack := newHTTPLab(t)
 	body := bytes.Repeat([]byte("0123456789"), 2000) // 20 KB > several MSS
-	if _, err := NewServer(serverStack, 80, func(*Request) *Response {
+	if _, err := NewServer(serverStack, 80, nil, func(*Request) *Response {
 		return NewResponse(200, body)
 	}); err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
 	var got *Response
-	client.Get("server", 80, "big.com", "/big.js", func(r *Response, err error) { got = r })
+	client.Do("server", 80, nil, NewRequest("GET", "big.com", "/big.js"), func(r *Response, err error) { got = r })
 	n.Run(0)
 	if got == nil || !bytes.Equal(got.Body, body) {
 		t.Fatal("large body corrupted")
@@ -204,7 +204,7 @@ func TestInjectedResponseWinsEndToEnd(t *testing.T) {
 	// HTTP response is what the HTTP client parses; the genuine one is
 	// discarded by the transport.
 	n, seg, client, serverStack := newHTTPLab(t)
-	if _, err := NewServer(serverStack, 80, func(*Request) *Response {
+	if _, err := NewServer(serverStack, 80, nil, func(*Request) *Response {
 		return NewResponse(200, []byte("GENUINE"))
 	}); err != nil {
 		t.Fatalf("NewServer: %v", err)
@@ -222,7 +222,7 @@ func TestInjectedResponseWinsEndToEnd(t *testing.T) {
 	})
 
 	var got *Response
-	client.Get("server", 80, "somesite.com", "/my.js", func(r *Response, err error) { got = r })
+	client.Do("server", 80, nil, NewRequest("GET", "somesite.com", "/my.js"), func(r *Response, err error) { got = r })
 	n.Run(0)
 	if got == nil {
 		t.Fatal("no response")
@@ -237,11 +237,11 @@ func TestInjectedResponseWinsEndToEnd(t *testing.T) {
 
 func TestNilHandlerResponseBecomes500(t *testing.T) {
 	n, _, client, serverStack := newHTTPLab(t)
-	if _, err := NewServer(serverStack, 80, func(*Request) *Response { return nil }); err != nil {
+	if _, err := NewServer(serverStack, 80, nil, func(*Request) *Response { return nil }); err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
 	var got *Response
-	client.Get("server", 80, "h.com", "/", func(r *Response, err error) { got = r })
+	client.Do("server", 80, nil, NewRequest("GET", "h.com", "/"), func(r *Response, err error) { got = r })
 	n.Run(0)
 	if got == nil || got.StatusCode != 500 {
 		t.Fatalf("got %+v, want 500", got)

@@ -33,6 +33,12 @@ var (
 
 var sealMagic = [4]byte{'T', 'L', 'S', '1'}
 
+// LooksSealed reports whether b starts like a sealed frame — all an
+// on-path observer without the key can tell about a TLS stand-in record.
+func LooksSealed(b []byte) bool {
+	return len(b) >= len(sealMagic) && [4]byte(b[:4]) == sealMagic
+}
+
 // XORSealer is the toy cipher: a SHA-256-derived keystream XOR with an
 // integrity tag. Not cryptography — a capability token for the simulator.
 type XORSealer struct {
@@ -85,7 +91,7 @@ func (x XORSealer) Open(buf []byte) ([]byte, int, error) {
 	if len(buf) < 16 {
 		return nil, 0, ErrSealIncomplete
 	}
-	if [4]byte(buf[0:4]) != sealMagic {
+	if !LooksSealed(buf) {
 		return nil, 0, fmt.Errorf("%w: bad magic", ErrSealCorrupt)
 	}
 	n := int(binary.BigEndian.Uint32(buf[4:8]))
@@ -108,18 +114,6 @@ func (x XORSealer) Open(buf []byte) ([]byte, int, error) {
 	}
 	return plaintext, 16 + n, nil
 }
-
-// PlainSealer passes bytes through unframed; Open consumes everything
-// buffered so far. It lets sealed and unsealed code paths share plumbing.
-type PlainSealer struct{}
-
-var _ Sealer = PlainSealer{}
-
-// Seal returns the plaintext unchanged.
-func (PlainSealer) Seal(plaintext []byte) []byte { return plaintext }
-
-// Open returns the whole buffer.
-func (PlainSealer) Open(buf []byte) ([]byte, int, error) { return buf, len(buf), nil }
 
 // HostKey derives the conventional channel key for a host's TLS stand-in.
 // A fraudulent certificate in this model is simply knowledge of HostKey(d)

@@ -21,20 +21,12 @@ type Server struct {
 	requests int
 }
 
-// NewServer starts a plaintext listener on port. The handler runs inside
-// the netsim event loop.
-func NewServer(stack *tcpsim.Stack, port uint16, handler HandlerFunc) (*Server, error) {
-	return newServer(stack, port, nil, handler)
-}
-
-// NewServerSealed starts a sealed (HTTPS stand-in) listener: requests must
-// open with the sealer's key and responses are sealed. An eavesdropper on
-// the path sees only ciphertext.
-func NewServerSealed(stack *tcpsim.Stack, port uint16, sealer Sealer, handler HandlerFunc) (*Server, error) {
-	return newServer(stack, port, sealer, handler)
-}
-
-func newServer(stack *tcpsim.Stack, port uint16, sealer Sealer, handler HandlerFunc) (*Server, error) {
+// NewServer starts a listener on port. The handler runs inside the
+// netsim event loop. A nil sealer serves plaintext HTTP; otherwise the
+// listener is the HTTPS stand-in: requests must open with the sealer's
+// key and responses are sealed, so an eavesdropper on the path sees only
+// ciphertext.
+func NewServer(stack *tcpsim.Stack, port uint16, sealer Sealer, handler HandlerFunc) (*Server, error) {
 	s := &Server{stack: stack, handler: handler, sealer: sealer}
 	err := stack.Listen(port, func(conn *tcpsim.Conn) {
 		var buf []byte
@@ -87,21 +79,14 @@ type Client struct {
 // NewClient wraps a stack.
 func NewClient(stack *tcpsim.Stack) *Client { return &Client{stack: stack} }
 
-// Do sends req to dst:port and invokes cb with the parsed response. The
-// response delivered may be the genuine server's or an injected one —
-// the client cannot tell, which is the vulnerability.
-func (c *Client) Do(dst netsim.Addr, port uint16, req *Request, cb func(*Response, error)) {
-	c.do(dst, port, nil, req, cb)
-}
-
-// DoSealed sends a sealed (HTTPS stand-in) request. Injected plaintext or
-// wrong-key forgeries never reach the parser: the seal layer discards
-// them, which is why HTTPS defeats the injection (§V Discussion).
-func (c *Client) DoSealed(dst netsim.Addr, port uint16, sealer Sealer, req *Request, cb func(*Response, error)) {
-	c.do(dst, port, sealer, req, cb)
-}
-
-func (c *Client) do(dst netsim.Addr, port uint16, sealer Sealer, req *Request, cb func(*Response, error)) {
+// Do sends req to dst:port and invokes cb with the parsed response. With
+// a nil sealer the exchange is plaintext, and the response delivered may
+// be the genuine server's or an injected one — the client cannot tell,
+// which is the vulnerability. With a sealer it is the HTTPS stand-in:
+// injected plaintext or wrong-key forgeries never reach the parser, the
+// seal layer discards them, which is why HTTPS defeats the injection
+// (§V Discussion).
+func (c *Client) Do(dst netsim.Addr, port uint16, sealer Sealer, req *Request, cb func(*Response, error)) {
 	var buf []byte
 	done := false
 	_, err := c.stack.Dial(dst, port, func(conn *tcpsim.Conn) {
@@ -145,9 +130,4 @@ func (c *Client) do(dst netsim.Addr, port uint16, sealer Sealer, req *Request, c
 	if err != nil {
 		cb(nil, fmt.Errorf("httpsim client dial: %w", err))
 	}
-}
-
-// Get is a convenience for a GET request.
-func (c *Client) Get(dst netsim.Addr, port uint16, host, path string, cb func(*Response, error)) {
-	c.Do(dst, port, NewRequest("GET", host, path), cb)
 }

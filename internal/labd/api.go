@@ -37,8 +37,8 @@ func artifactContentType(format string) string {
 //
 //	GET  /healthz                 → liveness ("ok")
 //	GET  /readyz                  → readiness (503 while draining)
-//	GET  /v1/specs                → artifact.Summaries() as JSON
-//	GET  /v1/specs/{id}           → one spec summary
+//	GET  /v1/specs                → artifact.All() as JSON
+//	GET  /v1/specs/{id}           → one spec
 //	POST /v1/runs                 → enqueue (EnqueueRequest body), 202 + Record
 //	GET  /v1/runs                 → every run record, enqueue order
 //	GET  /v1/runs/{id}            → one run record
@@ -118,7 +118,7 @@ func (s *Server) routeSpecs(method string) (int, string, []byte) {
 	if method != http.MethodGet {
 		return methodNotAllowed()
 	}
-	return jsonBody(http.StatusOK, artifact.Summaries())
+	return jsonBody(http.StatusOK, artifact.All())
 }
 
 func (s *Server) routeSpec(method, id string) (int, string, []byte) {
@@ -129,7 +129,7 @@ func (s *Server) routeSpec(method, id string) (int, string, []byte) {
 	if !ok {
 		return errBody(http.StatusNotFound, "unknown spec "+id)
 	}
-	return jsonBody(http.StatusOK, spec.Summary())
+	return jsonBody(http.StatusOK, spec)
 }
 
 func (s *Server) routeRuns(method string, body []byte) (int, string, []byte) {

@@ -375,6 +375,10 @@ func TestStoreFailFaultsSurfaceCleanly(t *testing.T) {
 			if got, ok := srv2.Get(rec.ID); !ok || got.Status != labd.StatusDone {
 				t.Fatalf("surviving run lost after restart: %+v", got)
 			}
+			// Drain first: a record renamed before its failed directory
+			// sync survives as queued, and the restart runs it — its
+			// in-flight commit is not debris.
+			closeServer(t, srv2)
 			entries, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)

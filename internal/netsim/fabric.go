@@ -97,9 +97,8 @@ type Shard struct {
 	name string
 	net  *Network
 
-	gateways   map[Addr]bool // uplink gateway addrs, excluded from the owner table
-	outbox     [][]boundary  // per-destination-shard mailbox, filled in execution order
-	arena      []byte        // this window's exported payloads, reset at the barrier
+	outbox     [][]boundary // per-destination-shard mailbox, filled in execution order
+	arena      []byte       // this window's exported payloads, reset at the barrier
 	unroutable int
 }
 
@@ -118,7 +117,7 @@ func (f *Fabric) AddShard(name string) (*Shard, error) {
 	if _, dup := f.byName[name]; dup {
 		return nil, fmt.Errorf("netsim: duplicate shard %q", name)
 	}
-	s := &Shard{fab: f, id: len(f.shards), name: name, net: New(), gateways: make(map[Addr]bool)}
+	s := &Shard{fab: f, id: len(f.shards), name: name, net: New()}
 	f.shards = append(f.shards, s)
 	f.byName[name] = s
 	return s, nil
@@ -136,9 +135,6 @@ func (f *Fabric) MustAddShard(name string) *Shard {
 // Name returns the shard's name.
 func (s *Shard) Name() string { return s.name }
 
-// ID returns the shard's merge-tie-break ID (creation order).
-func (s *Shard) ID() int { return s.id }
-
 // Network returns the shard's own network. Attach segments, hosts, and
 // wire taps here exactly as on an unsharded simulation —
 // but never share handler state between shards: during a window every
@@ -150,14 +146,13 @@ func (s *Shard) Network() *Network { return s.net }
 func (s *Shard) Unroutable() int { return s.unroutable }
 
 // Uplink declares the shard's route to the rest of the fabric: a
-// gateway interface on seg (addr gwAddr) plus a boundary tap that
-// exports every frame addressed off-segment. minLatency is the
-// guaranteed minimum crossing time — the WAN hop of the paper's
-// uplink — and must be positive, because the fabric's lookahead is the
-// minimum over all uplinks. A shard may declare several uplinks (one
-// per segment); frames are routed by the global owner table, not by
-// which uplink exported them.
-func (s *Shard) Uplink(seg *Segment, gwAddr Addr, minLatency time.Duration) error {
+// boundary tap on seg that exports every frame addressed off-segment.
+// minLatency is the guaranteed minimum crossing time — the WAN hop of
+// the paper's uplink — and must be positive, because the fabric's
+// lookahead is the minimum over all uplinks. A shard may declare
+// several uplinks (one per segment); frames are routed by the global
+// owner table, not by which uplink exported them.
+func (s *Shard) Uplink(seg *Segment, minLatency time.Duration) error {
 	if minLatency <= 0 {
 		return fmt.Errorf("%w (shard %s, segment %s, latency %v)", ErrZeroLookahead, s.name, seg.Name(), minLatency)
 	}
@@ -167,12 +162,8 @@ func (s *Shard) Uplink(seg *Segment, gwAddr Addr, minLatency time.Duration) erro
 	if seg.net != s.net {
 		return fmt.Errorf("netsim: segment %s does not belong to shard %s", seg.Name(), s.name)
 	}
-	if _, err := seg.Attach(gwAddr, 0, nil); err != nil {
-		return fmt.Errorf("uplink gateway: %w", err)
-	}
-	s.gateways[gwAddr] = true
 	seg.AttachTap(0, func(now time.Duration, pkt Packet) {
-		if pkt.Dst == gwAddr || seg.lookup(pkt.Dst) != nil {
+		if seg.lookup(pkt.Dst) != nil {
 			return // local traffic: the shard's own business
 		}
 		s.export(now+minLatency, pkt)
@@ -231,12 +222,11 @@ type RunStats struct {
 func (f *Fabric) Stats() RunStats { return f.stats }
 
 // seal freezes the topology: the global owner table is built from every
-// shard's attached interfaces (gateways excluded), and each shard gets
-// its per-destination mailboxes. An address with two owners — on two
-// shards, or on two segments of one shard — is an error: ownership is
-// what makes boundary routing deterministic. Shards are visited in ID
-// order and segments in name order, so the error is the same on every
-// build of a topology.
+// shard's attached interfaces, and each shard gets its per-destination
+// mailboxes. An address with two owners — on two shards, or on two
+// segments of one shard — is an error: ownership is what makes boundary
+// routing deterministic. Shards are visited in ID order and segments in
+// name order, so the error is the same on every build of a topology.
 func (f *Fabric) seal() error {
 	if f.sealed {
 		return nil
@@ -249,9 +239,6 @@ func (f *Fabric) seal() error {
 		slices.SortFunc(segs, func(a, b *Segment) int { return strings.Compare(a.name, b.name) })
 		for _, seg := range segs {
 			for _, ifc := range seg.ifaces {
-				if s.gateways[ifc.addr] {
-					continue
-				}
 				if prev, dup := f.owners[ifc.addr]; dup {
 					return fmt.Errorf("netsim: address %s owned by %s/%s and %s/%s",
 						ifc.addr, prev.shard.name, prev.seg.name, s.name, seg.name)

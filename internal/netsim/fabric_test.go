@@ -75,7 +75,7 @@ func buildStar(t *testing.T, c starCase, shardPrints map[string]*uint64) (*Fabri
 		reply := append([]byte("echo:"), pkt.Payload...)
 		srv.Send(Packet{Dst: pkt.Src, Proto: ProtoRaw, Payload: reply})
 	})
-	if err := hub.Uplink(hubSeg, "gw-hub", 2*time.Millisecond); err != nil {
+	if err := hub.Uplink(hubSeg, 2*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	attachPrint := func(name string, n *Network) {
@@ -138,7 +138,7 @@ func buildStar(t *testing.T, c starCase, shardPrints map[string]*uint64) (*Fabri
 					ifc.Send(Packet{Dst: "hub-server", Proto: ProtoRaw, Payload: payload})
 				})
 			}
-			if err := shard.Uplink(seg, Addr("gw-"+prefix), uplink); err != nil {
+			if err := shard.Uplink(seg, uplink); err != nil {
 				t.Fatal(err)
 			}
 			return seg
@@ -276,7 +276,7 @@ func TestFabricZeroLookaheadRejected(t *testing.T) {
 		fab := NewFabric()
 		s := fab.MustAddShard("lan")
 		seg := s.Network().MustSegment("wifi", time.Microsecond)
-		err := s.Uplink(seg, "gw", latency)
+		err := s.Uplink(seg, latency)
 		if !errors.Is(err, ErrZeroLookahead) {
 			t.Fatalf("latency %v: err = %v, want ErrZeroLookahead", latency, err)
 		}
@@ -291,7 +291,7 @@ func TestFabricRejectsDuplicateOwnership(t *testing.T) {
 		s := fab.MustAddShard(name)
 		seg := s.Network().MustSegment("wifi", time.Microsecond)
 		seg.MustAttach("same-addr", 0, nil)
-		if err := s.Uplink(seg, Addr("gw-"+name), time.Millisecond); err != nil {
+		if err := s.Uplink(seg, time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,14 +313,14 @@ func TestFabricRejectsAddressOnTwoSegments(t *testing.T) {
 		hub := fab.MustAddShard("hub")
 		hubSeg := hub.Network().MustSegment("backbone", time.Microsecond)
 		sender := hubSeg.MustAttach("sender", 0, nil)
-		if err := hub.Uplink(hubSeg, "gw-hub", time.Millisecond); err != nil {
+		if err := hub.Uplink(hubSeg, time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 		lan := fab.MustAddShard("lan")
 		for _, name := range []string{"s1", "s2", "s3"} {
 			seg := lan.Network().MustSegment(name, time.Microsecond)
 			seg.MustAttach("twin", 0, nil)
-			if err := lan.Uplink(seg, Addr("gw-"+name), time.Millisecond); err != nil {
+			if err := lan.Uplink(seg, time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -373,7 +373,7 @@ func TestFabricUnroutableCounted(t *testing.T) {
 	s := fab.MustAddShard("lan")
 	seg := s.Network().MustSegment("wifi", time.Microsecond)
 	ifc := seg.MustAttach("bot", 0, nil)
-	if err := s.Uplink(seg, "gw", time.Millisecond); err != nil {
+	if err := s.Uplink(seg, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	fab.MustAddShard("empty")

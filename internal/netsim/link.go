@@ -132,9 +132,6 @@ func (s *Segment) SetLinkProfile(p LinkProfile) {
 	s.lost, s.duplicated = 0, 0
 }
 
-// Profile returns the segment's installed link profile.
-func (s *Segment) Profile() LinkProfile { return s.profile }
-
 // Lost reports how many unicast deliveries the link's loss model has
 // eaten since the profile was installed.
 func (s *Segment) Lost() int { return s.lost }

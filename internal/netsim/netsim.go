@@ -440,9 +440,6 @@ func (n *Network) Run(maxEvents int) int {
 	return executed
 }
 
-// Pending reports how many events are queued.
-func (n *Network) Pending() int { return len(n.heap) }
-
 // NextEventAt reports the timestamp of the earliest queued event. The
 // sharded fabric uses it to pick the next conservative time window, so
 // idle stretches of virtual time are skipped instead of spun through.
@@ -514,9 +511,6 @@ type Segment struct {
 // Name returns the segment's name.
 func (s *Segment) Name() string { return s.name }
 
-// Latency returns the segment's base propagation delay.
-func (s *Segment) Latency() time.Duration { return s.latency }
-
 // ErrAddrInUse is returned when attaching a duplicate address to a segment.
 var ErrAddrInUse = errors.New("netsim: address already attached to segment")
 
@@ -567,9 +561,6 @@ type Interface struct {
 
 // Addr returns the interface address.
 func (i *Interface) Addr() Addr { return i.addr }
-
-// Segment returns the segment the interface is attached to.
-func (i *Interface) Segment() *Segment { return i.seg }
 
 // SetHandler replaces the receive handler (used when a stack is layered on
 // an already-attached interface).

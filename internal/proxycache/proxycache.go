@@ -8,8 +8,6 @@
 package proxycache
 
 import (
-	"time"
-
 	"masterparasite/internal/httpcache"
 	"masterparasite/internal/httpsim"
 )
@@ -109,21 +107,18 @@ type SharedCache struct {
 	// however would harm performance").
 	isolated bool
 
-	now       func() time.Duration
 	forwarded int
 	hits      int
 }
 
-// NewSharedCache builds a proxy cache with the given byte capacity.
-func NewSharedCache(name string, capacity int64, isolated bool, now func() time.Duration) *SharedCache {
-	if now == nil {
-		now = func() time.Duration { return 0 }
-	}
+// NewSharedCache builds a proxy cache with the given byte capacity. The
+// cache stands outside any simulated network, so its entries are stored
+// and judged fresh at virtual time 0.
+func NewSharedCache(name string, capacity int64, isolated bool) *SharedCache {
 	return &SharedCache{
 		name:     name,
 		store:    httpcache.NewStore(httpcache.Options{Capacity: capacity, Partitioned: isolated}),
 		isolated: isolated,
-		now:      now,
 	}
 }
 
@@ -148,7 +143,7 @@ func (c *SharedCache) Handle(clientID string, req *httpsim.Request, origin https
 	if c.isolated {
 		partition = clientID
 	}
-	if e, ok := c.store.GetFresh(c.now(), partition, url); ok {
+	if e, ok := c.store.GetFresh(0, partition, url); ok {
 		c.hits++
 		resp := e.ToResponse()
 		resp.Header.Set("X-Cache", "HIT from "+c.name)
@@ -160,7 +155,7 @@ func (c *SharedCache) Handle(clientID string, req *httpsim.Request, origin https
 		return httpsim.NewResponse(502, nil)
 	}
 	host := req.Host
-	if e := httpcache.EntryFromResponse(c.now(), url, host, resp); e != nil {
+	if e := httpcache.EntryFromResponse(0, url, host, resp); e != nil {
 		cc := httpcache.ParseCacheControl(resp.Header.Get("Cache-Control"))
 		if !cc.Private { // shared caches must not store private responses
 			c.store.Put(partition, e)

@@ -62,7 +62,7 @@ func TestSupportSemantics(t *testing.T) {
 }
 
 func TestSharedCacheServesSecondClient(t *testing.T) {
-	cache := NewSharedCache("squid", 1<<20, false, nil)
+	cache := NewSharedCache("squid", 1<<20, false)
 	res := RunInfection(cache, infectedResponse(), 10)
 	if res.VictimsServed != 10 {
 		t.Fatalf("victims served = %d, want 10 (shared cache infects everyone)", res.VictimsServed)
@@ -75,7 +75,7 @@ func TestSharedCacheServesSecondClient(t *testing.T) {
 func TestIsolatedCacheContainsInfection(t *testing.T) {
 	// The §VI-B2 countermeasure: per-client isolation stops cross-client
 	// infection, at the cost of per-client origin fetches.
-	cache := NewSharedCache("isolated-squid", 1<<20, true, nil)
+	cache := NewSharedCache("isolated-squid", 1<<20, true)
 	res := RunInfection(cache, infectedResponse(), 10)
 	if res.VictimsServed != 0 {
 		t.Fatalf("victims served = %d, want 0 under isolation", res.VictimsServed)
@@ -86,7 +86,7 @@ func TestIsolatedCacheContainsInfection(t *testing.T) {
 }
 
 func TestCacheHitHeaders(t *testing.T) {
-	cache := NewSharedCache("cdn-edge", 1<<20, false, nil)
+	cache := NewSharedCache("cdn-edge", 1<<20, false)
 	origin := func(*httpsim.Request) *httpsim.Response {
 		r := httpsim.NewResponse(200, []byte("x"))
 		r.Header.Set("Cache-Control", "max-age=60")
@@ -107,7 +107,7 @@ func TestCacheHitHeaders(t *testing.T) {
 }
 
 func TestPrivateResponsesNotShared(t *testing.T) {
-	cache := NewSharedCache("proxy", 1<<20, false, nil)
+	cache := NewSharedCache("proxy", 1<<20, false)
 	origin := func(*httpsim.Request) *httpsim.Response {
 		r := httpsim.NewResponse(200, []byte("account data"))
 		r.Header.Set("Cache-Control", "private, max-age=600")
@@ -122,7 +122,7 @@ func TestPrivateResponsesNotShared(t *testing.T) {
 }
 
 func TestNoStoreNotCached(t *testing.T) {
-	cache := NewSharedCache("proxy", 1<<20, false, nil)
+	cache := NewSharedCache("proxy", 1<<20, false)
 	origin := func(*httpsim.Request) *httpsim.Response {
 		r := httpsim.NewResponse(200, []byte("x"))
 		r.Header.Set("Cache-Control", "no-store")
@@ -136,7 +136,7 @@ func TestNoStoreNotCached(t *testing.T) {
 }
 
 func TestFlush(t *testing.T) {
-	cache := NewSharedCache("proxy", 1<<20, false, nil)
+	cache := NewSharedCache("proxy", 1<<20, false)
 	RunInfection(cache, infectedResponse(), 1)
 	if cache.Len() == 0 {
 		t.Fatal("nothing cached")
@@ -148,7 +148,7 @@ func TestFlush(t *testing.T) {
 }
 
 func TestNilOriginBecomes502(t *testing.T) {
-	cache := NewSharedCache("proxy", 1<<20, false, nil)
+	cache := NewSharedCache("proxy", 1<<20, false)
 	resp := cache.Handle("c", httpsim.NewRequest("GET", "a.com", "/"), func(*httpsim.Request) *httpsim.Response { return nil })
 	if resp.StatusCode != 502 {
 		t.Fatalf("status = %d", resp.StatusCode)

@@ -43,12 +43,6 @@ func (c *Checker) observe(live Event) {
 	c.idx++
 }
 
-// Seen reports how many live events were observed.
-func (c *Checker) Seen() int { return c.idx }
-
-// Divergence returns the first mismatch observed so far, or nil.
-func (c *Checker) Divergence() *Divergence { return c.div }
-
 // Finish completes the check: if the live run produced fewer events
 // than the log (and no earlier mismatch), that truncation is itself a
 // divergence at the first missing index.

@@ -18,14 +18,14 @@
 // event index with a before/after field diff — a regression bisects to
 // one frame.
 //
-// A Replayer re-drives the recorded traffic itself: every recorded send
+// Drive re-drives the recorded traffic itself: every recorded send
 // is re-injected, at its recorded virtual time, into a live
 // netsim.Network whose endpoints are stubs (the outbound legs of the
-// original run do not execute), optionally time-compressed or perturbed
-// with injected latency, loss, or retry amplification. The re-captured
-// send stream must reproduce the log's send-level fingerprint — proving
-// the log is complete and the codec lossless — while any perturbation
-// surfaces as a divergence at the exact event index it first altered.
+// original run do not execute), optionally time-compressed. The
+// re-captured send stream must reproduce the log's send-level
+// fingerprint — proving the log is complete and the codec lossless —
+// while a tampered log surfaces as a divergence at the exact event index
+// it first altered.
 package replay
 
 import (

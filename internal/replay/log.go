@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -46,7 +47,9 @@ func ReadLog(r io.Reader) ([]Event, error) {
 	}
 	var events []Event
 	var lenBuf [4]byte
-	var body []byte
+	// The record buffer grows with the bytes actually read, not with what
+	// a length prefix claims: a truncated log cannot buy maxRecord bytes.
+	var body bytes.Buffer
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			if err == io.EOF {
@@ -58,14 +61,14 @@ func ReadLog(r io.Reader) ([]Event, error) {
 		if n > maxRecord {
 			return nil, fmt.Errorf("replay: record %d claims %d bytes (corrupt log?)", len(events), n)
 		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(br, body); err != nil {
+		body.Reset()
+		if read, err := io.CopyN(&body, br, int64(n)); err != nil {
+			if err == io.EOF && read > 0 {
+				err = io.ErrUnexpectedEOF // io.ReadFull's report of a short read
+			}
 			return nil, fmt.Errorf("replay: truncated record %d: %v", len(events), err)
 		}
-		ev, used, err := decodeEvent(body)
+		ev, used, err := decodeEvent(body.Bytes())
 		if err != nil {
 			return nil, fmt.Errorf("replay: record %d: %w", len(events), err)
 		}

@@ -17,7 +17,7 @@ import (
 // appended to the in-memory event list, and (when a writer is attached)
 // written to the append-only log. The same Recorder therefore serves as
 // the capture path, the fingerprint computer, and the in-memory source
-// for a Replayer or Checker.
+// for Drive or a Checker.
 type Recorder struct {
 	w       io.Writer
 	h       hash.Hash
@@ -91,8 +91,8 @@ type Tap struct {
 	rec   *Recorder
 	chk   *Checker
 	clock *netsim.Network
-	// keep filters which kinds are captured; nil keeps everything. The
-	// Replayer uses it to recapture only the send-level stream.
+	// keep filters which kinds are captured; nil keeps everything. Drive
+	// uses it to recapture only the send-level stream.
 	keep func(Kind) bool
 }
 

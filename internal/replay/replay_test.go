@@ -173,9 +173,7 @@ func TestCheckerFlagsTruncationAndExtra(t *testing.T) {
 // also under 10× time compression.
 func TestDriveReproducesFingerprint(t *testing.T) {
 	rec := captureRun(t, 0)
-	rp := NewReplayer(rec.Events())
-
-	res, err := rp.Drive(1)
+	res, err := Drive(rec.Events(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +187,7 @@ func TestDriveReproducesFingerprint(t *testing.T) {
 		t.Fatalf("drive fingerprint %s != log send-level fingerprint %s", res.Fingerprint, want)
 	}
 
-	comp, err := rp.Drive(10)
+	comp, err := Drive(rec.Events(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +221,8 @@ func TestDriveFlagsTamperedLogAtExactIndex(t *testing.T) {
 	// Position of the tampered send in the send-level stream Drive checks.
 	want := len(Filter(events[:second], KindSend, KindTCP))
 
-	rp := NewReplayer(events)
 	for _, div := range []int{1, 8} {
-		res, err := rp.Drive(div)
+		res, err := Drive(events, div)
 		if err != nil {
 			t.Fatal(err)
 		}

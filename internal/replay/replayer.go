@@ -2,53 +2,10 @@ package replay
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"masterparasite/internal/netsim"
 )
-
-// Replayer re-drives a recorded run. The log's send events are the
-// ground truth of what went onto the wire; Drive re-injects each of
-// them, at its recorded virtual time, into a fresh live netsim.Network
-// whose endpoints are stubs — the outbound legs of the original run
-// (browser, servers, C&C handlers) do not execute. The re-driven
-// traffic is re-captured through the same canonical tap, so the
-// send-level stream must reproduce the log exactly: any difference is
-// reported as a divergence at the exact event index. Perturbed runs
-// are recorded, not re-driven: LinkProfile loss and duplication fault
-// the wire, core.Config.ServerDelay slows the server, and Diff or a
-// live Checker pins where the perturbed log departs.
-type Replayer struct {
-	events []Event
-}
-
-// NewReplayer wraps an already-decoded event sequence.
-func NewReplayer(events []Event) *Replayer { return &Replayer{events: events} }
-
-// Load reads a binary log into a Replayer.
-func Load(r io.Reader) (*Replayer, error) {
-	events, err := ReadLog(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Replayer{events: events}, nil
-}
-
-// LoadFile reads a log file into a Replayer.
-func LoadFile(path string) (*Replayer, error) {
-	events, err := ReadLogFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return &Replayer{events: events}, nil
-}
-
-// Events returns the decoded log.
-func (rp *Replayer) Events() []Event { return rp.events }
-
-// Fingerprint returns the divergence fingerprint of the full log.
-func (rp *Replayer) Fingerprint() string { return FingerprintEvents(rp.events) }
 
 // DriveResult is a replay run's outcome.
 type DriveResult struct {
@@ -67,8 +24,17 @@ type DriveResult struct {
 	Divergence *Divergence
 }
 
-// Drive replays the log's sends through a live network with stubbed
-// endpoints and verifies the re-captured stream against the log.
+// Drive re-drives a recorded run. The log's send events are the ground
+// truth of what went onto the wire; Drive re-injects each of them, at
+// its recorded virtual time, into a fresh live netsim.Network whose
+// endpoints are stubs — the outbound legs of the original run (browser,
+// servers, C&C handlers) do not execute. The re-driven traffic is
+// re-captured through the same canonical tap, so the send-level stream
+// must reproduce the log exactly: any difference is reported as a
+// divergence at the exact event index. Perturbed runs are recorded, not
+// re-driven: LinkProfile loss and duplication fault the wire,
+// core.Config.ServerDelay slows the server, and Diff or a live Checker
+// pins where the perturbed log departs.
 //
 // timeDiv compresses virtual time by an integer divisor (InfernoSIM's
 // --time-scale): every send is re-driven at time/timeDiv, and the
@@ -76,20 +42,20 @@ type DriveResult struct {
 // verdict — are preserved under compression. 0 or 1 replays at
 // original timing, where the re-captured send-level fingerprint must
 // equal the log's.
-func (rp *Replayer) Drive(timeDiv int) (*DriveResult, error) {
+func Drive(events []Event, timeDiv int) (*DriveResult, error) {
 	if timeDiv < 1 {
 		timeDiv = 1
 	}
 	// The expectation: the log's send-level stream, time-normalized to
 	// match the compressed schedule.
-	want := normalizeTimes(Filter(rp.events, KindSend, KindTCP), timeDiv)
+	want := normalizeTimes(Filter(events, KindSend, KindTCP), timeDiv)
 
 	net := netsim.New()
 	segs := make(map[string]*netsim.Segment)
 	taps := make(map[string]*netsim.Tap)
 	stubs := make(map[string]map[string]bool) // segment → stubbed addrs
-	for i := range rp.events {
-		ev := &rp.events[i]
+	for i := range events {
+		ev := &events[i]
 		if ev.Kind != KindSend {
 			continue
 		}
@@ -118,8 +84,8 @@ func (rp *Replayer) Drive(timeDiv int) (*DriveResult, error) {
 	tap.keep = func(k Kind) bool { return k == KindSend || k == KindTCP }
 	tap.Attach(net)
 
-	for i := range rp.events {
-		ev := &rp.events[i]
+	for i := range events {
+		ev := &events[i]
 		if ev.Kind != KindSend {
 			continue
 		}

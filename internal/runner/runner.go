@@ -20,7 +20,6 @@ package runner
 
 import (
 	"encoding/binary"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -46,27 +45,6 @@ func New(n int) *Runner {
 
 // Workers reports the pool size.
 func (r *Runner) Workers() int { return r.workers }
-
-// Job is one self-contained unit of work with a stable identity. The
-// ID names the job in errors and seeds its randomness (see Seed); Fn
-// must not touch state shared with any other job in the batch.
-type Job struct {
-	ID string
-	Fn func() (any, error)
-}
-
-// Run executes a batch of jobs and returns their values in submission
-// order. All jobs run even when some fail; the returned error is the
-// lowest-index failure, annotated with that job's ID.
-func (r *Runner) Run(jobs []Job) ([]any, error) {
-	return Map(r, jobs, func(_ int, j Job) (any, error) {
-		v, err := j.Fn()
-		if err != nil {
-			return nil, fmt.Errorf("job %s: %w", j.ID, err)
-		}
-		return v, nil
-	})
-}
 
 // Map applies fn to every item on the runner's pool and returns the
 // results in item order. fn receives the item's index and must be

@@ -106,20 +106,6 @@ func TestMapRunsEveryJobDespiteFailures(t *testing.T) {
 	}
 }
 
-func TestRunAnnotatesErrorWithJobID(t *testing.T) {
-	jobs := []Job{
-		{ID: "ok", Fn: func() (any, error) { return 1, nil }},
-		{ID: "broken", Fn: func() (any, error) { return nil, errors.New("nope") }},
-	}
-	out, err := New(2).Run(jobs)
-	if err == nil || err.Error() != "job broken: nope" {
-		t.Fatalf("err = %v", err)
-	}
-	if out[0] != 1 {
-		t.Fatalf("out[0] = %v", out[0])
-	}
-}
-
 func TestSeedStableAndDistinct(t *testing.T) {
 	if Seed(7, "table1/Chrome") != Seed(7, "table1/Chrome") {
 		t.Fatal("seed not stable")

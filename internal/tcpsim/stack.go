@@ -142,9 +142,6 @@ func NewStack(network *netsim.Network, ifc *netsim.Interface, opts ...StackOptio
 // Addr returns the stack's network address.
 func (s *Stack) Addr() netsim.Addr { return s.ifc.Addr() }
 
-// Policy returns the configured reassembly policy.
-func (s *Stack) Policy() ReassemblyPolicy { return s.policy }
-
 // ErrPortInUse reports a duplicate listener.
 var ErrPortInUse = errors.New("tcpsim: port already listening")
 
@@ -295,12 +292,6 @@ func (c *Conn) LocalPort() uint16 { return c.key.localPort }
 
 // RemotePort returns the remote port number.
 func (c *Conn) RemotePort() uint16 { return c.key.remotePort }
-
-// RemoteAddr returns the peer address.
-func (c *Conn) RemoteAddr() netsim.Addr { return c.key.remoteAddr }
-
-// LocalAddr returns the local address.
-func (c *Conn) LocalAddr() netsim.Addr { return c.stack.Addr() }
 
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
