@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check doclint test test-short race allocs fuzz-smoke bench bench-smoke bench-check soak-smoke fleet-smoke artifacts labd labd-smoke chaos-smoke ci
+.PHONY: build vet fmt-check doclint test test-short race allocs fuzz-smoke bench bench-smoke bench-check soak-smoke fleet-smoke artifacts labd chaos-smoke ci
 
 ## build: compile every package and command
 build:
@@ -89,13 +89,6 @@ artifacts:
 labd:
 	$(GO) run ./cmd/labd -listen 127.0.0.1:8970 -store labd-data
 
-## labd-smoke: the serving gate — start a labd daemon on an ephemeral
-## loopback port, enqueue one artifact over real net/http, poll it to
-## completion, and assert the served SHA-256 fingerprint equals the
-## batch CLI's manifest entry for the same spec, params, and format
-labd-smoke:
-	$(GO) run ./cmd/labd -smoke
-
 ## fleet-smoke: the sharded-netsim gate — render both fleet/* artifacts
 ## at 1, 4, and 8 shard workers and require byte-identical output and
 ## matching manifest SHA-256 fingerprints (the 10⁵- and 10⁶-bot tiers
@@ -118,8 +111,9 @@ chaos-smoke:
 ## race tests on the short corpora (the full-size crawl would dominate the
 ## race run), the allocation budgets, the fuzz smoke pass, a
 ## single-iteration benchmark smoke pass, the bench/ module build and short tests, the short soak gate,
-## the sharded-fleet determinism gate, the serving smoke gate, the
-## kill-point recovery gate, and the artifact regeneration
+## the sharded-fleet determinism gate, the kill-point recovery gate, and
+## the artifact regeneration (the race run carries the serving contract:
+## TestRealArtifactOverRealHTTPMatchesBatchManifest in internal/labd)
 ci: fmt-check vet doclint build
 	$(GO) test -short -race ./...
 	$(MAKE) allocs
@@ -128,6 +122,5 @@ ci: fmt-check vet doclint build
 	$(MAKE) bench-check
 	$(MAKE) soak-smoke
 	$(MAKE) fleet-smoke
-	$(MAKE) labd-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) artifacts

@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"masterparasite/internal/attacker"
+	"masterparasite/internal/browser"
 	"masterparasite/internal/core"
 	"masterparasite/internal/parasite"
 	"masterparasite/internal/script"
@@ -30,7 +31,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	s, err := core.NewScenario(core.Config{Profile: *profile})
+	victim, err := browser.ProfileByName(*profile)
+	if err != nil {
+		return err
+	}
+	s, err := core.NewScenario(core.Config{Profile: &victim})
 	if err != nil {
 		return err
 	}

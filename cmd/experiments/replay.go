@@ -22,7 +22,7 @@ func recordRun(path string, seed int64, perturb time.Duration, link *netsim.Link
 		return err
 	}
 	rec := replay.NewRecorder(f)
-	runErr := experiments.RunKillChain(experiments.KillChainOpts{Seed: seed, ServerDelay: perturb, Link: link}, rec, nil)
+	runErr := experiments.RunKillChain(experiments.KillChainOpts{Seed: seed, ServerDelay: perturb, Link: link}, rec)
 	if closeErr := f.Close(); runErr == nil {
 		runErr = closeErr
 	}
@@ -42,20 +42,20 @@ func recordRun(path string, seed int64, perturb time.Duration, link *netsim.Link
 	return nil
 }
 
-// replayRun re-executes the kill chain live against a recorded log,
-// checking every wire event as it happens. A clean run prints PASS with
-// the shared fingerprint; any difference — e.g. one injected with
-// -perturb — is reported at its exact event index and fails the command.
+// replayRun re-executes the kill chain, records it, and diffs every wire
+// event against a recorded log. A clean run prints PASS with the shared
+// fingerprint; any difference — e.g. one injected with -perturb — is
+// reported at its exact event index and fails the command.
 func replayRun(path string, seed int64, perturb time.Duration, link *netsim.LinkProfile, stdout io.Writer) error {
 	events, err := replay.ReadLogFile(path)
 	if err != nil {
 		return err
 	}
-	chk := replay.NewChecker(events)
-	if err := experiments.RunKillChain(experiments.KillChainOpts{Seed: seed, ServerDelay: perturb, Link: link}, nil, chk); err != nil {
+	rec := replay.NewRecorder(nil)
+	if err := experiments.RunKillChain(experiments.KillChainOpts{Seed: seed, ServerDelay: perturb, Link: link}, rec); err != nil {
 		return err
 	}
-	if div := chk.Finish(); div != nil {
+	if div := replay.Diff(events, rec.Events()); div != nil {
 		fmt.Fprintf(stdout, "replay %s: DIVERGED after %d matching events\n%s\n", path, div.Index, div)
 		return fmt.Errorf("replay diverged at event #%d", div.Index)
 	}

@@ -12,11 +12,6 @@
 //	curl -s localhost:8970/v1/runs/run-000001/events   # SSE progress
 //	curl -s localhost:8970/v1/runs/run-000001/artifact
 //
-// -smoke runs the CI gate instead of serving: start a daemon on an
-// ephemeral loopback port, enqueue one artifact over real HTTP, poll it
-// to completion, and assert the served SHA-256 fingerprint equals the
-// batch CLI's manifest entry for the same spec, params, and format.
-//
 // -chaos <seed> serves with deterministic storage chaos armed: every
 // store.* fault site (internal/chaos) fails on a seeded recurring
 // schedule, so operators can rehearse how clients and the recovery
@@ -26,24 +21,18 @@
 package main
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
-	"masterparasite/internal/artifact"
 	"masterparasite/internal/chaos"
 	"masterparasite/internal/daemon"
 	_ "masterparasite/internal/experiments" // self-registers the paper's artifacts
 	"masterparasite/internal/labd"
-	"masterparasite/internal/runner"
 )
 
 func main() {
@@ -60,9 +49,6 @@ func run(args []string, stdout io.Writer) error {
 	fleets := fs.Int("fleets", 2, "concurrent run fleets draining the queue")
 	workers := fs.Int("workers", 0, "per-run scenario pool width (0 = GOMAXPROCS)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown deadline")
-	smoke := fs.Bool("smoke", false, "run the serving smoke gate and exit")
-	smokeSpec := fs.String("spec", "flows", "artifact to enqueue in -smoke mode")
-	smokeFormat := fs.String("format", "json", "render format in -smoke mode")
 	chaosSeed := fs.Int64("chaos", 0, "arm recurring storage faults from this seed (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -70,19 +56,6 @@ func run(args []string, stdout io.Writer) error {
 	if *chaosSeed < 0 {
 		return fmt.Errorf("chaos seed must be positive, got %d", *chaosSeed)
 	}
-	if *chaosSeed != 0 && *smoke {
-		return fmt.Errorf("-chaos and -smoke are mutually exclusive: the smoke gate asserts byte-identity, chaos injects faults")
-	}
-
-	if *smoke {
-		dir, err := os.MkdirTemp("", "labd-smoke-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		return runSmoke(dir, *smokeSpec, *smokeFormat, *workers, stdout)
-	}
-
 	cfg := labd.Config{StoreDir: *storeDir, Fleets: *fleets, Workers: *workers}
 	if *chaosSeed != 0 {
 		ctrl := chaos.New(*chaosSeed)
@@ -105,117 +78,4 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintln(stdout, "routes: /healthz /readyz /v1/specs /v1/runs /v1/runs/{id}{,/artifact,/events}")
 	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 5 * time.Second}
 	return daemon.Serve(httpSrv, ln, *drain, srv.Close)
-}
-
-// runSmoke is the end-to-end serving gate: daemon on a loopback port,
-// one artifact enqueued over real net/http, polled to completion, and
-// its fingerprint checked against the batch CLI's manifest entry.
-func runSmoke(storeDir, specID, format string, workers int, stdout io.Writer) error {
-	spec, ok := artifact.Get(specID)
-	if !ok {
-		return fmt.Errorf("smoke: unknown spec %q (known: %s)", specID, strings.Join(artifact.IDs(), " "))
-	}
-
-	srv, err := labd.Open(labd.Config{StoreDir: storeDir, Fleets: 1, Workers: workers})
-	if err != nil {
-		return err
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = srv.Close(ctx)
-	}()
-	base, shutdown, err := srv.Serve()
-	if err != nil {
-		return err
-	}
-	defer func() { _ = shutdown() }()
-	fmt.Fprintf(stdout, "smoke: daemon on %s, enqueueing %s (%s)\n", base, specID, format)
-
-	enqBody := fmt.Sprintf(`{"spec":%q,"format":%q}`, specID, format)
-	resp, err := http.Post(base+"/v1/runs", "application/json", strings.NewReader(enqBody))
-	if err != nil {
-		return fmt.Errorf("smoke enqueue: %w", err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("smoke enqueue read: %w", err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("smoke enqueue: %d %s", resp.StatusCode, body)
-	}
-	var rec labd.Record
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return fmt.Errorf("smoke enqueue decode: %w", err)
-	}
-
-	final, err := pollRun(base, rec.ID, 2*time.Minute)
-	if err != nil {
-		return err
-	}
-	if final.Status != labd.StatusDone {
-		return fmt.Errorf("smoke run %s ended %s: %s", rec.ID, final.Status, final.Error)
-	}
-
-	art, err := http.Get(base + "/v1/runs/" + rec.ID + "/artifact")
-	if err != nil {
-		return fmt.Errorf("smoke artifact: %w", err)
-	}
-	served, err := io.ReadAll(art.Body)
-	art.Body.Close()
-	if err != nil {
-		return fmt.Errorf("smoke artifact read: %w", err)
-	}
-
-	// The batch side: exactly the cmd/experiments code path, fingerprinted
-	// through the same manifest the CI artifacts carry.
-	renderer, err := artifact.RendererFor(format)
-	if err != nil {
-		return err
-	}
-	res, rendered, err := artifact.RunRendered(spec, runner.New(1), final.Params, renderer)
-	if err != nil {
-		return fmt.Errorf("smoke batch render: %w", err)
-	}
-	manifest := artifact.NewManifest(format, 1)
-	manifest.Add(spec, res, rendered)
-	want := manifest.Artifacts[0].SHA256
-
-	if !bytes.Equal(served, rendered) {
-		return fmt.Errorf("smoke: served artifact (%d bytes) diverges from batch render (%d bytes)", len(served), len(rendered))
-	}
-	if final.SHA256 != want {
-		return fmt.Errorf("smoke: served fingerprint %s != batch manifest %s", final.SHA256, want)
-	}
-	fmt.Fprintf(stdout, "smoke: PASS %s %s sha256=%s (%d bytes, %d stages)\n",
-		rec.ID, specID, final.SHA256, final.Bytes, len(final.Stages))
-	return nil
-}
-
-// pollRun GETs the run record until it reaches a terminal status.
-func pollRun(base, id string, timeout time.Duration) (*labd.Record, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(base + "/v1/runs/" + id)
-		if err != nil {
-			return nil, fmt.Errorf("smoke poll: %w", err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("smoke poll read: %w", err)
-		}
-		var rec labd.Record
-		if err := json.Unmarshal(body, &rec); err != nil {
-			return nil, fmt.Errorf("smoke poll decode: %w (%s)", err, body)
-		}
-		if rec.Status.Terminal() {
-			return &rec, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("smoke poll: run %s still %s after %s", id, rec.Status, timeout)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 }

@@ -15,9 +15,7 @@ func TestFlagValidation(t *testing.T) {
 		want string
 	}{
 		{"negative chaos seed", []string{"-chaos", "-7"}, "chaos seed must be positive"},
-		{"chaos with smoke", []string{"-chaos", "42", "-smoke"}, "mutually exclusive"},
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
-		{"smoke unknown spec", []string{"-smoke", "-spec", "no-such-artifact"}, "unknown spec"},
 	}
 	for _, c := range cases {
 		c := c
@@ -28,22 +26,5 @@ func TestFlagValidation(t *testing.T) {
 				t.Fatalf("run(%v) err = %v, want containing %q", c.args, err, c.want)
 			}
 		})
-	}
-}
-
-// TestSmokeGate exercises the -smoke path end to end on an ephemeral
-// store: daemon, HTTP enqueue, poll, byte-identity against the batch
-// render.
-func TestSmokeGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke gate runs a full artifact; skipped in -short")
-	}
-	t.Parallel()
-	var out strings.Builder
-	if err := runSmoke(t.TempDir(), "flows", "json", 1, &out); err != nil {
-		t.Fatalf("smoke gate failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "smoke: PASS") {
-		t.Fatalf("smoke gate produced no PASS line:\n%s", out.String())
 	}
 }

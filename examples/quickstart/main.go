@@ -20,7 +20,7 @@ import (
 func main() {
 	// 1. Assemble the laboratory: victim + master on "public-wifi",
 	//    servers across the uplink.
-	s, err := core.NewScenario(core.Config{Profile: "Chrome"})
+	s, err := core.NewScenario(core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

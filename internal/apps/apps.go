@@ -1,8 +1,8 @@
-// Package apps implements the victim applications of Table V: online
-// banking with OTP two-factor authentication, webmail, a social network,
-// a crypto exchange and a chat application. Each app is an httpsim vhost
-// plus a client-side wiring helper that connects its DOM forms to the
-// server — the substrate the attack modules (internal/attacks) exploit.
+// Package apps implements the victim applications that Table V loads:
+// online banking with OTP two-factor authentication and a chat
+// application. Each app is an httpsim vhost plus a client-side wiring
+// helper that connects its DOM forms to the server — the substrate the
+// attack modules (internal/attacks) exploit.
 package apps
 
 import (
@@ -60,7 +60,7 @@ func loginPage(appScript, title string) string {
 </form></body></html>`, title, appScript)
 }
 
-// Account is a bank (or exchange) account.
+// Account is a bank account.
 type Account struct {
 	User     string
 	Password string
@@ -107,7 +107,7 @@ func NewBank(host string) *Bank {
 	}
 }
 
-// ScriptPath is the bank's persistent script — the infection target.
+// bankScript is the bank's persistent script — the infection target.
 const bankScript = "/js/bank.js"
 
 // Handler serves the vhost.
@@ -223,261 +223,6 @@ func (b *Bank) Wire(page *browser.Page, onResult func(*httpsim.Response, error))
 	})
 }
 
-// Email is one webmail message.
-type Email struct {
-	From    string
-	To      string
-	Subject string
-	Body    string
-}
-
-// Webmail is the Gmail-like application.
-type Webmail struct {
-	Host     string
-	sessions *sessions
-	Password map[string]string
-	Inboxes  map[string][]Email
-	Contacts map[string][]string
-	Sent     []Email
-}
-
-// NewWebmail creates the webmail host with a demo mailbox.
-func NewWebmail(host string) *Webmail {
-	return &Webmail{
-		Host:     host,
-		sessions: newSessions("mail"),
-		Password: map[string]string{"alice": "hunter2"},
-		Inboxes: map[string][]Email{
-			"alice": {
-				{From: "bob@corp.example", To: "alice", Subject: "Q3 numbers", Body: "attached the confidential report"},
-				{From: "carol@bank.example", To: "alice", Subject: "your account", Body: "please review statement 42"},
-			},
-		},
-		Contacts: map[string][]string{
-			"alice": {"bob@corp.example", "carol@bank.example", "dave@home.example"},
-		},
-	}
-}
-
-const mailScript = "/js/mail.js"
-
-// Handler serves the vhost.
-func (w *Webmail) Handler() httpsim.HandlerFunc {
-	return func(req *httpsim.Request) *httpsim.Response {
-		switch {
-		case req.PathOnly() == mailScript:
-			resp := httpsim.NewResponse(200, []byte("function mailApp(){/*genuine*/}"))
-			resp.Header.Set("Content-Type", "application/javascript")
-			resp.Header.Set("Cache-Control", "max-age=86400")
-			return resp
-		case req.Method == "GET" && req.PathOnly() == "/":
-			if user, ok := w.sessions.user(req); ok {
-				return htmlResponse(w.inboxPage(user), nil)
-			}
-			return htmlResponse(loginPage(mailScript, "WebMail"), nil)
-		case req.Method == "POST" && req.PathOnly() == "/login":
-			form := browser.DecodeForm(req.Body)
-			if w.Password[form["user"]] != form["pass"] {
-				return htmlResponse(`<html><body><div id="error">bad credentials</div></body></html>`, nil)
-			}
-			sid := w.sessions.create(form["user"])
-			resp := htmlResponse(`<html><body><div id="ok">welcome</div></body></html>`, nil)
-			resp.Header.Set("Set-Cookie", "sid="+sid)
-			return resp
-		case req.Method == "POST" && req.PathOnly() == "/send":
-			user, ok := w.sessions.user(req)
-			if !ok {
-				return httpsim.NewResponse(403, nil)
-			}
-			form := browser.DecodeForm(req.Body)
-			mail := Email{From: user, To: form["to"], Subject: form["subject"], Body: form["body"]}
-			w.Sent = append(w.Sent, mail)
-			if inbox, exists := w.Inboxes[form["to"]]; exists {
-				w.Inboxes[form["to"]] = append(inbox, mail)
-			}
-			return htmlResponse(`<html><body><div id="ok">sent</div></body></html>`, nil)
-		default:
-			return httpsim.NewResponse(404, nil)
-		}
-	}
-}
-
-func (w *Webmail) inboxPage(user string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, `<html><head><script src="%s"></script></head><body>`, mailScript)
-	b.WriteString(`<div id="inbox">`)
-	for i, m := range w.Inboxes[user] {
-		fmt.Fprintf(&b, `<div class="email" id="email-%d"><span class="from">%s</span><span class="subject">%s</span><span class="body">%s</span></div>`,
-			i, m.From, m.Subject, m.Body)
-	}
-	b.WriteString(`</div><div id="contacts">`)
-	for _, c := range w.Contacts[user] {
-		fmt.Fprintf(&b, `<span class="contact">%s</span>`, c)
-	}
-	b.WriteString(`</div>`)
-	b.WriteString(`<form id="compose" action="/send"><input name="to" value=""><input name="subject" value=""><input name="body" value=""></form>`)
-	b.WriteString(`</body></html>`)
-	return b.String()
-}
-
-// Wire connects the page's forms to the server.
-func (w *Webmail) Wire(page *browser.Page, onResult func(*httpsim.Response, error)) {
-	if onResult == nil {
-		onResult = func(*httpsim.Response, error) {}
-	}
-	page.Doc.OnSubmit("login", func(values map[string]string) {
-		page.Post("/login", values, onResult)
-	})
-	page.Doc.OnSubmit("compose", func(values map[string]string) {
-		page.Post("/send", values, onResult)
-	})
-}
-
-// Social is the social-network application.
-type Social struct {
-	Host     string
-	sessions *sessions
-	Password map[string]string
-	Friends  map[string][]string
-	Posts    []string
-}
-
-// NewSocial creates the social network with a demo user.
-func NewSocial(host string) *Social {
-	return &Social{
-		Host:     host,
-		sessions: newSessions("soc"),
-		Password: map[string]string{"alice": "hunter2"},
-		Friends:  map[string][]string{"alice": {"bob", "carol", "dave", "erin"}},
-	}
-}
-
-const socialScript = "/js/social.js"
-
-// Handler serves the vhost.
-func (s *Social) Handler() httpsim.HandlerFunc {
-	return func(req *httpsim.Request) *httpsim.Response {
-		switch {
-		case req.PathOnly() == socialScript:
-			resp := httpsim.NewResponse(200, []byte("function socialApp(){/*genuine*/}"))
-			resp.Header.Set("Content-Type", "application/javascript")
-			resp.Header.Set("Cache-Control", "max-age=86400")
-			return resp
-		case req.Method == "GET" && req.PathOnly() == "/":
-			if user, ok := s.sessions.user(req); ok {
-				return htmlResponse(s.feedPage(user), nil)
-			}
-			return htmlResponse(loginPage(socialScript, "FaceSpace"), nil)
-		case req.Method == "POST" && req.PathOnly() == "/login":
-			form := browser.DecodeForm(req.Body)
-			if s.Password[form["user"]] != form["pass"] {
-				return htmlResponse(`<html><body><div id="error">bad credentials</div></body></html>`, nil)
-			}
-			sid := s.sessions.create(form["user"])
-			resp := htmlResponse(`<html><body><div id="ok">welcome</div></body></html>`, nil)
-			resp.Header.Set("Set-Cookie", "sid="+sid)
-			return resp
-		case req.Method == "POST" && req.PathOnly() == "/post":
-			if _, ok := s.sessions.user(req); !ok {
-				return httpsim.NewResponse(403, nil)
-			}
-			form := browser.DecodeForm(req.Body)
-			s.Posts = append(s.Posts, form["text"])
-			return htmlResponse(`<html><body><div id="ok">posted</div></body></html>`, nil)
-		default:
-			return httpsim.NewResponse(404, nil)
-		}
-	}
-}
-
-func (s *Social) feedPage(user string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, `<html><head><script src="%s"></script></head><body>`, socialScript)
-	b.WriteString(`<div id="friends">`)
-	for _, f := range s.Friends[user] {
-		fmt.Fprintf(&b, `<span class="friend">%s</span>`, f)
-	}
-	b.WriteString(`</div><form id="post" action="/post"><input name="text" value=""></form></body></html>`)
-	return b.String()
-}
-
-// Withdrawal is one crypto-exchange withdrawal.
-type Withdrawal struct {
-	User    string
-	Address string
-	Amount  int
-}
-
-// Exchange is the crypto-exchange application.
-type Exchange struct {
-	Host        string
-	sessions    *sessions
-	Password    map[string]string
-	Balances    map[string]int // user → satoshi
-	Withdrawals []Withdrawal
-}
-
-// NewExchange creates the exchange with a demo account.
-func NewExchange(host string) *Exchange {
-	return &Exchange{
-		Host:     host,
-		sessions: newSessions("exch"),
-		Password: map[string]string{"alice": "hunter2"},
-		Balances: map[string]int{"alice": 5_000_000},
-	}
-}
-
-const exchangeScript = "/js/exchange.js"
-
-// Handler serves the vhost.
-func (e *Exchange) Handler() httpsim.HandlerFunc {
-	return func(req *httpsim.Request) *httpsim.Response {
-		switch {
-		case req.PathOnly() == exchangeScript:
-			resp := httpsim.NewResponse(200, []byte("function exchApp(){/*genuine*/}"))
-			resp.Header.Set("Content-Type", "application/javascript")
-			resp.Header.Set("Cache-Control", "max-age=86400")
-			return resp
-		case req.Method == "GET" && req.PathOnly() == "/":
-			if user, ok := e.sessions.user(req); ok {
-				return htmlResponse(e.walletPage(user), nil)
-			}
-			return htmlResponse(loginPage(exchangeScript, "CoinPlace"), nil)
-		case req.Method == "POST" && req.PathOnly() == "/login":
-			form := browser.DecodeForm(req.Body)
-			if e.Password[form["user"]] != form["pass"] {
-				return htmlResponse(`<html><body><div id="error">bad credentials</div></body></html>`, nil)
-			}
-			sid := e.sessions.create(form["user"])
-			resp := htmlResponse(`<html><body><div id="ok">welcome</div></body></html>`, nil)
-			resp.Header.Set("Set-Cookie", "sid="+sid)
-			return resp
-		case req.Method == "POST" && req.PathOnly() == "/withdraw":
-			user, ok := e.sessions.user(req)
-			if !ok {
-				return httpsim.NewResponse(403, nil)
-			}
-			form := browser.DecodeForm(req.Body)
-			amount, err := strconv.Atoi(form["amount"])
-			if err != nil || amount <= 0 || amount > e.Balances[user] {
-				return httpsim.NewResponse(400, []byte("bad amount"))
-			}
-			e.Balances[user] -= amount
-			e.Withdrawals = append(e.Withdrawals, Withdrawal{User: user, Address: form["address"], Amount: amount})
-			return htmlResponse(`<html><body><div id="ok">withdrawal queued</div></body></html>`, nil)
-		default:
-			return httpsim.NewResponse(404, nil)
-		}
-	}
-}
-
-func (e *Exchange) walletPage(user string) string {
-	return fmt.Sprintf(`<html><head><script src="%s"></script></head><body>
-<div id="wallet">%d sat</div>
-<form id="withdraw" action="/withdraw"><input name="address" value=""><input name="amount" value=""></form>
-</body></html>`, exchangeScript, e.Balances[user])
-}
-
 // ChatMessage is one chat message.
 type ChatMessage struct {
 	From string
@@ -555,16 +300,4 @@ func (c *Chat) Wire(page *browser.Page, onResult func(*httpsim.Response, error))
 	page.Doc.OnSubmit("sendmsg", func(values map[string]string) {
 		page.Post("/send", values, onResult)
 	})
-}
-
-// ScriptPaths maps each app host to its persistent script path — the
-// infection targets for Table V runs.
-func ScriptPaths() map[string]string {
-	return map[string]string{
-		"bank":     bankScript,
-		"mail":     mailScript,
-		"social":   socialScript,
-		"exchange": exchangeScript,
-		"chat":     chatScript,
-	}
 }

@@ -103,53 +103,6 @@ func TestBankConfirmShowsPending(t *testing.T) {
 	}
 }
 
-func TestWebmailInboxAndSend(t *testing.T) {
-	w := NewWebmail("mail.example")
-	h := w.Handler()
-	sid := sidFrom(post(h, w.Host, "/login", "", map[string]string{"user": "alice", "pass": "hunter2"}))
-	inbox := get(h, w.Host, "/", sid)
-	doc := dom.ParseHTML("mail.example/", inbox.Body)
-	emails := doc.Root.Find(func(e *dom.Element) bool { return e.Attr("class") == "email" })
-	if len(emails) != 2 {
-		t.Fatalf("emails rendered = %d", len(emails))
-	}
-	contacts := doc.Root.Find(func(e *dom.Element) bool { return e.Attr("class") == "contact" })
-	if len(contacts) != 3 {
-		t.Fatalf("contacts = %d", len(contacts))
-	}
-	post(h, w.Host, "/send", sid, map[string]string{"to": "bob@corp.example", "subject": "hi", "body": "yo"})
-	if len(w.Sent) != 1 || w.Sent[0].To != "bob@corp.example" {
-		t.Fatalf("sent = %+v", w.Sent)
-	}
-}
-
-func TestSocialPost(t *testing.T) {
-	s := NewSocial("social.example")
-	h := s.Handler()
-	sid := sidFrom(post(h, s.Host, "/login", "", map[string]string{"user": "alice", "pass": "hunter2"}))
-	feed := get(h, s.Host, "/", sid)
-	if !strings.Contains(string(feed.Body), `class="friend"`) {
-		t.Fatal("no friends rendered")
-	}
-	post(h, s.Host, "/post", sid, map[string]string{"text": "hello world"})
-	if len(s.Posts) != 1 || s.Posts[0] != "hello world" {
-		t.Fatalf("posts = %v", s.Posts)
-	}
-}
-
-func TestExchangeWithdraw(t *testing.T) {
-	e := NewExchange("exchange.example")
-	h := e.Handler()
-	sid := sidFrom(post(h, e.Host, "/login", "", map[string]string{"user": "alice", "pass": "hunter2"}))
-	if resp := post(h, e.Host, "/withdraw", sid, map[string]string{"address": "bc1evil", "amount": "99999999"}); resp.StatusCode != 400 {
-		t.Fatal("over-balance withdrawal accepted")
-	}
-	post(h, e.Host, "/withdraw", sid, map[string]string{"address": "bc1good", "amount": "1000"})
-	if len(e.Withdrawals) != 1 || e.Balances["alice"] != 4_999_000 {
-		t.Fatalf("withdrawals = %+v balance = %d", e.Withdrawals, e.Balances["alice"])
-	}
-}
-
 func TestChatHistoryAndSend(t *testing.T) {
 	c := NewChat("chat.example")
 	h := c.Handler()
@@ -169,20 +122,19 @@ func TestChatHistoryAndSend(t *testing.T) {
 }
 
 func TestAppScriptsServedCacheable(t *testing.T) {
-	for name, app := range map[string]httpsim.HandlerFunc{
-		"bank":     NewBank("b").Handler(),
-		"mail":     NewWebmail("m").Handler(),
-		"social":   NewSocial("s").Handler(),
-		"exchange": NewExchange("e").Handler(),
-		"chat":     NewChat("c").Handler(),
+	for _, app := range []struct {
+		name, path string
+		handler    httpsim.HandlerFunc
+	}{
+		{"bank", "/js/bank.js", NewBank("b").Handler()},
+		{"chat", "/js/chat.js", NewChat("c").Handler()},
 	} {
-		path := ScriptPaths()[name]
-		resp := app(httpsim.NewRequest("GET", "x", path))
+		resp := app.handler(httpsim.NewRequest("GET", "x", app.path))
 		if resp.StatusCode != 200 {
-			t.Errorf("%s script status = %d", name, resp.StatusCode)
+			t.Errorf("%s script status = %d", app.name, resp.StatusCode)
 		}
 		if !strings.Contains(resp.Header.Get("Cache-Control"), "max-age") {
-			t.Errorf("%s script not cacheable — it must be a persistent infection target", name)
+			t.Errorf("%s script not cacheable — it must be a persistent infection target", app.name)
 		}
 	}
 }

@@ -110,15 +110,6 @@ func (m *Master) AddTarget(t Target) {
 	m.targets[t.Name] = &cp
 }
 
-// Targets lists armed target names.
-func (m *Master) Targets() []string {
-	out := make([]string, 0, len(m.targets))
-	for n := range m.targets {
-		out = append(out, n)
-	}
-	return out
-}
-
 // EnableEviction arms the cache-eviction module (§IV): when the victim
 // requests an HTML page of any host in triggers, the master injects a
 // spoofed response carrying an inline script that floods the cache with

@@ -243,15 +243,6 @@ func TestMasterDecryptsWithCert(t *testing.T) {
 	}
 }
 
-func TestTargetsListing(t *testing.T) {
-	m := New(netsim.New(), netsim.New().MustSegment("x", 0), 0)
-	m.AddTarget(Target{Name: "a.com/1.js"})
-	m.AddTarget(Target{Name: "b.com/2.js"})
-	if got := len(m.Targets()); got != 2 {
-		t.Fatalf("targets = %d", got)
-	}
-}
-
 func TestCNCAdapterMirrorsServeHTTPWire(t *testing.T) {
 	// The in-simulation adapter and the real-socket handler must put the
 	// same status, headers, and body on the wire — the flows artifact's

@@ -16,17 +16,14 @@ import (
 	"masterparasite/internal/parasite"
 )
 
-// lab assembles a scenario with all five applications, an armed master
-// and a parasite strain carrying the full Table V module catalogue.
+// lab assembles a scenario with both Table V applications, an armed
+// master and a parasite strain carrying the full Table V module catalogue.
 type lab struct {
-	t        *testing.T
-	s        *core.Scenario
-	bank     *apps.Bank
-	mail     *apps.Webmail
-	social   *apps.Social
-	exchange *apps.Exchange
-	chat     *apps.Chat
-	cfg      *parasite.Config
+	t    *testing.T
+	s    *core.Scenario
+	bank *apps.Bank
+	chat *apps.Chat
+	cfg  *parasite.Config
 }
 
 func newLab(t *testing.T) *lab {
@@ -37,16 +34,10 @@ func newLab(t *testing.T) *lab {
 	}
 	l := &lab{
 		t: t, s: s,
-		bank:     apps.NewBank("bank.example"),
-		mail:     apps.NewWebmail("mail.example"),
-		social:   apps.NewSocial("social.example"),
-		exchange: apps.NewExchange("exchange.example"),
-		chat:     apps.NewChat("chat.example"),
+		bank: apps.NewBank("bank.example"),
+		chat: apps.NewChat("chat.example"),
 	}
 	s.AddHandler(l.bank.Host, l.bank.Handler())
-	s.AddHandler(l.mail.Host, l.mail.Handler())
-	s.AddHandler(l.social.Host, l.social.Handler())
-	s.AddHandler(l.exchange.Host, l.exchange.Handler())
 	s.AddHandler(l.chat.Host, l.chat.Handler())
 
 	l.cfg = parasite.NewConfig("pv", "bot-v", core.MasterHost)
@@ -56,9 +47,7 @@ func newLab(t *testing.T) *lab {
 
 	// Arm the master for every app's persistent script.
 	for host, path := range map[string]string{
-		l.bank.Host: "/js/bank.js", l.mail.Host: "/js/mail.js",
-		l.social.Host: "/js/social.js", l.exchange.Host: "/js/exchange.js",
-		l.chat.Host: "/js/chat.js",
+		l.bank.Host: "/js/bank.js", l.chat.Host: "/js/chat.js",
 	} {
 		s.Master.AddTarget(attacker.Target{
 			Name: host + path, Kind: attacker.KindJS, ParasitePayload: "pv",
@@ -71,7 +60,7 @@ func newLab(t *testing.T) *lab {
 // visit loads a page with the app's wiring installed.
 func (l *lab) visit(host, path string, wire func(*browser.Page)) *browser.Page {
 	l.t.Helper()
-	page, err := l.s.VisitWith(l.s.Victim, host, path, browser.VisitOpts{OnDocument: wire})
+	page, err := l.s.VisitWith(host, path, browser.VisitOpts{OnDocument: wire})
 	if err != nil {
 		l.t.Fatalf("visit %s%s: %v", host, path, err)
 	}
@@ -237,22 +226,17 @@ func TestTransactionManipulationAnd2FABypass(t *testing.T) {
 	}
 }
 
-func TestWebsiteDataReadsEmails(t *testing.T) {
+func TestWebsiteDataReadsChatHistory(t *testing.T) {
 	t.Parallel()
 	l := newLab(t)
-	// Log into webmail.
-	page := l.visit(l.mail.Host, "/", func(p *browser.Page) { l.mail.Wire(p, nil) })
-	setAndSubmit(t, page, "login", map[string]string{"user": "alice", "pass": "hunter2"})
-	l.s.Run()
-
 	l.command("website-data|")
-	l.visit(l.mail.Host, "/", func(p *browser.Page) { l.mail.Wire(p, nil) })
+	l.visit(l.chat.Host, "/", func(p *browser.Page) { l.chat.Wire(p, nil) })
 	loot, ok := l.loot("website-data")
 	if !ok {
 		t.Fatal("no website data")
 	}
-	if !strings.Contains(string(loot), "confidential report") {
-		t.Fatalf("loot misses email body: %q", loot)
+	if !strings.Contains(string(loot), "see you at the conference") {
+		t.Fatalf("loot misses chat message: %q", loot)
 	}
 }
 

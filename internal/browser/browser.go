@@ -9,6 +9,7 @@ import (
 	"masterparasite/internal/httpcache"
 	"masterparasite/internal/httpsim"
 	"masterparasite/internal/netsim"
+	"masterparasite/internal/script"
 	"masterparasite/internal/tcpsim"
 )
 
@@ -51,11 +52,8 @@ type Browser struct {
 	storage  map[string]map[string]string
 	hsts     map[string]bool
 
-	runtime *Runtime
+	runtime *script.Runtime
 
-	// EnforceCSP toggles policy enforcement (on by default; the ablation
-	// benchmark switches it off).
-	EnforceCSP bool
 	// DefenseRandomQuery implements the §VIII recommendation "disable
 	// caching of scripts to ensure that a fresh copy is loaded every time
 	// — we implemented this by adding a random query string to each
@@ -70,10 +68,6 @@ type Browser struct {
 	netFetches  int
 	cacheServes int
 }
-
-// Runtime is re-exported so callers register parasite behaviours without
-// importing the script package's Runtime directly.
-type Runtime = scriptRuntime
 
 // Config bundles constructor parameters.
 type Config struct {
@@ -132,19 +126,18 @@ func New(network *netsim.Network, cfg Config) (*Browser, error) {
 			Partitioned: cfg.Profile.PartitionedCache,
 			Ballooning:  cfg.Profile.Ballooning,
 		}),
-		userAgent:  cfg.Profile.UserAgent(),
-		cacheAPI:   httpcache.NewCacheAPIStore(),
-		cookies:    httpcache.NewCookieJar(),
-		storage:    make(map[string]map[string]string),
-		hsts:       make(map[string]bool),
-		runtime:    newScriptRuntime(),
-		EnforceCSP: true,
+		userAgent: cfg.Profile.UserAgent(),
+		cacheAPI:  httpcache.NewCacheAPIStore(),
+		cookies:   httpcache.NewCookieJar(),
+		storage:   make(map[string]map[string]string),
+		hsts:      make(map[string]bool),
+		runtime:   script.NewRuntime(),
 	}
 	return b, nil
 }
 
-// Runtime returns the script runtime for behaviour registration.
-func (b *Browser) ScriptRuntime() *Runtime { return b.runtime }
+// ScriptRuntime returns the script runtime for behaviour registration.
+func (b *Browser) ScriptRuntime() *script.Runtime { return b.runtime }
 
 // Interface exposes the browser's network attachment point — the churn
 // model toggles its receive path to simulate the victim leaving and

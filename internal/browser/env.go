@@ -124,13 +124,10 @@ func (e *pageEnv) CacheAPIPut(url string, resp *httpsim.Response) {
 	entry := httpcache.EntryFromResponse(e.Now(), url, hostOf(url), resp)
 	if entry == nil {
 		// Cache API storage ignores no-store; store anyway.
-		clean := resp
-		cc := clean.Header.Get("Cache-Control")
-		clean = &httpsim.Response{StatusCode: resp.StatusCode, Status: resp.Status,
+		clean := &httpsim.Response{StatusCode: resp.StatusCode, Status: resp.Status,
 			Header: resp.Header.Clone(), Body: append([]byte(nil), resp.Body...)}
 		clean.Header.Set("Cache-Control", "max-age=31536000")
 		entry = httpcache.EntryFromResponse(e.Now(), url, hostOf(url), clean)
-		_ = cc
 	}
 	e.browser().cacheAPI.Put(entry)
 }

@@ -9,11 +9,6 @@ import (
 	"masterparasite/internal/script"
 )
 
-// scriptRuntime aliases the script runtime so Browser can re-export it.
-type scriptRuntime = script.Runtime
-
-func newScriptRuntime() *script.Runtime { return script.NewRuntime() }
-
 // maxFrameDepth bounds recursive iframe loading.
 const maxFrameDepth = 3
 
@@ -46,13 +41,9 @@ type VisitOpts struct {
 	OnDocument func(*Page)
 }
 
-// Visit loads host+path as a top-level navigation. cb runs inside the
-// event loop once every subresource has settled.
-func (b *Browser) Visit(host, path string, cb func(*Page, error)) {
-	b.visit(host, path, VisitOpts{}, 0, cb)
-}
-
-// VisitWith loads a page with explicit options.
+// VisitWith loads host+path as a top-level navigation with explicit
+// options. cb runs inside the event loop once every subresource has
+// settled.
 func (b *Browser) VisitWith(host, path string, opts VisitOpts, cb func(*Page, error)) {
 	b.visit(host, path, opts, 0, cb)
 }
@@ -210,9 +201,6 @@ func (l *loader) step() {
 }
 
 func (l *loader) cspAllows(directive, url string) bool {
-	if !l.b.EnforceCSP {
-		return true
-	}
 	if l.page.CSP.Allows(directive, hostOf(url), l.page.Host) {
 		return true
 	}

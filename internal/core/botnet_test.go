@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"masterparasite/internal/attacker"
@@ -9,74 +8,6 @@ import (
 	"masterparasite/internal/parasite"
 	"masterparasite/internal/script"
 )
-
-func TestBotnetMultipleVictims(t *testing.T) {
-	// The paper's "parasites botnet": two victims on the same WiFi, the
-	// master infects both, each reports under its own bot identity, and
-	// the master commands them independently.
-	s, err := NewScenario(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	populateWeb(s)
-
-	// Two strains — one per victim identity. (A real deployment derives
-	// the bot id victim-side; strains keep the simulation explicit.)
-	for _, id := range []string{"v1", "v2"} {
-		cfg := parasite.NewConfig(id, "bot-"+id, MasterHost)
-		cfg.Propagate = false
-		cfg.Modules["whoami"] = func(env script.Env, _ string, exfil parasite.Exfil) error {
-			exfil("id", []byte(env.UserAgent()))
-			return nil
-		}
-		s.Registry.Add(cfg)
-	}
-	// The master targets different objects for the two victims: victim 1
-	// browses somesite.com, victim 2 browses top1.com.
-	s.Master.AddTarget(attacker.Target{Name: "somesite.com/my.js", Kind: attacker.KindJS,
-		ParasitePayload: "v1", Original: []byte("o")})
-	s.Master.AddTarget(attacker.Target{Name: "top1.com/persistent.js", Kind: attacker.KindJS,
-		ParasitePayload: "v2", Original: []byte("o")})
-
-	victim2, err := s.AddVictim("victim-2", "Firefox", 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := s.Visit("somesite.com", "/"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.VisitWith(victim2, "top1.com", "/", browser.VisitOpts{}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Both infected; now command each bot separately, off-path.
-	s.LeaveAttackerNetwork()
-	s.CNC.QueueCommand("bot-v1", []byte("whoami|"))
-	s.CNC.QueueCommand("bot-v2", []byte("whoami|"))
-	if _, err := s.Visit("somesite.com", "/"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.VisitWith(victim2, "top1.com", "/", browser.VisitOpts{}); err != nil {
-		t.Fatal(err)
-	}
-
-	loot1, ok1 := s.CNC.Upload("bot-v1", "id")
-	loot2, ok2 := s.CNC.Upload("bot-v2", "id")
-	if !ok1 || !ok2 {
-		t.Fatalf("exfil: v1=%v v2=%v", ok1, ok2)
-	}
-	if !strings.Contains(string(loot1), "Chrome") {
-		t.Fatalf("bot-v1 loot = %q", loot1)
-	}
-	if !strings.Contains(string(loot2), "Firefox") {
-		t.Fatalf("bot-v2 loot = %q", loot2)
-	}
-	bots := s.CNC.Bots()
-	if len(bots) != 2 {
-		t.Fatalf("bots = %v", bots)
-	}
-}
 
 func TestSharedFilePropagation(t *testing.T) {
 	// §VI-B1 "Propagation on the same device via shared files": infecting
@@ -142,7 +73,7 @@ func TestEvictionThenInfectionPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewScenario(Config{ProfileOverride: prof})
+	s, err := NewScenario(Config{Profile: prof})
 	if err != nil {
 		t.Fatal(err)
 	}

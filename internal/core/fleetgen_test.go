@@ -33,7 +33,7 @@ func runFleet(t *testing.T, workers int, lossy, taps bool) (FleetResult, map[str
 	if taps {
 		attach := func(name string, n *netsim.Network) {
 			rec := replay.NewRecorder(nil)
-			replay.NewTap(rec, nil).Attach(n)
+			replay.NewTap(rec).Attach(n)
 			recs[name] = rec
 		}
 		attach("backbone", fleet.Backbone().Network())

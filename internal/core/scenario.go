@@ -45,11 +45,9 @@ const (
 
 // Config parameterises a scenario.
 type Config struct {
-	// Profile is the victim browser ("Chrome", "Chrome*", "IE", ...).
-	Profile string
-	// ProfileOverride substitutes a fully custom profile (experiments use
-	// purpose-sized caches so eviction floods stay tractable).
-	ProfileOverride *browser.Profile
+	// Profile is the victim browser; nil means Chrome. Experiments pass
+	// purpose-sized caches so eviction floods stay tractable.
+	Profile *browser.Profile
 	// OS is the victim platform (default Win10).
 	OS browser.OS
 	// Seed keeps runs reproducible.
@@ -93,18 +91,11 @@ type Scenario struct {
 	// request so the response is sealed with the same one. The event loop
 	// is single-threaded, so request/response pairing is safe.
 	lastTLSKey string
-
-	// retransmit remembers whether stacks are built with retransmission,
-	// so AddVictim attaches extra victims with the same transport.
-	retransmit bool
 }
 
 // NewScenario assembles the network of Fig. 1/2: victim and attacker on
 // the same WiFi segment, web farm and attacker server across the uplink.
 func NewScenario(cfg Config) (*Scenario, error) {
-	if cfg.Profile == "" {
-		cfg.Profile = "Chrome"
-	}
 	if cfg.OS == "" {
 		cfg.OS = browser.Win10
 	}
@@ -112,12 +103,11 @@ func NewScenario(cfg Config) (*Scenario, error) {
 		cfg.Seed = 1
 	}
 	var profile browser.Profile
-	if cfg.ProfileOverride != nil {
-		profile = *cfg.ProfileOverride
+	if cfg.Profile != nil {
+		profile = *cfg.Profile
 	} else {
 		var err error
-		profile, err = browser.ProfileByName(cfg.Profile)
-		if err != nil {
+		if profile, err = browser.ProfileByName("Chrome"); err != nil {
 			return nil, err
 		}
 	}
@@ -133,7 +123,6 @@ func NewScenario(cfg Config) (*Scenario, error) {
 	if cfg.Link != nil {
 		s.Wifi.SetLinkProfile(*cfg.Link)
 	}
-	s.retransmit = cfg.Retransmit
 	stackOpts := func(seed int64) []tcpsim.StackOption {
 		opts := []tcpsim.StackOption{tcpsim.WithSeed(seed)}
 		if cfg.Retransmit {
@@ -313,16 +302,16 @@ func (s *Scenario) resolve(host string) (browser.Endpoint, bool) {
 
 // Visit loads a page in the victim browser and drains the network.
 func (s *Scenario) Visit(host, path string) (*browser.Page, error) {
-	return s.VisitWith(s.Victim, host, path, browser.VisitOpts{})
+	return s.VisitWith(host, path, browser.VisitOpts{})
 }
 
-// VisitWith loads a page in browser b — the victim or one added with
-// AddVictim — with explicit options (a Ctrl+F5 HardReload, or an
-// application's OnDocument wiring), and drains the network.
-func (s *Scenario) VisitWith(b *browser.Browser, host, path string, opts browser.VisitOpts) (*browser.Page, error) {
+// VisitWith loads a page in the victim browser with explicit options (a
+// Ctrl+F5 HardReload, or an application's OnDocument wiring), and
+// drains the network.
+func (s *Scenario) VisitWith(host, path string, opts browser.VisitOpts) (*browser.Page, error) {
 	var page *browser.Page
 	var verr error
-	b.VisitWith(host, path, opts, func(p *browser.Page, err error) { page, verr = p, err })
+	s.Victim.VisitWith(host, path, opts, func(p *browser.Page, err error) { page, verr = p, err })
 	s.Net.Run(0)
 	if verr != nil {
 		return nil, verr
@@ -339,17 +328,15 @@ func (s *Scenario) Run() { s.Net.Run(0) }
 
 // AttachReplay wires the record/replay subsystem into the scenario: the
 // netsim wire tap and the C&C exchange observer feed one replay.Tap,
-// which fans canonical events out to rec (capture + divergence
-// fingerprint) and/or chk (live verification against a recorded log).
-// Either may be nil. Attach before the first Visit so the log covers the
+// which records canonical events into rec (capture + divergence
+// fingerprint). Attach before the first Visit so the log covers the
 // whole run.
-func (s *Scenario) AttachReplay(rec *replay.Recorder, chk *replay.Checker) *replay.Tap {
-	t := replay.NewTap(rec, chk)
+func (s *Scenario) AttachReplay(rec *replay.Recorder) {
+	t := replay.NewTap(rec)
 	t.Attach(s.Net)
 	s.CNC.SetExchangeObserver(func(x cnc.Exchange) {
 		t.ObserveCNC(x.Bot, x.Path, x.Status, x.RespBytes)
 	})
-	return t
 }
 
 // LeaveAttackerNetwork models the victim moving to its home network: the
@@ -364,37 +351,11 @@ func (s *Scenario) LeaveAttackerNetwork() {
 // deterministic virtual clock, so churn composes with link faults
 // without disturbing byte-identity. With retransmission enabled the
 // transport rides out each outage; without it, in-flight exchanges die.
-func (s *Scenario) ScheduleChurn(b *browser.Browser, start, period, gap time.Duration, cycles int) {
-	ifc := b.Interface()
+func (s *Scenario) ScheduleChurn(start, period, gap time.Duration, cycles int) {
+	ifc := s.Victim.Interface()
 	for i := 0; i < cycles; i++ {
 		at := start + time.Duration(i)*period
 		s.Net.Schedule(at, func() { ifc.SetReceiveDrop(true) })
 		s.Net.Schedule(at+gap, func() { ifc.SetReceiveDrop(false) })
 	}
-}
-
-// AddVictim attaches another victim browser to the WiFi segment — the
-// botnet case: the master infects every client it can see, and each
-// parasite reports to the C&C under its own bot identity.
-func (s *Scenario) AddVictim(addr netsim.Addr, profile string, seed int64) (*browser.Browser, error) {
-	p, err := browser.ProfileByName(profile)
-	if err != nil {
-		return nil, err
-	}
-	b, err := browser.New(s.Net, browser.Config{
-		Profile:    p,
-		OS:         browser.Win10,
-		Segment:    s.Wifi,
-		Addr:       addr,
-		Resolver:   s.resolve,
-		Delay:      victimDelay,
-		Seed:       seed,
-		Retransmit: s.retransmit,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scenario extra victim: %w", err)
-	}
-	attacker.RegisterEvictionBehavior(b.ScriptRuntime())
-	parasite.RegisterBehaviors(b.ScriptRuntime(), s.Registry)
-	return b, nil
 }

@@ -1,15 +1,13 @@
 // Package dom implements the minimal document object model that the
 // parasite scripts manipulate (§VII): an element tree parsed from HTML,
-// attribute access, form input fields with hookable submit events, iframe
-// and resource discovery, and serialisation. "JS has complete read and
-// write access to the DOM, and the submit events can be hooked" — this
-// package provides exactly that capability surface.
+// attribute access, form input fields with hookable submit events, and
+// iframe and resource discovery. "JS has complete read and write access
+// to the DOM, and the submit events can be hooked" — this package
+// provides exactly that capability surface.
 package dom
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -149,17 +147,6 @@ func NewDocument(url string) *Document {
 	root.Append(NewElement("head"))
 	root.Append(NewElement("body"))
 	return &Document{URL: url, Root: root}
-}
-
-// Head returns the <head> element.
-func (d *Document) Head() *Element {
-	els := d.Root.Find(func(e *Element) bool { return e.Tag == "head" })
-	if len(els) == 0 {
-		h := NewElement("head")
-		d.Root.Append(h)
-		return h
-	}
-	return els[0]
 }
 
 // Body returns the <body> element.
@@ -316,31 +303,4 @@ func (d *Document) Submit(formID string) (map[string]string, bool, error) {
 		fn(values)
 	}
 	return values, true, nil
-}
-
-// HTML serialises the document.
-func (d *Document) HTML() []byte {
-	var b bytes.Buffer
-	writeElement(&b, d.Root)
-	return b.Bytes()
-}
-
-func writeElement(b *bytes.Buffer, e *Element) {
-	b.WriteByte('<')
-	b.WriteString(e.Tag)
-	attrs := make(AttrList, len(e.Attrs))
-	copy(attrs, e.Attrs)
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i].Key < attrs[j].Key })
-	for _, a := range attrs {
-		fmt.Fprintf(b, " %s=%q", a.Key, a.Value)
-	}
-	b.WriteByte('>')
-	if voidTags[e.Tag] {
-		return
-	}
-	b.WriteString(e.Text)
-	for _, c := range e.Children {
-		writeElement(b, c)
-	}
-	fmt.Fprintf(b, "</%s>", e.Tag)
 }

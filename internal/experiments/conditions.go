@@ -190,7 +190,7 @@ func conditionsEviction(lp netsim.LinkProfile, seed int64) (bool, error) {
 		return false, err
 	}
 	scaled := scaleProfile(chrome)
-	s, err := core.NewScenario(core.Config{ProfileOverride: &scaled, Seed: seed, Link: &lp, Retransmit: true})
+	s, err := core.NewScenario(core.Config{Profile: &scaled, Seed: seed, Link: &lp, Retransmit: true})
 	if err != nil {
 		return false, err
 	}
@@ -247,7 +247,7 @@ func conditionsChurn(lp netsim.LinkProfile, seed int64) (bool, error) {
 	// Five outages of 8ms every 40ms, starting 1ms into the visit: short
 	// enough for the RTO backoff to ride out, frequent enough that some
 	// poll exchange is mid-flight when the interface goes dark.
-	s.ScheduleChurn(s.Victim, time.Millisecond, 40*time.Millisecond, 8*time.Millisecond, 5)
+	s.ScheduleChurn(time.Millisecond, 40*time.Millisecond, 8*time.Millisecond, 5)
 	if _, err := s.Visit("somesite.com", "/"); err != nil {
 		return false, nil // churn killed the carrier page load
 	}

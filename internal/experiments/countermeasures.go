@@ -68,7 +68,7 @@ func Countermeasures(env artifact.Env) (*artifact.Result, error) {
 		},
 		{
 			name: "cache partitioning",
-			cfg:  core.Config{Seed: 61, ProfileOverride: partitionedChrome()},
+			cfg:  core.Config{Seed: 61, Profile: partitionedChrome()},
 			note: "blocks shared-entry reuse only; iframe propagation unaffected (paper: partitioning is inefficient)",
 		},
 		{

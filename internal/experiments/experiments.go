@@ -106,7 +106,7 @@ func TableI(env artifact.Env) (*artifact.Result, error) {
 // fresh, self-contained scenario.
 func tableIRow(p browser.Profile) (TableIRow, error) {
 	scaled := scaleProfile(p)
-	s, err := core.NewScenario(core.Config{ProfileOverride: &scaled, Seed: 31})
+	s, err := core.NewScenario(core.Config{Profile: &scaled, Seed: 31})
 	if err != nil {
 		return TableIRow{}, fmt.Errorf("table I %s: %w", p.UserAgent(), err)
 	}
@@ -221,7 +221,7 @@ func TableII(env artifact.Env) (*artifact.Result, error) {
 }
 
 func injectionSucceeds(p browser.Profile, os browser.OS) (bool, error) {
-	s, err := core.NewScenario(core.Config{ProfileOverride: &p, OS: os, Seed: 17})
+	s, err := core.NewScenario(core.Config{Profile: &p, OS: os, Seed: 17})
 	if err != nil {
 		return false, err
 	}
@@ -343,7 +343,7 @@ func TableIII(env artifact.Env) (*artifact.Result, error) {
 }
 
 func refreshRemovesParasite(p browser.Profile, method string) (bool, error) {
-	s, err := core.NewScenario(core.Config{ProfileOverride: &p, Seed: 23})
+	s, err := core.NewScenario(core.Config{Profile: &p, Seed: 23})
 	if err != nil {
 		return false, err
 	}
@@ -368,7 +368,7 @@ func refreshRemovesParasite(p browser.Profile, method string) (bool, error) {
 
 	switch method {
 	case "ctrlf5":
-		if _, err := s.VisitWith(s.Victim, "top1.com", "/", browser.VisitOpts{HardReload: true}); err != nil {
+		if _, err := s.VisitWith("top1.com", "/", browser.VisitOpts{HardReload: true}); err != nil {
 			return false, err
 		}
 	case "clearcache":

@@ -82,7 +82,7 @@ func TestArtifactBytesMatchGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := replay.NewRecorder(nil)
-		if err := RunKillChain(KillChainOpts{Seed: 97, Link: c.link}, rec, nil); err != nil {
+		if err := RunKillChain(KillChainOpts{Seed: 97, Link: c.link}, rec); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := rec.Fingerprint(), strings.TrimSpace(string(fp)); got != want {

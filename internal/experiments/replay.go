@@ -23,7 +23,7 @@ type KillChainOpts struct {
 	// ServerDelay overrides the web/attacker server response delay
 	// (0 keeps the scenario default). It is the canonical perturbation
 	// knob: re-running a recorded capture with a different delay shifts
-	// the wire schedule and the checker pins the first shifted event.
+	// the wire schedule and replay.Diff pins the first shifted event.
 	ServerDelay time.Duration
 	// Link installs a network fault profile on the scenario's WiFi
 	// segment and enables tcpsim retransmission so the kill chain
@@ -36,11 +36,10 @@ type KillChainOpts struct {
 
 // RunKillChain executes the full scripted kill chain — cache eviction,
 // cache infection + propagation, then C&C from the home network — with
-// the replay tap attached. Every wire event and C&C exchange is fed to
-// rec and/or chk (either may be nil). This is the same sequence the
-// "flows" artifact traces; here it is the canonical record/replay
-// workload.
-func RunKillChain(opts KillChainOpts, rec *replay.Recorder, chk *replay.Checker) error {
+// the replay tap attached. Every wire event and C&C exchange is recorded
+// into rec. This is the same sequence the "flows" artifact traces; here
+// it is the canonical record/replay workload.
+func RunKillChain(opts KillChainOpts, rec *replay.Recorder) error {
 	scfg := core.Config{Seed: opts.Seed, ServerDelay: opts.ServerDelay}
 	if opts.Link != nil {
 		scfg.Link = opts.Link
@@ -50,7 +49,7 @@ func RunKillChain(opts KillChainOpts, rec *replay.Recorder, chk *replay.Checker)
 	if err != nil {
 		return err
 	}
-	s.AttachReplay(rec, chk)
+	s.AttachReplay(rec)
 	return scriptKillChain(s, "replay", nil)
 }
 
@@ -133,14 +132,14 @@ func (d ReplayData) Table() (header []string, rows [][]string) {
 
 // perturbDelay is the ServerDelay override used for the deliberate
 // divergence: the scenario default is 12 ms, so 15 ms shifts every
-// server response and the checker must pin the first shifted event.
+// server response and replay.Diff must pin the first shifted event.
 const perturbDelay = 15 * time.Millisecond
 
 // ReplayStability is the record/replay verification artifact. For each
 // seed it records a full kill-chain run, then requires four verdicts:
 // the stub-driven replay reproduces the send-level fingerprint exactly,
-// the 8× time-compressed replay still matches, a live re-run checks
-// clean against the recording, and a deliberately perturbed re-run
+// the 8× time-compressed replay still matches, a re-run diffs clean
+// against the recording, and a deliberately perturbed re-run
 // (slower server) diverges — at an exact, stable event index. The
 // rendered rows carry the full fingerprints, so they join the run
 // manifest's SHA-256 guarantee: any nondeterminism anywhere in the
@@ -150,7 +149,7 @@ func ReplayStability(env artifact.Env) (*artifact.Result, error) {
 	rows, err := runner.Map(env.Runner, seeds, func(_ int, seed int64) (replayRow, error) {
 		// Record.
 		rec := replay.NewRecorder(nil)
-		if err := RunKillChain(KillChainOpts{Seed: seed}, rec, nil); err != nil {
+		if err := RunKillChain(KillChainOpts{Seed: seed}, rec); err != nil {
 			return replayRow{}, err
 		}
 		row := replayRow{
@@ -175,19 +174,19 @@ func ReplayStability(env artifact.Env) (*artifact.Result, error) {
 		}
 		row.CompressedOK = comp.Divergence == nil
 
-		// Live re-run checks clean against the recording.
-		chk := replay.NewChecker(rec.Events())
-		if err := RunKillChain(KillChainOpts{Seed: seed}, nil, chk); err != nil {
+		// A re-run diffs clean against the recording.
+		rerun := replay.NewRecorder(nil)
+		if err := RunKillChain(KillChainOpts{Seed: seed}, rerun); err != nil {
 			return replayRow{}, err
 		}
-		row.RerunOK = chk.Finish() == nil
+		row.RerunOK = replay.Diff(rec.Events(), rerun.Events()) == nil
 
 		// Perturbed re-run must diverge at an exact index.
-		chk = replay.NewChecker(rec.Events())
-		if err := RunKillChain(KillChainOpts{Seed: seed, ServerDelay: perturbDelay}, nil, chk); err != nil {
+		perturbed := replay.NewRecorder(nil)
+		if err := RunKillChain(KillChainOpts{Seed: seed, ServerDelay: perturbDelay}, perturbed); err != nil {
 			return replayRow{}, err
 		}
-		div := chk.Finish()
+		div := replay.Diff(rec.Events(), perturbed.Events())
 		if div == nil {
 			return replayRow{}, fmt.Errorf("seed %d: perturbed run did not diverge", seed)
 		}

@@ -14,7 +14,7 @@ import (
 func recordKillChain(t *testing.T, opts KillChainOpts) *replay.Recorder {
 	t.Helper()
 	rec := replay.NewRecorder(nil)
-	if err := RunKillChain(opts, rec, nil); err != nil {
+	if err := RunKillChain(opts, rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Count() == 0 {
@@ -75,63 +75,46 @@ func TestReplayFingerprintStableAcrossWorkers(t *testing.T) {
 }
 
 // TestReplayDivergenceExactIndex injects the canonical perturbation (a
-// slower server) and asserts the live checker reports the divergence at
-// exactly the index an offline log-vs-log Diff computes — and that an
-// unperturbed re-run reports none at all.
+// slower server) and asserts Diff reports the divergence as a timing
+// change with a before/after pair — and that an unperturbed re-run
+// reports none at all.
 func TestReplayDivergenceExactIndex(t *testing.T) {
 	const seed = 97
 	base := recordKillChain(t, KillChainOpts{Seed: seed})
 
-	// Unperturbed live re-run: checker stays clean.
-	chk := replay.NewChecker(base.Events())
-	if err := RunKillChain(KillChainOpts{Seed: seed}, nil, chk); err != nil {
-		t.Fatal(err)
-	}
-	if d := chk.Finish(); d != nil {
+	// Unperturbed re-run: diffs clean.
+	rerun := recordKillChain(t, KillChainOpts{Seed: seed})
+	if d := replay.Diff(base.Events(), rerun.Events()); d != nil {
 		t.Fatalf("identical re-run diverged:\n%s", d)
 	}
 
-	// Perturbed live re-run, checked as it happens.
-	chk = replay.NewChecker(base.Events())
-	if err := RunKillChain(KillChainOpts{Seed: seed, ServerDelay: perturbDelay}, nil, chk); err != nil {
-		t.Fatal(err)
-	}
-	live := chk.Finish()
-	if live == nil {
-		t.Fatal("perturbed re-run did not diverge")
-	}
-
-	// Offline ground truth: record the perturbed run and Diff the logs.
 	pert := recordKillChain(t, KillChainOpts{Seed: seed, ServerDelay: perturbDelay})
-	offline := replay.Diff(base.Events(), pert.Events())
-	if offline == nil {
-		t.Fatal("offline diff found no divergence")
-	}
-	if live.Index != offline.Index {
-		t.Fatalf("live checker diverged at #%d, offline diff at #%d", live.Index, offline.Index)
+	d := replay.Diff(base.Events(), pert.Events())
+	if d == nil {
+		t.Fatal("perturbed re-run did not diverge")
 	}
 	// Everything before the divergence is identical by construction; the
 	// event at the index must show the timing change in its field diff.
-	if live.Recorded == nil || live.Live == nil {
-		t.Fatalf("divergence lacks a before/after pair:\n%s", live)
+	if d.Recorded == nil || d.Live == nil {
+		t.Fatalf("divergence lacks a before/after pair:\n%s", d)
 	}
 	found := false
-	for _, f := range live.ChangedFields() {
+	for _, f := range d.ChangedFields() {
 		if len(f) >= 4 && f[:4] == "time" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("divergence does not attribute the change to timing:\n%s", live)
+		t.Errorf("divergence does not attribute the change to timing:\n%s", d)
 	}
 }
 
 // TestReplayCapturesLinkFaults is the fault-injection regression test:
 // re-running a recorded kill chain under a lossy, duplicating
 // LinkProfile must surface the faults as KindDrop and KindDup events in
-// the MPRL log, change the divergence fingerprint, and make the live
-// checker pin the first faulted event at exactly the offline Diff
-// index. The faulted log must also survive a write/ReadLog round trip.
+// the MPRL log, change the divergence fingerprint, and diverge from the
+// clean recording. The faulted log must also survive a write/ReadLog
+// round trip.
 func TestReplayCapturesLinkFaults(t *testing.T) {
 	const seed = 97
 	base := recordKillChain(t, KillChainOpts{Seed: seed})
@@ -142,8 +125,7 @@ func TestReplayCapturesLinkFaults(t *testing.T) {
 	lossy := netsim.LinkProfile{Name: "regress", Loss: 0.15, Duplicate: 0.2, Seed: 7}
 	var buf bytes.Buffer
 	rec := replay.NewRecorder(&buf)
-	chk := replay.NewChecker(base.Events())
-	if err := RunKillChain(KillChainOpts{Seed: seed, Link: &lossy}, rec, chk); err != nil {
+	if err := RunKillChain(KillChainOpts{Seed: seed, Link: &lossy}, rec); err != nil {
 		t.Fatal(err)
 	}
 	if got := rec.CountKind(replay.KindDrop); got == 0 {
@@ -156,16 +138,8 @@ func TestReplayCapturesLinkFaults(t *testing.T) {
 		t.Error("fingerprint unchanged despite link faults")
 	}
 
-	live := chk.Finish()
-	if live == nil {
-		t.Fatal("checker saw no divergence against the clean recording")
-	}
-	offline := replay.Diff(base.Events(), rec.Events())
-	if offline == nil {
-		t.Fatal("offline diff found no divergence")
-	}
-	if live.Index != offline.Index {
-		t.Errorf("live checker pinned event #%d, offline diff #%d", live.Index, offline.Index)
+	if replay.Diff(base.Events(), rec.Events()) == nil {
+		t.Fatal("diff saw no divergence against the clean recording")
 	}
 
 	// The streamed log round-trips: same events, same fingerprint.

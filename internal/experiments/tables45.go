@@ -202,7 +202,7 @@ func runTableVAttack(attack, app, params, stream, setup string) (bool, string, e
 			return fmt.Errorf("form %s missing", formID)
 		}
 		for k, v := range values {
-			if !setFormValue(p, formID, k, v) {
+			if !dom.SetFormValue(form, k, v) {
 				return fmt.Errorf("input %s missing on %s", k, formID)
 			}
 		}
@@ -233,7 +233,7 @@ func runTableVAttack(attack, app, params, stream, setup string) (bool, string, e
 		s.AddPage("iot-cam.local", "/", "cam", map[string]string{"Cache-Control": "no-store"})
 	case "side-send":
 		s.CNC.QueueCommand("bot-tv", []byte("side-channel|send"))
-		if _, err := s.VisitWith(s.Victim, host, "/", wired); err != nil {
+		if _, err := s.VisitWith(host, "/", wired); err != nil {
 			return false, "", err
 		}
 	case "logged-in", "submit-login", "logged-in-transfer", "pending-transfer":
@@ -243,7 +243,7 @@ func runTableVAttack(attack, app, params, stream, setup string) (bool, string, e
 	// Login flows for the bank runs.
 	needLogin := setup == "logged-in" || setup == "logged-in-transfer" || setup == "pending-transfer"
 	if needLogin {
-		page, err := s.VisitWith(s.Victim, bank.Host, "/", wired)
+		page, err := s.VisitWith(bank.Host, "/", wired)
 		if err != nil {
 			return false, "", err
 		}
@@ -256,7 +256,7 @@ func runTableVAttack(attack, app, params, stream, setup string) (bool, string, e
 		// Stage the attacker's pending transfer via the manipulation
 		// module, then evaluate bypass-2fa on the confirmation page.
 		s.CNC.QueueCommand("bot-tv", []byte("transaction-manipulation|iban=XX99 EVIL,amount=9000"))
-		page, err := s.VisitWith(s.Victim, bank.Host, "/", wired)
+		page, err := s.VisitWith(bank.Host, "/", wired)
 		if err != nil {
 			return false, "", err
 		}
@@ -272,7 +272,7 @@ func runTableVAttack(attack, app, params, stream, setup string) (bool, string, e
 	if setup == "pending-transfer" {
 		path = "/confirm"
 	}
-	page, err := s.VisitWith(s.Victim, host, path, wired)
+	page, err := s.VisitWith(host, path, wired)
 	if err != nil {
 		return false, "", err
 	}
@@ -317,19 +317,4 @@ func runTableVAttack(attack, app, params, stream, setup string) (bool, string, e
 		}
 	}
 	return false, "no evidence", nil
-}
-
-func setFormValue(p *browser.Page, formID, name, value string) bool {
-	form := p.Doc.FindByID(formID)
-	if form == nil {
-		return false
-	}
-	ok := false
-	form.Walk(func(e *dom.Element) {
-		if (e.Tag == "input" || e.Tag == "textarea") && e.Attr("name") == name {
-			e.SetAttr("value", value)
-			ok = true
-		}
-	})
-	return ok
 }

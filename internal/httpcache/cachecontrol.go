@@ -59,30 +59,6 @@ func ParseCacheControl(v string) CacheControl {
 	return cc
 }
 
-// String re-renders the directives in canonical order.
-func (cc CacheControl) String() string {
-	var parts []string
-	if cc.Public {
-		parts = append(parts, "public")
-	}
-	if cc.Private {
-		parts = append(parts, "private")
-	}
-	if cc.HasMaxAge {
-		parts = append(parts, "max-age="+strconv.Itoa(int(cc.MaxAge/time.Second)))
-	}
-	if cc.Immutable {
-		parts = append(parts, "immutable")
-	}
-	if cc.NoCache {
-		parts = append(parts, "no-cache")
-	}
-	if cc.NoStore {
-		parts = append(parts, "no-store")
-	}
-	return strings.Join(parts, ", ")
-}
-
 // MaxFreshness is the Cache-Control value the attacker sets on infected
 // objects: "the cache duration is set by HTTP headers like the
 // Cache-Control header ... so that the browser of the victim keeps the

@@ -225,13 +225,6 @@ func (s *Store) Contains(partition, url string) bool {
 	return ok
 }
 
-// Delete removes one entry.
-func (s *Store) Delete(partition, url string) {
-	if it, ok := s.items[s.key(partition, url)]; ok {
-		s.removeItem(it)
-	}
-}
-
 // Clear empties the store (the browser's "clear cache" action).
 func (s *Store) Clear() {
 	s.items = make(map[string]*storeItem)
@@ -250,21 +243,6 @@ func (s *Store) Capacity() int64 { return s.opts.Capacity }
 
 // Stats returns a copy of the counters.
 func (s *Store) Stats() Stats { return s.stats }
-
-// Domains returns the distinct entry domains, sorted. Used by the
-// inter-domain eviction experiment (Table I column "I.D.").
-func (s *Store) Domains() []string {
-	seen := make(map[string]struct{})
-	for _, it := range s.items {
-		seen[it.entry.Domain] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // URLs returns all cached URLs, sorted (diagnostics and tests).
 func (s *Store) URLs() []string {

@@ -39,14 +39,6 @@ func TestParseCacheControl(t *testing.T) {
 	}
 }
 
-func TestCacheControlStringRoundTrip(t *testing.T) {
-	in := "public, max-age=3600, immutable, no-cache"
-	cc := ParseCacheControl(in)
-	if got := ParseCacheControl(cc.String()); got != cc {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, cc)
-	}
-}
-
 func TestEntryFromResponseFreshness(t *testing.T) {
 	e := EntryFromResponse(0, "a.com/x.js", "a.com", respWithCC("max-age=60", "body"))
 	if e == nil {
@@ -219,24 +211,9 @@ func TestClearAndDelete(t *testing.T) {
 	s := NewStore(Options{Capacity: 1 << 20})
 	s.Put("", EntryFromResponse(0, "a.com/1", "a.com", respWithCC("max-age=60", "x")))
 	s.Put("", EntryFromResponse(0, "a.com/2", "a.com", respWithCC("max-age=60", "y")))
-	s.Delete("", "a.com/1")
-	if s.Contains("", "a.com/1") || !s.Contains("", "a.com/2") {
-		t.Fatal("delete misbehaved")
-	}
 	s.Clear()
 	if s.Len() != 0 || s.Size() != 0 {
 		t.Fatal("clear left residue")
-	}
-}
-
-func TestDomains(t *testing.T) {
-	s := NewStore(Options{})
-	s.Put("", EntryFromResponse(0, "b.com/1", "b.com", respWithCC("max-age=60", "x")))
-	s.Put("", EntryFromResponse(0, "a.com/1", "a.com", respWithCC("max-age=60", "x")))
-	s.Put("", EntryFromResponse(0, "a.com/2", "a.com", respWithCC("max-age=60", "x")))
-	d := s.Domains()
-	if len(d) != 2 || d[0] != "a.com" || d[1] != "b.com" {
-		t.Fatalf("domains = %v", d)
 	}
 }
 

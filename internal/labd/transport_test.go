@@ -170,39 +170,46 @@ func TestTruncatedBodyIsRejected(t *testing.T) {
 
 // TestRealArtifactOverRealHTTPMatchesBatchManifest enqueues a genuine
 // registry artifact (the paper's message-flows figure) through the real
-// net/http daemon and asserts the rendered bytes carry the same SHA-256
-// the batch CLI's manifest records — the acceptance criterion verbatim.
+// net/http daemon, in text and in JSON, and asserts the served bytes
+// equal the batch render and carry the same SHA-256 the batch CLI's
+// manifest records — the acceptance criterion verbatim.
 func TestRealArtifactOverRealHTTPMatchesBatchManifest(t *testing.T) {
 	t.Parallel()
-	srv := openServer(t, labd.Config{Workers: 1})
-	do := httpTransport(t, srv)
+	for _, format := range []string{"text", "json"} {
+		format := format
+		t.Run(format, func(t *testing.T) {
+			t.Parallel()
+			srv := openServer(t, labd.Config{Workers: 1})
+			do := httpTransport(t, srv)
 
-	resp := do(t, "POST", "/v1/runs", []byte(`{"spec":"flows","format":"text"}`))
-	if resp.Status != http.StatusAccepted {
-		t.Fatalf("enqueue = %d %q", resp.Status, resp.Body)
-	}
-	if !strings.Contains(string(resp.Body), `"id": "run-000001"`) {
-		t.Fatalf("enqueue response: %q", resp.Body)
-	}
-	final := waitDone(t, srv, "run-000001")
-	if final.Status != labd.StatusDone {
-		t.Fatalf("flows run failed: %+v", final)
-	}
+			resp := do(t, "POST", "/v1/runs", []byte(`{"spec":"flows","format":"`+format+`"}`))
+			if resp.Status != http.StatusAccepted {
+				t.Fatalf("enqueue = %d %q", resp.Status, resp.Body)
+			}
+			if !strings.Contains(string(resp.Body), `"id": "run-000001"`) {
+				t.Fatalf("enqueue response: %q", resp.Body)
+			}
+			final := waitDone(t, srv, "run-000001")
+			if final.Status != labd.StatusDone {
+				t.Fatalf("flows run failed: %+v", final)
+			}
 
-	got := do(t, "GET", "/v1/runs/run-000001/artifact", nil)
-	spec, _ := artifact.Get("flows")
-	renderer, _ := artifact.RendererFor("text")
-	res, rendered, err := artifact.RunRendered(spec, runner.New(1), nil, renderer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	manifest := artifact.NewManifest("text", 1)
-	manifest.Add(spec, res, rendered)
-	if !bytes.Equal(got.Body, rendered) {
-		t.Fatal("flows artifact served over net/http diverges from the batch render")
-	}
-	if final.SHA256 != manifest.Artifacts[0].SHA256 {
-		t.Fatalf("served fingerprint %s != batch manifest %s", final.SHA256, manifest.Artifacts[0].SHA256)
+			got := do(t, "GET", "/v1/runs/run-000001/artifact", nil)
+			spec, _ := artifact.Get("flows")
+			renderer, _ := artifact.RendererFor(format)
+			res, rendered, err := artifact.RunRendered(spec, runner.New(1), nil, renderer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			manifest := artifact.NewManifest(format, 1)
+			manifest.Add(spec, res, rendered)
+			if !bytes.Equal(got.Body, rendered) {
+				t.Fatal("flows artifact served over net/http diverges from the batch render")
+			}
+			if final.SHA256 != manifest.Artifacts[0].SHA256 {
+				t.Fatalf("served fingerprint %s != batch manifest %s", final.SHA256, manifest.Artifacts[0].SHA256)
+			}
+		})
 	}
 }
 

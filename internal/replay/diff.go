@@ -4,54 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"time"
 )
-
-// Checker verifies a live event stream against a recorded log as the
-// events happen. The first mismatch is latched as a Divergence carrying
-// the exact event index and both events; everything after the first
-// divergence is ignored (one behavioural change cascades, and the first
-// index is the bisection answer).
-type Checker struct {
-	want    []Event
-	idx     int
-	div     *Divergence
-	wantBuf []byte
-	liveBuf []byte
-}
-
-// NewChecker builds a checker expecting the recorded event sequence.
-func NewChecker(want []Event) *Checker { return &Checker{want: want} }
-
-// observe compares one live event against the expectation at the
-// current index.
-func (c *Checker) observe(live Event) {
-	if c.div != nil {
-		return
-	}
-	if c.idx >= len(c.want) {
-		c.div = &Divergence{Index: c.idx, Live: cloneEvent(live)}
-		c.idx++
-		return
-	}
-	rec := &c.want[c.idx]
-	c.wantBuf = rec.appendTo(c.wantBuf[:0])
-	c.liveBuf = live.appendTo(c.liveBuf[:0])
-	if !bytes.Equal(c.wantBuf, c.liveBuf) {
-		c.div = &Divergence{Index: c.idx, Recorded: cloneEvent(*rec), Live: cloneEvent(live)}
-	}
-	c.idx++
-}
-
-// Finish completes the check: if the live run produced fewer events
-// than the log (and no earlier mismatch), that truncation is itself a
-// divergence at the first missing index.
-func (c *Checker) Finish() *Divergence {
-	if c.div == nil && c.idx < len(c.want) {
-		c.div = &Divergence{Index: c.idx, Recorded: cloneEvent(c.want[c.idx])}
-	}
-	return c.div
-}
 
 // Divergence is one behavioural difference between a recorded run and a
 // live one, pinned to the exact event index. Recorded is nil when the
@@ -136,39 +89,25 @@ func firstDiff(a, b []byte) int {
 	return n
 }
 
-// cloneEvent deep-copies an event so divergence reports survive pooled
-// payload recycling.
-func cloneEvent(e Event) *Event {
-	cp := e
-	if e.Payload != nil {
-		cp.Payload = append([]byte(nil), e.Payload...)
-	}
-	return &cp
-}
-
-// Diff compares two event sequences offline and returns the first
-// divergence, or nil when they are identical. It is the log-vs-log
-// counterpart of a live Checker run.
-func Diff(a, b []Event) *Divergence {
-	c := NewChecker(a)
-	for _, ev := range b {
-		c.observe(ev)
-		if c.div != nil {
-			break
+// Diff compares a recorded event sequence with a live one and returns
+// the first divergence, or nil when they are identical. Everything after
+// the first divergence is ignored: one behavioural change cascades, and
+// the first index is the bisection answer. Recorded and Live point into
+// want and got.
+func Diff(want, got []Event) *Divergence {
+	var wantBuf, gotBuf []byte
+	for i := range got {
+		if i == len(want) {
+			return &Divergence{Index: i, Live: &got[i]}
+		}
+		wantBuf = want[i].appendTo(wantBuf[:0])
+		gotBuf = got[i].appendTo(gotBuf[:0])
+		if !bytes.Equal(wantBuf, gotBuf) {
+			return &Divergence{Index: i, Recorded: &want[i], Live: &got[i]}
 		}
 	}
-	return c.Finish()
-}
-
-// normalizeTimes returns a copy of events with every timestamp divided
-// by div — the expectation stream for a time-compressed replay.
-func normalizeTimes(events []Event, div int) []Event {
-	if div <= 1 {
-		return events
+	if len(got) < len(want) {
+		return &Divergence{Index: len(got), Recorded: &want[len(got)]}
 	}
-	out := append([]Event(nil), events...)
-	for i := range out {
-		out[i].Time = time.Duration(int64(out[i].Time) / int64(div))
-	}
-	return out
+	return nil
 }

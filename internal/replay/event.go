@@ -12,11 +12,10 @@
 // a run's behaviour exactly. Two runs are byte-identical if and only if
 // their fingerprints match, at any scenario-fleet worker count.
 //
-// A Checker replays verification live: attach it to a fresh run of the
-// same scenario and it compares every event, as it happens, against the
-// recorded log, reporting the first behavioural divergence at its exact
-// event index with a before/after field diff — a regression bisects to
-// one frame.
+// Diff verifies a run against a recorded log: record a fresh run of the
+// same scenario and Diff compares it, event by event, with the log,
+// reporting the first behavioural divergence at its exact event index
+// with a before/after field diff — a regression bisects to one frame.
 //
 // Drive re-drives the recorded traffic itself: every recorded send
 // is re-injected, at its recorded virtual time, into a live
@@ -144,6 +143,16 @@ func (e *Event) appendTo(dst []byte) []byte {
 	dst = appendString(dst, e.Bot)
 	dst = appendString(dst, e.Path)
 	dst = binary.LittleEndian.AppendUint16(dst, e.Status)
+	return dst
+}
+
+// appendRecord appends the event's log record to dst: the u32 length of
+// the canonical encoding, then the encoding. One slice carries both, so
+// the fingerprint hash and the log each take a single write.
+func (e *Event) appendRecord(dst []byte) []byte {
+	start := len(dst)
+	dst = e.appendTo(append(dst, 0, 0, 0, 0))
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
 }
 

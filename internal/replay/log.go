@@ -101,11 +101,8 @@ func ReadLogFile(path string) ([]Event, error) {
 func FingerprintEvents(events []Event) string {
 	h := sha256.New()
 	var scratch []byte
-	var lenBuf [4]byte
 	for i := range events {
-		scratch = events[i].appendTo(scratch[:0])
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(scratch)))
-		h.Write(lenBuf[:])
+		scratch = events[i].appendRecord(scratch[:0])
 		h.Write(scratch)
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -121,7 +118,13 @@ func Filter(events []Event, kinds ...Kind) []Event {
 		}
 		return false
 	}
-	var out []Event
+	n := 0
+	for i := range events {
+		if keep(events[i].Kind) {
+			n++
+		}
+	}
+	out := make([]Event, 0, n)
 	for _, e := range events {
 		if keep(e.Kind) {
 			out = append(out, e)

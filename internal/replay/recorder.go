@@ -2,7 +2,6 @@ package replay
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"hash"
 	"io"
@@ -17,7 +16,7 @@ import (
 // appended to the in-memory event list, and (when a writer is attached)
 // written to the append-only log. The same Recorder therefore serves as
 // the capture path, the fingerprint computer, and the in-memory source
-// for Drive or a Checker.
+// for Drive or Diff.
 type Recorder struct {
 	w       io.Writer
 	h       hash.Hash
@@ -39,15 +38,10 @@ func NewRecorder(w io.Writer) *Recorder {
 // Add captures one event. The event's payload is copied, so callers may
 // hand in views of pooled buffers.
 func (r *Recorder) Add(ev Event) {
-	r.scratch = ev.appendTo(r.scratch[:0])
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(r.scratch)))
-	r.h.Write(lenBuf[:])
+	r.scratch = ev.appendRecord(r.scratch[:0])
 	r.h.Write(r.scratch)
 	if r.w != nil && r.err == nil {
-		if _, err := r.w.Write(lenBuf[:]); err != nil {
-			r.err = err
-		} else if _, err := r.w.Write(r.scratch); err != nil {
+		if _, err := r.w.Write(r.scratch); err != nil {
 			r.err = err
 		}
 	}
@@ -84,20 +78,19 @@ func (r *Recorder) Fingerprint() string {
 func (r *Recorder) Err() error { return r.err }
 
 // Tap adapts one scenario's observation hooks — the netsim wire tap and
-// the C&C exchange observer — into canonical events, fanned out to a
-// recorder and/or a checker (either may be nil). Time for C&C events is
-// read from the attached network's virtual clock.
+// the C&C exchange observer — into canonical events captured by a
+// recorder. Time for C&C events is read from the attached network's
+// virtual clock.
 type Tap struct {
 	rec   *Recorder
-	chk   *Checker
 	clock *netsim.Network
 	// keep filters which kinds are captured; nil keeps everything. Drive
 	// uses it to recapture only the send-level stream.
 	keep func(Kind) bool
 }
 
-// NewTap builds a tap feeding rec and/or chk.
-func NewTap(rec *Recorder, chk *Checker) *Tap { return &Tap{rec: rec, chk: chk} }
+// NewTap builds a tap feeding rec.
+func NewTap(rec *Recorder) *Tap { return &Tap{rec: rec} }
 
 // Attach installs the tap as the network's wire tap and binds the
 // virtual clock.
@@ -111,12 +104,7 @@ func (t *Tap) emit(ev Event) {
 	if t.keep != nil && !t.keep(ev.Kind) {
 		return
 	}
-	if t.rec != nil {
-		t.rec.Add(ev)
-	}
-	if t.chk != nil {
-		t.chk.observe(ev)
-	}
+	t.rec.Add(ev)
 }
 
 // wire converts one wire event (payload valid only during the call) into

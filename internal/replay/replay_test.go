@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,6 +68,23 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecorderAddAllocs holds Add to zero allocations per event once its
+// scratch buffer is warm: the length prefix and the record share one
+// slice. AllocsPerRun reports the integer mean, so the amortised growth
+// of the event list reads as zero while a per-call allocation reads as
+// one. Skipped in -short mode: the CI race detector perturbs counts.
+func TestRecorderAddAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts shift under -race; tier-1 runs this")
+	}
+	rec := NewRecorder(io.Discard)
+	ev := sampleEvents()[1]
+	rec.Add(ev)
+	if got := testing.AllocsPerRun(1000, func() { rec.Add(ev) }); got > 0 {
+		t.Errorf("Recorder.Add allocs/op = %.1f, want 0", got)
+	}
+}
+
 func TestReadLogRejectsGarbage(t *testing.T) {
 	if _, err := ReadLog(bytes.NewReader([]byte("not a log at all"))); err == nil {
 		t.Fatal("garbage accepted")
@@ -93,16 +112,15 @@ func captureRun(t *testing.T, extraLatency time.Duration) *Recorder {
 	})
 	a.SetHandler(func(time.Duration, netsim.Packet) {})
 	rec := NewRecorder(nil)
-	NewTap(rec, nil).Attach(net)
+	NewTap(rec).Attach(net)
 	a.Send(netsim.Packet{Dst: "b", Proto: netsim.ProtoRaw, Payload: []byte("ping")})
 	net.Run(0)
 	return rec
 }
 
-// TestCheckerReportsExactIndex perturbs the link latency and asserts the
-// live checker pins the divergence to the first affected event — and
-// that the index matches an offline Diff of the two logs.
-func TestCheckerReportsExactIndex(t *testing.T) {
+// TestDiffReportsExactIndex perturbs the link latency and asserts Diff
+// pins the divergence to the first affected event.
+func TestDiffReportsExactIndex(t *testing.T) {
 	base := captureRun(t, 0)
 	pert := captureRun(t, 50*time.Microsecond)
 	if base.Fingerprint() == pert.Fingerprint() {
@@ -110,61 +128,57 @@ func TestCheckerReportsExactIndex(t *testing.T) {
 	}
 
 	// Identical re-run: no divergence.
-	chk := NewChecker(base.Events())
-	for _, ev := range captureRun(t, 0).Events() {
-		chk.observe(ev)
-	}
-	if d := chk.Finish(); d != nil {
+	if d := Diff(base.Events(), captureRun(t, 0).Events()); d != nil {
 		t.Fatalf("identical rerun diverged: %s", d)
 	}
 
-	offline := Diff(base.Events(), pert.Events())
-	if offline == nil {
-		t.Fatal("offline diff found no divergence")
-	}
-	chk = NewChecker(base.Events())
-	for _, ev := range pert.Events() {
-		chk.observe(ev)
-	}
-	live := chk.Finish()
-	if live == nil {
-		t.Fatal("live checker found no divergence")
-	}
-	if live.Index != offline.Index {
-		t.Fatalf("live divergence at #%d, offline at #%d", live.Index, offline.Index)
+	d := Diff(base.Events(), pert.Events())
+	if d == nil {
+		t.Fatal("perturbed run found no divergence")
 	}
 	// The sends at t=0 are unaffected; the first delivery (delayed by the
 	// perturbation) is the first divergent event.
-	if live.Recorded == nil || live.Live == nil {
-		t.Fatalf("divergence should carry both events: %s", live)
+	if d.Recorded == nil || d.Live == nil {
+		t.Fatalf("divergence should carry both events: %s", d)
 	}
-	if live.Recorded.Kind != KindDeliver {
-		t.Errorf("divergent event kind = %s, want deliver", live.Recorded.Kind)
+	if d.Recorded.Kind != KindDeliver {
+		t.Errorf("divergent event kind = %s, want deliver", d.Recorded.Kind)
 	}
-	if live.Recorded.Time == live.Live.Time {
-		t.Errorf("divergence is not the timing change: %s", live)
+	if d.Recorded.Time == d.Live.Time {
+		t.Errorf("divergence is not the timing change: %s", d)
 	}
 }
 
-func TestCheckerFlagsTruncationAndExtra(t *testing.T) {
+func TestDiffFlagsTruncationAndExtra(t *testing.T) {
+	if d := Diff(nil, nil); d != nil {
+		t.Fatalf("two empty runs diverged: %s", d)
+	}
 	events := captureRun(t, 0).Events()
 
-	chk := NewChecker(events)
-	for _, ev := range events[:len(events)-1] {
-		chk.observe(ev)
-	}
-	d := chk.Finish()
+	d := Diff(events, events[:len(events)-1])
 	if d == nil || d.Index != len(events)-1 || d.Live != nil {
 		t.Fatalf("truncation not flagged: %v", d)
 	}
 
-	chk = NewChecker(events[:len(events)-1])
-	for _, ev := range events {
-		chk.observe(ev)
-	}
-	d = chk.Finish()
+	d = Diff(events[:len(events)-1], events)
 	if d == nil || d.Index != len(events)-1 || d.Recorded != nil {
 		t.Fatalf("extra event not flagged: %v", d)
+	}
+}
+
+// TestDiffNamesPayloadChange flips one payload byte: the encodings
+// differ, and the field diff names the payload and nothing else.
+func TestDiffNamesPayloadChange(t *testing.T) {
+	want := sampleEvents()
+	got := sampleEvents()
+	got[0].Payload = []byte("hellO")
+	d := Diff(want, got)
+	if d == nil || d.Index != 0 {
+		t.Fatalf("payload change not flagged at #0: %v", d)
+	}
+	fields := d.ChangedFields()
+	if len(fields) != 1 || !strings.HasPrefix(fields[0], "payload:") {
+		t.Fatalf("changed fields = %q, want only payload", fields)
 	}
 }
 
@@ -243,7 +257,7 @@ func TestWireTapSeesDrops(t *testing.T) {
 		t.Error("a receive-dropped host got a frame")
 	})
 	rec := NewRecorder(nil)
-	NewTap(rec, nil).Attach(net)
+	NewTap(rec).Attach(net)
 	b.SetReceiveDrop(true)
 	a.Send(netsim.Packet{Dst: "b", Proto: netsim.ProtoRaw, Payload: []byte("lost")})
 	net.Run(0)

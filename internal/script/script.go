@@ -167,12 +167,6 @@ func (r *Runtime) Register(kind string, b Behavior) {
 	r.behaviors[kind] = b
 }
 
-// Registered reports whether kind has a behaviour.
-func (r *Runtime) Registered(kind string) bool {
-	_, ok := r.behaviors[kind]
-	return ok
-}
-
 // Execute runs every marker in content that has a registered behaviour and
 // returns how many ran. Unknown marker kinds are skipped (a browser that
 // never loaded the parasite bootstrap executes the appended bytes as

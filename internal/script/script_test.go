@@ -169,17 +169,6 @@ func TestRuntimeErrorAborts(t *testing.T) {
 	}
 }
 
-func TestRuntimeRegistered(t *testing.T) {
-	rt := NewRuntime()
-	if rt.Registered("p") {
-		t.Fatal("phantom registration")
-	}
-	rt.Register("p", func(Env, string) error { return nil })
-	if !rt.Registered("p") {
-		t.Fatal("registration lost")
-	}
-}
-
 func TestEmbeddedMarkerSurvivesHTMLParse(t *testing.T) {
 	// The marker travels inside a <script> element; the DOM parser must
 	// keep its text intact so the executor can find it.

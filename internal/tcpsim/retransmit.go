@@ -29,16 +29,6 @@ func WithRetransmit() StackOption {
 	return func(s *Stack) { s.retransmit = true }
 }
 
-// WithRTO overrides the base retransmission timeout (tests use short
-// timeouts to keep virtual time compact).
-func WithRTO(d time.Duration) StackOption {
-	return func(s *Stack) {
-		if d > 0 {
-			s.rto = d
-		}
-	}
-}
-
 // WithISN pins the initial send sequence number of every connection the
 // stack opens or accepts, instead of drawing it from the seeded RNG.
 // The wraparound soak starts just below 2^32 so live transfers cross
@@ -91,7 +81,7 @@ func (c *Conn) track(seg Segment, seqLen int) {
 func (c *Conn) armTimer() {
 	c.timerEpoch++
 	epoch := c.timerEpoch
-	d := c.stack.rto << c.rtoBackoff
+	d := DefaultRTO << c.rtoBackoff
 	if d > MaxRTO || d <= 0 {
 		d = MaxRTO
 	}

@@ -88,9 +88,10 @@ func TestFastRetransmitFiresOnDupAcks(t *testing.T) {
 }
 
 func TestGiveUpAfterRetryCap(t *testing.T) {
-	// RTO above the lab's ~12ms RTT so the clean handshake never fires a
-	// spurious retransmission and the count below is exactly the cap.
-	l := newLab(t, WithRetransmit(), WithRTO(30*time.Millisecond))
+	// DefaultRTO (50ms) is above the lab's ~12ms RTT, so the clean
+	// handshake never fires a spurious retransmission and the count below
+	// is exactly the cap.
+	l := newLab(t, WithRetransmit())
 	if err := l.server.Listen(80, func(c *Conn) {}); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}

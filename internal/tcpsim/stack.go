@@ -102,7 +102,6 @@ type Stack struct {
 	// perfect-wire experiments were recorded without it and their wire
 	// bytes are pinned by golden and fingerprint tests.
 	retransmit  bool
-	rto         time.Duration
 	maxRetries  int
 	isnOverride *uint32
 
@@ -126,7 +125,6 @@ func NewStack(network *netsim.Network, ifc *netsim.Interface, opts ...StackOptio
 		policy:     FirstWins,
 		mss:        DefaultMSS,
 		rng:        rand.New(rand.NewSource(1)),
-		rto:        DefaultRTO,
 		maxRetries: DefaultMaxRetries,
 		listeners:  make(map[uint16]func(*Conn)),
 		conns:      make(map[connKey]*Conn),
