@@ -45,15 +45,17 @@ allocs:
 ## arbitrary request paths (no panic, a known status, served images
 ## that parse back), httpsim's request and response parsers (held
 ## to the map-and-split parsers they replaced, and to their own
-## Marshal), and the replay log reader (allocation bounded by the
-## input, and every accepted log re-recorded byte for byte); -fuzz
-## takes one target per run
+## Marshal), the replay log reader (allocation bounded by the input,
+## and every accepted log re-recorded byte for byte), and labd's record
+## unsealing (it accepts exactly what seal writes); -fuzz takes one
+## target per run
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanTags$$' -fuzztime 5s ./internal/dom
 	$(GO) test -run '^$$' -fuzz '^FuzzMasterRoute$$' -fuzztime 5s ./internal/cnc
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 5s ./internal/httpsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 5s ./internal/httpsim
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLog$$' -fuzztime 5s ./internal/replay
+	$(GO) test -run '^$$' -fuzz '^FuzzUnsealRecord$$' -fuzztime 5s ./internal/labd
 
 ## bench: the root benchmark harness (tables, figures, ablations, codecs)
 bench:

@@ -219,7 +219,6 @@ func killChain(b *testing.B, cfg core.Config) bool {
 	s.AddPage("somesite.com", "/my.js", "function site(){}",
 		map[string]string{"Cache-Control": "max-age=600"})
 	pcfg := parasite.NewConfig("bb", "bot-bb", core.MasterHost)
-	pcfg.Propagate = false
 	s.Registry.Add(pcfg)
 	s.Master.AddTarget(attacker.Target{Name: "somesite.com/my.js", Kind: attacker.KindJS,
 		ParasitePayload: "bb", Original: []byte("o")})

@@ -11,13 +11,6 @@
 //	curl -s -X POST localhost:8970/v1/runs -d '{"spec":"flows","format":"json"}'
 //	curl -s localhost:8970/v1/runs/run-000001/events   # SSE progress
 //	curl -s localhost:8970/v1/runs/run-000001/artifact
-//
-// -chaos <seed> serves with deterministic storage chaos armed: every
-// store.* fault site (internal/chaos) fails on a seeded recurring
-// schedule, so operators can rehearse how clients and the recovery
-// path behave under ENOSPC, torn writes, failed renames, and fsync
-// errors. The daemon must survive everything -chaos injects; the same
-// seed replays the same fault schedule.
 package main
 
 import (
@@ -29,7 +22,6 @@ import (
 	"os"
 	"time"
 
-	"masterparasite/internal/chaos"
 	"masterparasite/internal/daemon"
 	_ "masterparasite/internal/experiments" // self-registers the paper's artifacts
 	"masterparasite/internal/labd"
@@ -49,30 +41,16 @@ func run(args []string, stdout io.Writer) error {
 	fleets := fs.Int("fleets", 2, "concurrent run fleets draining the queue")
 	workers := fs.Int("workers", 0, "per-run scenario pool width (0 = GOMAXPROCS)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown deadline")
-	chaosSeed := fs.Int64("chaos", 0, "arm recurring storage faults from this seed (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *chaosSeed < 0 {
-		return fmt.Errorf("chaos seed must be positive, got %d", *chaosSeed)
-	}
-	cfg := labd.Config{StoreDir: *storeDir, Fleets: *fleets, Workers: *workers}
-	if *chaosSeed != 0 {
-		ctrl := chaos.New(*chaosSeed)
-		ctrl.ArmStoreFaults()
-		cfg.Chaos = ctrl
-		cfg.FS = chaos.BindFS(ctrl)
-	}
-	srv, err := labd.Open(cfg)
+	srv, err := labd.Open(labd.Config{StoreDir: *storeDir, Fleets: *fleets, Workers: *workers})
 	if err != nil {
 		return err
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
-	}
-	if *chaosSeed != 0 {
-		fmt.Fprintf(stdout, "labd chaos armed: recurring store.* faults, seed %d\n", *chaosSeed)
 	}
 	fmt.Fprintf(stdout, "labd listening on http://%s (store %s, %d fleets)\n", ln.Addr(), *storeDir, *fleets)
 	fmt.Fprintln(stdout, "routes: /healthz /readyz /v1/specs /v1/runs /v1/runs/{id}{,/artifact,/events}")

@@ -14,7 +14,6 @@ func TestFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"negative chaos seed", []string{"-chaos", "-7"}, "chaos seed must be positive"},
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
 	}
 	for _, c := range cases {

@@ -39,7 +39,6 @@ func run() error {
 	s.AddHandler(bank.Host, bank.Handler())
 
 	strain := parasite.NewConfig("heist", "bot-h", core.MasterHost)
-	strain.Propagate = false
 	attacks.Install(strain)
 	s.Registry.Add(strain)
 	s.Master.AddTarget(attacker.Target{

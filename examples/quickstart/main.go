@@ -33,7 +33,6 @@ func main() {
 
 	// 3. Arm the master: one parasite strain, one target object.
 	strain := parasite.NewConfig("quick", "bot-1", core.MasterHost)
-	strain.Propagate = false
 	s.Registry.Add(strain)
 	s.Master.AddTarget(attacker.Target{
 		Name:            "news.example/js/site.js",

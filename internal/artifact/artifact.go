@@ -132,9 +132,10 @@ func (s Spec) Exec(env Env) (*Result, error) {
 	return res, nil
 }
 
-// RunRendered is the one execution sequence every frontend shares:
-// resolve an environment for the spec, execute it, and render the
-// result. Errors are annotated with the spec's ID.
+// RunRendered is the batch commands' execution sequence: resolve an
+// environment for the spec, execute it, and render the result. labd
+// and the benchmark make the same calls with their own steps between
+// them. Errors are annotated with the spec's ID.
 func RunRendered(s Spec, r *runner.Runner, overrides map[string]int, renderer Renderer) (*Result, []byte, error) {
 	env, err := s.NewEnv(r, overrides)
 	if err != nil {

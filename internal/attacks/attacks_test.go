@@ -41,7 +41,6 @@ func newLab(t *testing.T) *lab {
 	s.AddHandler(l.chat.Host, l.chat.Handler())
 
 	l.cfg = parasite.NewConfig("pv", "bot-v", core.MasterHost)
-	l.cfg.Propagate = false
 	attacks.Install(l.cfg)
 	s.Registry.Add(l.cfg)
 

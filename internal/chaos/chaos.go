@@ -1,20 +1,18 @@
 // Package chaos is the deterministic process/storage fault-point
 // framework: named fault sites threaded through the daemon's storage
-// and fleet paths, armed by a seeded splitmix64 schedule, inert when no
-// controller is injected.
+// and fleet paths, each armed to fire on one exact crossing, inert
+// when no controller is injected.
 //
 // A fault site is a string naming one place the code can fail
 // ("store.rename", "fleet.job.crash"). Instrumented code asks its
 // injected Controller for a verdict every time execution crosses a
-// site, and the Controller decides, from its seed and the site's hit
-// count alone, whether a fault fires there. A nil Controller never
-// fires, so production code threads one through unconditionally. Two
-// fault kinds exist:
+// site, and the Controller decides, from the site's hit count alone,
+// whether a fault fires there. A nil Controller never fires, so
+// production code threads one through unconditionally. Two fault kinds
+// exist:
 //
 //   - Fail: the operation fails cleanly (an injected error such as
-//     ENOSPC or a short write) and the process lives. Fail faults can
-//     recur on a seeded schedule — the chaos-monkey mode cmd/labd's
-//     -chaos flag arms.
+//     ENOSPC or a short write) and the process lives.
 //   - Crash: the operation is cut mid-flight (partial effects allowed,
 //     e.g. a torn write) and the process is dead — the Controller
 //     latches Killed and every subsequent instrumented operation fails
@@ -23,9 +21,10 @@
 //     over the surviving on-disk state.
 //
 // Determinism is the whole point: a Controller's decisions are a pure
-// function of (seed, site, hit count). The same seed against the same
-// operation sequence kills the same operation, so every cell of the
-// kill-point recovery matrix is reproducible.
+// function of (site, hit count), and the draw a firing carries (where
+// a torn write is cut) of (seed, site). The same arming against the
+// same operation sequence kills the same operation the same way, so
+// every cell of the kill-point recovery matrix is reproducible.
 package chaos
 
 import (
@@ -74,10 +73,6 @@ var (
 // IsKilled reports whether err came from a latched Crash fault.
 func IsKilled(err error) bool { return errors.Is(err, ErrKilled) }
 
-// scheduleWindow bounds how far ahead Arm schedules a fault: the drawn
-// hit offset is in [1, scheduleWindow].
-const scheduleWindow = 8
-
 // Verdict is a Controller's decision at one site crossing.
 type Verdict struct {
 	// Fired reports whether a fault fires on this hit.
@@ -102,15 +97,13 @@ func (v Verdict) Err(op string) error {
 	return fmt.Errorf("chaos: %s: %w", op, ErrInjected)
 }
 
-// arm is one scheduled fault at one site.
+// arm is one armed fault at one site.
 type arm struct {
-	kind  Kind
-	hit   int    // fires when the site's hit count reaches this (1-based)
-	recur bool   // Fail faults re-draw a next hit after firing
-	state uint64 // per-site PRNG state for draws
+	kind Kind
+	hit  int // fires when the site's hit count reaches this (1-based)
 }
 
-// Controller owns one seeded fault schedule. The zero value is not
+// Controller owns one seeded set of armed faults. The zero value is not
 // usable; construct with New. All methods are safe for concurrent use,
 // and a nil *Controller is inert (every Hit returns the zero Verdict),
 // so call sites can thread an optional controller without guards.
@@ -123,7 +116,8 @@ type Controller struct {
 	killed atomic.Bool
 }
 
-// New returns a controller whose schedule derives entirely from seed.
+// New returns a controller with nothing armed whose verdict draws
+// derive from seed.
 func New(seed int64) *Controller {
 	return &Controller{
 		seed:  uint64(seed),
@@ -133,44 +127,15 @@ func New(seed int64) *Controller {
 	}
 }
 
-// siteState seeds a site's private PRNG stream.
-func (c *Controller) siteState(site string) uint64 { return c.seed ^ runner.FNV1a(site) }
-
-// ArmAt schedules a fault of the given kind to fire on exactly the
-// hit-th crossing of site (1-based). Crash faults are one-shot by
-// nature; Fail faults armed through ArmAt fire once.
+// ArmAt arms a fault of the given kind to fire once, on exactly the
+// hit-th crossing of site (1-based).
 func (c *Controller) ArmAt(site string, hit int, kind Kind) {
 	if hit < 1 {
 		hit = 1
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.arms[site] = &arm{kind: kind, hit: hit, state: c.siteState(site)}
-}
-
-// Arm schedules a fault at site with the hit drawn from the seeded
-// schedule (within the next scheduleWindow crossings). Fail faults
-// recur — after firing, the next hit is re-drawn — which is the
-// chaos-monkey mode for long-lived daemons; Crash faults fire once.
-func (c *Controller) Arm(site string, kind Kind) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, state := runner.SplitMix64(c.siteState(site))
-	a := &arm{kind: kind, state: state, recur: kind == Fail}
-	a.hit = c.hits[site] + 1 + int(state%scheduleWindow)
-	c.arms[site] = a
-}
-
-// ArmStoreFaults arms a recurring Fail fault on every StoreSites site
-// at seeded hit offsets — the survivable storage-chaos profile
-// cmd/labd's -chaos flag turns on. The daemon must tolerate every
-// fault this injects: failed enqueues surface to the client, a run
-// whose stage cannot persist ends failed, and recovery quarantines
-// whatever debris is left behind.
-func (c *Controller) ArmStoreFaults() {
-	for _, site := range StoreSites {
-		c.Arm(site, Fail)
-	}
+	c.arms[site] = &arm{kind: kind, hit: hit}
 }
 
 // Hit records one crossing of site and returns the verdict. Once a
@@ -191,18 +156,15 @@ func (c *Controller) Hit(site string) Verdict {
 	if a == nil || c.hits[site] != a.hit {
 		return Verdict{}
 	}
-	_, a.state = runner.SplitMix64(a.state)
-	v := Verdict{Fired: true, Kind: a.kind, Rand: a.state}
+	// The draw is the first output of the site's private splitmix64
+	// stream, seeded by the controller's seed and the site's name.
+	_, r := runner.SplitMix64(c.seed ^ runner.FNV1a(site))
 	c.fired[site]++
+	delete(c.arms, site)
 	if a.kind == Crash {
 		c.killed.Store(true)
-	} else if a.recur {
-		_, a.state = runner.SplitMix64(a.state)
-		a.hit = c.hits[site] + 1 + int(a.state%scheduleWindow)
-	} else {
-		delete(c.arms, site)
 	}
-	return v
+	return Verdict{Fired: true, Kind: a.kind, Rand: r}
 }
 
 // Killed reports whether a Crash fault has latched.

@@ -20,7 +20,7 @@ const (
 )
 
 // StoreSites lists every store.* fault site — the filesystem half of
-// what the kill-point recovery matrix sweeps and ArmStoreFaults arms.
+// what the kill-point recovery matrix sweeps.
 var StoreSites = []string{
 	SiteWrite, SiteWriteShort, SiteSync, SiteSyncDir,
 	SiteRename, SiteRemove, SiteRead, SiteReadDir,
@@ -56,8 +56,8 @@ type FS interface {
 // never fire.
 var OS FS = fsys{}
 
-// BindFS returns the real filesystem instrumented against c — what
-// cmd/labd -chaos and the chaos tests inject into the store.
+// BindFS returns the real filesystem instrumented against c — what the
+// chaos tests inject into the store.
 func BindFS(c *Controller) FS { return fsys{c: c} }
 
 // fsys implements FS over the os package, consulting its bound
@@ -65,7 +65,7 @@ func BindFS(c *Controller) FS { return fsys{c: c} }
 type fsys struct{ c *Controller }
 
 func (f fsys) MkdirAll(dir string, perm os.FileMode) error {
-	// Not a scheduled site — it runs once at store open — but a dead
+	// Not a fault site — it runs once at store open — but a dead
 	// process must not create directories either.
 	if f.c.Killed() {
 		return ErrKilled

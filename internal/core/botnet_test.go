@@ -25,7 +25,6 @@ func TestSharedFilePropagation(t *testing.T) {
 		map[string]string{"Cache-Control": "max-age=86400", "Content-Type": "application/javascript"})
 
 	cfg := parasite.NewConfig("ga", "bot-ga", MasterHost)
-	cfg.Propagate = false
 	s.Registry.Add(cfg)
 	s.Master.AddTarget(attacker.Target{Name: "analytics.example/ga.js", Kind: attacker.KindJS,
 		ParasitePayload: "ga", Original: []byte("function ga(){}")})
@@ -85,7 +84,6 @@ func TestEvictionThenInfectionPipeline(t *testing.T) {
 		map[string]string{"Cache-Control": "no-store"})
 
 	cfg := parasite.NewConfig("ev", "bot-ev", MasterHost)
-	cfg.Propagate = false
 	s.Registry.Add(cfg)
 
 	// Phase 0: victim has the genuine object cached, long-lived.

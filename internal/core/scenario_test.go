@@ -51,7 +51,7 @@ func TestInjectionInfectsCache(t *testing.T) {
 	}
 	populateWeb(s)
 	cfg := armMaster(s)
-	cfg.Propagate = false // isolate the infection step
+	cfg.PropagationTargets = nil // isolate the infection step
 
 	page, err := s.Visit("somesite.com", "/")
 	if err != nil {
@@ -84,7 +84,7 @@ func TestReloadOriginalKeepsPageFunctional(t *testing.T) {
 	}
 	populateWeb(s)
 	cfg := armMaster(s)
-	cfg.Propagate = false
+	cfg.PropagationTargets = nil
 
 	if _, err := s.Visit("somesite.com", "/"); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestParasitePersistsAfterLeavingNetwork(t *testing.T) {
 	}
 	populateWeb(s)
 	cfg := armMaster(s)
-	cfg.Propagate = false
+	cfg.PropagationTargets = nil
 	if _, err := s.Visit("somesite.com", "/"); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCNCRoundTripThroughCovertChannel(t *testing.T) {
 	}
 	populateWeb(s)
 	cfg := armMaster(s)
-	cfg.Propagate = false
+	cfg.PropagationTargets = nil
 	var gotParams string
 	cfg.Modules["steal-cookies"] = func(env script.Env, params string, exfil parasite.Exfil) error {
 		gotParams = params
@@ -216,7 +216,7 @@ func TestCommandNotReExecuted(t *testing.T) {
 	}
 	populateWeb(s)
 	cfg := armMaster(s)
-	cfg.Propagate = false
+	cfg.PropagationTargets = nil
 	runs := 0
 	cfg.Modules["noop"] = func(script.Env, string, parasite.Exfil) error {
 		runs++
@@ -286,7 +286,7 @@ func TestLastWinsAblationStillInfects(t *testing.T) {
 	}
 	populateWeb(s)
 	cfg := armMaster(s)
-	cfg.Propagate = false
+	cfg.PropagationTargets = nil
 	page, err := s.Visit("somesite.com", "/")
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func TestTLSBlocksInfection(t *testing.T) {
 	}
 	populateWeb(s)
 	cfg := armMaster(s)
-	cfg.Propagate = false
+	cfg.PropagationTargets = nil
 	s.SetTLS("somesite.com", true)
 	page, err := s.Visit("somesite.com", "/")
 	if err != nil {
@@ -327,7 +327,7 @@ func TestFraudulentCertDefeatsTLS(t *testing.T) {
 	}
 	populateWeb(s)
 	cfg := armMaster(s)
-	cfg.Propagate = false
+	cfg.PropagationTargets = nil
 	s.SetTLS("somesite.com", true)
 	page, err := s.Visit("somesite.com", "/")
 	if err != nil {

@@ -69,7 +69,6 @@ func TestCrawlerSelectedTargetsAreInfectable(t *testing.T) {
 	})
 
 	cfg := parasite.NewConfig("sel", "bot-sel", MasterHost)
-	cfg.Propagate = false
 	s.Registry.Add(cfg)
 	s.Master.AddTarget(attacker.Target{
 		Name: targetURL, Kind: attacker.KindJS,

@@ -162,7 +162,6 @@ func conditionsInjection(lp netsim.LinkProfile, seed int64) (bool, error) {
 	s.AddPage("somesite.com", "/my.js", "function site(){}",
 		map[string]string{"Cache-Control": "max-age=600", "Content-Type": "application/javascript"})
 	cfg := parasite.NewConfig("cond", "bot-cond", core.MasterHost)
-	cfg.Propagate = false
 	cfg.Anchor = false
 	s.Registry.Add(cfg)
 	s.Master.AddTarget(attacker.Target{
@@ -229,7 +228,6 @@ func conditionsChurn(lp netsim.LinkProfile, seed int64) (bool, error) {
 	s.AddPage("somesite.com", "/my.js", "function site(){}",
 		map[string]string{"Cache-Control": "max-age=600", "Content-Type": "application/javascript"})
 	cfg := parasite.NewConfig("cond", "bot-cond", core.MasterHost)
-	cfg.Propagate = false
 	cfg.Modules["ping"] = func(_ script.Env, _ string, exfil parasite.Exfil) error {
 		exfil("ping", []byte("alive"))
 		return nil

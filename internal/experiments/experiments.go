@@ -229,7 +229,6 @@ func injectionSucceeds(p browser.Profile, os browser.OS) (bool, error) {
 	s.AddPage("somesite.com", "/my.js", "function site(){}",
 		map[string]string{"Cache-Control": "max-age=600", "Content-Type": "application/javascript"})
 	cfg := parasite.NewConfig("t2", "bot-t2", core.MasterHost)
-	cfg.Propagate = false
 	cfg.Anchor = false
 	s.Registry.Add(cfg)
 	s.Master.AddTarget(attacker.Target{
@@ -352,7 +351,6 @@ func refreshRemovesParasite(p browser.Profile, method string) (bool, error) {
 	s.AddPage("top1.com", "/persistent.js", "function lib(){}",
 		map[string]string{"Cache-Control": "max-age=600", "Content-Type": "application/javascript"})
 	cfg := parasite.NewConfig("t3", "bot-t3", core.MasterHost)
-	cfg.Propagate = false
 	s.Registry.Add(cfg)
 	s.Master.AddTarget(attacker.Target{
 		Name: "top1.com/persistent.js", Kind: attacker.KindJS,

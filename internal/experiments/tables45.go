@@ -178,7 +178,6 @@ func runTableVAttack(attack, app, params, stream, setup string) (bool, string, e
 	s.AddHandler(chat.Host, chat.Handler())
 
 	cfg := parasite.NewConfig("tv", "bot-tv", core.MasterHost)
-	cfg.Propagate = false
 	attacks.Install(cfg)
 	s.Registry.Add(cfg)
 	for host, path := range map[string]string{bank.Host: "/js/bank.js", chat.Host: "/js/chat.js"} {

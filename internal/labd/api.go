@@ -2,8 +2,12 @@ package labd
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
-	"strings"
+	"time"
 
 	"masterparasite/internal/artifact"
 )
@@ -14,6 +18,9 @@ const (
 	plainContentType = "text/plain; charset=utf-8"
 	sseContentType   = "text/event-stream"
 )
+
+// maxBodyBytes bounds an API request body; enqueue requests are tiny.
+const maxBodyBytes = 1 << 20
 
 // artifactContentType maps a render format to the content type the
 // artifact endpoint serves it under.
@@ -30,176 +37,195 @@ func artifactContentType(format string) string {
 	}
 }
 
-// Route dispatches one API request and returns the response as a
-// (status, content type, body) triple. It is the transport-independent
-// core: ServeHTTP serves every route through it, so a direct call and a
-// net/http request see the same bytes. Routes:
+// routes builds the API's request multiplexer. Every pattern names its
+// method, so the mux itself answers an unknown path 404 and a known
+// path under another method 405 with an Allow header; a GET route also
+// answers HEAD.
 //
 //	GET  /healthz                 → liveness ("ok")
 //	GET  /readyz                  → readiness (503 while draining)
 //	GET  /v1/specs                → artifact.All() as JSON
-//	GET  /v1/specs/{id}           → one spec
-//	POST /v1/runs                 → enqueue (EnqueueRequest body), 202 + Record
+//	GET  /v1/specs/{id...}        → one spec (IDs such as fleet/infection-curve hold "/")
 //	GET  /v1/runs                 → every run record, enqueue order
+//	POST /v1/runs                 → enqueue (EnqueueRequest body), 202 + Record
 //	GET  /v1/runs/{id}            → one run record
 //	GET  /v1/runs/{id}/artifact   → rendered artifact bytes (done runs)
-//	GET  /v1/runs/{id}/events     → recorded progress events, SSE-framed
-//
-// The events route returns the stage trail recorded so far as a
-// complete SSE-framed body; over real net/http, ServeHTTP upgrades the
-// same route to a live stream whose total bytes — once the run is
-// terminal — equal this snapshot exactly.
-func (s *Server) Route(method, path string, body []byte) (status int, contentType string, respBody []byte) {
-	p := strings.Trim(path, "/")
-	switch {
-	case p == "healthz":
-		return s.routeHealthz(method)
-	case p == "readyz":
-		return s.routeReadyz(method)
-	case p == "v1/specs":
-		return s.routeSpecs(method)
-	case strings.HasPrefix(p, "v1/specs/"):
-		return s.routeSpec(method, strings.TrimPrefix(p, "v1/specs/"))
-	case p == "v1/runs":
-		return s.routeRuns(method, body)
-	case strings.HasPrefix(p, "v1/runs/"):
-		rest := strings.TrimPrefix(p, "v1/runs/")
-		id, sub, _ := strings.Cut(rest, "/")
-		switch sub {
-		case "":
-			return s.routeRun(method, id)
-		case "artifact":
-			return s.routeArtifact(method, id)
-		case "events":
-			return s.routeEvents(method, id)
+//	GET  /v1/runs/{id}/events     → progress events, a live SSE stream
+func (s *Server) routes() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		writeOK(w)
+	})
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
+		if !s.Ready() {
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+			return
 		}
-	}
-	return errBody(http.StatusNotFound, "404 page not found")
+		writeOK(w)
+	})
+	mux.HandleFunc("GET /v1/specs", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, artifact.All())
+	})
+	mux.HandleFunc("GET /v1/specs/{id...}", func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		spec, ok := artifact.Get(id)
+		if !ok {
+			http.Error(w, "unknown spec "+id, http.StatusNotFound)
+			return
+		}
+		writeJSON(w, http.StatusOK, spec)
+	})
+	mux.HandleFunc("GET /v1/runs", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, s.List())
+	})
+	mux.HandleFunc("POST /v1/runs", s.postRun)
+	mux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		rec, ok := s.Get(id)
+		if !ok {
+			http.Error(w, "unknown run "+id, http.StatusNotFound)
+			return
+		}
+		writeJSON(w, http.StatusOK, rec)
+	})
+	mux.HandleFunc("GET /v1/runs/{id}/artifact", s.getArtifact)
+	mux.HandleFunc("GET /v1/runs/{id}/events", s.streamEvents)
+	return mux
 }
 
-// errBody renders a small text body the way http.Error spells errors
-// on the wire (it also serves the healthz/readyz "ok").
-func errBody(status int, msg string) (int, string, []byte) {
-	return status, plainContentType, []byte(msg + "\n")
+var _ http.Handler = (*Server)(nil)
+
+// ServeHTTP serves the API. Run state must never be cached, so every
+// answer carries Cache-Control: no-store, the mux's own 404, 405 and
+// redirect answers included.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Cache-Control", "no-store")
+	s.mux.ServeHTTP(w, r)
 }
 
-// jsonBody marshals v as the response body (indented, trailing
-// newline — the same framing the manifest file uses).
-func jsonBody(status int, v any) (int, string, []byte) {
+// writeOK answers a health probe with a plain-text "ok".
+func writeOK(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", plainContentType)
+	_, _ = io.WriteString(w, "ok\n")
+}
+
+// writeJSON answers with v as indented JSON plus a trailing newline —
+// the same framing the manifest file uses.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return errBody(http.StatusInternalServerError, err.Error())
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	return status, jsonContentType, append(b, '\n')
+	w.Header().Set("Content-Type", jsonContentType)
+	w.WriteHeader(status)
+	// A failed write means the client is gone; no one is left to tell.
+	_, _ = w.Write(append(b, '\n'))
 }
 
-func methodNotAllowed() (int, string, []byte) {
-	return errBody(http.StatusMethodNotAllowed, "method not allowed")
-}
-
-func (s *Server) routeHealthz(method string) (int, string, []byte) {
-	if method != http.MethodGet {
-		return methodNotAllowed()
-	}
-	return errBody(http.StatusOK, "ok")
-}
-
-func (s *Server) routeReadyz(method string) (int, string, []byte) {
-	if method != http.MethodGet {
-		return methodNotAllowed()
-	}
-	if !s.Ready() {
-		return errBody(http.StatusServiceUnavailable, "draining")
-	}
-	return errBody(http.StatusOK, "ok")
-}
-
-func (s *Server) routeSpecs(method string) (int, string, []byte) {
-	if method != http.MethodGet {
-		return methodNotAllowed()
-	}
-	return jsonBody(http.StatusOK, artifact.All())
-}
-
-func (s *Server) routeSpec(method, id string) (int, string, []byte) {
-	if method != http.MethodGet {
-		return methodNotAllowed()
-	}
-	spec, ok := artifact.Get(id)
-	if !ok {
-		return errBody(http.StatusNotFound, "unknown spec "+id)
-	}
-	return jsonBody(http.StatusOK, spec)
-}
-
-func (s *Server) routeRuns(method string, body []byte) (int, string, []byte) {
-	switch method {
-	case http.MethodGet:
-		return jsonBody(http.StatusOK, s.List())
-	case http.MethodPost:
-		var req EnqueueRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return errBody(http.StatusBadRequest, "bad request body: "+err.Error())
-		}
-		rec, err := s.Enqueue(req)
-		if err != nil {
-			if s.draining.Load() {
-				return errBody(http.StatusServiceUnavailable, err.Error())
-			}
-			return errBody(http.StatusBadRequest, err.Error())
-		}
-		return jsonBody(http.StatusAccepted, rec)
-	default:
-		return methodNotAllowed()
-	}
-}
-
-func (s *Server) routeRun(method, id string) (int, string, []byte) {
-	if method != http.MethodGet {
-		return methodNotAllowed()
-	}
-	rec, ok := s.Get(id)
-	if !ok {
-		return errBody(http.StatusNotFound, "unknown run "+id)
-	}
-	return jsonBody(http.StatusOK, rec)
-}
-
-func (s *Server) routeArtifact(method, id string) (int, string, []byte) {
-	if method != http.MethodGet {
-		return methodNotAllowed()
-	}
-	b, rec, err := s.Artifact(id)
+// postRun enqueues the EnqueueRequest in the body: 202 with the queued
+// record, 400 for a request that fails validation, 503 while draining,
+// and 500 when the store cannot commit the record — a valid request a
+// client may retry.
+func (s *Server) postRun(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
-		if rec == nil {
-			return errBody(http.StatusNotFound, err.Error())
-		}
-		return errBody(http.StatusConflict, err.Error())
+		// A truncated body is never enqueued: its prefix may still
+		// decode as a valid request.
+		http.Error(w, "read request body: "+err.Error(), http.StatusBadRequest)
+		return
 	}
-	return http.StatusOK, artifactContentType(rec.Format), b
+	if len(body) > maxBodyBytes {
+		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+		return
+	}
+	var req EnqueueRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	rec, err := s.Enqueue(req)
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusAccepted, rec)
+	case errors.Is(err, errStore):
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	case s.draining.Load():
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	default:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
 }
 
-func (s *Server) routeEvents(method, id string) (int, string, []byte) {
-	if method != http.MethodGet {
-		return methodNotAllowed()
+// getArtifact serves a done run's rendered bytes: 404 for an unknown
+// run, 409 for one not done, and 500 when its bytes cannot be read or
+// fail their SHA-256 check.
+func (s *Server) getArtifact(w http.ResponseWriter, r *http.Request) {
+	b, rec, err := s.Artifact(r.PathValue("id"))
+	switch {
+	case err == nil:
+		w.Header().Set("Content-Type", artifactContentType(rec.Format))
+		_, _ = w.Write(b)
+	case rec == nil:
+		http.Error(w, err.Error(), http.StatusNotFound)
+	case errors.Is(err, errStore):
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	default:
+		http.Error(w, err.Error(), http.StatusConflict)
 	}
-	rec, ok := s.Get(id)
+}
+
+// streamEvents streams a run's progress as SSE: recorded stages replay
+// at once, later transitions are written and flushed as they happen,
+// and the response ends after the terminal event (or when the client
+// goes away).
+func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	ch, ok := s.Subscribe(id)
 	if !ok {
-		return errBody(http.StatusNotFound, "unknown run "+id)
+		http.Error(w, "unknown run "+id, http.StatusNotFound)
+		return
 	}
-	var out []byte
-	for _, ev := range eventsFromStages(id, rec.Stages) {
-		out = AppendSSE(out, ev)
+	w.Header().Set("Content-Type", sseContentType)
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	var scratch []byte
+	for {
+		select {
+		case ev, open := <-ch:
+			if !open {
+				return
+			}
+			scratch = AppendSSE(scratch[:0], ev)
+			if _, err := w.Write(scratch); err != nil {
+				return
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+		case <-r.Context().Done():
+			return
+		}
 	}
-	return http.StatusOK, sseContentType, out
 }
 
-// setResponseHeaders applies the API's response-header policy: run
-// state must never be cached, and error bodies are never sniffed.
-func setResponseHeaders(h http.Header, status int, contentType string) {
-	h.Set("Content-Type", contentType)
-	h.Set("Cache-Control", "no-store")
-	if status >= 400 {
-		h.Set("X-Content-Type-Options", "nosniff")
+// Serve starts the daemon on a loopback listener and returns its base
+// URL and a shutdown function — the programmatic twin of cmd/labd.
+func (s *Server) Serve() (baseURL string, shutdown func() error, err error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, fmt.Errorf("labd listen: %w", err)
 	}
+	srv := &http.Server{Handler: s, ReadHeaderTimeout: 5 * time.Second}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(ln)
+	}()
+	shutdown = func() error {
+		err := srv.Close()
+		<-done
+		return err
+	}
+	return "http://" + ln.Addr().String(), shutdown, nil
 }

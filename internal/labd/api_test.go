@@ -3,6 +3,7 @@ package labd_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -20,24 +21,16 @@ import (
 	"masterparasite/internal/runner"
 )
 
-// response is one API response as a transport-independent triple.
+// response is one API response as read off the wire.
 type response struct {
 	Status      int
 	ContentType string
+	Header      http.Header
 	Body        []byte
 }
 
-// doFunc issues one API request over some transport and returns the
-// response triple.
+// doFunc issues one API request and returns the response.
 type doFunc func(t *testing.T, method, path string, body []byte) response
-
-// routeTransport calls the Route dispatch directly, with no socket.
-func routeTransport(srv *labd.Server) doFunc {
-	return func(_ *testing.T, method, path string, body []byte) response {
-		status, ctype, respBody := srv.Route(method, path, body)
-		return response{Status: status, ContentType: ctype, Body: respBody}
-	}
-}
 
 // httpTransport serves the daemon on a real loopback socket and issues
 // each request through net/http.
@@ -66,75 +59,75 @@ func httpTransport(t *testing.T, srv *labd.Server) doFunc {
 		return response{
 			Status:      resp.StatusCode,
 			ContentType: resp.Header.Get("Content-Type"),
+			Header:      resp.Header,
 			Body:        respBody,
 		}
 	}
 }
 
-// driveScript runs the deterministic request sequence every transport
-// must answer identically: health, spec introspection, enqueue, then —
-// after the run completes — record, events, artifact, and the run list.
-func driveScript(t *testing.T, srv *labd.Server, do doFunc) []response {
-	t.Helper()
-	var out []response
-	step := func(method, path string, body []byte) {
-		out = append(out, do(t, method, path, body))
-	}
-	step("GET", "/healthz", nil)
-	step("GET", "/readyz", nil)
-	step("GET", "/v1/specs", nil)
-	step("GET", "/v1/specs/labd-t-ok", nil)
-	step("GET", "/v1/specs/labd-t-missing", nil)
-	step("POST", "/v1/runs", []byte(`{"spec":"labd-t-ok","params":{"labd-n":4},"format":"json"}`))
-	step("POST", "/v1/runs", []byte(`{"spec":"nope"}`))
-
-	waitDone(t, srv, "run-000001")
-	step("GET", "/v1/runs/run-000001", nil)
-	step("GET", "/v1/runs/run-000001/events", nil)
-	step("GET", "/v1/runs/run-000001/artifact", nil)
-	step("GET", "/v1/runs", nil)
-	step("GET", "/v1/runs/run-999999", nil)
-	step("PUT", "/v1/runs", nil)
-	return out
+// apiStep is one request of the API script and the answer it must get.
+type apiStep struct {
+	method, path, body string
+	status             int
+	contentType        string
+	bodyHas            string // a substring the body must carry; "" checks nothing
 }
 
-// TestTransportsAreByteIdentical is the seam proof: the same request
-// sequence against two fresh daemons — one called through Route
-// directly, one over net/http, both with the same deterministic clock —
-// produces byte-identical status, content type, and body at every step,
-// and the served artifact fingerprint equals the batch CLI's manifest
-// entry.
-func TestTransportsAreByteIdentical(t *testing.T) {
+// TestAPIScript drives one request script over a real loopback socket —
+// health, spec introspection, enqueue, then, once the run is done, its
+// record, events, artifact, the run list, and the error answers — and
+// pins every step's status and content type. Every answer, the mux's
+// own 405 included, must carry Cache-Control: no-store, and the 405
+// must name the allowed methods. The served artifact must equal the
+// batch render byte for byte and carry the batch manifest's
+// fingerprint.
+func TestAPIScript(t *testing.T) {
 	t.Parallel()
-	transports := []struct {
-		name string
-		run  func(t *testing.T, srv *labd.Server) doFunc
-	}{
-		{"route", func(_ *testing.T, srv *labd.Server) doFunc { return routeTransport(srv) }},
-		{"nethttp", httpTransport},
-	}
-	results := make([][]response, len(transports))
-	for i, tr := range transports {
-		srv := openServer(t, labd.Config{Workers: 1})
-		results[i] = driveScript(t, srv, tr.run(t, srv))
-	}
-	for i := 1; i < len(results); i++ {
-		if len(results[i]) != len(results[0]) {
-			t.Fatalf("%s answered %d steps, %s answered %d",
-				transports[i].name, len(results[i]), transports[0].name, len(results[0]))
-		}
-		for step := range results[i] {
-			a, b := results[0][step], results[i][step]
-			if a.Status != b.Status || a.ContentType != b.ContentType || !bytes.Equal(a.Body, b.Body) {
-				t.Errorf("step %d: %s and %s diverge:\n%s: %d %s %q\n%s: %d %s %q",
-					step, transports[0].name, transports[i].name,
-					transports[0].name, a.Status, a.ContentType, a.Body,
-					transports[i].name, b.Status, b.ContentType, b.Body)
+	const (
+		plain = "text/plain; charset=utf-8"
+		js    = "application/json"
+	)
+	srv := openServer(t, labd.Config{Workers: 1})
+	do := httpTransport(t, srv)
+	drive := func(steps []apiStep) []response {
+		t.Helper()
+		out := make([]response, len(steps))
+		for i, st := range steps {
+			got := do(t, st.method, st.path, []byte(st.body))
+			if got.Status != st.status || got.ContentType != st.contentType || !strings.Contains(string(got.Body), st.bodyHas) {
+				t.Errorf("%s %s = %d %s %q, want %d %s containing %q",
+					st.method, st.path, got.Status, got.ContentType, got.Body, st.status, st.contentType, st.bodyHas)
 			}
+			if cc := got.Header.Get("Cache-Control"); cc != "no-store" {
+				t.Errorf("%s %s: Cache-Control = %q, want no-store", st.method, st.path, cc)
+			}
+			out[i] = got
 		}
+		return out
+	}
+	drive([]apiStep{
+		{"GET", "/healthz", "", 200, plain, "ok\n"},
+		{"GET", "/readyz", "", 200, plain, "ok\n"},
+		{"GET", "/v1/specs", "", 200, js, `"id": "labd-t-ok"`},
+		{"GET", "/v1/specs/labd-t-ok", "", 200, js, `"id": "labd-t-ok"`},
+		{"GET", "/v1/specs/labd-t-missing", "", 404, plain, "unknown spec labd-t-missing\n"},
+		{"POST", "/v1/runs", `{"spec":"labd-t-ok","params":{"labd-n":4},"format":"json"}`, 202, js, `"id": "run-000001"`},
+		{"POST", "/v1/runs", `{"spec":"nope"}`, 400, plain, `unknown spec "nope"`},
+	})
+	waitDone(t, srv, "run-000001")
+	got := drive([]apiStep{
+		{"GET", "/v1/runs/run-000001", "", 200, js, `"status": "done"`},
+		{"GET", "/v1/runs/run-000001/events", "", 200, "text/event-stream", "event: done\n"},
+		{"GET", "/v1/runs/run-000001/artifact", "", 200, js, ""},
+		{"GET", "/v1/runs", "", 200, js, `"id": "run-000001"`},
+		{"GET", "/v1/runs/run-999999", "", 404, plain, "unknown run run-999999\n"},
+		{"PUT", "/v1/runs", "", 405, plain, "Method Not Allowed\n"},
+	})
+	if allow := got[5].Header.Get("Allow"); allow != "GET, HEAD, POST" {
+		t.Errorf("PUT /v1/runs: Allow = %q, want GET, HEAD, POST", allow)
 	}
 
-	// The artifact step (index 9) must match the batch CLI byte-for-byte.
+	// The artifact step must match the batch CLI byte-for-byte.
 	spec, _ := artifact.Get("labd-t-ok")
 	renderer, _ := artifact.RendererFor("json")
 	res, rendered, err := artifact.RunRendered(spec, runner.New(1), map[string]int{"labd-n": 4}, renderer)
@@ -143,11 +136,11 @@ func TestTransportsAreByteIdentical(t *testing.T) {
 	}
 	manifest := artifact.NewManifest("json", 1)
 	manifest.Add(spec, res, rendered)
-	if got := results[0][9]; !bytes.Equal(got.Body, rendered) {
-		t.Fatalf("served artifact diverges from batch render:\n%q\nvs\n%q", got.Body, rendered)
+	if !bytes.Equal(got[2].Body, rendered) {
+		t.Fatalf("served artifact diverges from batch render:\n%q\nvs\n%q", got[2].Body, rendered)
 	}
-	if got, want := artifact.Fingerprint(results[0][9].Body), manifest.Artifacts[0].SHA256; got != want {
-		t.Fatalf("served fingerprint %s != batch manifest %s", got, want)
+	if fp, want := artifact.Fingerprint(got[2].Body), manifest.Artifacts[0].SHA256; fp != want {
+		t.Fatalf("served fingerprint %s != batch manifest %s", fp, want)
 	}
 }
 
@@ -254,46 +247,41 @@ func TestFleetArtifactThroughDaemon(t *testing.T) {
 	}
 }
 
-// TestLiveSSEMatchesSnapshot subscribes to a run's event stream over a
-// real socket while the run executes: the streamed bytes, read live
+// TestLiveSSEMatchesRecord subscribes to a run's event stream over a
+// real socket while the run executes. The streamed bytes, read live
 // until the server closes the stream after the terminal event, must
-// equal the transport-independent Route snapshot of the finished run.
-func TestLiveSSEMatchesSnapshot(t *testing.T) {
+// equal AppendSSE over the finished record's stages as GET
+// /v1/runs/{id} returns them: a stream replayed from the record carries
+// exactly what a live subscriber saw.
+func TestLiveSSEMatchesRecord(t *testing.T) {
 	t.Parallel()
 	srv := openServer(t, labd.Config{Fleets: 1, Workers: 1})
-	base, shutdown, err := srv.Serve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = shutdown() })
+	do := httpTransport(t, srv)
 
 	rec, err := srv.Enqueue(labd.EnqueueRequest{Spec: "labd-t-ok"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(base + "/v1/runs/" + rec.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type = %q", ct)
-	}
-	streamed, err := io.ReadAll(resp.Body) // returns at terminal-event close
-	if err != nil {
-		t.Fatal(err)
+	stream := do(t, "GET", "/v1/runs/"+rec.ID+"/events", nil) // returns at terminal-event close
+	if stream.Status != http.StatusOK || stream.ContentType != "text/event-stream" {
+		t.Fatalf("events = %d %s", stream.Status, stream.ContentType)
 	}
 
-	status, ctype, snapshot := srv.Route("GET", "/v1/runs/"+rec.ID+"/events", nil)
-	if status != http.StatusOK || ctype != "text/event-stream" {
-		t.Fatalf("snapshot route = %d %s", status, ctype)
+	resp := do(t, "GET", "/v1/runs/"+rec.ID, nil)
+	var final labd.Record
+	if err := json.Unmarshal(resp.Body, &final); err != nil {
+		t.Fatalf("decode record: %v", err)
 	}
-	if !bytes.Equal(streamed, snapshot) {
-		t.Fatalf("live SSE stream diverges from snapshot:\nlive:\n%s\nsnapshot:\n%s", streamed, snapshot)
+	var want []byte
+	for _, st := range final.Stages {
+		want = labd.AppendSSE(want, labd.Event{Run: final.ID, Stage: st.Stage, At: st.At, Detail: st.Detail})
+	}
+	if !bytes.Equal(stream.Body, want) {
+		t.Fatalf("live SSE stream diverges from the record's stages:\nlive:\n%s\nrecord:\n%s", stream.Body, want)
 	}
 	for _, want := range []string{"event: queued", "event: running", "event: rendering", "event: done", "sha256:"} {
-		if !strings.Contains(string(streamed), want) {
-			t.Errorf("stream missing %q:\n%s", want, streamed)
+		if !strings.Contains(string(stream.Body), want) {
+			t.Errorf("stream missing %q:\n%s", want, stream.Body)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -389,6 +390,35 @@ func TestStoreFailFaultsSurfaceCleanly(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStoreFailureIsAServerError: a valid enqueue the store cannot
+// commit is the daemon's failure, not the client's. POST /v1/runs
+// answers 500, so the client retries, and the identical retry is
+// accepted on the next sequence number.
+func TestStoreFailureIsAServerError(t *testing.T) {
+	t.Parallel()
+	ctrl := chaos.New(scenarioSeed(chaos.SiteWrite, 1, 1))
+	ctrl.ArmAt(chaos.SiteWrite, 1, chaos.Fail)
+	srv := openServer(t, labd.Config{
+		Fleets: 1, Workers: 1,
+		Chaos: ctrl, FS: chaos.BindFS(ctrl),
+	})
+	post := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(`{"spec":"labd-t-ok"}`)))
+		return w
+	}
+	if w := post(); w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "no space left on device") {
+		t.Fatalf("enqueue through a failing store = %d %q, want 500 naming the store error", w.Code, w.Body)
+	}
+	w := post()
+	if w.Code != http.StatusAccepted || !strings.Contains(w.Body.String(), `"id": "run-000002"`) {
+		t.Fatalf("retry = %d %q, want 202 with run-000002", w.Code, w.Body)
+	}
+	if waitDone(t, srv, "run-000002").Status != labd.StatusDone {
+		t.Fatal("retried run did not finish")
 	}
 }
 

@@ -22,9 +22,9 @@ type Event struct {
 //	data: {"run":...,"stage":...,"at":...}
 //	<blank line>
 //
-// The same encoder produces both the live net/http stream and the
-// snapshot body the transport-independent Route returns, which is what
-// makes the two byte-comparable.
+// Recorded stages replayed to a late subscriber and stages that arrive
+// live go through this one encoder, so a stream replayed from the
+// record carries exactly the bytes a live subscriber saw.
 func AppendSSE(dst []byte, ev Event) []byte {
 	dst = append(dst, "event: "...)
 	dst = append(dst, ev.Stage...)

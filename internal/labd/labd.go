@@ -9,13 +9,13 @@
 // manifest-style SHA-256 fingerprint — and streams progress events
 // (queued → running → rendering → done/failed) as Server-Sent Events.
 //
-// Route is the transport-independent core dispatch, the way
-// cnc.MasterServer.Route is: tests call it directly, and ServeHTTP (the
-// real net/http daemon, cmd/labd) serves every route through it. A
-// deterministic artifact enqueued over either renders byte-identically
-// to the batch CLI — the record's fingerprint equals the
-// cmd/experiments manifest entry for the same spec, params, and format
-// at any worker count.
+// ServeHTTP serves the API through one http.ServeMux (cmd/labd puts it
+// on a listener). A run calls Spec.NewEnv, Spec.Exec and the renderer
+// itself, committing a durable stage between them, and those are the
+// calls artifact.RunRendered makes for the batch CLI. So a
+// deterministic artifact renders byte-identically in both: the
+// record's fingerprint equals the cmd/experiments manifest entry for
+// the same spec, params, and format at any worker count.
 //
 // A run executes at most once. After a restart, runs still queued
 // re-enter the queue and runs that were mid-flight end failed
@@ -26,6 +26,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,8 +73,8 @@ type Config struct {
 	// deterministic across transports.
 	Now func() time.Time
 	// FS is the filesystem the store commits through; nil selects
-	// chaos.OS, the real filesystem. The chaos harness and cmd/labd
-	// -chaos inject chaos.BindFS(ctrl) to fault it.
+	// chaos.OS, the real filesystem. The kill-point matrix injects
+	// chaos.BindFS(ctrl) to fault it.
 	FS chaos.FS
 	// Chaos is the fault controller the fleet's own kill-points
 	// (FleetSites) consult; nil fires nothing.
@@ -96,6 +97,7 @@ type Server struct {
 
 	queue *fifo
 	wg    sync.WaitGroup
+	mux   *http.ServeMux
 
 	ready    atomic.Bool
 	draining atomic.Bool
@@ -110,7 +112,7 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	store, err := OpenStoreFS(cfg.StoreDir, cfg.FS)
+	store, err := OpenStore(cfg.StoreDir, cfg.FS)
 	if err != nil {
 		return nil, err
 	}
@@ -126,6 +128,7 @@ func Open(cfg Config) (*Server, error) {
 		subs:  make(subscribers),
 		queue: newFIFO(),
 	}
+	s.mux = s.routes()
 	for _, r := range recs {
 		switch {
 		case r.Status == StatusQueued:
@@ -314,7 +317,7 @@ func (s *Server) Artifact(id string) ([]byte, *Record, error) {
 	// read so on-disk corruption surfaces as an error, never as wrong
 	// bytes served with a matching-looking record.
 	if fp := artifact.Fingerprint(b); fp != rec.SHA256 {
-		return nil, rec, fmt.Errorf("run %s artifact is corrupted: sha256 %s, record says %s", id, fp, rec.SHA256)
+		return nil, rec, fmt.Errorf("%w: run %s artifact is corrupted: sha256 %s, record says %s", errStore, id, fp, rec.SHA256)
 	}
 	return b, rec, nil
 }

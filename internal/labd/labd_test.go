@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -338,9 +340,10 @@ func TestDrainRejectsNewWorkAndTimesOutOnStuckRuns(t *testing.T) {
 	if _, err := srv.Enqueue(labd.EnqueueRequest{Spec: "labd-t-ok"}); err == nil || !strings.Contains(err.Error(), "draining") {
 		t.Fatalf("enqueue while draining: err = %v", err)
 	}
-	status, _, body := srv.Route("GET", "/readyz", nil)
-	if status != 503 || !strings.Contains(string(body), "draining") {
-		t.Fatalf("readyz while draining = %d %q", status, body)
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "draining") {
+		t.Fatalf("readyz while draining = %d %q", w.Code, w.Body)
 	}
 
 	// Release the run; a second Close must now drain cleanly.

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -32,13 +33,13 @@ import (
 //
 // # Integrity
 //
-// Record files carry a trailing "sha256:<hex>" line over their body.
-// Load verifies it: a file that is torn, truncated, or undecodable is
+// Record files end in a "sha256:<hex>" line over their body, and the
+// store accepts exactly what seal writes. Load verifies the trailer: a
+// file that is torn, truncated, undecodable, or without a trailer is
 // quarantined — renamed to "<name>.corrupt" — and recovery continues
-// with the rest, instead of aborting the daemon. Quarantined run files
-// still pin their sequence numbers, so a corrupted record can never
-// cause a run ID to be reissued; so does any other run-numbered file,
-// such as a ".ckpt" an older daemon left behind.
+// with the rest, instead of aborting the daemon. Every run-numbered
+// file pins its sequence number, a quarantined one included, so a
+// corrupted record can never cause a run ID to be reissued.
 //
 // The Store does no run-level locking; the Server serialises writes
 // per run (each run is owned by exactly one fleet goroutine after
@@ -55,15 +56,15 @@ type Store struct {
 	quarantined []string // files Load moved aside as .corrupt
 }
 
-// OpenStore creates the directory if needed and returns a store on it,
-// backed by the real filesystem (chaos.OS, which injects no faults).
-func OpenStore(dir string) (*Store, error) {
-	return OpenStoreFS(dir, chaos.OS)
-}
+// errStore marks every failure of the store itself: a record or
+// artifact that cannot be committed, read back, or verified. The API
+// answers it 500, never as a client error.
+var errStore = errors.New("labd store")
 
-// OpenStoreFS is OpenStore with an explicit filesystem — the seam the
-// chaos harness injects faults through.
-func OpenStoreFS(dir string, fsys chaos.FS) (*Store, error) {
+// OpenStore creates the directory if needed and returns a store on it
+// that commits through fsys; nil selects chaos.OS, the real filesystem
+// with no faults armed.
+func OpenStore(dir string, fsys chaos.FS) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("labd: store directory must be set")
 	}
@@ -71,7 +72,7 @@ func OpenStoreFS(dir string, fsys chaos.FS) (*Store, error) {
 		fsys = chaos.OS
 	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("labd store: %w", err)
+		return nil, fmt.Errorf("%w: %w", errStore, err)
 	}
 	return &Store{dir: dir, fs: fsys}, nil
 }
@@ -102,37 +103,34 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 // sealTrailerLen is len("sha256:") + 64 hex digits + newline.
 const sealTrailerLen = 7 + sha256.Size*2 + 1
 
-// seal appends the integrity trailer — one "sha256:<hex>\n" line over
-// body — producing the on-disk form of record files.
-func seal(body []byte) []byte {
+// appendTrailer appends the integrity trailer over body: one
+// "sha256:<hex>\n" line, lower-case hex.
+func appendTrailer(dst, body []byte) []byte {
 	sum := sha256.Sum256(body)
-	out := make([]byte, 0, len(body)+sealTrailerLen)
-	out = append(out, body...)
-	out = append(out, "sha256:"...)
-	out = hex.AppendEncode(out, sum[:])
-	return append(out, '\n')
+	dst = append(dst, "sha256:"...)
+	dst = hex.AppendEncode(dst, sum[:])
+	return append(dst, '\n')
 }
 
-// unseal verifies and strips the integrity trailer. Files without a
-// trailer (written before checksums existed) pass through unchanged —
-// their decodability is the only check available. A present-but-wrong
-// trailer, or a trailer over mismatching bytes, is corruption.
+// seal appends the integrity trailer to body, producing the on-disk
+// form of record files.
+func seal(body []byte) []byte {
+	out := make([]byte, 0, len(body)+sealTrailerLen)
+	return appendTrailer(append(out, body...), body)
+}
+
+// unseal verifies and strips the integrity trailer. It succeeds only on
+// bytes seal wrote: a missing or malformed trailer is corruption, as is
+// a trailer over mismatching bytes.
 func unseal(data []byte) ([]byte, error) {
-	if len(data) < sealTrailerLen {
-		if bytes.HasPrefix(bytes.TrimSpace(data), []byte("sha256:")) {
-			return nil, fmt.Errorf("truncated checksum trailer")
-		}
-		return data, nil
+	n := len(data) - sealTrailerLen
+	if n < 0 || !bytes.HasPrefix(data[n:], []byte("sha256:")) || data[len(data)-1] != '\n' {
+		return nil, errors.New("missing checksum trailer")
 	}
-	trailer := data[len(data)-sealTrailerLen:]
-	if !bytes.HasPrefix(trailer, []byte("sha256:")) || trailer[sealTrailerLen-1] != '\n' {
-		return data, nil // legacy file, no trailer
-	}
-	body := data[:len(data)-sealTrailerLen]
-	sum := sha256.Sum256(body)
-	want := trailer[7 : sealTrailerLen-1]
-	if !bytes.Equal([]byte(hex.EncodeToString(sum[:])), want) {
-		return nil, fmt.Errorf("checksum mismatch: body does not hash to %s", want)
+	body := data[:n]
+	var want [sealTrailerLen]byte
+	if !bytes.Equal(appendTrailer(want[:0], body), data[n:]) {
+		return nil, fmt.Errorf("checksum mismatch: body does not hash to %s", data[n+7:len(data)-1])
 	}
 	return body, nil
 }
@@ -140,7 +138,7 @@ func unseal(data []byte) ([]byte, error) {
 // PutRecord durably writes one run record.
 func (s *Store) PutRecord(r *Record) error {
 	if err := s.writeAtomic(s.recordPath(r.ID), seal(encodeRecord(r))); err != nil {
-		return fmt.Errorf("labd store: record %s: %w", r.ID, err)
+		return fmt.Errorf("%w: record %s: %w", errStore, r.ID, err)
 	}
 	return nil
 }
@@ -151,7 +149,7 @@ func (s *Store) PutRecord(r *Record) error {
 // the run record, not an in-file trailer.
 func (s *Store) PutArtifact(id string, rendered []byte) error {
 	if err := s.writeAtomic(s.artifactPath(id), rendered); err != nil {
-		return fmt.Errorf("labd store: artifact %s: %w", id, err)
+		return fmt.Errorf("%w: artifact %s: %w", errStore, id, err)
 	}
 	return nil
 }
@@ -160,7 +158,7 @@ func (s *Store) PutArtifact(id string, rendered []byte) error {
 func (s *Store) GetArtifact(id string) ([]byte, error) {
 	b, err := s.fs.ReadFile(s.artifactPath(id))
 	if err != nil {
-		return nil, fmt.Errorf("labd store: artifact %s: %w", id, err)
+		return nil, fmt.Errorf("%w: artifact %s: %w", errStore, id, err)
 	}
 	return b, nil
 }
@@ -177,7 +175,7 @@ func (s *Store) GetArtifact(id string) ([]byte, error) {
 func (s *Store) Load() ([]*Record, error) {
 	entries, err := s.fs.ReadDir(s.dir)
 	if err != nil {
-		return nil, fmt.Errorf("labd store: %w", err)
+		return nil, fmt.Errorf("%w: %w", errStore, err)
 	}
 	var recs []*Record
 	for _, e := range entries {
@@ -194,7 +192,7 @@ func (s *Store) Load() ([]*Record, error) {
 		}
 		b, err := s.fs.ReadFile(filepath.Join(s.dir, name))
 		if err != nil {
-			return nil, fmt.Errorf("labd store: read %s: %w", name, err)
+			return nil, fmt.Errorf("%w: read %s: %w", errStore, name, err)
 		}
 		body, err := unseal(b)
 		if err != nil {

@@ -2,6 +2,8 @@ package labd_test
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,12 +60,12 @@ func TestStoreReloadServesFinishedRuns(t *testing.T) {
 }
 
 // TestRestartRecovery locks the crash contract over every mid-flight
-// record a store can hold, including those an older daemon left
-// behind: runs still queued when the process died are executed by the
-// next process; runs that were mid-flight latch a durable "interrupted
-// by restart" failure; stale .tmp files are swept; and every
-// run-numbered file — a leftover .ckpt included — pins its sequence
-// number.
+// record a store can hold: runs still queued when the process died are
+// executed by the next process; runs that were mid-flight latch a
+// durable "interrupted by restart" failure; a record without its
+// checksum trailer is quarantined; stale .tmp files are swept; and
+// every run-numbered file — a quarantined record and a stray .ckpt
+// included — pins its sequence number.
 func TestRestartRecovery(t *testing.T) {
 	t.Parallel()
 	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -86,13 +88,16 @@ func TestRestartRecovery(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name  string
-		write func(t *testing.T, store *labd.Store)
+		name        string
+		write       func(t *testing.T, store *labd.Store)
+		quarantined bool // run-000003 is corrupt, not interrupted
 	}{
-		{"running", putRecord(labd.StatusRunning)},
-		{"rendering", putRecord(labd.StatusRendering)},
-		// A run an older daemon resumed once, in the trailerless JSON a
-		// store accepts as a legacy file.
+		{"running", putRecord(labd.StatusRunning), false},
+		{"rendering", putRecord(labd.StatusRendering), false},
+		// A resumed run's record in the trailer-less JSON the daemon
+		// wrote before record checksums existed. The store accepts only
+		// what seal writes, so the file is corrupt however well it
+		// decodes.
 		{"legacy-resumed", func(t *testing.T, store *labd.Store) {
 			legacy := `{
   "id": "run-000003",
@@ -114,15 +119,17 @@ func TestRestartRecovery(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(store.Dir(), "run-000003.json"), []byte(legacy), 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}},
-		{"legacy-retrying", putRecord(labd.Status("retrying"))},
+		}, true},
+		// A sealed record with a status this daemon does not know: any
+		// non-terminal status latches failed.
+		{"legacy-retrying", putRecord(labd.Status("retrying")), false},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			store, err := labd.OpenStore(dir)
+			store, err := labd.OpenStore(dir, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,20 +147,32 @@ func TestRestartRecovery(t *testing.T) {
 			if err := os.WriteFile(tmp, []byte(`{"id":"run-0000`), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			// A chunk checkpoint an older daemon wrote for a run whose
-			// record is gone: its sequence number stays burned.
+			// Any other run-numbered file, here a chunk checkpoint whose
+			// record is gone, burns its sequence number too.
 			ckpt := filepath.Join(dir, "run-000011.ckpt")
 			if err := os.WriteFile(ckpt, []byte(`{"run":"run-000011","chunks":{}}`), 0o644); err != nil {
 				t.Fatal(err)
 			}
 
 			srv := openServer(t, labd.Config{StoreDir: dir})
-			interrupted, ok := srv.Get("run-000003")
-			if !ok || interrupted.Status != labd.StatusFailed || interrupted.Error != "interrupted by restart" {
-				t.Fatalf("mid-flight run not latched failed: %+v", interrupted)
-			}
-			if last := interrupted.Stages[len(interrupted.Stages)-1]; last.Stage != labd.StatusFailed {
-				t.Fatalf("last stage = %s, want failed", last.Stage)
+			if c.quarantined {
+				if got, ok := srv.Get("run-000003"); ok {
+					t.Fatalf("trailer-less record served: %+v", got)
+				}
+				if q := srv.Store().Quarantined(); len(q) != 1 || q[0] != "run-000003.json" {
+					t.Fatalf("quarantine report = %v, want [run-000003.json]", q)
+				}
+				if _, err := os.Stat(filepath.Join(dir, "run-000003.json.corrupt")); err != nil {
+					t.Fatalf("trailer-less record not quarantined: %v", err)
+				}
+			} else {
+				interrupted, ok := srv.Get("run-000003")
+				if !ok || interrupted.Status != labd.StatusFailed || interrupted.Error != "interrupted by restart" {
+					t.Fatalf("mid-flight run not latched failed: %+v", interrupted)
+				}
+				if last := interrupted.Stages[len(interrupted.Stages)-1]; last.Stage != labd.StatusFailed {
+					t.Fatalf("last stage = %s, want failed", last.Stage)
+				}
 			}
 			queued := waitDone(t, srv, "run-000007")
 			if queued.Status != labd.StatusDone {
@@ -237,7 +256,8 @@ func TestLoadQuarantinesCorruptRecords(t *testing.T) {
 
 // TestArtifactCorruptionDetected locks the serve-side integrity check:
 // artifact bytes that no longer hash to the record's fingerprint are
-// refused, never served.
+// refused, never served, and the API answers the refusal 500: the
+// daemon's disk failed, not the client's request.
 func TestArtifactCorruptionDetected(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -263,5 +283,10 @@ func TestArtifactCorruptionDetected(t *testing.T) {
 	}
 	if _, _, err := srv.Artifact(rec.ID); err == nil || !strings.Contains(err.Error(), "corrupted") {
 		t.Fatalf("corrupted artifact served: err = %v", err)
+	}
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/runs/"+rec.ID+"/artifact", nil))
+	if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "corrupted") {
+		t.Fatalf("GET corrupted artifact = %d %q, want 500 naming the corruption", w.Code, w.Body)
 	}
 }

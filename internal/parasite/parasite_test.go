@@ -188,16 +188,6 @@ func TestPropagationTargetsFramedOnce(t *testing.T) {
 	}
 }
 
-func TestPropagationDisabled(t *testing.T) {
-	_, cfg, env, rt := setup(t, "top1.com")
-	cfg.PropagationTargets = []string{"top2.com"}
-	cfg.Propagate = false
-	exec(t, rt, env)
-	if len(env.iframes) != 0 {
-		t.Fatal("propagated despite Propagate=false")
-	}
-}
-
 func TestCNCPollExecutesCommand(t *testing.T) {
 	reg, cfg, env, rt := setup(t, "top1.com")
 	var gotParams string
@@ -284,8 +274,7 @@ func TestExfilStreamsChunkedThroughImages(t *testing.T) {
 }
 
 func TestInfectedOriginsTracking(t *testing.T) {
-	reg, cfg, env, rt := setup(t, "top1.com")
-	cfg.Propagate = false
+	reg, _, env, rt := setup(t, "top1.com")
 	exec(t, rt, env)
 	env2 := newFakeEnv("top2.com", "top2.com/a.js")
 	env2.pages["top2.com/a.js"] = infectedBody()

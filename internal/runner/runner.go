@@ -160,7 +160,7 @@ func FNV1a(s string) uint64 { return fnv1a(fnvOffset, s) }
 // SplitMix64 advances a splitmix64 stream one step: it returns the
 // stream's next state and the 64-bit output drawn at that state. Tiny,
 // allocation-free and inlinable, it is the repo's one seeded PRNG —
-// netsim link faults and chaos fault schedules both draw from it.
+// netsim link faults and chaos fault draws both come from it.
 func SplitMix64(state uint64) (next, out uint64) {
 	next = state + 0x9e3779b97f4a7c15
 	z := next
