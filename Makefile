@@ -46,9 +46,10 @@ allocs:
 ## that parse back), httpsim's request and response parsers (held
 ## to the map-and-split parsers they replaced, and to their own
 ## Marshal), the replay log reader (allocation bounded by the input,
-## and every accepted log re-recorded byte for byte), and labd's record
-## unsealing (it accepts exactly what seal writes); -fuzz takes one
-## target per run
+## and every accepted log re-recorded byte for byte), labd's record
+## unsealing (it accepts exactly what seal writes), and the
+## Cache-Control parser (max-age within RFC 9111's 2^31 s ceiling);
+## -fuzz takes one target per run
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanTags$$' -fuzztime 5s ./internal/dom
 	$(GO) test -run '^$$' -fuzz '^FuzzMasterRoute$$' -fuzztime 5s ./internal/cnc
@@ -56,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 5s ./internal/httpsim
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLog$$' -fuzztime 5s ./internal/replay
 	$(GO) test -run '^$$' -fuzz '^FuzzUnsealRecord$$' -fuzztime 5s ./internal/labd
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCacheControl$$' -fuzztime 5s ./internal/httpcache
 
 ## bench: the root benchmark harness (tables, figures, ablations, codecs)
 bench:

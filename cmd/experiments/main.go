@@ -15,6 +15,7 @@
 //	experiments replay fingerprint killchain.replay
 //	experiments replay diff a.replay b.replay
 //	experiments replay drive killchain.replay -time-div 8
+//	experiments -run fleet/cnc-fanout -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // The command itself knows no experiment: internal/experiments
 // self-registers one artifact.Spec per table and figure, and this
@@ -49,14 +50,21 @@
 // `replay` verb operates on logs offline: fingerprint, diff between two
 // logs, and stub-driven replay with time compression and perturbations
 // (see internal/replay and docs/ARCHITECTURE.md).
+//
+// -cpuprofile FILE writes a CPU profile of the whole run, and
+// -memprofile FILE a heap profile taken after it; `go tool pprof` reads
+// both. Neither changes a byte the run prints or writes.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"masterparasite/internal/artifact"
@@ -72,7 +80,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (retErr error) {
 	if len(args) > 0 && args[0] == "replay" {
 		return runReplayVerb(args[1:], stdout)
 	}
@@ -87,6 +95,8 @@ func run(args []string, stdout io.Writer) error {
 	parallel := fs.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS, 1 = sequential): scenario fleets run this many kill-chain jobs at once, and the fleet/* artifacts use it as the sharded netsim's shard worker count; deterministic artifacts are byte-identical at any value")
 	outDir := fs.String("out", "", "write one file per artifact plus manifest.json into this directory instead of stdout")
 	manifestPath := fs.String("manifest", "", "also write the run manifest to this path")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file after the run")
 
 	// One flag per parameter declared by any registered spec.
 	paramFlags := make(map[string]*int)
@@ -95,6 +105,22 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return errors.Join(err, f.Close())
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			retErr = errors.Join(retErr, f.Close())
+		}()
+	}
+	if *memProfile != "" {
+		defer func() { retErr = errors.Join(retErr, writeHeapProfile(*memProfile)) }()
 	}
 
 	if *list {
@@ -178,6 +204,17 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// writeHeapProfile writes the heap profile to path, after a GC so its
+// in-use figures are current.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	return errors.Join(pprof.WriteHeapProfile(f), f.Close())
 }
 
 // printList renders the registry: one line per artifact with its

@@ -108,6 +108,30 @@ func TestOutDirNestsSlashScopedIDs(t *testing.T) {
 	}
 }
 
+// TestProfileFlagsWriteProfiles runs one small artifact with
+// -cpuprofile and -memprofile: both profiles are written and non-empty,
+// and stdout is byte-identical to the same run without the flags.
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	args := []string{"-run", "fleet/infection-curve", "-lans", "3", "-bots", "40"}
+	var plain, profiled bytes.Buffer
+	if err := run(args, &plain); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := run(append(args, "-cpuprofile", cpu, "-memprofile", mem), &profiled); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(profiled.Bytes(), plain.Bytes()) {
+		t.Fatalf("profiling changed stdout:\n%.400s\nwithout the flags:\n%.400s", profiled.Bytes(), plain.Bytes())
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", filepath.Base(path), err)
+		}
+	}
+}
+
 func TestUnknownFormatRejected(t *testing.T) {
 	if err := run([]string{"-format", "yaml"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown format accepted")

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"masterparasite/internal/netsim"
@@ -108,7 +110,7 @@ func (r FleetResult) LatencyPercentiles() (p50, p90, p99, max time.Duration) {
 	if len(lat) == 0 {
 		return 0, 0, 0, 0
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	slices.Sort(lat)
 	at := func(p float64) time.Duration {
 		i := int(p * float64(len(lat)-1))
 		return lat[i]
@@ -120,7 +122,7 @@ func (r FleetResult) LatencyPercentiles() (p50, p90, p99, max time.Duration) {
 // a 10⁶-bot fleet stays in memory.
 type fleetBot struct {
 	ifc     *netsim.Interface
-	regAt   time.Duration
+	regAt   time.Duration // the infection instant, when the bot registers
 	latency time.Duration
 	// peers are the LAN neighbours the bot gossips to, drawn when it is
 	// infected. A bot is infected only once, so they cannot change while
@@ -129,20 +131,19 @@ type fleetBot struct {
 	infected bool
 }
 
-// fleetLAN is one LAN shard's world: bots, the local infection log, and
-// the LAN's own PRNG. Everything here is touched only by the shard's
-// executor, never by another shard.
+// fleetLAN is one LAN shard's world: bots, counters, and the LAN's own
+// PRNG. Everything here is touched only by the shard's executor, never
+// by another shard.
 type fleetLAN struct {
-	id         int
-	shard      *netsim.Shard
-	seg        *netsim.Segment
-	bots       []fleetBot
-	rng        *rand.Rand
-	gossip     func(int32) // ScheduleCall target: arg = bot×gossipFanout + g
-	infections []InfectionEvent
-	commanded  int
-	lastCmdAt  time.Duration
-	bytesGot   int
+	id        int
+	shard     *netsim.Shard
+	seg       *netsim.Segment
+	bots      []fleetBot
+	rng       *rand.Rand
+	gossip    func(int32) // ScheduleCall target: arg = bot×gossipFanout + g
+	commanded int
+	lastCmdAt time.Duration
+	bytesGot  int
 }
 
 // Fleet is one assembled botnet topology, ready to Run. Tests may
@@ -201,6 +202,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	for l := 0; l < cfg.LANs; l++ {
 		lan := &fleetLAN{id: l, rng: rand.New(rand.NewSource(runner.Seed(cfg.Seed, fmt.Sprintf("fleet-lan-%d", l))))}
 		lan.gossip = func(arg int32) { f.gossip(lan, int(arg)) }
+		// Every bot on the LAN shares one handler, which reads the bot
+		// back from the frame's destination address.
+		receive := func(now time.Duration, pkt netsim.Packet) {
+			f.botReceive(lan, botIndex(pkt.Dst), now, pkt)
+		}
 		lan.shard, err = f.fab.AddShard(fmt.Sprintf("lan%04d", l))
 		if err != nil {
 			return nil, err
@@ -214,14 +220,17 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			lan.seg.SetLinkProfile(lp)
 		}
 		lan.bots = make([]fleetBot, cfg.BotsPerLAN)
+		// The LAN's addresses are slices of one string: Grow sizes it for
+		// the widest address, and a Builder never rewrites its bytes.
+		var addrs strings.Builder
+		var buf [48]byte
+		addrs.Grow(cfg.BotsPerLAN * len(botAddr(buf[:0], l, cfg.BotsPerLAN-1)))
 		for b := 0; b < cfg.BotsPerLAN; b++ {
-			bot := b
-			addr := netsim.Addr(fmt.Sprintf("l%d-b%d", l, b))
+			start := addrs.Len()
+			addrs.Write(botAddr(buf[:0], l, b))
+			addr := netsim.Addr(addrs.String()[start:])
 			delay := time.Duration(lan.rng.Intn(300)) * time.Microsecond
-			lan.bots[b].ifc, err = lan.seg.Attach(addr, delay, func(now time.Duration, pkt netsim.Packet) {
-				f.botReceive(lan, bot, now, pkt)
-			})
-			if err != nil {
+			if lan.bots[b].ifc, err = lan.seg.Attach(addr, delay, receive); err != nil {
 				return nil, err
 			}
 		}
@@ -236,6 +245,23 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		f.lans = append(f.lans, lan)
 	}
 	return f, nil
+}
+
+// botAddr appends bot b's address on LAN lan, l<lan>-b<b>, to p.
+func botAddr(p []byte, lan, b int) []byte {
+	p = append(p, 'l')
+	p = strconv.AppendInt(p, int64(lan), 10)
+	p = append(p, "-b"...)
+	return strconv.AppendInt(p, int64(b), 10)
+}
+
+// botIndex reads the bot index back from an address botAddr wrote.
+func botIndex(addr netsim.Addr) int {
+	b := 0
+	for i := strings.LastIndexByte(string(addr), 'b') + 1; i < len(addr); i++ {
+		b = b*10 + int(addr[i]-'0')
+	}
+	return b
 }
 
 // botReceive dispatches one delivered frame on a bot.
@@ -268,7 +294,6 @@ func (f *Fleet) infect(lan *fleetLAN, b int) {
 	net := lan.shard.Network()
 	now := net.Now()
 	bot.infected = true
-	lan.infections = append(lan.infections, InfectionEvent{At: now, LAN: lan.id, Bot: b})
 	bot.regAt = now
 	// REG|<lan>|<bot>, written straight into the pooled frame.
 	bot.ifc.SendPayload(CNCAddr, netsim.ProtoRaw, func(p []byte) []byte {
@@ -322,35 +347,35 @@ func (f *Fleet) Run(workers int) (FleetResult, error) {
 		Registered: f.master.registered,
 		Events:     events,
 	}
-	for _, lan := range f.lans {
-		res.Infected += len(lan.infections)
-	}
-	res.Infections = make([]InfectionEvent, 0, res.Infected)
+	res.Infections = make([]InfectionEvent, 0, res.Bots)
 	res.Latencies = make([]time.Duration, 0, res.Bots)
 	for _, lan := range f.lans {
-		res.Infections = append(res.Infections, lan.infections...)
 		res.Commanded += lan.commanded
 		res.CommandBytes += lan.bytesGot
 		if lan.lastCmdAt > res.LastCommandAt {
 			res.LastCommandAt = lan.lastCmdAt
 		}
-		for b := range lan.bots {
-			res.Latencies = append(res.Latencies, lan.bots[b].latency)
+		for b, bot := range lan.bots {
+			if bot.infected {
+				res.Infections = append(res.Infections, InfectionEvent{At: bot.regAt, LAN: lan.id, Bot: b})
+			}
+			res.Latencies = append(res.Latencies, bot.latency)
 		}
 		res.LinkLost += lan.seg.Lost()
 		res.LinkDup += lan.seg.Duplicated()
 	}
-	// Per-LAN logs are time-ordered already; the global log orders by
-	// (time, LAN, bot) — the documented merge convention.
-	sort.SliceStable(res.Infections, func(i, j int) bool {
-		a, b := res.Infections[i], res.Infections[j]
-		if a.At != b.At {
-			return a.At < b.At
+	res.Infected = len(res.Infections)
+	// The global log orders by (time, LAN, bot) — the documented merge
+	// convention. A bot is infected once, so the key is unique and an
+	// unstable sort is exact.
+	slices.SortFunc(res.Infections, func(a, b InfectionEvent) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		if a.LAN != b.LAN {
-			return a.LAN < b.LAN
+		if c := cmp.Compare(a.LAN, b.LAN); c != 0 {
+			return c
 		}
-		return a.Bot < b.Bot
+		return cmp.Compare(a.Bot, b.Bot)
 	})
 	return res, nil
 }

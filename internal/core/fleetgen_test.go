@@ -178,6 +178,30 @@ func TestFleetStatsExposeParallelStructure(t *testing.T) {
 	}
 }
 
+// TestNewFleetAllocs is the fleet build's allocation ratchet, on the
+// fleet of TestFleetRunAllocs: NewFleet must stay within
+// newFleetAllocBudget allocations, the measured count plus 3%. The
+// build allocates per LAN, not per bot: one address string, one
+// handler, and interface chunks that double as the segment grows.
+// Skipped in -short mode, where the race detector perturbs counts;
+// `make allocs` runs it.
+func TestNewFleetAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts shift under -race; make allocs runs this")
+	}
+	const newFleetAllocBudget = 1863 // measured 1,808 on Go 1.24.0, +3%
+	cfg := FleetConfig{LANs: 32, BotsPerLAN: 400, Seed: 10}
+	var err error
+	allocs := testing.AllocsPerRun(1, func() { _, err = NewFleet(cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("NewFleet: %.0f allocations, %.3f per bot", allocs, allocs/float64(cfg.LANs*cfg.BotsPerLAN))
+	if allocs > newFleetAllocBudget {
+		t.Errorf("NewFleet made %.0f allocations, budget %d", allocs, newFleetAllocBudget)
+	}
+}
+
 // TestFleetRunAllocs is the fleet's allocation ratchet, on the 32×400,
 // seed-10 fleet of the root BenchmarkFleet_ShardedScaling: draining it
 // on one worker must stay within fleetRunAllocBudget allocations, the
@@ -191,7 +215,7 @@ func TestFleetRunAllocs(t *testing.T) {
 		t.Skip("allocation counts shift under -race; make allocs runs this")
 	}
 	const (
-		fleetRunAllocBudget = 16067 // measured 15,599 on Go 1.24.0, +3%
+		fleetRunAllocBudget = 15695 // measured 15,237 on Go 1.24.0, +3%
 		wantEvents          = 204712
 		wantCriticalPath8   = 48300
 	)

@@ -7,6 +7,7 @@
 package httpcache
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"time"
@@ -23,11 +24,17 @@ type CacheControl struct {
 	Private   bool
 }
 
+// maxDeltaSeconds is the ceiling RFC 9111 §1.2.2 puts on delta-seconds:
+// a larger value, however many digits it has, counts as 2³¹ seconds.
+const maxDeltaSeconds = 1 << 31
+
 // ParseCacheControl parses a Cache-Control header value. Unknown
 // directives are ignored, as RFC 7234 requires.
 func ParseCacheControl(v string) CacheControl {
 	var cc CacheControl
-	for _, part := range strings.Split(v, ",") {
+	for v != "" {
+		var part string
+		part, v, _ = strings.Cut(v, ",")
 		d := strings.TrimSpace(strings.ToLower(part))
 		switch {
 		case d == "no-store":
@@ -41,22 +48,29 @@ func ParseCacheControl(v string) CacheControl {
 		case d == "private":
 			cc.Private = true
 		case strings.HasPrefix(d, "max-age="):
-			secs, err := strconv.Atoi(strings.TrimPrefix(d, "max-age="))
-			if err == nil && secs >= 0 {
-				cc.MaxAge = time.Duration(secs) * time.Second
-				cc.HasMaxAge = true
+			if age, ok := deltaSeconds(strings.TrimPrefix(d, "max-age=")); ok {
+				cc.MaxAge, cc.HasMaxAge = age, true
 			}
 		case strings.HasPrefix(d, "s-maxage="):
 			// Shared-cache lifetime; we treat it as max-age when no
 			// max-age is present (the proxycache package cares).
-			secs, err := strconv.Atoi(strings.TrimPrefix(d, "s-maxage="))
-			if err == nil && secs >= 0 && !cc.HasMaxAge {
-				cc.MaxAge = time.Duration(secs) * time.Second
-				cc.HasMaxAge = true
+			if age, ok := deltaSeconds(strings.TrimPrefix(d, "s-maxage=")); ok && !cc.HasMaxAge {
+				cc.MaxAge, cc.HasMaxAge = age, true
 			}
 		}
 	}
 	return cc
+}
+
+// deltaSeconds parses a delta-seconds value, one or more digits,
+// saturating at maxDeltaSeconds: ParseUint takes no sign, and its
+// ErrRange is a digit string too long to represent.
+func deltaSeconds(v string) (time.Duration, bool) {
+	secs, err := strconv.ParseUint(v, 10, 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		return 0, false
+	}
+	return time.Duration(min(secs, maxDeltaSeconds)) * time.Second, true
 }
 
 // MaxFreshness is the Cache-Control value the attacker sets on infected

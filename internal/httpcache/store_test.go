@@ -31,6 +31,14 @@ func TestParseCacheControl(t *testing.T) {
 		{"max-age=bogus", CacheControl{}},
 		{"", CacheControl{}},
 		{"unknown-directive, max-age=5", CacheControl{MaxAge: 5 * time.Second, HasMaxAge: true}},
+		{"max-age=+5", CacheControl{}},
+		// delta-seconds past 2³¹ counts as 2³¹ seconds (RFC 9111 §1.2.2),
+		// whatever its digit count.
+		{"max-age=2147483647", CacheControl{MaxAge: (1<<31 - 1) * time.Second, HasMaxAge: true}},
+		{"max-age=2147483648", CacheControl{MaxAge: 1 << 31 * time.Second, HasMaxAge: true}},
+		{"max-age=9999999999", CacheControl{MaxAge: 1 << 31 * time.Second, HasMaxAge: true}},
+		{"s-maxage=99999999999", CacheControl{MaxAge: 1 << 31 * time.Second, HasMaxAge: true}},
+		{"max-age=99999999999999999999", CacheControl{MaxAge: 1 << 31 * time.Second, HasMaxAge: true}},
 	}
 	for _, c := range cases {
 		if got := ParseCacheControl(c.in); got != c.want {

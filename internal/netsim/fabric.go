@@ -104,7 +104,7 @@ type Shard struct {
 
 // NewFabric returns an empty fabric.
 func NewFabric() *Fabric {
-	return &Fabric{byName: make(map[string]*Shard), owners: make(map[Addr]owner)}
+	return &Fabric{byName: make(map[string]*Shard)}
 }
 
 // AddShard creates a shard with its own Network. Shard IDs are assigned
@@ -150,7 +150,8 @@ func (s *Shard) Unroutable() int { return s.unroutable }
 // minLatency is the guaranteed minimum crossing time — the WAN hop of
 // the paper's uplink — and must be positive, because the fabric's
 // lookahead is the minimum over all uplinks. A shard may declare
-// several uplinks (one per segment); frames are routed by the global
+// several uplinks, at most one per segment: a second boundary tap would
+// export every crossing frame twice. Frames are routed by the global
 // owner table, not by which uplink exported them.
 func (s *Shard) Uplink(seg *Segment, minLatency time.Duration) error {
 	if minLatency <= 0 {
@@ -162,6 +163,10 @@ func (s *Shard) Uplink(seg *Segment, minLatency time.Duration) error {
 	if seg.net != s.net {
 		return fmt.Errorf("netsim: segment %s does not belong to shard %s", seg.Name(), s.name)
 	}
+	if seg.uplink {
+		return fmt.Errorf("netsim: shard %s already has an uplink on segment %s", s.name, seg.Name())
+	}
+	seg.uplink = true
 	seg.AttachTap(0, func(now time.Duration, pkt Packet) {
 		if seg.lookup(pkt.Dst) != nil {
 			return // local traffic: the shard's own business
@@ -231,6 +236,13 @@ func (f *Fabric) seal() error {
 	if f.sealed {
 		return nil
 	}
+	n := 0 // the interfaces, counted so the table never grows
+	for _, s := range f.shards {
+		for _, seg := range s.net.segments {
+			n += len(seg.ifaces)
+		}
+	}
+	f.owners = make(map[Addr]owner, n)
 	for _, s := range f.shards {
 		segs := make([]*Segment, 0, len(s.net.segments))
 		for _, seg := range s.net.segments {

@@ -283,6 +283,44 @@ func TestFabricZeroLookaheadRejected(t *testing.T) {
 	}
 }
 
+// TestFabricRejectsSecondUplinkOnSegment: a second uplink on one
+// segment would attach a second boundary tap, and every crossing frame
+// would be exported and delivered twice. It fails with an error naming
+// the shard and the segment, and the first uplink keeps working: one
+// send arrives once and counts one boundary crossing.
+func TestFabricRejectsSecondUplinkOnSegment(t *testing.T) {
+	fab := NewFabric()
+	hub := fab.MustAddShard("hub")
+	hubSeg := hub.Network().MustSegment("backbone", time.Microsecond)
+	got := 0
+	hubSeg.MustAttach("server", 0, func(time.Duration, Packet) { got++ })
+	if err := hub.Uplink(hubSeg, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	lan := fab.MustAddShard("lan")
+	seg := lan.Network().MustSegment("wifi", time.Microsecond)
+	bot := seg.MustAttach("bot", 0, nil)
+	if err := lan.Uplink(seg, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	err := lan.Uplink(seg, 2*time.Millisecond)
+	if err == nil {
+		t.Fatal("second uplink on one segment accepted")
+	}
+	if !strings.Contains(err.Error(), "lan") || !strings.Contains(err.Error(), "wifi") {
+		t.Fatalf("error %q does not name the shard and the segment", err)
+	}
+	lan.Network().Schedule(0, func() {
+		bot.Send(Packet{Dst: "server", Proto: ProtoRaw, Payload: []byte("once")})
+	})
+	if _, err := fab.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	if got != 1 || fab.Stats().Boundary != 1 {
+		t.Fatalf("one send arrived %d times over %d boundary crossings, want 1 and 1", got, fab.Stats().Boundary)
+	}
+}
+
 // TestFabricRejectsDuplicateOwnership: one address attached on two
 // shards has no deterministic boundary route, so sealing fails.
 func TestFabricRejectsDuplicateOwnership(t *testing.T) {

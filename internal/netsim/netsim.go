@@ -494,7 +494,9 @@ type Segment struct {
 	latency time.Duration
 	ifaces  []*Interface
 	byAddr  map[Addr]*Interface // address index: attach checks and delivery lookups stay O(1) at fleet scale
+	spare   []Interface         // the unused rest of the chunk Attach hands interfaces out of
 	taps    []*Tap
+	uplink  bool // a fabric uplink taps this segment (Shard.Uplink)
 
 	// Fault model (see link.go). faulty caches !profile.Clean() so the
 	// perfect-wire fast path stays a single predicate with zero PRNG
@@ -522,7 +524,14 @@ func (s *Segment) Attach(addr Addr, extraDelay time.Duration, h Handler) (*Inter
 	if _, dup := s.byAddr[addr]; dup {
 		return nil, fmt.Errorf("%w: %s on %s", ErrAddrInUse, addr, s.name)
 	}
-	ifc := &Interface{seg: s, addr: addr, delay: extraDelay, handler: h}
+	if len(s.spare) == 0 {
+		// Chunks double as the segment grows, so a fleet-sized segment
+		// allocates its interfaces a logarithmic number of times.
+		s.spare = make([]Interface, max(len(s.ifaces), 1))
+	}
+	ifc := &s.spare[0]
+	s.spare = s.spare[1:]
+	*ifc = Interface{seg: s, addr: addr, delay: extraDelay, handler: h}
 	s.ifaces = append(s.ifaces, ifc)
 	s.byAddr[addr] = ifc
 	return ifc, nil
