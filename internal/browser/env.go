@@ -88,9 +88,7 @@ func (e *pageEnv) fetchInternal(url string, opts fetchOpts, cb func(*httpsim.Res
 		}
 		resp := res.resp
 		if crossOrigin && resp.Header.Get("Access-Control-Allow-Origin") != "*" {
-			opaque := httpsim.NewResponse(resp.StatusCode, nil)
-			opaque.Header = httpsim.Header{}
-			cb(opaque, nil)
+			cb(httpsim.NewResponse(resp.StatusCode, nil), nil)
 			return
 		}
 		cb(resp, nil)

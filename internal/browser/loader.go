@@ -64,6 +64,7 @@ func (b *Browser) visit(host, path string, opts VisitOpts, depth int, cb func(*P
 			browser: b,
 		}
 		l := &loader{b: b, page: page, opts: fo, depth: depth, onDone: cb}
+		l.stepFn = l.step
 		page.loader = l
 		if opts.OnDocument != nil {
 			opts.OnDocument(page)
@@ -92,6 +93,7 @@ type loader struct {
 	running   bool
 	doneFired bool
 	onDone    func(*Page, error)
+	stepFn    func() // l.step, bound once: every resume schedules it
 }
 
 // enqueueDocument queues the document's subresources, external and
@@ -124,8 +126,14 @@ func (l *loader) finish(err error) {
 	}
 }
 
-// step processes the queue one job at a time; each completion re-enters
-// step via the event loop so the callback stack stays flat.
+// resume ends the running job and re-enters step via the event loop,
+// so the callback stack stays flat.
+func (l *loader) resume() {
+	l.running = false
+	l.b.net.Schedule(0, l.stepFn)
+}
+
+// step processes the queue one job at a time; each completion resumes.
 func (l *loader) step() {
 	if l.running {
 		return
@@ -137,17 +145,13 @@ func (l *loader) step() {
 	j := l.queue[0]
 	l.queue = l.queue[1:]
 	l.running = true
-	resume := func() {
-		l.running = false
-		l.b.net.Schedule(0, l.step)
-	}
 	switch {
 	case j.kind == dom.ResScript && j.inline != nil:
 		l.execScript(j, j.inline)
-		resume()
+		l.resume()
 	case j.kind == dom.ResScript:
 		if !l.cspAllows("script-src", j.url) {
-			resume()
+			l.resume()
 			return
 		}
 		if l.b.DefenseRandomQuery && !strings.Contains(j.url, "?") {
@@ -160,14 +164,14 @@ func (l *loader) step() {
 			if err == nil {
 				l.execScript(j, res.resp.Body)
 			}
-			resume()
+			l.resume()
 		})
 	case j.kind == dom.ResImage:
 		if !l.cspAllows("img-src", j.url) {
 			if j.onImg != nil {
 				j.onImg(0, 0, false)
 			}
-			resume()
+			l.resume()
 			return
 		}
 		l.b.fetch(l.page.Host, j.url, l.opts, func(res fetchResult, err error) {
@@ -179,13 +183,13 @@ func (l *loader) step() {
 					j.onImg(w, h, true)
 				}
 			}
-			resume()
+			l.resume()
 		})
 	case j.kind == dom.ResStylesheet:
-		l.b.fetch(l.page.Host, j.url, l.opts, func(fetchResult, error) { resume() })
+		l.b.fetch(l.page.Host, j.url, l.opts, func(fetchResult, error) { l.resume() })
 	case j.kind == dom.ResIframe:
 		if l.depth >= maxFrameDepth || !l.cspAllows("frame-src", j.url) {
-			resume()
+			l.resume()
 			return
 		}
 		l.b.visit(hostOf(j.url), pathOf(j.url), VisitOpts{HardReload: l.opts.bypassCache},
@@ -193,10 +197,10 @@ func (l *loader) step() {
 				if err == nil && sub != nil {
 					l.page.Frames = append(l.page.Frames, sub)
 				}
-				resume()
+				l.resume()
 			})
 	default:
-		resume()
+		l.resume()
 	}
 }
 

@@ -14,19 +14,19 @@ import (
 // three runs on Go 1.24.0, plus 3%, the BENCHMARK.json bound. A change
 // that lowers a count lowers its budget with it.
 var artifactAllocBudgets = map[string]uint64{
-	"table1":                19531, // 18,962
-	"table2":                7443,  // 7,226
-	"table3":                5380,  // 5,223
-	"table4":                1686,  // 1,636
-	"table5":                18305, // 17,771
-	"fig3":                  49804, // 48,353
-	"fig5":                  26638, // 25,862
-	"flows":                 1745,  // 1,694
-	"countermeasures":       5736,  // 5,568
-	"replay":                15184, // 14,741
-	"conditions":            35257, // 34,230
-	"fleet/infection-curve": 6717,  // 6,521
-	"fleet/cnc-fanout":      11436, // 11,102
+	"table1":                14470, // 14,048
+	"table2":                6370,  // 6,184
+	"table3":                4503,  // 4,371
+	"table4":                1664,  // 1,615
+	"table5":                13947, // 13,540
+	"fig3":                  26145, // 25,383
+	"fig5":                  12749, // 12,377
+	"flows":                 1500,  // 1,456
+	"countermeasures":       4632,  // 4,497
+	"replay":                12985, // 12,606
+	"conditions":            27189, // 26,397
+	"fleet/infection-curve": 6714,  // 6,518
+	"fleet/cnc-fanout":      11433, // 11,100
 }
 
 // TestArtifactAllocs is the per-artifact allocation ratchet: after one

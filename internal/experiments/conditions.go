@@ -368,6 +368,44 @@ type SoakReport struct {
 // soakRoundSize is the per-round echo payload of the soak.
 const soakRoundSize = 256
 
+// soakEcho is the soak server's connection Handler: it writes every
+// byte back.
+type soakEcho struct{}
+
+func (soakEcho) Established(*tcpsim.Conn) {}
+
+// Data echoes b. A write fails only once the conn died past the retry
+// cap; the client side then stalls and the report's BytesEchoed
+// shortfall surfaces it.
+func (soakEcho) Data(c *tcpsim.Conn, b []byte) { _, _ = c.Write(b) }
+
+// soakPinger is the soak client's connection Handler: it sends the
+// first round once connected, and each next round once the previous
+// one has echoed back, up to rounds.
+type soakPinger struct {
+	chunk        []byte
+	rounds       int
+	sent, echoed int
+}
+
+func (p *soakPinger) Established(c *tcpsim.Conn) {
+	p.sent++
+	if _, err := c.Write(p.chunk); err != nil {
+		p.sent--
+	}
+}
+
+func (p *soakPinger) Data(c *tcpsim.Conn, b []byte) {
+	p.echoed += len(b)
+	for p.echoed >= p.sent*soakRoundSize && p.sent < p.rounds {
+		p.sent++
+		if _, err := c.Write(p.chunk); err != nil {
+			p.sent--
+			return
+		}
+	}
+}
+
 // RunSoak is the long-horizon stability harness: a request/echo
 // ping-pong over a lossy, duplicating, jittery link with retransmitting
 // stacks whose ISNs start just below 2^32, so the stream crosses the
@@ -394,47 +432,23 @@ func RunSoak(rounds int, seed int64) (SoakReport, error) {
 	server := tcpsim.NewStack(net, srvIfc, opts(seed+1)...)
 	client := tcpsim.NewStack(net, cliIfc, opts(seed+2)...)
 
-	if err := server.Listen(80, func(c *tcpsim.Conn) {
-		c.OnData(func(b []byte) {
-			if _, err := c.Write(b); err != nil {
-				// The conn died past the retry cap; the client side stalls
-				// and the report's BytesEchoed shortfall surfaces it.
-				return
-			}
-		})
-	}); err != nil {
+	if err := server.Listen(80, func(*tcpsim.Conn) tcpsim.Handler { return soakEcho{} }); err != nil {
 		return SoakReport{}, err
 	}
-	chunk := make([]byte, soakRoundSize)
-	for i := range chunk {
-		chunk[i] = byte(i)
+	p := &soakPinger{chunk: make([]byte, soakRoundSize), rounds: rounds}
+	for i := range p.chunk {
+		p.chunk[i] = byte(i)
 	}
-	var echoed, sent int
-	conn, err := client.Dial("soak-server", 80, func(c *tcpsim.Conn) {
-		sent++
-		if _, err := c.Write(chunk); err != nil {
-			sent--
-		}
-	})
+	conn, err := client.Dial("soak-server", 80, p)
 	if err != nil {
 		return SoakReport{}, err
 	}
-	conn.OnData(func(b []byte) {
-		echoed += len(b)
-		for echoed >= sent*soakRoundSize && sent < rounds {
-			sent++
-			if _, err := conn.Write(chunk); err != nil {
-				sent--
-				return
-			}
-		}
-	})
 	events := net.Run(0)
 	acquired, released := net.FrameStats()
 	return SoakReport{
-		Rounds:         sent,
+		Rounds:         p.sent,
 		Events:         events,
-		BytesEchoed:    echoed,
+		BytesEchoed:    p.echoed,
 		FramesAcquired: acquired,
 		FramesReleased: released,
 		WrapCrossed:    conn.SndNxt() < 0x80000000,

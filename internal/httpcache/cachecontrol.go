@@ -14,14 +14,19 @@ import (
 )
 
 // CacheControl is the parsed form of a Cache-Control header value.
+// MaxAge is every cache's freshness lifetime; SMaxAge overrides it in a
+// shared cache only (RFC 9111 §5.2.2.10), so the browser's private
+// cache ignores it.
 type CacheControl struct {
-	MaxAge    time.Duration
-	HasMaxAge bool
-	NoStore   bool
-	NoCache   bool
-	Immutable bool
-	Public    bool
-	Private   bool
+	MaxAge     time.Duration
+	HasMaxAge  bool
+	SMaxAge    time.Duration
+	HasSMaxAge bool
+	NoStore    bool
+	NoCache    bool
+	Immutable  bool
+	Public     bool
+	Private    bool
 }
 
 // maxDeltaSeconds is the ceiling RFC 9111 §1.2.2 puts on delta-seconds:
@@ -29,7 +34,8 @@ type CacheControl struct {
 const maxDeltaSeconds = 1 << 31
 
 // ParseCacheControl parses a Cache-Control header value. Unknown
-// directives are ignored, as RFC 7234 requires.
+// directives are ignored, as RFC 7234 requires, and of a repeated
+// max-age or s-maxage the first occurrence counts (RFC 9111 §4.2.1).
 func ParseCacheControl(v string) CacheControl {
 	var cc CacheControl
 	for v != "" {
@@ -48,14 +54,12 @@ func ParseCacheControl(v string) CacheControl {
 		case d == "private":
 			cc.Private = true
 		case strings.HasPrefix(d, "max-age="):
-			if age, ok := deltaSeconds(strings.TrimPrefix(d, "max-age=")); ok {
+			if age, ok := deltaSeconds(strings.TrimPrefix(d, "max-age=")); ok && !cc.HasMaxAge {
 				cc.MaxAge, cc.HasMaxAge = age, true
 			}
 		case strings.HasPrefix(d, "s-maxage="):
-			// Shared-cache lifetime; we treat it as max-age when no
-			// max-age is present (the proxycache package cares).
-			if age, ok := deltaSeconds(strings.TrimPrefix(d, "s-maxage=")); ok && !cc.HasMaxAge {
-				cc.MaxAge, cc.HasMaxAge = age, true
+			if age, ok := deltaSeconds(strings.TrimPrefix(d, "s-maxage=")); ok && !cc.HasSMaxAge {
+				cc.SMaxAge, cc.HasSMaxAge = age, true
 			}
 		}
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // FuzzParseCacheControl holds the Cache-Control parser to its bounds on
-// arbitrary header values: it never panics, MaxAge lies in [0, 2³¹ s]
-// (RFC 9111 §1.2.2's delta-seconds ceiling), and MaxAge is zero unless
-// HasMaxAge is set. The seed corpus in
+// arbitrary header values: it never panics, MaxAge and SMaxAge lie in
+// [0, 2³¹ s] (RFC 9111 §1.2.2's delta-seconds ceiling), and each is
+// zero unless its Has flag is set. The seed corpus in
 // testdata/fuzz/FuzzParseCacheControl holds MaxFreshness, three
 // overflowing lifetimes (a 10-digit max-age, an 11-digit s-maxage and a
 // 20-digit max-age), an upper-case directive after no-store, s-maxage
@@ -16,11 +16,20 @@ import (
 func FuzzParseCacheControl(f *testing.F) {
 	f.Fuzz(func(t *testing.T, v string) {
 		cc := ParseCacheControl(v)
-		if cc.MaxAge < 0 || cc.MaxAge > maxDeltaSeconds*time.Second {
-			t.Fatalf("ParseCacheControl(%q).MaxAge = %v, outside [0, 2³¹ s]", v, cc.MaxAge)
-		}
-		if cc.MaxAge != 0 && !cc.HasMaxAge {
-			t.Fatalf("ParseCacheControl(%q).MaxAge = %v without HasMaxAge", v, cc.MaxAge)
+		for _, d := range []struct {
+			name string
+			age  time.Duration
+			has  bool
+		}{
+			{"MaxAge", cc.MaxAge, cc.HasMaxAge},
+			{"SMaxAge", cc.SMaxAge, cc.HasSMaxAge},
+		} {
+			if d.age < 0 || d.age > maxDeltaSeconds*time.Second {
+				t.Fatalf("ParseCacheControl(%q).%s = %v, outside [0, 2³¹ s]", v, d.name, d.age)
+			}
+			if d.age != 0 && !d.has {
+				t.Fatalf("ParseCacheControl(%q).%s = %v without its Has flag", v, d.name, d.age)
+			}
 		}
 	})
 }

@@ -26,7 +26,9 @@ type Entry struct {
 const DefaultHeuristicTTL = 10 * time.Minute
 
 // EntryFromResponse derives a cache entry from a response, or nil when the
-// response is uncacheable (no-store).
+// response is uncacheable (no-store). Its TTL is max-age, the lifetime
+// of every cache; a shared cache that honours s-maxage sets it on the
+// entry itself.
 func EntryFromResponse(now time.Duration, url, domain string, resp *httpsim.Response) *Entry {
 	cc := ParseCacheControl(resp.Header.Get("Cache-Control"))
 	if cc.NoStore {

@@ -26,8 +26,16 @@ func TestParseCacheControl(t *testing.T) {
 		{"public, max-age=31536000, immutable", CacheControl{Public: true, MaxAge: 31536000 * time.Second, HasMaxAge: true, Immutable: true}},
 		{"no-store", CacheControl{NoStore: true}},
 		{"no-cache, private", CacheControl{NoCache: true, Private: true}},
-		{"s-maxage=120", CacheControl{MaxAge: 2 * time.Minute, HasMaxAge: true}},
-		{"max-age=10, s-maxage=120", CacheControl{MaxAge: 10 * time.Second, HasMaxAge: true}},
+		// s-maxage is its own field: only a shared cache reads it
+		// (RFC 9111 §5.2.2.10).
+		{"s-maxage=120", CacheControl{SMaxAge: 2 * time.Minute, HasSMaxAge: true}},
+		{"max-age=10, s-maxage=120", CacheControl{MaxAge: 10 * time.Second, HasMaxAge: true, SMaxAge: 2 * time.Minute, HasSMaxAge: true}},
+		{"s-maxage=120, max-age=10", CacheControl{MaxAge: 10 * time.Second, HasMaxAge: true, SMaxAge: 2 * time.Minute, HasSMaxAge: true}},
+		// Of a repeated directive the first occurrence counts (RFC 9111
+		// §4.2.1).
+		{"max-age=10, max-age=20", CacheControl{MaxAge: 10 * time.Second, HasMaxAge: true}},
+		{"s-maxage=30, s-maxage=60", CacheControl{SMaxAge: 30 * time.Second, HasSMaxAge: true}},
+		{"max-age=bogus, max-age=20", CacheControl{MaxAge: 20 * time.Second, HasMaxAge: true}},
 		{"max-age=bogus", CacheControl{}},
 		{"", CacheControl{}},
 		{"unknown-directive, max-age=5", CacheControl{MaxAge: 5 * time.Second, HasMaxAge: true}},
@@ -37,12 +45,29 @@ func TestParseCacheControl(t *testing.T) {
 		{"max-age=2147483647", CacheControl{MaxAge: (1<<31 - 1) * time.Second, HasMaxAge: true}},
 		{"max-age=2147483648", CacheControl{MaxAge: 1 << 31 * time.Second, HasMaxAge: true}},
 		{"max-age=9999999999", CacheControl{MaxAge: 1 << 31 * time.Second, HasMaxAge: true}},
-		{"s-maxage=99999999999", CacheControl{MaxAge: 1 << 31 * time.Second, HasMaxAge: true}},
+		{"s-maxage=99999999999", CacheControl{SMaxAge: 1 << 31 * time.Second, HasSMaxAge: true}},
 		{"max-age=99999999999999999999", CacheControl{MaxAge: 1 << 31 * time.Second, HasMaxAge: true}},
 	}
 	for _, c := range cases {
 		if got := ParseCacheControl(c.in); got != c.want {
 			t.Errorf("ParseCacheControl(%q) = %+v, want %+v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestEntryIgnoresSMaxAge: s-maxage scopes to shared caches (RFC 9111
+// §5.2.2.10), so the private cache's entry lives by max-age, or by the
+// heuristic lifetime when only s-maxage is given.
+func TestEntryIgnoresSMaxAge(t *testing.T) {
+	for _, c := range []struct {
+		cc   string
+		want time.Duration
+	}{
+		{"s-maxage=120", DefaultHeuristicTTL},
+		{"max-age=10, s-maxage=120", 10 * time.Second},
+	} {
+		if e := EntryFromResponse(0, "a.com/x.js", "a.com", respWithCC(c.cc, "x")); e == nil || e.TTL != c.want {
+			t.Errorf("Cache-Control %q: entry %+v, want TTL %v", c.cc, e, c.want)
 		}
 	}
 }

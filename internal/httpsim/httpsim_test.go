@@ -302,16 +302,17 @@ func TestMessageCodecAllocs(t *testing.T) {
 	req.Header.Set("User-Agent", "Chrome/86.0")
 	req.Header.Set("Cookie", "sid=1")
 	reqWire := req.Marshal()
+	buf := resp.Marshal()
 
 	for _, c := range []struct {
 		name   string
 		budget float64 // measured with Go 1.24.0
 		op     func() error
 	}{
-		// The head string, the header slice and the message; the body is
-		// zero-copy.
-		{"ParseResponse", 3, func() error { _, _, err := ParseResponse(respWire); return err }},
-		{"ParseRequest", 3, func() error { _, _, err := ParseRequest(reqWire); return err }},
+		// The head string and the message, which holds up to three
+		// header fields inline; the body is zero-copy.
+		{"ParseResponse", 2, func() error { _, _, err := ParseResponse(respWire); return err }},
+		{"ParseRequest", 2, func() error { _, _, err := ParseRequest(reqWire); return err }},
 		// The sniffer's miss on a response is refused before any copy.
 		{"ParseRequest(response)", 0, func() error {
 			if _, _, err := ParseRequest(respWire); err != ErrMalformed {
@@ -322,6 +323,12 @@ func TestMessageCodecAllocs(t *testing.T) {
 		// The exact-size message.
 		{"Response.Marshal", 1, func() error { resp.Marshal(); return nil }},
 		{"Request.Marshal", 1, func() error { req.Marshal(); return nil }},
+		// Into the buffer the client and the server reuse.
+		{"AppendMarshal(reused)", 0, func() error {
+			buf = req.AppendMarshal(buf[:0])
+			buf = resp.AppendMarshal(buf[:0])
+			return nil
+		}},
 		{"Header.Set(existing)", 0, func() error { req.Header.Set("Cookie", "sid=2"); return nil }},
 	} {
 		var err error
@@ -337,6 +344,51 @@ func TestMessageCodecAllocs(t *testing.T) {
 			t.Errorf("%s allocs/op = %.0f, want <= %.0f", c.name, got, c.budget)
 		}
 	}
+}
+
+// TestExchangeAllocs budgets one plaintext GET over a clean segment,
+// from Client.Do to its callback, on warm stacks: the two connections,
+// the exchange and the server's connection state, the two parsed
+// messages with their head strings, and the two stream buffers. The
+// handler answers with a prebuilt response, so the count is the HTTP
+// and transport layers alone. Skipped in -short mode: the CI race
+// detector perturbs counts.
+func TestExchangeAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts shift under -race; make allocs runs this")
+	}
+	n, _, client, serverStack := newHTTPLab(t)
+	resp := NewResponse(200, []byte("var x=1;"))
+	resp.Header.Set("Content-Type", "application/javascript")
+	resp.Header.Set("Cache-Control", "max-age=60")
+	if _, err := NewServer(serverStack, 80, nil, func(*Request) *Response { return resp }); err != nil {
+		t.Fatal(err)
+	}
+	req := NewRequest("GET", "cdn.example.com", "/lib.js")
+	req.Header.Set("User-Agent", "sim/1.0")
+	done := 0
+	cb := func(r *Response, err error) {
+		if err == nil && r.StatusCode == 200 && string(r.Body) == "var x=1;" {
+			done++
+		}
+	}
+	get := func() {
+		client.Do("server", 80, nil, req, cb)
+		n.Run(0)
+	}
+	for i := 0; i < 16; i++ {
+		get() // warm the frame pool, the event slab, the connection maps and the marshal buffers
+	}
+	before := done
+	got := testing.AllocsPerRun(200, get)
+	if done-before != 201 { // AllocsPerRun runs get once more to warm up
+		t.Fatalf("%d of 201 exchanges completed", done-before)
+	}
+	const budget = 10 // measured with Go 1.24.0
+	if got > budget {
+		t.Errorf("exchange allocs/op = %.1f, want <= %d", got, budget)
+	}
+	t.Logf("exchange allocs/op = %.1f", got)
 }
 
 // TestParseOversizedContentLength feeds both parsers Content-Length

@@ -31,6 +31,12 @@ type Field struct {
 // a copy that will be edited takes a Clone.
 type Header []Field
 
+// inlineFields is how many header fields a built or parsed message
+// holds in its own struct: its Header starts on that array, so a
+// message of up to inlineFields fields makes no separate allocation
+// for them.
+const inlineFields = 3
+
 // find returns the index of the canonical key in h, or the index it
 // would be inserted at, and whether it is present.
 func (h Header) find(key string) (int, bool) {
@@ -50,9 +56,9 @@ func (h *Header) Set(key, value string) {
 	case ok:
 		(*h)[i].Value = value
 	case cap(*h) == 0:
-		// A built message mostly carries one or two fields (a handler's
-		// Content-Type and Cache-Control, say): room for two up front
-		// spares the regrowth.
+		// A header made outside NewRequest and NewResponse, which start
+		// it on inline storage, mostly carries one or two fields: room
+		// for two up front spares the regrowth.
 		*h = append(make(Header, 0, 2), Field{key, value})
 	default:
 		*h = slices.Insert(*h, i, Field{key, value})
@@ -90,11 +96,15 @@ type Request struct {
 	Host   string
 	Header Header
 	Body   []byte
+
+	inline [inlineFields]Field // Header's first storage
 }
 
 // NewRequest builds a request with an empty header.
 func NewRequest(method, host, path string) *Request {
-	return &Request{Method: method, Host: host, Path: path}
+	r := &Request{Method: method, Host: host, Path: path}
+	r.Header = r.inline[:0]
+	return r
 }
 
 // URL returns the host-qualified URL (scheme-less), the cache key space
@@ -132,10 +142,14 @@ func appendHeaderLine(b []byte, k, v string) []byte {
 	return append(b, '\r', '\n')
 }
 
-// Marshal encodes the request in HTTP/1.1 wire format. The message is
-// assembled into one exact-size allocation — this sits under every
-// simulated fetch.
-func (r *Request) Marshal() []byte {
+// Marshal encodes the request in HTTP/1.1 wire format into one
+// exact-size allocation.
+func (r *Request) Marshal() []byte { return r.AppendMarshal(nil) }
+
+// AppendMarshal appends the request's wire encoding to b and returns
+// the result, growing b at most once. This sits under every simulated
+// fetch: the client marshals into a buffer it reuses.
+func (r *Request) AppendMarshal(b []byte) []byte {
 	n := len(r.Method) + 1 + len(r.Path) + len(" HTTP/1.1\r\n") +
 		len("Host: ") + len(r.Host) + 2
 	for _, f := range r.Header {
@@ -149,7 +163,7 @@ func (r *Request) Marshal() []byte {
 	}
 	n += 2 + len(r.Body)
 
-	b := make([]byte, 0, n)
+	b = slices.Grow(b, n)
 	b = append(b, r.Method...)
 	b = append(b, ' ')
 	b = append(b, r.Path...)
@@ -176,11 +190,15 @@ type Response struct {
 	Status     string
 	Header     Header
 	Body       []byte
+
+	inline [inlineFields]Field // Header's first storage
 }
 
 // NewResponse builds a response with standard status text.
 func NewResponse(code int, body []byte) *Response {
-	return &Response{StatusCode: code, Status: statusText(code), Body: body}
+	r := &Response{StatusCode: code, Status: statusText(code), Body: body}
+	r.Header = r.inline[:0]
+	return r
 }
 
 func statusText(code int) string {
@@ -220,7 +238,12 @@ func intLen(v int) int {
 // Content-Length — this is also the byte string the attacker injects.
 // Like Request.Marshal, it assembles the message into one exact-size
 // allocation.
-func (r *Response) Marshal() []byte {
+func (r *Response) Marshal() []byte { return r.AppendMarshal(nil) }
+
+// AppendMarshal appends the response's wire encoding to b and returns
+// the result, growing b at most once; the server marshals into a buffer
+// it reuses.
+func (r *Response) AppendMarshal(b []byte) []byte {
 	status := r.Status
 	if status == "" {
 		status = statusText(r.StatusCode)
@@ -234,7 +257,7 @@ func (r *Response) Marshal() []byte {
 	}
 	n += len("Content-Length: ") + intLen(len(r.Body)) + 2 + 2 + len(r.Body)
 
-	b := make([]byte, 0, n)
+	b = slices.Grow(b, n)
 	b = append(b, "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(r.StatusCode), 10)
 	b = append(b, ' ')
@@ -280,8 +303,9 @@ func isRequestLine(head []byte) bool {
 }
 
 // parseHead converts the header block into one string (the only parse
-// allocation besides the header slice and the message — every line,
-// key, and value is a substring of it) and splits off the start line.
+// allocation besides the message and, past inlineFields fields, the
+// header slice — every line, key, and value is a substring of it) and
+// splits off the start line.
 func parseHead(head []byte) (startLine, rest string) {
 	s := string(head)
 	if i := strings.Index(s, "\r\n"); i >= 0 {
@@ -292,9 +316,12 @@ func parseHead(head []byte) (startLine, rest string) {
 
 // parseHeaders decodes "Key: value\r\n" lines from the header block,
 // walking line by line instead of materialising a []string split, into
-// a slice sized once from the line count.
-func parseHeaders(s string) (Header, error) {
-	h := make(Header, 0, strings.Count(s, "\r\n")+1)
+// h, the message's inline storage, or past its capacity into a slice
+// sized once from the line count.
+func parseHeaders(s string, h Header) (Header, error) {
+	if n := strings.Count(s, "\r\n") + 1; n > cap(h) {
+		h = make(Header, 0, n)
+	}
 	for len(s) > 0 {
 		ln := s
 		if i := strings.Index(s, "\r\n"); i >= 0 {
@@ -346,7 +373,8 @@ func ParseRequest(data []byte) (*Request, int, error) {
 	startLine, rest := parseHead(head)
 	method, target, _ := strings.Cut(startLine, " ")
 	path, _, _ := strings.Cut(target, " ")
-	hdr, err := parseHeaders(rest)
+	r := &Request{Method: method, Path: path}
+	hdr, err := parseHeaders(rest, r.inline[:0])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -357,15 +385,11 @@ func ParseRequest(data []byte) (*Request, int, error) {
 	if clen > len(data)-bodyOff {
 		return nil, 0, ErrIncomplete
 	}
-	host := hdr.Get("Host")
+	r.Host = hdr.Get("Host")
 	hdr.Del("Host")
-	return &Request{
-		Method: method,
-		Path:   path,
-		Host:   host,
-		Header: hdr,
-		Body:   data[bodyOff : bodyOff+clen : bodyOff+clen],
-	}, bodyOff + clen, nil
+	r.Header = hdr
+	r.Body = data[bodyOff : bodyOff+clen : bodyOff+clen]
+	return r, bodyOff + clen, nil
 }
 
 // ParseResponse decodes one response from data, returning the message and
@@ -386,7 +410,8 @@ func ParseResponse(data []byte) (*Response, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: status code %q", ErrMalformed, codeText)
 	}
-	hdr, err := parseHeaders(rest)
+	r := &Response{StatusCode: code, Status: status}
+	hdr, err := parseHeaders(rest, r.inline[:0])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -397,10 +422,7 @@ func ParseResponse(data []byte) (*Response, int, error) {
 	if clen > len(data)-bodyOff {
 		return nil, 0, ErrIncomplete
 	}
-	return &Response{
-		StatusCode: code,
-		Status:     status,
-		Header:     hdr,
-		Body:       data[bodyOff : bodyOff+clen : bodyOff+clen],
-	}, bodyOff + clen, nil
+	r.Header = hdr
+	r.Body = data[bodyOff : bodyOff+clen : bodyOff+clen]
+	return r, bodyOff + clen, nil
 }

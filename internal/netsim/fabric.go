@@ -112,7 +112,7 @@ func NewFabric() *Fabric {
 // create shards in a deterministic order.
 func (f *Fabric) AddShard(name string) (*Shard, error) {
 	if f.sealed {
-		return nil, errors.New("netsim: fabric already sealed by Run; build the whole topology first")
+		return nil, fmt.Errorf("%w: shard %s", ErrSealed, name)
 	}
 	if _, dup := f.byName[name]; dup {
 		return nil, fmt.Errorf("netsim: duplicate shard %q", name)
@@ -158,7 +158,7 @@ func (s *Shard) Uplink(seg *Segment, minLatency time.Duration) error {
 		return fmt.Errorf("%w (shard %s, segment %s, latency %v)", ErrZeroLookahead, s.name, seg.Name(), minLatency)
 	}
 	if s.fab.sealed {
-		return errors.New("netsim: fabric already sealed by Run; declare uplinks before the first window")
+		return fmt.Errorf("%w: uplink on shard %s, segment %s", ErrSealed, s.name, seg.Name())
 	}
 	if seg.net != s.net {
 		return fmt.Errorf("netsim: segment %s does not belong to shard %s", seg.Name(), s.name)
@@ -227,10 +227,11 @@ type RunStats struct {
 func (f *Fabric) Stats() RunStats { return f.stats }
 
 // seal freezes the topology: the global owner table is built from every
-// shard's attached interfaces, and each shard gets its per-destination
-// mailboxes. An address with two owners — on two shards, or on two
-// segments of one shard — is an error: ownership is what makes boundary
-// routing deterministic. Shards are visited in ID order and segments in
+// shard's attached interfaces, each shard gets its per-destination
+// mailboxes, and each shard's network refuses new segments and
+// interfaces from then on. An address with two owners — on two shards,
+// or on two segments of one shard — is an error: ownership is what
+// makes boundary routing deterministic. Shards are visited in ID order and segments in
 // name order, so the error is the same on every build of a topology.
 func (f *Fabric) seal() error {
 	if f.sealed {
@@ -261,6 +262,7 @@ func (f *Fabric) seal() error {
 	}
 	for _, s := range f.shards {
 		s.outbox = make([][]boundary, len(f.shards))
+		s.net.sealedBy = s
 	}
 	f.sealed = true
 	return nil

@@ -426,6 +426,49 @@ func TestFabricUnroutableCounted(t *testing.T) {
 	}
 }
 
+// TestFabricRejectsLateAttach: the first Run seals the owner table,
+// so an interface attached after it would be unroutable from every
+// other shard. Attach and NewSegment refuse with ErrSealed, naming the
+// shard and the address or segment, and nothing is attached: the hub's
+// frame to the refused address is still counted unroutable.
+func TestFabricRejectsLateAttach(t *testing.T) {
+	fab := NewFabric()
+	hub := fab.MustAddShard("hub")
+	hubSeg := hub.Network().MustSegment("backbone", time.Microsecond)
+	server := hubSeg.MustAttach("server", 0, nil)
+	if err := hub.Uplink(hubSeg, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	lan := fab.MustAddShard("lan")
+	seg := lan.Network().MustSegment("wifi", time.Microsecond)
+	seg.MustAttach("bot", 0, nil)
+	if err := lan.Uplink(seg, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fab.Run(2); err != nil {
+		t.Fatal(err)
+	}
+
+	got := 0
+	_, err := seg.Attach("late", 0, func(time.Duration, Packet) { got++ })
+	if !errors.Is(err, ErrSealed) || !strings.Contains(err.Error(), "lan") || !strings.Contains(err.Error(), "late") {
+		t.Fatalf("Attach after Run: err = %v, want ErrSealed naming shard lan and address late", err)
+	}
+	if _, err := lan.Network().NewSegment("annex", time.Microsecond); !errors.Is(err, ErrSealed) ||
+		!strings.Contains(err.Error(), "lan") || !strings.Contains(err.Error(), "annex") {
+		t.Fatalf("NewSegment after Run: err = %v, want ErrSealed naming shard lan and segment annex", err)
+	}
+	hub.Network().Schedule(0, func() {
+		server.Send(Packet{Dst: "late", Proto: ProtoRaw, Payload: []byte("x")})
+	})
+	if _, err := fab.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	if got != 0 || hub.Unroutable() != 1 {
+		t.Fatalf("frame to the refused address: delivered %d, unroutable %d; want 0 and 1", got, hub.Unroutable())
+	}
+}
+
 // TestSegmentAddressIndex guards the O(1) lookup the fleet scale rests
 // on: attach rejects duplicates and delivery finds the addressee
 // through the index.

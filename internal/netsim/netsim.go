@@ -183,6 +183,12 @@ type Network struct {
 	segments map[string]*Segment
 	wiretap  func(WireEvent)
 
+	// sealedBy is the fabric shard whose owner table was built from
+	// this network's interfaces at the fabric's first Run (nil outside
+	// a fabric, or before that Run). An address attached later would be
+	// unroutable from every other shard, so the topology is frozen.
+	sealedBy *Shard
+
 	// dropScratch materializes the payload of a frame sent where nobody
 	// is attached to hear it, so the wire tap still records the send.
 	dropScratch []byte
@@ -465,9 +471,16 @@ func (n *Network) RunUntil(deadline time.Duration) int {
 	return executed
 }
 
+// ErrSealed rejects a topology change to a fabric after its first Run:
+// the owner table that routes frames between shards is built then.
+var ErrSealed = errors.New("netsim: fabric already sealed by Run; build the whole topology first")
+
 // NewSegment creates a broadcast domain (a WiFi network, a LAN, a WAN hop)
 // with the given base propagation latency. Segment names must be unique.
 func (n *Network) NewSegment(name string, latency time.Duration) (*Segment, error) {
+	if n.sealedBy != nil {
+		return nil, fmt.Errorf("%w: segment %s on shard %s", ErrSealed, name, n.sealedBy.name)
+	}
 	if _, dup := n.segments[name]; dup {
 		return nil, fmt.Errorf("netsim: duplicate segment %q", name)
 	}
@@ -521,6 +534,9 @@ var ErrAddrInUse = errors.New("netsim: address already attached to segment")
 // typically has a smaller delay than the remote web server, which is what
 // lets its spoofed segment win the race (§V).
 func (s *Segment) Attach(addr Addr, extraDelay time.Duration, h Handler) (*Interface, error) {
+	if sh := s.net.sealedBy; sh != nil {
+		return nil, fmt.Errorf("%w: address %s on shard %s", ErrSealed, addr, sh.name)
+	}
 	if _, dup := s.byAddr[addr]; dup {
 		return nil, fmt.Errorf("%w: %s on %s", ErrAddrInUse, addr, s.name)
 	}

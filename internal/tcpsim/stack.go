@@ -85,9 +85,26 @@ func WithMSS(mss int) StackOption {
 	}
 }
 
-// WithSeed seeds ISN generation, keeping runs reproducible.
+// WithSeed seeds ISN generation, keeping runs reproducible. A stack
+// given no seed draws its ISNs from seed 1.
 func WithSeed(seed int64) StackOption {
 	return func(s *Stack) { s.rng = rand.New(rand.NewSource(seed)) }
+}
+
+// Handler receives one connection's events: Dial takes one, and a
+// listener's accept returns one for each inbound connection; a nil
+// Handler ignores them. Both methods run inside the netsim event loop.
+// A handler is typically the owner's per-connection state itself, so a
+// connection costs its owner one allocation instead of a closure per
+// callback.
+type Handler interface {
+	// Established runs once, when the three-way handshake completes.
+	Established(c *Conn)
+	// Data delivers newly contiguous payload bytes, in order. b is only
+	// valid during the call: it aliases a pooled wire frame or the
+	// connection's reassembly scratch, so a handler that keeps bytes
+	// copies them.
+	Data(c *Conn, b []byte)
 }
 
 // Stack is one host's transport layer bound to a netsim interface.
@@ -105,7 +122,7 @@ type Stack struct {
 	maxRetries  int
 	isnOverride *uint32
 
-	listeners map[uint16]func(*Conn)
+	listeners map[uint16]func(*Conn) Handler
 	conns     map[connKey]*Conn
 	nextPort  uint16
 }
@@ -124,14 +141,16 @@ func NewStack(network *netsim.Network, ifc *netsim.Interface, opts ...StackOptio
 		ifc:        ifc,
 		policy:     FirstWins,
 		mss:        DefaultMSS,
-		rng:        rand.New(rand.NewSource(1)),
 		maxRetries: DefaultMaxRetries,
-		listeners:  make(map[uint16]func(*Conn)),
+		listeners:  make(map[uint16]func(*Conn) Handler),
 		conns:      make(map[connKey]*Conn),
 		nextPort:   49152,
 	}
 	for _, opt := range opts {
 		opt(s)
+	}
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(1))
 	}
 	ifc.SetHandler(func(now time.Duration, pkt netsim.Packet) { s.receive(now, pkt) })
 	return s
@@ -143,8 +162,9 @@ func (s *Stack) Addr() netsim.Addr { return s.ifc.Addr() }
 // ErrPortInUse reports a duplicate listener.
 var ErrPortInUse = errors.New("tcpsim: port already listening")
 
-// Listen registers an accept callback for inbound connections on port.
-func (s *Stack) Listen(port uint16, accept func(*Conn)) error {
+// Listen admits inbound connections on port. accept runs when a SYN
+// opens a connection and returns the Handler of its events.
+func (s *Stack) Listen(port uint16, accept func(*Conn) Handler) error {
 	if _, dup := s.listeners[port]; dup {
 		return fmt.Errorf("%w: %d", ErrPortInUse, port)
 	}
@@ -152,10 +172,9 @@ func (s *Stack) Listen(port uint16, accept func(*Conn)) error {
 	return nil
 }
 
-// Dial opens a connection to dst:dstPort. onConnect fires when the
-// handshake completes. The returned Conn may be used to register data
-// callbacks immediately.
-func (s *Stack) Dial(dst netsim.Addr, dstPort uint16, onConnect func(*Conn)) (*Conn, error) {
+// Dial opens a connection to dst:dstPort whose events go to h:
+// Established when the handshake completes, then Data as bytes arrive.
+func (s *Stack) Dial(dst netsim.Addr, dstPort uint16, h Handler) (*Conn, error) {
 	localPort := s.allocPort()
 	key := connKey{remoteAddr: dst, remotePort: dstPort, localPort: localPort}
 	if _, dup := s.conns[key]; dup {
@@ -163,9 +182,9 @@ func (s *Stack) Dial(dst netsim.Addr, dstPort uint16, onConnect func(*Conn)) (*C
 	}
 	c := &Conn{
 		stack: s, key: key,
-		state:     StateSynSent,
-		sndNxt:    s.isn(),
-		onConnect: onConnect,
+		state:  StateSynSent,
+		sndNxt: s.isn(),
+		h:      h,
 	}
 	c.iss = c.sndNxt
 	c.sndUna = c.sndNxt
@@ -215,8 +234,8 @@ func (s *Stack) receive(_ time.Duration, pkt netsim.Packet) {
 			state:  StateSynReceived,
 			sndNxt: s.isn(),
 			rcvNxt: SeqAdd(seg.Seq, 1),
-			accept: accept,
 		}
+		c.h = accept(c)
 		c.iss = c.sndNxt
 		c.sndUna = c.sndNxt
 		s.conns[key] = c
@@ -269,18 +288,17 @@ type Conn struct {
 	// sndUna is the oldest unacknowledged sequence number, rtxQ the
 	// outstanding sequence-consuming segments in send order. timerEpoch
 	// invalidates scheduled RTO expiries (netsim events cannot be
-	// cancelled, so stale epochs fire as no-ops).
+	// cancelled, so stale epochs fire as no-ops); onTimer is onTimeout,
+	// bound once so that arming the timer allocates nothing.
 	sndUna     uint32
 	rtxQ       []rtxSeg
 	rtoBackoff uint
 	retries    int
-	timerEpoch int
+	timerEpoch int32
+	onTimer    func(epoch int32)
 	dupAcks    int
 
-	onConnect func(*Conn)
-	accept    func(*Conn)
-	onData    func([]byte)
-	onClose   func()
+	h Handler
 
 	stats ConnStats
 }
@@ -297,17 +315,13 @@ func (c *Conn) State() State { return c.state }
 // Stats returns a copy of the connection counters.
 func (c *Conn) Stats() ConnStats { return c.stats }
 
-// OnData registers the delivery callback for in-order payload bytes.
-func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }
-
-// OnClose registers a callback fired when the peer closes.
-func (c *Conn) OnClose(fn func()) { c.onClose = fn }
-
 // ErrClosed reports use of a closed connection.
 var ErrClosed = errors.New("tcpsim: connection closed")
 
 // Write queues data for transmission, splitting it into MSS-sized
-// segments.
+// segments. It never keeps data: each segment is marshalled straight
+// into a pooled netsim frame, and the retransmission queue keeps its
+// own copy, so the caller may reuse data as soon as Write returns.
 func (c *Conn) Write(data []byte) (int, error) {
 	if c.state == StateClosed {
 		return 0, ErrClosed
@@ -343,9 +357,6 @@ func (c *Conn) Close() error {
 func (c *Conn) teardown() {
 	c.state = StateClosed
 	delete(c.stack.conns, c.key)
-	if c.onClose != nil {
-		c.onClose()
-	}
 }
 
 func (c *Conn) sendSegment(seg Segment) {
@@ -380,8 +391,8 @@ func (c *Conn) handle(seg Segment) {
 				c.processAck(seg.Ack, false) // our SYN is acknowledged
 			}
 			c.sendSegment(Segment{Flags: FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt, Window: DefaultWindow})
-			if c.onConnect != nil {
-				c.onConnect(c)
+			if c.h != nil {
+				c.h.Established(c)
 			}
 		}
 		return
@@ -391,8 +402,8 @@ func (c *Conn) handle(seg Segment) {
 			if c.stack.retransmit {
 				c.processAck(seg.Ack, false) // our SYN-ACK is acknowledged
 			}
-			if c.accept != nil {
-				c.accept(c)
+			if c.h != nil {
+				c.h.Established(c)
 			}
 			// The ACK completing the handshake may carry data.
 			if len(seg.Payload) > 0 {
@@ -435,8 +446,9 @@ func (c *Conn) handle(seg Segment) {
 
 // ingest applies the window check and overlap policy, then delivers any
 // newly contiguous bytes. The delivered slice is only valid during the
-// OnData callback: in-order payloads are handed through zero-copy from
-// the wire frame, buffered ones from the connection's window scratch.
+// Handler's Data call: in-order payloads are handed through zero-copy
+// from the wire frame, buffered ones from the connection's window
+// scratch.
 func (c *Conn) ingest(seg Segment) {
 	endSeq := SeqAdd(seg.Seq, len(seg.Payload))
 	d := SeqDiff(c.rcvNxt, seg.Seq) // segment start relative to rcvNxt
@@ -513,7 +525,7 @@ func (c *Conn) ingest(seg Segment) {
 }
 
 // deliver acknowledges and hands a non-empty contiguous payload to the
-// application callback.
+// connection's Handler.
 func (c *Conn) deliver(data []byte) {
 	if len(data) == 0 {
 		return
@@ -521,8 +533,8 @@ func (c *Conn) deliver(data []byte) {
 	c.rcvNxt = SeqAdd(c.rcvNxt, len(data))
 	c.stats.BytesDelivered += len(data)
 	c.sendSegment(Segment{Flags: FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt, Window: DefaultWindow})
-	if c.onData != nil {
-		c.onData(data)
+	if c.h != nil {
+		c.h.Data(c, data)
 	}
 }
 

@@ -32,28 +32,59 @@ func newLab(t *testing.T, opts ...StackOption) *lab {
 	}
 }
 
+// funcs adapts test closures to Handler; a nil closure ignores its
+// event. A test that wants a connection's data only after some setup
+// keeps the adapter and fills data in later.
+type funcs struct {
+	established func(*Conn)
+	data        func(*Conn, []byte)
+}
+
+func (f *funcs) Established(c *Conn) {
+	if f.established != nil {
+		f.established(c)
+	}
+}
+
+func (f *funcs) Data(c *Conn, b []byte) {
+	if f.data != nil {
+		f.data(c, b)
+	}
+}
+
+// accepting returns a listener's accept that hands every inbound
+// connection h.
+func accepting(h Handler) func(*Conn) Handler {
+	return func(*Conn) Handler { return h }
+}
+
+// onData is a Handler that only collects data.
+func onData(fn func(b []byte)) *funcs {
+	return &funcs{data: func(_ *Conn, b []byte) { fn(b) }}
+}
+
 func TestHandshakeAndEcho(t *testing.T) {
 	l := newLab(t)
 	var serverGot, clientGot []byte
-	if err := l.server.Listen(80, func(c *Conn) {
-		c.OnData(func(b []byte) {
-			serverGot = append(serverGot, b...)
-			if _, err := c.Write(bytes.ToUpper(b)); err != nil {
-				t.Errorf("server write: %v", err)
-			}
-		})
-	}); err != nil {
+	if err := l.server.Listen(80, accepting(&funcs{data: func(c *Conn, b []byte) {
+		serverGot = append(serverGot, b...)
+		if _, err := c.Write(bytes.ToUpper(b)); err != nil {
+			t.Errorf("server write: %v", err)
+		}
+	}})); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	conn, err := l.client.Dial("server", 80, func(c *Conn) {
-		if _, err := c.Write([]byte("hello")); err != nil {
-			t.Errorf("client write: %v", err)
-		}
+	conn, err := l.client.Dial("server", 80, &funcs{
+		established: func(c *Conn) {
+			if _, err := c.Write([]byte("hello")); err != nil {
+				t.Errorf("client write: %v", err)
+			}
+		},
+		data: func(_ *Conn, b []byte) { clientGot = append(clientGot, b...) },
 	})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	conn.OnData(func(b []byte) { clientGot = append(clientGot, b...) })
 	l.net.Run(0)
 
 	if string(serverGot) != "hello" {
@@ -71,16 +102,14 @@ func TestLargeTransferSplitsIntoMSS(t *testing.T) {
 	l := newLab(t, WithMSS(100))
 	payload := bytes.Repeat([]byte("x"), 1050)
 	var got []byte
-	if err := l.server.Listen(80, func(c *Conn) {
-		c.OnData(func(b []byte) { got = append(got, b...) })
-	}); err != nil {
+	if err := l.server.Listen(80, accepting(onData(func(b []byte) { got = append(got, b...) }))); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	if _, err := l.client.Dial("server", 80, func(c *Conn) {
+	if _, err := l.client.Dial("server", 80, &funcs{established: func(c *Conn) {
 		if _, err := c.Write(payload); err != nil {
 			t.Errorf("write: %v", err)
 		}
-	}); err != nil {
+	}}); err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	l.net.Run(0)
@@ -92,7 +121,7 @@ func TestLargeTransferSplitsIntoMSS(t *testing.T) {
 func TestDialToNonListeningPortIgnored(t *testing.T) {
 	l := newLab(t)
 	connected := false
-	if _, err := l.client.Dial("server", 9999, func(*Conn) { connected = true }); err != nil {
+	if _, err := l.client.Dial("server", 9999, &funcs{established: func(*Conn) { connected = true }}); err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	l.net.Run(0)
@@ -101,26 +130,28 @@ func TestDialToNonListeningPortIgnored(t *testing.T) {
 	}
 }
 
+// TestCloseDeliversOnClose: the client's FIN closes the server's side
+// of the connection.
 func TestCloseDeliversOnClose(t *testing.T) {
 	l := newLab(t)
-	closed := false
-	if err := l.server.Listen(80, func(c *Conn) {
-		c.OnClose(func() { closed = true })
+	var serverConn *Conn
+	if err := l.server.Listen(80, func(c *Conn) Handler {
+		serverConn = c
+		return nil
 	}); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	var clientConn *Conn
-	if _, err := l.client.Dial("server", 80, func(c *Conn) {
-		clientConn = c
+	clientConn, err := l.client.Dial("server", 80, &funcs{established: func(c *Conn) {
 		if err := c.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
-	}); err != nil {
+	}})
+	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	l.net.Run(0)
-	if !closed {
-		t.Fatal("server OnClose not fired")
+	if serverConn == nil || serverConn.State() != StateClosed {
+		t.Fatal("server side not closed by the client's FIN")
 	}
 	if _, err := clientConn.Write([]byte("x")); err == nil {
 		// Client is in FIN_WAIT; writing after close should still work at
@@ -142,13 +173,11 @@ func TestInjectionFirstWins(t *testing.T) {
 	forged := []byte("FORGED-RESPONSE")
 	genuine := []byte("GENUINE-PAYLOAD") // same length: full overlap
 
-	if err := l.server.Listen(80, func(c *Conn) {
-		c.OnData(func([]byte) {
-			if _, err := c.Write(genuine); err != nil {
-				t.Errorf("server write: %v", err)
-			}
-		})
-	}); err != nil {
+	if err := l.server.Listen(80, accepting(&funcs{data: func(c *Conn, _ []byte) {
+		if _, err := c.Write(genuine); err != nil {
+			t.Errorf("server write: %v", err)
+		}
+	}})); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
 
@@ -161,14 +190,15 @@ func TestInjectionFirstWins(t *testing.T) {
 	})
 
 	var got []byte
-	var clientConn *Conn
-	if _, err := l.client.Dial("server", 80, func(c *Conn) {
-		clientConn = c
-		c.OnData(func(b []byte) { got = append(got, b...) })
-		if _, err := c.Write([]byte("GET / HTTP/1.1\r\n\r\n")); err != nil {
-			t.Errorf("client write: %v", err)
-		}
-	}); err != nil {
+	clientConn, err := l.client.Dial("server", 80, &funcs{
+		established: func(c *Conn) {
+			if _, err := c.Write([]byte("GET / HTTP/1.1\r\n\r\n")); err != nil {
+				t.Errorf("client write: %v", err)
+			}
+		},
+		data: func(_ *Conn, b []byte) { got = append(got, b...) },
+	})
+	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	l.net.Run(0)
@@ -189,11 +219,12 @@ func TestInjectionLastWinsAblation(t *testing.T) {
 	// fate of *buffered* (out-of-order) overlaps. Verify the ablation
 	// machinery: an out-of-order overlap is overwritten.
 	l := newLab(t, WithReassembly(LastWins))
-	if err := l.server.Listen(80, func(*Conn) {}); err != nil {
+	if err := l.server.Listen(80, accepting(nil)); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	var conn *Conn
-	if _, err := l.client.Dial("server", 80, func(c *Conn) { conn = c }); err != nil {
+	h := &funcs{}
+	conn, err := l.client.Dial("server", 80, h)
+	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	l.net.Run(0)
@@ -208,7 +239,7 @@ func TestInjectionLastWinsAblation(t *testing.T) {
 	conn.handle(Segment{SrcPort: conn.RemotePort(), DstPort: conn.LocalPort(),
 		Seq: SeqAdd(base, 1), Flags: FlagACK, Payload: []byte("B")})
 	var got []byte
-	conn.OnData(func(b []byte) { got = append(got, b...) })
+	h.data = func(_ *Conn, b []byte) { got = append(got, b...) }
 	conn.handle(Segment{SrcPort: conn.RemotePort(), DstPort: conn.LocalPort(),
 		Seq: base, Flags: FlagACK, Payload: []byte("x")})
 	if string(got) != "xB" {
@@ -221,11 +252,12 @@ func TestInjectionLastWinsAblation(t *testing.T) {
 
 func TestFirstWinsBufferedOverlap(t *testing.T) {
 	l := newLab(t)
-	if err := l.server.Listen(80, func(*Conn) {}); err != nil {
+	if err := l.server.Listen(80, accepting(nil)); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	var conn *Conn
-	if _, err := l.client.Dial("server", 80, func(c *Conn) { conn = c }); err != nil {
+	h := &funcs{}
+	conn, err := l.client.Dial("server", 80, h)
+	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	l.net.Run(0)
@@ -235,7 +267,7 @@ func TestFirstWinsBufferedOverlap(t *testing.T) {
 	conn.handle(Segment{SrcPort: conn.RemotePort(), DstPort: conn.LocalPort(),
 		Seq: SeqAdd(base, 1), Flags: FlagACK, Payload: []byte("B")})
 	var got []byte
-	conn.OnData(func(b []byte) { got = append(got, b...) })
+	h.data = func(_ *Conn, b []byte) { got = append(got, b...) }
 	conn.handle(Segment{SrcPort: conn.RemotePort(), DstPort: conn.LocalPort(),
 		Seq: base, Flags: FlagACK, Payload: []byte("x")})
 	if string(got) != "xA" {
@@ -245,16 +277,17 @@ func TestFirstWinsBufferedOverlap(t *testing.T) {
 
 func TestOutOfWindowSegmentRejected(t *testing.T) {
 	l := newLab(t)
-	if err := l.server.Listen(80, func(*Conn) {}); err != nil {
+	if err := l.server.Listen(80, accepting(nil)); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	var conn *Conn
-	if _, err := l.client.Dial("server", 80, func(c *Conn) { conn = c }); err != nil {
+	h := &funcs{}
+	conn, err := l.client.Dial("server", 80, h)
+	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	l.net.Run(0)
 	delivered := false
-	conn.OnData(func([]byte) { delivered = true })
+	h.data = func(*Conn, []byte) { delivered = true }
 	// A blind off-path attacker who guesses a wildly wrong sequence
 	// number is rejected by the window check.
 	conn.handle(Segment{SrcPort: conn.RemotePort(), DstPort: conn.LocalPort(),
@@ -269,16 +302,17 @@ func TestOutOfWindowSegmentRejected(t *testing.T) {
 
 func TestWrongFourTupleIgnored(t *testing.T) {
 	l := newLab(t)
-	if err := l.server.Listen(80, func(*Conn) {}); err != nil {
+	if err := l.server.Listen(80, accepting(nil)); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	var conn *Conn
-	if _, err := l.client.Dial("server", 80, func(c *Conn) { conn = c }); err != nil {
+	h := &funcs{}
+	conn, err := l.client.Dial("server", 80, h)
+	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	l.net.Run(0)
 	delivered := false
-	conn.OnData(func([]byte) { delivered = true })
+	h.data = func(*Conn, []byte) { delivered = true }
 	// Inject a data packet claiming to be from a different source port:
 	// no connection matches, so the stack drops it.
 	tap := l.seg.AttachTap(0, nil)
@@ -293,11 +327,11 @@ func TestWrongFourTupleIgnored(t *testing.T) {
 
 func TestRSTTearsDownConnection(t *testing.T) {
 	l := newLab(t)
-	if err := l.server.Listen(80, func(*Conn) {}); err != nil {
+	if err := l.server.Listen(80, accepting(nil)); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	var conn *Conn
-	if _, err := l.client.Dial("server", 80, func(c *Conn) { conn = c }); err != nil {
+	conn, err := l.client.Dial("server", 80, nil)
+	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	l.net.Run(0)
@@ -391,10 +425,10 @@ func TestFlagsString(t *testing.T) {
 
 func TestDuplicateListenRejected(t *testing.T) {
 	l := newLab(t)
-	if err := l.server.Listen(80, func(*Conn) {}); err != nil {
+	if err := l.server.Listen(80, accepting(nil)); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	if err := l.server.Listen(80, func(*Conn) {}); err == nil {
+	if err := l.server.Listen(80, accepting(nil)); err == nil {
 		t.Fatal("duplicate listen succeeded")
 	}
 }
@@ -488,13 +522,11 @@ func TestSegmentRoundTripAllocs(t *testing.T) {
 	a := NewStack(net, seg.MustAttach("a", 0, nil), WithSeed(1))
 	b := NewStack(net, seg.MustAttach("b", 0, nil), WithSeed(2))
 	received := 0
-	if err := b.Listen(80, func(c *Conn) {
-		c.OnData(func(data []byte) { received += len(data) })
-	}); err != nil {
+	if err := b.Listen(80, accepting(onData(func(data []byte) { received += len(data) }))); err != nil {
 		t.Fatal(err)
 	}
-	var conn *Conn
-	if _, err := a.Dial("b", 80, func(c *Conn) { conn = c }); err != nil {
+	conn, err := a.Dial("b", 80, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	net.Run(0)

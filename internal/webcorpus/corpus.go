@@ -77,6 +77,11 @@ type ObjectState struct {
 	Hash string
 	Kind ObjectKind
 	Size int
+
+	// digest is a site object's content identity before it is spelled
+	// in hex: the pages render it straight from here, and Hash stays
+	// empty until ObjectsOn spells it.
+	digest uint64
 }
 
 // SSLVersion labels a site's TLS configuration for the §V measurement.
@@ -130,8 +135,10 @@ type Site struct {
 // generation spans many study days, so the daily crawl re-derives the
 // same handful of strings and SHA-256 digests thousands of times —
 // memoizing them per generation turns ObjectsOn and RenderPage into
-// lookups. Sites are crawled concurrently by the scenario fleet, so
-// the generation maps are guarded by a read-mostly lock.
+// lookups. A hash is kept as its digest's first 8 bytes and spelled in
+// hex only where a page or an ObjectState needs it. Sites are crawled
+// concurrently by the scenario fleet, so the generation maps are
+// guarded by a read-mostly lock.
 type siteMemo struct {
 	once sync.Once
 
@@ -143,7 +150,7 @@ type siteMemo struct {
 
 	mu     sync.RWMutex
 	names  map[uint64]string // genKey(objIdx, nameGen) → name
-	hashes map[uint64]string // genKey(objIdx, contentGen) → hash
+	hashes map[uint64]uint64 // genKey(objIdx, contentGen) → digest prefix
 }
 
 // genKey packs an object index and a generation into one map key.
@@ -162,7 +169,7 @@ func (s *Site) ensureMemo() {
 		}
 		s.memo.banner = "<h1>" + s.Host + " (rank " + strconv.Itoa(s.Rank) + ")</h1>"
 		s.memo.names = make(map[uint64]string)
-		s.memo.hashes = make(map[uint64]string)
+		s.memo.hashes = make(map[uint64]uint64)
 	})
 }
 
@@ -224,10 +231,38 @@ func Generate(p Params) *Corpus {
 	return c
 }
 
+// Object base names, built once: a site has at most 14 scripts
+// ("assets/app00" on) and 7 images ("static/media00" on).
+var (
+	appBases   = baseNames("assets/app", 14)
+	mediaBases = baseNames("static/media", 7)
+)
+
+// baseNames returns prefix00, prefix01, … up to n names.
+func baseNames(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%s%02d", prefix, i)
+	}
+	return out
+}
+
+// siteHost returns fmt.Sprintf("site%05d.example", rank) in one
+// allocation.
+func siteHost(rank int) string {
+	var buf [32]byte
+	b := append(buf[:0], "site"...)
+	for w := 10000; w > 1 && rank < w; w /= 10 {
+		b = append(b, '0')
+	}
+	b = strconv.AppendInt(b, int64(rank), 10)
+	return string(append(b, ".example"...))
+}
+
 func generateSite(rng *rand.Rand, rank int, seed int64) *Site {
 	s := &Site{
 		Rank: rank,
-		Host: fmt.Sprintf("site%05d.example", rank),
+		Host: siteHost(rank),
 		seed: seed + int64(rank)*7919,
 	}
 	s.Responds = rng.Float64() < 0.8946 // → ≈13419/15000
@@ -308,7 +343,7 @@ func generateSite(rng *rand.Rand, rank int, seed int64) *Site {
 		horizon := 3 + rng.Intn(97)
 		for i := 0; i < n; i++ {
 			spec := ObjectSpec{
-				Base: fmt.Sprintf("assets/app%02d", i),
+				Base: appBases[i],
 				Kind: KindJS,
 				Size: 2048 + rng.Intn(65536),
 			}
@@ -338,7 +373,7 @@ func generateSite(rng *rand.Rand, rank int, seed int64) *Site {
 	// on pages).
 	for i := 0; i < 2+rng.Intn(6); i++ {
 		s.Objects = append(s.Objects, ObjectSpec{
-			Base: fmt.Sprintf("static/media%02d", i),
+			Base: mediaBases[i],
 			Kind: KindImg, Size: 1024 + rng.Intn(32768),
 		})
 	}
@@ -358,20 +393,28 @@ func gen(period, day int) int {
 
 // ObjectsOn returns the site's object states for a study day.
 func (s *Site) ObjectsOn(day int) []ObjectState {
-	return s.appendObjectsOn(make([]ObjectState, 0, len(s.Objects)+1), day)
+	states := s.appendObjectsOn(make([]ObjectState, 0, len(s.Objects)+1), day)
+	var hash [hashLen]byte
+	for i := range states {
+		if o := &states[i]; o.Hash == "" {
+			o.Hash = string(o.appendHash(hash[:0]))
+		}
+	}
+	return states
 }
 
 // appendObjectsOn appends the day's object states to dst, drawing names
-// and hashes from the per-generation memo.
+// and content digests from the per-generation memo; a site object's
+// Hash is left for appendHash to spell.
 func (s *Site) appendObjectsOn(dst []ObjectState, day int) []ObjectState {
 	s.ensureMemo()
 	for i := range s.Objects {
 		spec := &s.Objects[i]
 		dst = append(dst, ObjectState{
-			Name: s.objectName(i, spec, gen(spec.RenamePeriod, day)),
-			Hash: s.contentHash(i, gen(spec.ContentPeriod, day)),
-			Kind: spec.Kind,
-			Size: spec.Size,
+			Name:   s.objectName(i, spec, gen(spec.RenamePeriod, day)),
+			digest: s.contentHash(i, gen(spec.ContentPeriod, day)),
+			Kind:   spec.Kind,
+			Size:   spec.Size,
 		})
 	}
 	if s.UsesGoogleAnalytics {
@@ -385,24 +428,41 @@ func (s *Site) appendObjectsOn(dst []ObjectState, day int) []ObjectState {
 	return dst
 }
 
-func (s *Site) contentHash(objIdx, contentGen int) string {
+// hashLen is the length of a site object's hex content hash.
+const hashLen = 2 * 8
+
+// appendHash appends the object's content hash to dst: Hash when it is
+// set, else the hex spelling of the digest.
+func (o *ObjectState) appendHash(dst []byte) []byte {
+	if o.Hash != "" {
+		return append(dst, o.Hash...)
+	}
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], o.digest)
+	return hex.AppendEncode(dst, b[:])
+}
+
+// contentHash returns the memoized digest prefix of object objIdx at a
+// content generation: the first 8 bytes of a SHA-256 over the site
+// seed, the index and the generation.
+func (s *Site) contentHash(objIdx, contentGen int) uint64 {
 	key := genKey(objIdx, contentGen)
 	s.memo.mu.RLock()
-	hash, ok := s.memo.hashes[key]
+	digest, ok := s.memo.hashes[key]
 	s.memo.mu.RUnlock()
 	if ok {
-		return hash
+		return digest
 	}
 	var buf [24]byte
 	binary.BigEndian.PutUint64(buf[0:8], uint64(s.seed))
 	binary.BigEndian.PutUint64(buf[8:16], uint64(objIdx))
 	binary.BigEndian.PutUint64(buf[16:24], uint64(contentGen))
 	sum := sha256.Sum256(buf[:])
-	hash = hex.EncodeToString(sum[:8])
+	digest = binary.BigEndian.Uint64(sum[:8])
 	s.memo.mu.Lock()
-	s.memo.hashes[key] = hash
+	s.memo.hashes[key] = digest
 	s.memo.mu.Unlock()
-	return hash
+	return digest
 }
 
 // SecurityHeaders renders the site's response headers.
@@ -469,7 +529,11 @@ func (s *Site) AppendPage(dst []byte, day int) ([]byte, bool) {
 	for i := range states {
 		switch o := &states[i]; o.Kind {
 		case KindJS:
-			n += len(scriptOpen) + len(o.Name) + len(scriptHash) + len(o.Hash) + len(scriptClose)
+			hash := len(o.Hash)
+			if hash == 0 {
+				hash = hashLen
+			}
+			n += len(scriptOpen) + len(o.Name) + len(scriptHash) + hash + len(scriptClose)
 		case KindCSS:
 			n += len(cssOpen) + len(o.Name) + len(cssClose)
 		case KindImg:
@@ -484,7 +548,7 @@ func (s *Site) AppendPage(dst []byte, day int) ([]byte, bool) {
 			dst = append(dst, scriptOpen...)
 			dst = append(dst, o.Name...)
 			dst = append(dst, scriptHash...)
-			dst = append(dst, o.Hash...)
+			dst = o.appendHash(dst)
 			dst = append(dst, scriptClose...)
 		case KindCSS:
 			dst = append(dst, cssOpen...)
