@@ -40,24 +40,18 @@ race:
 allocs:
 	$(GO) test -count=1 -run 'Allocs$$' ./...
 
-## fuzz-smoke: each native fuzz target for a short time box — the HTML
-## tokenizer (ScanTags held to ParseHTML), the C&C master's Route on
-## arbitrary request paths (no panic, a known status, served images
-## that parse back), httpsim's request and response parsers (held
-## to the map-and-split parsers they replaced, and to their own
-## Marshal), the replay log reader (allocation bounded by the input,
-## and every accepted log re-recorded byte for byte), labd's record
-## unsealing (it accepts exactly what seal writes), and the
-## Cache-Control parser (max-age within RFC 9111's 2^31 s ceiling);
-## -fuzz takes one target per run
+## fuzz-smoke: every native Fuzz* target for a short time box each.
+## The targets are discovered, not listed: `go test -list` names each
+## package's Fuzz* functions, and -fuzz takes one target per run. The
+## run fails on the first failing target, and when none is found
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzScanTags$$' -fuzztime 5s ./internal/dom
-	$(GO) test -run '^$$' -fuzz '^FuzzMasterRoute$$' -fuzztime 5s ./internal/cnc
-	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 5s ./internal/httpsim
-	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 5s ./internal/httpsim
-	$(GO) test -run '^$$' -fuzz '^FuzzReadLog$$' -fuzztime 5s ./internal/replay
-	$(GO) test -run '^$$' -fuzz '^FuzzUnsealRecord$$' -fuzztime 5s ./internal/labd
-	$(GO) test -run '^$$' -fuzz '^FuzzParseCacheControl$$' -fuzztime 5s ./internal/httpcache
+	@list="$$($(GO) test -list '^Fuzz' ./...)" || { echo "$$list"; exit 1; }; \
+	targets="$$(printf '%s\n' "$$list" | awk '/^Fuzz/ { f[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2 "," f[i]; n = 0 }')"; \
+	[ -n "$$targets" ] || { echo "fuzz-smoke: no Fuzz targets found"; exit 1; }; \
+	for t in $$targets; do \
+		echo "fuzz-smoke: $${t#*,} ($${t%,*})"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*,}$$" -fuzztime 5s "$${t%,*}" || exit 1; \
+	done
 
 ## bench: the root benchmark harness (tables, figures, ablations, codecs)
 bench:

@@ -377,12 +377,10 @@ func BenchmarkCrawl_OneSiteDay(b *testing.B) {
 }
 
 func BenchmarkSeal_XORRoundTrip(b *testing.B) {
-	sealer := httpsim.XORSealer{Key: httpsim.HostKey("bank.com")}
 	msg := bytes.Repeat([]byte("m"), 4096)
 	b.SetBytes(int64(len(msg)))
 	for i := 0; i < b.N; i++ {
-		sealed := sealer.Seal(msg)
-		if _, _, err := sealer.Open(sealed); err != nil {
+		if _, err := httpsim.Open("bank.com", httpsim.Seal("bank.com", msg)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,7 +53,6 @@ type Stats struct {
 // Master is the attacker. It taps a network segment, watches HTTP
 // requests, and injects spoofed responses.
 type Master struct {
-	net     *netsim.Network
 	sniffer *tcpsim.Sniffer
 
 	targets map[string]*Target
@@ -65,7 +64,7 @@ type Master struct {
 	junkCount    int
 	junkSize     int
 
-	certs map[string]bool // fraudulent certificates (§V Discussion)
+	certs []string // hosts of fraudulent certificates (§V Discussion), in grant order
 
 	stats Stats
 }
@@ -76,17 +75,15 @@ type Option func(*Master)
 // WithFraudulentCert grants the master a mis-issued certificate for host,
 // letting it read and forge that host's sealed traffic.
 func WithFraudulentCert(host string) Option {
-	return func(m *Master) { m.certs[host] = true }
+	return func(m *Master) { m.certs = append(m.certs, host) }
 }
 
 // New attaches the master's tap to the victim's segment with the given
 // proximity delay (it must be closer than the uplink to win the race).
-func New(network *netsim.Network, seg *netsim.Segment, proximity time.Duration, opts ...Option) *Master {
+func New(seg *netsim.Segment, proximity time.Duration, opts ...Option) *Master {
 	m := &Master{
-		net:          network,
 		targets:      make(map[string]*Target),
 		evictTrigger: make(map[string]bool),
-		certs:        make(map[string]bool),
 		junkCount:    64,
 		junkSize:     4096,
 	}
@@ -134,18 +131,17 @@ func (m *Master) onSegment(o tcpsim.Observed) {
 		return
 	}
 	payload := o.Seg.Payload
-	sealed := false
+	var certHost string // the certificate that opened a sealed request
 	if httpsim.LooksSealed(payload) {
 		// HTTPS stand-in: without a fraudulent certificate the master
 		// sees only ciphertext and must stand down.
-		plain, ok := m.tryUnseal(payload)
-		if !ok {
+		host, plain, err := httpsim.OpenAny(m.certs, payload)
+		if err != nil {
 			m.stats.SealedSkipped++
 			return
 		}
 		m.stats.SealedDecrypted++
-		payload = plain
-		sealed = true
+		payload, certHost = plain, host
 	}
 	req, _, err := httpsim.ParseRequest(payload)
 	if err != nil {
@@ -162,13 +158,13 @@ func (m *Master) onSegment(o tcpsim.Observed) {
 		if req.Query("t") != "" || req.Query("orig") != "" {
 			return
 		}
-		m.inject(o, m.BuildInfectedResponse(t), sealed, req.Host)
+		m.inject(o, m.BuildInfectedResponse(t), certHost)
 		return
 	}
 
 	// Eviction module (Fig. 1): HTML navigations on trigger hosts.
 	if m.evictionOn && m.evictTrigger[req.Host] && isNavigation(req) {
-		m.inject(o, m.buildEvictionResponse(), sealed, req.Host)
+		m.inject(o, m.buildEvictionResponse(), certHost)
 		m.stats.EvictionScripts++
 	}
 }
@@ -178,23 +174,14 @@ func isNavigation(req *httpsim.Request) bool {
 	return p == "/" || strings.HasSuffix(p, ".html")
 }
 
-// tryUnseal attempts every fraudulent certificate's key.
-func (m *Master) tryUnseal(b []byte) ([]byte, bool) {
-	for host := range m.certs {
-		if plain, _, err := (httpsim.XORSealer{Key: httpsim.HostKey(host)}).Open(b); err == nil {
-			return plain, true
-		}
-	}
-	return nil, false
-}
-
 // inject races the spoofed response against the genuine server, splitting
 // it into MSS-sized spoofed segments marshalled directly into pooled
-// frames.
-func (m *Master) inject(o tcpsim.Observed, resp *httpsim.Response, sealed bool, host string) {
+// frames. A non-empty certHost seals the response under that
+// certificate's host, as the request it answers was sealed.
+func (m *Master) inject(o tcpsim.Observed, resp *httpsim.Response, certHost string) {
 	wire := resp.Marshal()
-	if sealed {
-		wire = httpsim.XORSealer{Key: httpsim.HostKey(host)}.Seal(wire)
+	if certHost != "" {
+		wire = httpsim.Seal(certHost, wire)
 	}
 	tmpl := tcpsim.SpoofSegment(o)
 	tap := m.sniffer.Tap()

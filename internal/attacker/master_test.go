@@ -18,7 +18,7 @@ import (
 )
 
 func TestBuildInfectedResponseJS(t *testing.T) {
-	m := New(netsim.New(), netsim.New().MustSegment("x", 0), 0)
+	m := New(netsim.New().MustSegment("x", 0), 0)
 	resp := m.BuildInfectedResponse(&Target{
 		Name: "a.com/lib.js", Kind: KindJS,
 		ParasitePayload: "p1", Original: []byte("function lib(){}"),
@@ -42,7 +42,7 @@ func TestBuildInfectedResponseJS(t *testing.T) {
 }
 
 func TestBuildInfectedResponseHTML(t *testing.T) {
-	m := New(netsim.New(), netsim.New().MustSegment("x", 0), 0)
+	m := New(netsim.New().MustSegment("x", 0), 0)
 	resp := m.BuildInfectedResponse(&Target{
 		Name: "a.com/", Kind: KindHTML,
 		ParasitePayload: "p2", Original: []byte("<html><body><h1>x</h1></body></html>"),
@@ -168,19 +168,19 @@ func TestMasterSkipsReloadOriginalRequests(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	m := New(n, seg, 0)
+	m := New(seg, 0)
 	m.AddTarget(Target{Name: "a.com/x.js", Kind: KindJS, ParasitePayload: "p", Original: []byte("o")})
 
 	cliIfc := seg.MustAttach("client", 0, nil)
 	client := httpsim.NewClient(tcpsim.NewStack(n, cliIfc, tcpsim.WithSeed(6)))
 
 	var plain, busted string
-	client.Do("server", 80, nil, httpsim.NewRequest("GET", "a.com", "/x.js"), func(r *httpsim.Response, err error) {
+	client.Do("server", 80, false, httpsim.NewRequest("GET", "a.com", "/x.js"), func(r *httpsim.Response, err error) {
 		if err == nil {
 			plain = string(r.Body)
 		}
 	})
-	client.Do("server", 80, nil, httpsim.NewRequest("GET", "a.com", "/x.js?t=123"), func(r *httpsim.Response, err error) {
+	client.Do("server", 80, false, httpsim.NewRequest("GET", "a.com", "/x.js?t=123"), func(r *httpsim.Response, err error) {
 		if err == nil {
 			busted = string(r.Body)
 		}
@@ -203,12 +203,11 @@ func TestMasterSkipsReloadOriginalRequests(t *testing.T) {
 func TestMasterIgnoresSealedWithoutCert(t *testing.T) {
 	n := netsim.New()
 	seg := n.MustSegment("wifi", time.Millisecond)
-	m := New(n, seg, 0)
+	m := New(seg, 0)
 	m.AddTarget(Target{Name: "a.com/x.js", Kind: KindJS, ParasitePayload: "p", Original: []byte("o")})
 	// Emit a sealed frame directly onto the segment.
 	src := seg.MustAttach("client", 0, nil)
-	sealed := httpsim.XORSealer{Key: httpsim.HostKey("a.com")}.Seal(
-		httpsim.NewRequest("GET", "a.com", "/x.js").Marshal())
+	sealed := httpsim.Seal("a.com", httpsim.NewRequest("GET", "a.com", "/x.js").Marshal())
 	wire := tcpsim.Segment{SrcPort: 50000, DstPort: 443, Seq: 1, Ack: 1,
 		Flags: tcpsim.FlagACK | tcpsim.FlagPSH, Payload: sealed}
 	src.Send(netsim.Packet{Dst: "server", Proto: netsim.ProtoTCP, Payload: wire.Marshal()})
@@ -224,11 +223,10 @@ func TestMasterIgnoresSealedWithoutCert(t *testing.T) {
 func TestMasterDecryptsWithCert(t *testing.T) {
 	n := netsim.New()
 	seg := n.MustSegment("wifi", time.Millisecond)
-	m := New(n, seg, 0, WithFraudulentCert("a.com"))
+	m := New(seg, 0, WithFraudulentCert("a.com"))
 	m.AddTarget(Target{Name: "a.com/x.js", Kind: KindJS, ParasitePayload: "p", Original: []byte("o")})
 	src := seg.MustAttach("client", 0, nil)
-	sealed := httpsim.XORSealer{Key: httpsim.HostKey("a.com")}.Seal(
-		httpsim.NewRequest("GET", "a.com", "/x.js").Marshal())
+	sealed := httpsim.Seal("a.com", httpsim.NewRequest("GET", "a.com", "/x.js").Marshal())
 	wire := tcpsim.Segment{SrcPort: 50000, DstPort: 443, Seq: 1, Ack: 1,
 		Flags: tcpsim.FlagACK | tcpsim.FlagPSH, Payload: sealed}
 	src.Send(netsim.Packet{Dst: "server", Proto: netsim.ProtoTCP, Payload: wire.Marshal()})

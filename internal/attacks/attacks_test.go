@@ -13,6 +13,7 @@ import (
 	"masterparasite/internal/browser"
 	"masterparasite/internal/core"
 	"masterparasite/internal/dom"
+	"masterparasite/internal/httpsim"
 	"masterparasite/internal/parasite"
 )
 
@@ -339,19 +340,25 @@ func TestClickjackingAndAdInjection(t *testing.T) {
 func TestDDoSFloodsTarget(t *testing.T) {
 	t.Parallel()
 	l := newLab(t)
-	l.s.AddPage("victim-site.example", "/", "<html><body>up</body></html>",
-		map[string]string{"Cache-Control": "no-store"})
+	served := make(map[string]int) // path → requests the target answered
+	l.s.AddHandler("victim-site.example", func(req *httpsim.Request) *httpsim.Response {
+		served[req.Path]++
+		resp := httpsim.NewResponse(200, []byte("<html><body>up</body></html>"))
+		resp.Header.Set("Cache-Control", "no-store")
+		return resp
+	})
 	l.command("ddos|victim-site.example|20")
 	l.visit(l.chat.Host, "/", nil)
 	if loot, ok := l.loot("ddos-report"); !ok || !strings.Contains(string(loot), "requests=20") {
 		t.Fatalf("ddos report = %q", loot)
 	}
-	hits := 0
 	for i := 0; i < 20; i++ {
-		hits += l.s.Served("victim-site.example/?x=" + strconv.Itoa(i))
+		if n := served["/?x="+strconv.Itoa(i)]; n != 1 {
+			t.Errorf("target answered /?x=%d %d times, want 1", i, n)
+		}
 	}
-	if hits != 20 {
-		t.Fatalf("target received %d requests, want 20", hits)
+	if len(served) != 20 {
+		t.Fatalf("target answered %d distinct paths, want 20: %v", len(served), served)
 	}
 }
 

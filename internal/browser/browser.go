@@ -17,7 +17,8 @@ import (
 type Endpoint struct {
 	Addr netsim.Addr
 	Port uint16
-	// TLS marks the host as HTTPS: traffic is sealed with HostKey(host).
+	// TLS marks the host as HTTPS: traffic is sealed under the host's
+	// key.
 	TLS bool
 }
 
@@ -42,7 +43,6 @@ type Browser struct {
 
 	net     *netsim.Network
 	ifc     *netsim.Interface
-	stack   *tcpsim.Stack
 	client  *httpsim.Client
 	resolve Resolver
 
@@ -117,7 +117,6 @@ func New(network *netsim.Network, cfg Config) (*Browser, error) {
 		OS:      cfg.OS,
 		net:     network,
 		ifc:     ifc,
-		stack:   stack,
 		client:  httpsim.NewClient(stack),
 		resolve: cfg.Resolver,
 		cache: httpcache.NewStore(httpcache.Options{
@@ -225,25 +224,17 @@ type fetchOpts struct {
 	bypassCacheAPI bool
 }
 
-// fetchResult tells the caller where the response came from.
-type fetchResult struct {
-	resp        *httpsim.Response
-	fromCache   bool
-	fromAPI     bool
-	wasNotified bool
-}
-
 // fetch retrieves url for a page in the pageHost origin context. cb runs
 // inside the network event loop.
-func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(fetchResult, error)) {
+func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(*httpsim.Response, error)) {
 	if b.oomKilled {
-		cb(fetchResult{}, ErrBrowserKilled)
+		cb(nil, ErrBrowserKilled)
 		return
 	}
 	// 1. Cache API (service-worker) interception.
 	if b.Profile.SupportsCacheAPI && !opts.bypassCacheAPI {
 		if e, ok := b.cacheAPI.Get(url); ok {
-			cb(fetchResult{resp: e.ToResponse(), fromAPI: true}, nil)
+			cb(e.ToResponse(), nil)
 			return
 		}
 	}
@@ -252,7 +243,7 @@ func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(fetchResul
 	if !opts.bypassCache {
 		if e, ok := b.cache.GetFresh(now, pageHost, url); ok {
 			b.cacheServes++
-			cb(fetchResult{resp: e.ToResponse(), fromCache: true}, nil)
+			cb(e.ToResponse(), nil)
 			return
 		}
 	}
@@ -268,14 +259,14 @@ func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(fetchResul
 	}
 	b.send(req, func(resp *httpsim.Response, err error) {
 		if err != nil {
-			cb(fetchResult{}, err)
+			cb(nil, err)
 			return
 		}
 		if resp.StatusCode == 304 && stale != nil {
 			// Revalidated: refresh the stored entry's clock.
 			stale.StoredAt = b.net.Now()
 			b.cacheServes++
-			cb(fetchResult{resp: stale.ToResponse(), fromCache: true}, nil)
+			cb(stale.ToResponse(), nil)
 			return
 		}
 		b.netFetches++
@@ -288,13 +279,13 @@ func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(fetchResul
 				b.oomKilled = true
 			}
 		}
-		cb(fetchResult{resp: resp}, nil)
+		cb(resp, nil)
 	})
 }
 
 // send is the browser's one way onto the network. It resolves req's
 // host, stamps the browser's User-Agent and the host's cookies, and
-// sends req sealed with the host's key to an HTTPS endpoint, in
+// sends req sealed under its own host's key to an HTTPS endpoint, in
 // plaintext otherwise — except that HSTS pins a host to HTTPS, so a
 // plaintext send to a pinned host is refused before it leaves the
 // browser. cb runs inside the event loop; absorbing the response is the
@@ -310,15 +301,11 @@ func (b *Browser) send(req *httpsim.Request, cb func(*httpsim.Response, error)) 
 	if c := b.cookies.All(host); c != "" {
 		req.Header.Set("Cookie", c)
 	}
-	if ep.TLS {
-		b.client.Do(ep.Addr, ep.Port, httpsim.XORSealer{Key: httpsim.HostKey(host)}, req, cb)
-		return
-	}
-	if b.hsts[host] {
+	if !ep.TLS && b.hsts[host] {
 		cb(nil, fmt.Errorf("browser: %s pinned by HSTS but endpoint is plaintext", host))
 		return
 	}
-	b.client.Do(ep.Addr, ep.Port, nil, req, cb)
+	b.client.Do(ep.Addr, ep.Port, ep.TLS, req, cb)
 }
 
 // absorb applies response side effects: cookies and HSTS pinning.

@@ -40,17 +40,13 @@ func newWeb(t *testing.T) *web {
 			if inm := req.Header.Get("If-None-Match"); inm != "" && inm == resp.Header.Get("Etag") {
 				return httpsim.NewResponse(304, nil)
 			}
-			clone := httpsim.NewResponse(resp.StatusCode, append([]byte(nil), resp.Body...))
-			clone.Header = resp.Header.Clone()
-			return clone
+			return resp.Clone()
 		}
 		// Fall back to name-matching ignoring the query string, so
 		// cache-buster URLs still resolve to the object.
 		if i := strings.IndexByte(key, '?'); i >= 0 {
 			if resp, ok := w.pages[key[:i]]; ok {
-				clone := httpsim.NewResponse(resp.StatusCode, append([]byte(nil), resp.Body...))
-				clone.Header = resp.Header.Clone()
-				return clone
+				return resp.Clone()
 			}
 		}
 		return httpsim.NewResponse(404, []byte("not found"))
@@ -154,17 +150,43 @@ func TestConditionalRevalidation304(t *testing.T) {
 	}
 }
 
+// TestCachedErrorKeepsItsStatus: a 404 the HTTP cache stored
+// (heuristic freshness) is served back as the same 404, not as the
+// 200 OK the cache used to stamp on every hit.
+func TestCachedErrorKeepsItsStatus(t *testing.T) {
+	w := newWeb(t)
+	b := w.browser(t, "Chrome")
+	var got []string
+	for i := 0; i < 2; i++ {
+		b.fetch("site.com", "site.com/missing.js", fetchOpts{}, func(resp *httpsim.Response, err error) {
+			if err != nil {
+				t.Errorf("fetch %d: %v", i, err)
+				return
+			}
+			got = append(got, fmt.Sprintf("%d %s", resp.StatusCode, resp.Status))
+		})
+		w.net.Run(0)
+	}
+	if want := []string{"404 Not Found", "404 Not Found"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("network, then cache: %q, want %q", got, want)
+	}
+	if w.served["site.com/missing.js"] != 1 || b.CacheServes() != 1 {
+		t.Fatalf("served %d times, %d cache serves: want the second fetch from the cache",
+			w.served["site.com/missing.js"], b.CacheServes())
+	}
+}
+
 func TestCacheBusterBypassesCache(t *testing.T) {
 	w := newWeb(t)
 	w.addPage("site.com", "/app.js", "orig", nil)
 	b := w.browser(t, "Chrome")
 	got := ""
-	b.fetch("site.com", "site.com/app.js?t=12345", fetchOpts{}, func(res fetchResult, err error) {
+	b.fetch("site.com", "site.com/app.js?t=12345", fetchOpts{}, func(resp *httpsim.Response, err error) {
 		if err != nil {
 			t.Errorf("fetch: %v", err)
 			return
 		}
-		got = string(res.resp.Body)
+		got = string(resp.Body)
 	})
 	w.net.Run(0)
 	if got != "orig" {
@@ -366,7 +388,7 @@ func TestIEBalloonsToOOM(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		path := fmt.Sprintf("/junk%02d.jpg", i)
 		w.addPage("attacker.com", path, strings.Repeat("x", 4096), nil)
-		b.fetch("attacker.com", "attacker.com"+path, fetchOpts{}, func(fetchResult, error) {})
+		b.fetch("attacker.com", "attacker.com"+path, fetchOpts{}, func(*httpsim.Response, error) {})
 	}
 	w.net.Run(0)
 	if !b.OOMKilled() {
@@ -377,7 +399,7 @@ func TestIEBalloonsToOOM(t *testing.T) {
 	}
 	// Further work fails: the DOS.
 	errSeen := false
-	b.fetch("attacker.com", "attacker.com/junk00.jpg", fetchOpts{}, func(_ fetchResult, err error) {
+	b.fetch("attacker.com", "attacker.com/junk00.jpg", fetchOpts{}, func(_ *httpsim.Response, err error) {
 		errSeen = err != nil
 	})
 	w.net.Run(0)
@@ -463,7 +485,7 @@ func TestHSTSPinning(t *testing.T) {
 	// A later plaintext fetch to the pinned host is refused.
 	var ferr error
 	b.fetch("secure.com", "secure.com/next", fetchOpts{bypassCache: true, bypassCacheAPI: true},
-		func(_ fetchResult, err error) { ferr = err })
+		func(_ *httpsim.Response, err error) { ferr = err })
 	w.net.Run(0)
 	if ferr == nil {
 		t.Fatal("plaintext fetch to HSTS-pinned host succeeded")

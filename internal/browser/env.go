@@ -81,12 +81,11 @@ func (e *pageEnv) fetchInternal(url string, opts fetchOpts, cb func(*httpsim.Res
 		return
 	}
 	crossOrigin := hostOf(url) != e.page().Host
-	e.browser().fetch(e.page().Host, url, opts, func(res fetchResult, err error) {
+	e.browser().fetch(e.page().Host, url, opts, func(resp *httpsim.Response, err error) {
 		if err != nil {
 			cb(nil, err)
 			return
 		}
-		resp := res.resp
 		if crossOrigin && resp.Header.Get("Access-Control-Allow-Origin") != "*" {
 			cb(httpsim.NewResponse(resp.StatusCode, nil), nil)
 			return
@@ -122,8 +121,7 @@ func (e *pageEnv) CacheAPIPut(url string, resp *httpsim.Response) {
 	entry := httpcache.EntryFromResponse(e.Now(), url, hostOf(url), resp)
 	if entry == nil {
 		// Cache API storage ignores no-store; store anyway.
-		clean := &httpsim.Response{StatusCode: resp.StatusCode, Status: resp.Status,
-			Header: resp.Header.Clone(), Body: append([]byte(nil), resp.Body...)}
+		clean := resp.Clone()
 		clean.Header.Set("Cache-Control", "max-age=31536000")
 		entry = httpcache.EntryFromResponse(e.Now(), url, hostOf(url), clean)
 	}

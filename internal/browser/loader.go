@@ -6,6 +6,7 @@ import (
 
 	"masterparasite/internal/cnc"
 	"masterparasite/internal/dom"
+	"masterparasite/internal/httpsim"
 	"masterparasite/internal/script"
 )
 
@@ -50,17 +51,17 @@ func (b *Browser) VisitWith(host, path string, opts VisitOpts, cb func(*Page, er
 
 func (b *Browser) visit(host, path string, opts VisitOpts, depth int, cb func(*Page, error)) {
 	fo := fetchOpts{bypassCache: opts.HardReload}
-	b.fetch(host, host+path, fo, func(res fetchResult, err error) {
+	b.fetch(host, host+path, fo, func(resp *httpsim.Response, err error) {
 		if err != nil {
 			cb(nil, fmt.Errorf("visit %s%s: %w", host, path, err))
 			return
 		}
-		doc := dom.ParseHTML(host+path, res.resp.Body)
+		doc := dom.ParseHTML(host+path, resp.Body)
 		page := &Page{
 			URL:     host + path,
 			Host:    host,
 			Doc:     doc,
-			CSP:     CSPFromHeaders(res.resp.Header.Get),
+			CSP:     CSPFromHeaders(resp.Header.Get),
 			browser: b,
 		}
 		l := &loader{b: b, page: page, opts: fo, depth: depth, onDone: cb}
@@ -160,9 +161,9 @@ func (l *loader) step() {
 			l.b.defenseCounter++
 			j.url = fmt.Sprintf("%s?fresh=%d", j.url, l.b.defenseCounter)
 		}
-		l.b.fetch(l.page.Host, j.url, l.opts, func(res fetchResult, err error) {
+		l.b.fetch(l.page.Host, j.url, l.opts, func(resp *httpsim.Response, err error) {
 			if err == nil {
-				l.execScript(j, res.resp.Body)
+				l.execScript(j, resp.Body)
 			}
 			l.resume()
 		})
@@ -174,19 +175,19 @@ func (l *loader) step() {
 			l.resume()
 			return
 		}
-		l.b.fetch(l.page.Host, j.url, l.opts, func(res fetchResult, err error) {
+		l.b.fetch(l.page.Host, j.url, l.opts, func(resp *httpsim.Response, err error) {
 			if j.onImg != nil {
 				if err != nil {
 					j.onImg(0, 0, false)
 				} else {
-					w, h := imageDims(res.resp.Body)
+					w, h := imageDims(resp.Body)
 					j.onImg(w, h, true)
 				}
 			}
 			l.resume()
 		})
 	case j.kind == dom.ResStylesheet:
-		l.b.fetch(l.page.Host, j.url, l.opts, func(fetchResult, error) { l.resume() })
+		l.b.fetch(l.page.Host, j.url, l.opts, func(*httpsim.Response, error) { l.resume() })
 	case j.kind == dom.ResIframe:
 		if l.depth >= maxFrameDepth || !l.cspAllows("frame-src", j.url) {
 			l.resume()

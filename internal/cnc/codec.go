@@ -150,12 +150,13 @@ const (
 // RenderSVG produces the ~100-byte SVG whose only information content is
 // its dimensions ("An SVG image, having no actual content, is of size 100
 // bytes").
-func RenderSVG(d Dim) []byte {
-	return AppendSVG(make([]byte, 0, len(svgOpen)+len(svgMid)+len(svgClose)+10), d)
-}
+func RenderSVG(d Dim) []byte { return AppendSVG(nil, d) }
 
 // AppendSVG appends the channel SVG for d to dst and returns the result.
+// It reserves room for the largest SVG once, so dst grows at most once,
+// and not at all when it already has maxSVGLen bytes to spare.
 func AppendSVG(dst []byte, d Dim) []byte {
+	dst = slices.Grow(dst, maxSVGLen)
 	dst = append(dst, svgOpen...)
 	dst = strconv.AppendUint(dst, uint64(d.W), 10)
 	dst = append(dst, svgMid...)
@@ -284,6 +285,8 @@ const (
 	// maxTileLen bounds one rendered sprite tile
 	// (`<svg width="65535" height="65535"></svg>`).
 	maxTileLen = len(`<svg width="`) + 5 + len(svgMid) + 5 + len(svgClose)
+	// maxSVGLen bounds one channel SVG, AppendSVG's output.
+	maxSVGLen = len(svgOpen) + 5 + len(svgMid) + 5 + len(svgClose)
 )
 
 // AppendBatchSVG appends the sprite document carrying dims to dst.

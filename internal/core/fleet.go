@@ -154,10 +154,8 @@ type Fleet struct {
 	fab      *netsim.Fabric
 	backbone *netsim.Shard
 	lans     []*fleetLAN
-	master   struct {
-		registered int
-		sent       int
-	}
+	// registered counts the REG messages the C&C master answered.
+	registered int
 }
 
 // NewFleet builds the topology: one shard per LAN plus the backbone
@@ -191,8 +189,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		if len(pkt.Payload) < 3 || string(pkt.Payload[:3]) != "REG" {
 			return
 		}
-		f.master.registered++
-		f.master.sent += len(cmd)
+		f.registered++
 		masterIfc.Send(netsim.Packet{Dst: pkt.Src, Proto: netsim.ProtoRaw, Payload: cmd})
 	})
 	if err := f.backbone.Uplink(bbSeg, uplinkLatency); err != nil {
@@ -344,7 +341,7 @@ func (f *Fleet) Run(workers int) (FleetResult, error) {
 	}
 	res := FleetResult{
 		Bots:       f.cfg.LANs * f.cfg.BotsPerLAN,
-		Registered: f.master.registered,
+		Registered: f.registered,
 		Events:     events,
 	}
 	res.Infections = make([]InfectionEvent, 0, res.Bots)

@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -84,13 +85,9 @@ type Scenario struct {
 
 	sites    map[string]*httpsim.Response   // "host/path" → response
 	handlers map[string]httpsim.HandlerFunc // host → dynamic handler
-	tls      map[string]bool                // hosts served over the sealed channel
-	served   map[string]int
-
-	// lastTLSKey records which vhost key opened the in-flight sealed
-	// request so the response is sealed with the same one. The event loop
-	// is single-threaded, so request/response pairing is safe.
-	lastTLSKey string
+	// tlsHosts are the hosts served over the sealed channel, sorted: the
+	// web farm holds each one's certificate and tries them in this order.
+	tlsHosts []string
 }
 
 // NewScenario assembles the network of Fig. 1/2: victim and attacker on
@@ -116,8 +113,6 @@ func NewScenario(cfg Config) (*Scenario, error) {
 		Net:      netsim.New(),
 		sites:    make(map[string]*httpsim.Response),
 		handlers: make(map[string]httpsim.HandlerFunc),
-		tls:      make(map[string]bool),
-		served:   make(map[string]int),
 	}
 	s.Wifi = s.Net.MustSegment("public-wifi", wifiLatency)
 	if cfg.Link != nil {
@@ -146,7 +141,7 @@ func NewScenario(cfg Config) (*Scenario, error) {
 	if _, err := httpsim.NewServer(webStack, 80, nil, s.serve); err != nil {
 		return nil, fmt.Errorf("scenario web server: %w", err)
 	}
-	if _, err := httpsim.NewServer(webStack, 443, vhostSealer{s: s}, s.serve); err != nil {
+	if _, err := httpsim.NewServer(webStack, 443, s.certs, s.serve); err != nil {
 		return nil, fmt.Errorf("scenario tls server: %w", err)
 	}
 
@@ -198,44 +193,13 @@ func NewScenario(cfg Config) (*Scenario, error) {
 	for _, h := range cfg.FraudulentCertHosts {
 		opts = append(opts, attacker.WithFraudulentCert(h))
 	}
-	s.Master = attacker.New(s.Net, s.Wifi, attackerDelay, opts...)
+	s.Master = attacker.New(s.Wifi, attackerDelay, opts...)
 
 	// Parasite machinery on the victim's runtime.
 	s.Registry = parasite.NewRegistry()
 	attacker.RegisterEvictionBehavior(s.Victim.ScriptRuntime())
 	parasite.RegisterBehaviors(s.Victim.ScriptRuntime(), s.Registry)
 	return s, nil
-}
-
-// vhostSealer opens sealed frames with any of the scenario's TLS hosts'
-// keys (the web farm holds every site's certificate).
-type vhostSealer struct{ s *Scenario }
-
-func (v vhostSealer) Seal(p []byte) []byte {
-	// Responses are sealed with the key of the request's host; the
-	// server path seals after serve() recorded the host.
-	return httpsim.XORSealer{Key: v.s.lastTLSKey}.Seal(p)
-}
-
-func (v vhostSealer) Open(b []byte) ([]byte, int, error) {
-	var firstErr error
-	for host, isTLS := range v.s.tls {
-		if !isTLS {
-			continue
-		}
-		plain, n, err := (httpsim.XORSealer{Key: httpsim.HostKey(host)}).Open(b)
-		if err == nil {
-			v.s.lastTLSKey = httpsim.HostKey(host)
-			return plain, n, nil
-		}
-		if firstErr == nil || errors.Is(err, httpsim.ErrSealIncomplete) {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		firstErr = httpsim.ErrSealCorrupt
-	}
-	return nil, 0, firstErr
 }
 
 // AddPage registers a static page on a host.
@@ -255,16 +219,24 @@ func (s *Scenario) AddHandler(host string, h httpsim.HandlerFunc) {
 	s.handlers[host] = h
 }
 
-// SetTLS marks a host as HTTPS-only.
-func (s *Scenario) SetTLS(host string, on bool) { s.tls[host] = on }
+// SetTLS marks a host as HTTPS-only, or on false as plaintext again.
+func (s *Scenario) SetTLS(host string, on bool) {
+	i, found := slices.BinarySearch(s.tlsHosts, host)
+	switch {
+	case on && !found:
+		s.tlsHosts = slices.Insert(s.tlsHosts, i, host)
+	case !on && found:
+		s.tlsHosts = slices.Delete(s.tlsHosts, i, i+1)
+	}
+}
 
-// Served reports how many times the web farm answered for a URL.
-func (s *Scenario) Served(url string) int { return s.served[url] }
+// certs lists the hosts whose certificates the web farm's HTTPS
+// listener holds.
+func (s *Scenario) certs() []string { return s.tlsHosts }
 
 // serve is the web farm's dispatch.
 func (s *Scenario) serve(req *httpsim.Request) *httpsim.Response {
 	if h, ok := s.handlers[req.Host]; ok {
-		s.served[req.Host+req.Path]++
 		return h(req)
 	}
 	key := req.Host + req.Path
@@ -278,13 +250,10 @@ func (s *Scenario) serve(req *httpsim.Request) *httpsim.Response {
 	if !ok {
 		return httpsim.NewResponse(404, []byte("not found"))
 	}
-	s.served[key]++
 	if inm := req.Header.Get("If-None-Match"); inm != "" && inm == resp.Header.Get("Etag") {
 		return httpsim.NewResponse(304, nil)
 	}
-	clone := httpsim.NewResponse(resp.StatusCode, append([]byte(nil), resp.Body...))
-	clone.Header = resp.Header.Clone()
-	return clone
+	return resp.Clone()
 }
 
 // resolve is the scenario DNS.
@@ -293,7 +262,7 @@ func (s *Scenario) resolve(host string) (browser.Endpoint, bool) {
 	case MasterHost, JunkHost:
 		return browser.Endpoint{Addr: attackerAddr, Port: 80}, true
 	default:
-		if s.tls[host] {
+		if _, tls := slices.BinarySearch(s.tlsHosts, host); tls {
 			return browser.Endpoint{Addr: webAddr, Port: 443, TLS: true}, true
 		}
 		return browser.Endpoint{Addr: webAddr, Port: 80}, true

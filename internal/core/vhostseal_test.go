@@ -1,58 +1,9 @@
 package core
 
 import (
-	"errors"
 	"strings"
 	"testing"
-
-	"masterparasite/internal/httpsim"
 )
-
-// TestVhostSealerPairsRequestAndResponseKeys exercises the sealer unit
-// directly: Open records which vhost key decrypted the in-flight
-// request (lastTLSKey), and the very next Seal must use that same key.
-// The scenario event loop is single-threaded, so serve() always runs
-// between the Open and the Seal of one exchange — this test locks in
-// that request/response pairing across alternating vhosts.
-func TestVhostSealerPairsRequestAndResponseKeys(t *testing.T) {
-	s, err := NewScenario(Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetTLS("a-bank.com", true)
-	s.SetTLS("b-shop.com", true)
-	v := vhostSealer{s: s}
-
-	for i, host := range []string{"a-bank.com", "b-shop.com", "a-bank.com", "b-shop.com"} {
-		hostSealer := httpsim.XORSealer{Key: httpsim.HostKey(host)}
-		plain, _, err := v.Open(hostSealer.Seal([]byte("GET / " + host)))
-		if err != nil {
-			t.Fatalf("exchange %d: open %s request: %v", i, host, err)
-		}
-		if string(plain) != "GET / "+host {
-			t.Fatalf("exchange %d: plaintext = %q", i, plain)
-		}
-		// The response seal must pair with the request's vhost key.
-		resp, _, err := hostSealer.Open(v.Seal([]byte("200 " + host)))
-		if err != nil {
-			t.Fatalf("exchange %d: response for %s not sealed with its key: %v", i, host, err)
-		}
-		if string(resp) != "200 "+host {
-			t.Fatalf("exchange %d: response plaintext = %q", i, resp)
-		}
-		// And it must NOT open under the other vhost's key.
-		other := map[string]string{"a-bank.com": "b-shop.com", "b-shop.com": "a-bank.com"}[host]
-		if _, _, err := (httpsim.XORSealer{Key: httpsim.HostKey(other)}).Open(v.Seal([]byte("x"))); !errors.Is(err, httpsim.ErrSealCorrupt) {
-			t.Fatalf("exchange %d: response opened under %s's key (err=%v)", i, other, err)
-		}
-	}
-
-	// A frame sealed for a host the scenario does not serve over TLS
-	// must be rejected, not silently matched to some other vhost.
-	if _, _, err := v.Open((httpsim.XORSealer{Key: httpsim.HostKey("plain.com")}).Seal([]byte("GET /"))); err == nil {
-		t.Fatal("request for a non-TLS vhost opened")
-	}
-}
 
 // TestInterleavedTLSVhostsEndToEnd drives the same pairing through the
 // full network path: two HTTPS vhosts visited alternately from the

@@ -293,7 +293,7 @@ func cncGoodput(lp netsim.LinkProfile, payload int, seed int64) (goodputResult, 
 
 	client := httpsim.NewClient(cliStack)
 	get := func(path string, cb func(*httpsim.Response, error)) {
-		client.Do(serverAddr, 80, nil, httpsim.NewRequest("GET", core.MasterHost, path), cb)
+		client.Do(serverAddr, 80, false, httpsim.NewRequest("GET", core.MasterHost, path), cb)
 	}
 	var (
 		dims     []cnc.Dim

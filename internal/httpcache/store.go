@@ -11,14 +11,16 @@ import (
 
 // Entry is one cached object.
 type Entry struct {
-	URL      string // host-qualified URL without query string: the cache key
-	Domain   string
-	Body     []byte
-	Header   httpsim.Header
-	StoredAt time.Duration
-	TTL      time.Duration // freshness lifetime at StoredAt
-	ETag     string
-	NoCache  bool // requires revalidation even while fresh
+	URL        string // host-qualified URL without query string: the cache key
+	Domain     string
+	StatusCode int // the stored response's status, served back with it
+	Status     string
+	Body       []byte
+	Header     httpsim.Header
+	StoredAt   time.Duration
+	TTL        time.Duration // freshness lifetime at StoredAt
+	ETag       string
+	NoCache    bool // requires revalidation even while fresh
 }
 
 // DefaultHeuristicTTL applies when a response carries no explicit
@@ -39,14 +41,16 @@ func EntryFromResponse(now time.Duration, url, domain string, resp *httpsim.Resp
 		ttl = cc.MaxAge
 	}
 	return &Entry{
-		URL:      url,
-		Domain:   domain,
-		Body:     append([]byte(nil), resp.Body...),
-		Header:   resp.Header.Clone(),
-		StoredAt: now,
-		TTL:      ttl,
-		ETag:     resp.Header.Get("Etag"),
-		NoCache:  cc.NoCache,
+		URL:        url,
+		Domain:     domain,
+		StatusCode: resp.StatusCode,
+		Status:     resp.Status,
+		Body:       append([]byte(nil), resp.Body...),
+		Header:     resp.Header.Clone(),
+		StoredAt:   now,
+		TTL:        ttl,
+		ETag:       resp.Header.Get("Etag"),
+		NoCache:    cc.NoCache,
 	}
 }
 
@@ -67,10 +71,13 @@ func (e *Entry) Size() int {
 	return n
 }
 
-// ToResponse reconstructs the HTTP response served from cache.
+// ToResponse reconstructs the HTTP response served from cache, with the
+// status it was stored with; the header is appended into the response's
+// inline fields.
 func (e *Entry) ToResponse() *httpsim.Response {
-	resp := httpsim.NewResponse(200, append([]byte(nil), e.Body...))
-	resp.Header = e.Header.Clone()
+	resp := httpsim.NewResponse(e.StatusCode, append([]byte(nil), e.Body...))
+	resp.Status = e.Status
+	resp.Header = append(resp.Header, e.Header...)
 	return resp
 }
 

@@ -164,7 +164,7 @@ func TestClientServerEndToEnd(t *testing.T) {
 		t.Fatalf("NewServer: %v", err)
 	}
 	var got *Response
-	client.Do("server", 80, nil, NewRequest("GET", "cdn.example.com", "/lib.js"), func(r *Response, err error) {
+	client.Do("server", 80, false, NewRequest("GET", "cdn.example.com", "/lib.js"), func(r *Response, err error) {
 		if err != nil {
 			t.Errorf("get: %v", err)
 			return
@@ -192,7 +192,7 @@ func TestLargeResponseAcrossSegments(t *testing.T) {
 		t.Fatalf("NewServer: %v", err)
 	}
 	var got *Response
-	client.Do("server", 80, nil, NewRequest("GET", "big.com", "/big.js"), func(r *Response, err error) { got = r })
+	client.Do("server", 80, false, NewRequest("GET", "big.com", "/big.js"), func(r *Response, err error) { got = r })
 	n.Run(0)
 	if got == nil || !bytes.Equal(got.Body, body) {
 		t.Fatal("large body corrupted")
@@ -222,7 +222,7 @@ func TestInjectedResponseWinsEndToEnd(t *testing.T) {
 	})
 
 	var got *Response
-	client.Do("server", 80, nil, NewRequest("GET", "somesite.com", "/my.js"), func(r *Response, err error) { got = r })
+	client.Do("server", 80, false, NewRequest("GET", "somesite.com", "/my.js"), func(r *Response, err error) { got = r })
 	n.Run(0)
 	if got == nil {
 		t.Fatal("no response")
@@ -241,7 +241,7 @@ func TestNilHandlerResponseBecomes500(t *testing.T) {
 		t.Fatalf("NewServer: %v", err)
 	}
 	var got *Response
-	client.Do("server", 80, nil, NewRequest("GET", "h.com", "/"), func(r *Response, err error) { got = r })
+	client.Do("server", 80, false, NewRequest("GET", "h.com", "/"), func(r *Response, err error) { got = r })
 	n.Run(0)
 	if got == nil || got.StatusCode != 500 {
 		t.Fatalf("got %+v, want 500", got)
@@ -303,6 +303,11 @@ func TestMessageCodecAllocs(t *testing.T) {
 	req.Header.Set("Cookie", "sid=1")
 	reqWire := req.Marshal()
 	buf := resp.Marshal()
+	three := NewResponse(200, bytes.Repeat([]byte("c"), 512))
+	three.Header.Set("Cache-Control", "max-age=60")
+	three.Header.Set("Content-Type", "application/javascript")
+	three.Header.Set("Etag", `"v1"`)
+	var clone *Response
 
 	for _, c := range []struct {
 		name   string
@@ -330,6 +335,14 @@ func TestMessageCodecAllocs(t *testing.T) {
 			return nil
 		}},
 		{"Header.Set(existing)", 0, func() error { req.Header.Set("Cookie", "sid=2"); return nil }},
+		// The struct and the body: three fields fit the copy's own
+		// inline storage.
+		{"Response.Clone", 2, func() error {
+			if clone = three.Clone(); len(clone.Header) != 3 {
+				return fmt.Errorf("clone has %d fields", len(clone.Header))
+			}
+			return nil
+		}},
 	} {
 		var err error
 		got := testing.AllocsPerRun(500, func() {
@@ -373,7 +386,7 @@ func TestExchangeAllocs(t *testing.T) {
 		}
 	}
 	get := func() {
-		client.Do("server", 80, nil, req, cb)
+		client.Do("server", 80, false, req, cb)
 		n.Run(0)
 	}
 	for i := 0; i < 16; i++ {

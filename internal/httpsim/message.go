@@ -28,7 +28,7 @@ type Field struct {
 // Marshal writes it in order without sorting. A message carries about
 // ten fields at most, so lookups scan. Set and Del edit in place: two
 // struct copies of a message share in-place edits but not appends, so
-// a copy that will be edited takes a Clone.
+// a response copy that will be edited is made with Response.Clone.
 type Header []Field
 
 // inlineFields is how many header fields a built or parsed message
@@ -199,6 +199,16 @@ func NewResponse(code int, body []byte) *Response {
 	r := &Response{StatusCode: code, Status: statusText(code), Body: body}
 	r.Header = r.inline[:0]
 	return r
+}
+
+// Clone returns a copy of r that shares nothing with it: the status,
+// the status text, the body, and the header, appended into the copy's
+// own inline fields, so a response of up to inlineFields fields costs
+// the struct and the body.
+func (r *Response) Clone() *Response {
+	c := &Response{StatusCode: r.StatusCode, Status: r.Status, Body: bytes.Clone(r.Body)}
+	c.Header = append(c.inline[:0], r.Header...)
+	return c
 }
 
 func statusText(code int) string {

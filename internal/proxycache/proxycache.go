@@ -164,8 +164,7 @@ func (c *SharedCache) Handle(clientID string, req *httpsim.Request, origin https
 			c.store.Put(partition, e)
 		}
 	}
-	out := httpsim.NewResponse(resp.StatusCode, append([]byte(nil), resp.Body...))
-	out.Header = resp.Header.Clone()
+	out := resp.Clone()
 	out.Header.Set("X-Cache", "MISS from "+c.name)
 	return out
 }
@@ -187,11 +186,7 @@ type InfectionResult struct {
 // result reports how many of them got the parasite out of the cache.
 func RunInfection(cache *SharedCache, infected *httpsim.Response, clients int) InfectionResult {
 	req := httpsim.NewRequest("GET", "top1.com", "/persistent.js")
-	infectedOrigin := func(*httpsim.Request) *httpsim.Response {
-		clone := httpsim.NewResponse(infected.StatusCode, append([]byte(nil), infected.Body...))
-		clone.Header = infected.Header.Clone()
-		return clone
-	}
+	infectedOrigin := func(*httpsim.Request) *httpsim.Response { return infected.Clone() }
 	cleanOrigin := func(*httpsim.Request) *httpsim.Response {
 		resp := httpsim.NewResponse(200, []byte("function lib(){}"))
 		resp.Header.Set("Cache-Control", "max-age=3600")

@@ -106,6 +106,30 @@ func TestCacheHitHeaders(t *testing.T) {
 	}
 }
 
+// TestCachedErrorKeepsItsStatus: a 404 the proxy relayed once and
+// stored (heuristic freshness) reaches the next client as the same 404,
+// not as the 200 OK the cache used to stamp on every hit.
+func TestCachedErrorKeepsItsStatus(t *testing.T) {
+	cache := NewSharedCache("squid", 1<<20, false)
+	origin := func(*httpsim.Request) *httpsim.Response {
+		return httpsim.NewResponse(404, []byte("not found"))
+	}
+	req := httpsim.NewRequest("GET", "top1.com", "/gone.js")
+	for i, client := range []string{"c1", "c2"} {
+		resp := cache.Handle(client, req, origin)
+		if resp.StatusCode != 404 || resp.Status != "Not Found" {
+			t.Errorf("client %s (%s): %d %q, want 404 \"Not Found\"",
+				client, resp.Header.Get("X-Cache"), resp.StatusCode, resp.Status)
+		}
+		if wire := string(resp.Marshal()); !strings.HasPrefix(wire, "HTTP/1.1 404 Not Found\r\n") {
+			t.Errorf("response %d on the wire: %q", i, wire)
+		}
+	}
+	if cache.Hits() != 1 || cache.Forwarded() != 1 {
+		t.Fatalf("hits=%d fwd=%d, want the second client served from the cache", cache.Hits(), cache.Forwarded())
+	}
+}
+
 func TestPrivateResponsesNotShared(t *testing.T) {
 	cache := NewSharedCache("proxy", 1<<20, false)
 	origin := func(*httpsim.Request) *httpsim.Response {

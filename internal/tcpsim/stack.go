@@ -186,7 +186,6 @@ func (s *Stack) Dial(dst netsim.Addr, dstPort uint16, h Handler) (*Conn, error) 
 		sndNxt: s.isn(),
 		h:      h,
 	}
-	c.iss = c.sndNxt
 	c.sndUna = c.sndNxt
 	s.conns[key] = c
 	c.sendSegment(Segment{Flags: FlagSYN, Seq: c.sndNxt, Window: DefaultWindow})
@@ -236,7 +235,6 @@ func (s *Stack) receive(_ time.Duration, pkt netsim.Packet) {
 			rcvNxt: SeqAdd(seg.Seq, 1),
 		}
 		c.h = accept(c)
-		c.iss = c.sndNxt
 		c.sndUna = c.sndNxt
 		s.conns[key] = c
 		c.sendSegment(Segment{
@@ -271,7 +269,6 @@ type Conn struct {
 	key   connKey
 	state State
 
-	iss    uint32 // initial send sequence
 	sndNxt uint32
 	rcvNxt uint32
 
@@ -281,8 +278,6 @@ type Conn struct {
 	// them, and draining slides them down in place.
 	rcvWin  []byte
 	rcvHave []bool
-
-	lastAck uint32
 
 	// Retransmission state (active only when the stack enables it):
 	// sndUna is the oldest unacknowledged sequence number, rtxQ the
@@ -428,11 +423,8 @@ func (c *Conn) handle(seg Segment) {
 	if len(seg.Payload) > 0 {
 		c.ingest(seg)
 	}
-	if seg.Flags&FlagACK != 0 {
-		c.lastAck = seg.Ack
-		if c.stack.retransmit {
-			c.processAck(seg.Ack, len(seg.Payload) > 0)
-		}
+	if seg.Flags&FlagACK != 0 && c.stack.retransmit {
+		c.processAck(seg.Ack, len(seg.Payload) > 0)
 	}
 	if seg.Flags&FlagFIN != 0 && SeqLEQ(seg.Seq, c.rcvNxt) {
 		c.rcvNxt = SeqAdd(c.rcvNxt, 1)
