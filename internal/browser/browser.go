@@ -271,7 +271,7 @@ func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(*httpsim.R
 		}
 		b.netFetches++
 		b.absorb(host, resp)
-		if e := httpcache.EntryFromResponse(b.net.Now(), url, host, resp); e != nil {
+		if e := httpcache.EntryFromResponse(b.net.Now(), url, host, resp, false); e != nil {
 			b.cache.Put(pageHost, e)
 			if b.Profile.Ballooning && b.Profile.MemoryLimit > 0 &&
 				b.cache.Size() > b.Profile.MemoryLimit {

@@ -598,7 +598,7 @@ func TestCSPWildcardSubdomain(t *testing.T) {
 
 func mustEntry(t *testing.T, url string, resp *httpsim.Response) *httpcache.Entry {
 	t.Helper()
-	e := httpcache.EntryFromResponse(0, url, hostOf(url), resp)
+	e := httpcache.EntryFromResponse(0, url, hostOf(url), resp, false)
 	if e == nil {
 		t.Fatal("uncacheable response in fixture")
 	}

@@ -118,12 +118,13 @@ func (e *pageEnv) AddImage(url string, onload func(width, height int, ok bool)) 
 // persistence).
 func (e *pageEnv) CacheAPIPut(url string, resp *httpsim.Response) {
 	url = normalizeURL(e.page().Host, url)
-	entry := httpcache.EntryFromResponse(e.Now(), url, hostOf(url), resp)
+	entry := httpcache.EntryFromResponse(e.Now(), url, hostOf(url), resp, false)
 	if entry == nil {
-		// Cache API storage ignores no-store; store anyway.
+		// Cache API storage ignores HTTP's storage rule (no-store, or
+		// a status stored only with explicit freshness); store anyway.
 		clean := resp.Clone()
 		clean.Header.Set("Cache-Control", "max-age=31536000")
-		entry = httpcache.EntryFromResponse(e.Now(), url, hostOf(url), clean)
+		entry = httpcache.EntryFromResponse(e.Now(), url, hostOf(url), clean, false)
 	}
 	e.browser().cacheAPI.Put(entry)
 }

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -154,13 +155,15 @@ func NewScenario(cfg Config) (*Scenario, error) {
 	atkStack := tcpsim.NewStack(s.Net, atkIfc, stackOpts(cfg.Seed+200)...)
 	s.CNC = cnc.NewMasterServer()
 	cncHandler := attacker.CNCAdapter(s.CNC)
-	junkBlob := strings.Repeat("j", 4096)
+	// Every junk reply shares one read-only body: only the server reads
+	// it, when it marshals the reply.
+	junkBody := bytes.Repeat([]byte("j"), 4096)
 	if _, err := httpsim.NewServer(atkStack, 80, nil, func(req *httpsim.Request) *httpsim.Response {
 		switch req.Host {
 		case MasterHost:
 			return cncHandler(req)
 		case JunkHost:
-			resp := httpsim.NewResponse(200, []byte(junkBlob))
+			resp := httpsim.NewResponse(200, junkBody)
 			resp.Header.Set("Content-Type", "image/jpeg")
 			resp.Header.Set("Cache-Control", "public, max-age=31536000")
 			return resp

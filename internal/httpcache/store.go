@@ -24,21 +24,44 @@ type Entry struct {
 }
 
 // DefaultHeuristicTTL applies when a response carries no explicit
-// freshness information (RFC 7234 §4.2.2 heuristic).
+// freshness information (RFC 9111 §4.2.2 heuristic).
 const DefaultHeuristicTTL = 10 * time.Minute
 
-// EntryFromResponse derives a cache entry from a response, or nil when the
-// response is uncacheable (no-store). Its TTL is max-age, the lifetime
-// of every cache; a shared cache that honours s-maxage sets it on the
-// entry itself.
-func EntryFromResponse(now time.Duration, url, domain string, resp *httpsim.Response) *Entry {
+// heuristicallyCacheable reports whether a response with this status
+// may be stored without explicit freshness: RFC 9111 §4.2.2 allows a
+// heuristic lifetime only for the codes RFC 9110 §15.1 lists. Any
+// other status, a transient 500 included, is stored only with a
+// lifetime of its own.
+func heuristicallyCacheable(code int) bool {
+	switch code {
+	case 200, 203, 204, 206, 300, 301, 308, 404, 405, 410, 414, 501:
+		return true
+	}
+	return false
+}
+
+// EntryFromResponse derives a cache entry from a response, or nil when
+// the response may not be stored. It is the one storage rule for the
+// browser's private cache and the shared proxy caches: no-store is never
+// stored, and neither is a status that is not heuristically cacheable
+// unless it carries explicit freshness. The TTL is max-age; a shared
+// cache also refuses private responses, and s-maxage, when present, is
+// its lifetime in place of max-age (RFC 9111 §5.2.2.7, §5.2.2.10).
+func EntryFromResponse(now time.Duration, url, domain string, resp *httpsim.Response, shared bool) *Entry {
 	cc := ParseCacheControl(resp.Header.Get("Cache-Control"))
-	if cc.NoStore {
+	if cc.NoStore || shared && cc.Private {
 		return nil
 	}
-	ttl := DefaultHeuristicTTL
-	if cc.HasMaxAge {
+	var ttl time.Duration
+	switch {
+	case shared && cc.HasSMaxAge:
+		ttl = cc.SMaxAge
+	case cc.HasMaxAge:
 		ttl = cc.MaxAge
+	case heuristicallyCacheable(resp.StatusCode):
+		ttl = DefaultHeuristicTTL
+	default:
+		return nil
 	}
 	return &Entry{
 		URL:        url,

@@ -66,14 +66,14 @@ func TestEntryIgnoresSMaxAge(t *testing.T) {
 		{"s-maxage=120", DefaultHeuristicTTL},
 		{"max-age=10, s-maxage=120", 10 * time.Second},
 	} {
-		if e := EntryFromResponse(0, "a.com/x.js", "a.com", respWithCC(c.cc, "x")); e == nil || e.TTL != c.want {
+		if e := EntryFromResponse(0, "a.com/x.js", "a.com", respWithCC(c.cc, "x"), false); e == nil || e.TTL != c.want {
 			t.Errorf("Cache-Control %q: entry %+v, want TTL %v", c.cc, e, c.want)
 		}
 	}
 }
 
 func TestEntryFromResponseFreshness(t *testing.T) {
-	e := EntryFromResponse(0, "a.com/x.js", "a.com", respWithCC("max-age=60", "body"))
+	e := EntryFromResponse(0, "a.com/x.js", "a.com", respWithCC("max-age=60", "body"), false)
 	if e == nil {
 		t.Fatal("entry is nil")
 	}
@@ -86,13 +86,13 @@ func TestEntryFromResponseFreshness(t *testing.T) {
 }
 
 func TestEntryNoStoreUncacheable(t *testing.T) {
-	if e := EntryFromResponse(0, "a.com/x", "a.com", respWithCC("no-store", "x")); e != nil {
+	if e := EntryFromResponse(0, "a.com/x", "a.com", respWithCC("no-store", "x"), false); e != nil {
 		t.Fatal("no-store response produced an entry")
 	}
 }
 
 func TestEntryNoCacheNeverFresh(t *testing.T) {
-	e := EntryFromResponse(0, "a.com/x", "a.com", respWithCC("no-cache, max-age=60", "x"))
+	e := EntryFromResponse(0, "a.com/x", "a.com", respWithCC("no-cache, max-age=60", "x"), false)
 	if e == nil {
 		t.Fatal("nil entry")
 	}
@@ -102,14 +102,78 @@ func TestEntryNoCacheNeverFresh(t *testing.T) {
 }
 
 func TestEntryHeuristicTTL(t *testing.T) {
-	e := EntryFromResponse(0, "a.com/x", "a.com", respWithCC("", "x"))
+	e := EntryFromResponse(0, "a.com/x", "a.com", respWithCC("", "x"), false)
 	if e.TTL != DefaultHeuristicTTL {
 		t.Fatalf("TTL = %v, want heuristic %v", e.TTL, DefaultHeuristicTTL)
 	}
 }
 
+// TestHeuristicFreshnessOnlyForCacheableCodes: without explicit
+// freshness only the codes RFC 9110 §15.1 lists as heuristically
+// cacheable are stored (RFC 9111 §4.2.2), so a transient 500 is not
+// served from cache for DefaultHeuristicTTL, while a 404 still is; with
+// a max-age, or an s-maxage in a shared cache, any status is stored.
+func TestHeuristicFreshnessOnlyForCacheableCodes(t *testing.T) {
+	for _, c := range []struct {
+		code   int
+		cc     string
+		shared bool
+		want   time.Duration // 0: not stored
+	}{
+		{500, "", false, 0},
+		{500, "", true, 0},
+		{403, "", false, 0},
+		{302, "", false, 0},
+		{400, "", false, 0},
+		{304, "", false, 0},
+		{500, "s-maxage=30", false, 0},
+		{404, "", false, DefaultHeuristicTTL},
+		{404, "", true, DefaultHeuristicTTL},
+		{200, "", false, DefaultHeuristicTTL},
+		{301, "", false, DefaultHeuristicTTL},
+		{501, "", false, DefaultHeuristicTTL},
+		{500, "max-age=60", false, time.Minute},
+		{500, "s-maxage=30", true, 30 * time.Second},
+	} {
+		resp := httpsim.NewResponse(c.code, []byte("x"))
+		if c.cc != "" {
+			resp.Header.Set("Cache-Control", c.cc)
+		}
+		e := EntryFromResponse(0, "a.com/x", "a.com", resp, c.shared)
+		switch {
+		case c.want == 0 && e != nil:
+			t.Errorf("%d %q (shared %v): stored with TTL %v, want not stored", c.code, c.cc, c.shared, e.TTL)
+		case c.want != 0 && (e == nil || e.TTL != c.want || e.StatusCode != c.code):
+			t.Errorf("%d %q (shared %v): entry %+v, want %d with TTL %v", c.code, c.cc, c.shared, e, c.code, c.want)
+		}
+	}
+}
+
+// TestSharedEntryRule: a shared cache refuses private responses and
+// lives by s-maxage in place of max-age (RFC 9111 §5.2.2.7, §5.2.2.10);
+// the private cache stores the first and ignores the second.
+func TestSharedEntryRule(t *testing.T) {
+	for _, c := range []struct {
+		cc     string
+		shared bool
+		stored bool
+		ttl    time.Duration
+	}{
+		{"private, max-age=600", false, true, 10 * time.Minute},
+		{"private, max-age=600", true, false, 0},
+		{"max-age=10, s-maxage=120", false, true, 10 * time.Second},
+		{"max-age=10, s-maxage=120", true, true, 2 * time.Minute},
+		{"s-maxage=0, max-age=60", true, true, 0},
+	} {
+		e := EntryFromResponse(0, "a.com/x", "a.com", respWithCC(c.cc, "x"), c.shared)
+		if (e != nil) != c.stored || e != nil && e.TTL != c.ttl {
+			t.Errorf("%q (shared %v): entry %+v, want stored=%v with TTL %v", c.cc, c.shared, e, c.stored, c.ttl)
+		}
+	}
+}
+
 func TestEntryToResponseIndependence(t *testing.T) {
-	e := EntryFromResponse(0, "a.com/x", "a.com", respWithCC("max-age=1", "abc"))
+	e := EntryFromResponse(0, "a.com/x", "a.com", respWithCC("max-age=1", "abc"), false)
 	r := e.ToResponse()
 	r.Body[0] = 'X'
 	r.Header.Set("Injected", "yes")
@@ -120,7 +184,7 @@ func TestEntryToResponseIndependence(t *testing.T) {
 
 func TestStorePutGet(t *testing.T) {
 	s := NewStore(Options{Capacity: 1 << 20})
-	e := EntryFromResponse(0, "a.com/x.js", "a.com", respWithCC("max-age=60", "body"))
+	e := EntryFromResponse(0, "a.com/x.js", "a.com", respWithCC("max-age=60", "body"), false)
 	s.Put("a.com", e)
 	got, ok := s.Get("a.com", "a.com/x.js")
 	if !ok || string(got.Body) != "body" {
@@ -136,8 +200,8 @@ func TestStorePutGet(t *testing.T) {
 
 func TestStoreReplaceSameKey(t *testing.T) {
 	s := NewStore(Options{Capacity: 1 << 20})
-	s.Put("", EntryFromResponse(0, "a.com/x", "a.com", respWithCC("max-age=9", "old")))
-	s.Put("", EntryFromResponse(0, "a.com/x", "a.com", respWithCC("max-age=9", "new")))
+	s.Put("", EntryFromResponse(0, "a.com/x", "a.com", respWithCC("max-age=9", "old"), false))
+	s.Put("", EntryFromResponse(0, "a.com/x", "a.com", respWithCC("max-age=9", "new"), false))
 	if s.Len() != 1 {
 		t.Fatalf("len = %d, want 1", s.Len())
 	}
@@ -151,7 +215,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	// Three ~equal entries in a cache that fits two: touching the oldest
 	// should protect it under LRU.
 	mkEntry := func(url string) *Entry {
-		return EntryFromResponse(0, url, "a.com", respWithCC("max-age=60", "0123456789"))
+		return EntryFromResponse(0, url, "a.com", respWithCC("max-age=60", "0123456789"), false)
 	}
 	one := mkEntry("a.com/1")
 	cap2 := int64(one.Size()*2 + 4)
@@ -170,7 +234,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestFIFOEvictionIgnoresRecency(t *testing.T) {
 	mkEntry := func(url string) *Entry {
-		return EntryFromResponse(0, url, "a.com", respWithCC("max-age=60", "0123456789"))
+		return EntryFromResponse(0, url, "a.com", respWithCC("max-age=60", "0123456789"), false)
 	}
 	one := mkEntry("a.com/1")
 	s := NewStore(Options{Capacity: int64(one.Size()*2 + 4), Policy: FIFO})
@@ -187,10 +251,10 @@ func TestEvictionFloodSupplantsVictimObjects(t *testing.T) {
 	// The §IV attack in miniature: cached objects of popular.com are
 	// supplanted by a flood of attacker junk objects.
 	s := NewStore(Options{Capacity: 4096})
-	s.Put("", EntryFromResponse(0, "popular.com/app.js", "popular.com", respWithCC("max-age=3600", "important")))
+	s.Put("", EntryFromResponse(0, "popular.com/app.js", "popular.com", respWithCC("max-age=3600", "important"), false))
 	for i := 0; i < 100; i++ {
 		url := fmt.Sprintf("attacker.com/junk%02d.jpg", i)
-		s.Put("", EntryFromResponse(0, url, "attacker.com", respWithCC("max-age=3600", string(make([]byte, 200)))))
+		s.Put("", EntryFromResponse(0, url, "attacker.com", respWithCC("max-age=3600", string(make([]byte, 200))), false))
 	}
 	if s.Contains("", "popular.com/app.js") {
 		t.Fatal("victim object survived the eviction flood")
@@ -206,7 +270,7 @@ func TestBallooningNeverEvicts(t *testing.T) {
 	s := NewStore(Options{Capacity: 1024, Ballooning: true})
 	for i := 0; i < 50; i++ {
 		url := fmt.Sprintf("x.com/%d", i)
-		s.Put("", EntryFromResponse(0, url, "x.com", respWithCC("max-age=60", string(make([]byte, 100)))))
+		s.Put("", EntryFromResponse(0, url, "x.com", respWithCC("max-age=60", string(make([]byte, 100))), false))
 	}
 	if s.Stats().Evictions != 0 {
 		t.Fatal("ballooning store evicted")
@@ -223,7 +287,7 @@ func TestPartitionedStoreIsolatesContexts(t *testing.T) {
 	// §VIII countermeasure: with partitioning, an entry cached under one
 	// top-level site is invisible to another.
 	s := NewStore(Options{Capacity: 1 << 20, Partitioned: true})
-	s.Put("site-a.com", EntryFromResponse(0, "cdn.com/lib.js", "cdn.com", respWithCC("max-age=60", "lib")))
+	s.Put("site-a.com", EntryFromResponse(0, "cdn.com/lib.js", "cdn.com", respWithCC("max-age=60", "lib"), false))
 	if _, ok := s.Get("site-b.com", "cdn.com/lib.js"); ok {
 		t.Fatal("partitioned cache leaked across contexts")
 	}
@@ -234,7 +298,7 @@ func TestPartitionedStoreIsolatesContexts(t *testing.T) {
 
 func TestUnpartitionedStoreShared(t *testing.T) {
 	s := NewStore(Options{Capacity: 1 << 20})
-	s.Put("site-a.com", EntryFromResponse(0, "cdn.com/lib.js", "cdn.com", respWithCC("max-age=60", "lib")))
+	s.Put("site-a.com", EntryFromResponse(0, "cdn.com/lib.js", "cdn.com", respWithCC("max-age=60", "lib"), false))
 	if _, ok := s.Get("site-b.com", "cdn.com/lib.js"); !ok {
 		t.Fatal("shared cache should serve any context")
 	}
@@ -242,8 +306,8 @@ func TestUnpartitionedStoreShared(t *testing.T) {
 
 func TestClearAndDelete(t *testing.T) {
 	s := NewStore(Options{Capacity: 1 << 20})
-	s.Put("", EntryFromResponse(0, "a.com/1", "a.com", respWithCC("max-age=60", "x")))
-	s.Put("", EntryFromResponse(0, "a.com/2", "a.com", respWithCC("max-age=60", "y")))
+	s.Put("", EntryFromResponse(0, "a.com/1", "a.com", respWithCC("max-age=60", "x"), false))
+	s.Put("", EntryFromResponse(0, "a.com/2", "a.com", respWithCC("max-age=60", "y"), false))
 	s.Clear()
 	if s.Len() != 0 || s.Size() != 0 {
 		t.Fatal("clear left residue")
@@ -252,8 +316,8 @@ func TestClearAndDelete(t *testing.T) {
 
 func TestCountWhere(t *testing.T) {
 	s := NewStore(Options{})
-	s.Put("", EntryFromResponse(0, "a.com/1.js", "a.com", respWithCC("max-age=60", "x")))
-	s.Put("", EntryFromResponse(0, "a.com/1.png", "a.com", respWithCC("max-age=60", "x")))
+	s.Put("", EntryFromResponse(0, "a.com/1.js", "a.com", respWithCC("max-age=60", "x"), false))
+	s.Put("", EntryFromResponse(0, "a.com/1.png", "a.com", respWithCC("max-age=60", "x"), false))
 	n := s.CountWhere(func(e *Entry) bool { return e.URL[len(e.URL)-3:] == ".js" })
 	if n != 1 {
 		t.Fatalf("CountWhere = %d", n)
@@ -270,7 +334,7 @@ func TestSizeInvariantUnderCapacity(t *testing.T) {
 				b = b[:512]
 			}
 			url := fmt.Sprintf("d%d.com/o", i)
-			s.Put("", EntryFromResponse(0, url, "d.com", respWithCC("max-age=5", string(b))))
+			s.Put("", EntryFromResponse(0, url, "d.com", respWithCC("max-age=5", string(b)), false))
 		}
 		var sum int64
 		for _, u := range s.URLs() {
@@ -312,7 +376,7 @@ func TestCookieJar(t *testing.T) {
 
 func TestCacheAPIStoreLifecycle(t *testing.T) {
 	s := NewCacheAPIStore()
-	e := EntryFromResponse(0, "top1.com/persistent.js", "top1.com", respWithCC("max-age=1", "parasite"))
+	e := EntryFromResponse(0, "top1.com/persistent.js", "top1.com", respWithCC("max-age=1", "parasite"), false)
 	s.Put(e)
 	// Cache API entries ignore HTTP freshness entirely.
 	got, ok := s.Get("top1.com/persistent.js")
@@ -330,7 +394,7 @@ func TestCacheAPIStoreLifecycle(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	s := NewStore(Options{})
-	s.Put("", EntryFromResponse(0, "a.com/x", "a.com", respWithCC("max-age=60", "x")))
+	s.Put("", EntryFromResponse(0, "a.com/x", "a.com", respWithCC("max-age=60", "x"), false))
 	s.Get("", "a.com/x")
 	s.Get("", "a.com/missing")
 	st := s.Stats()

@@ -365,6 +365,17 @@ func contentLength(hdr Header) (int, error) {
 	return clen, nil
 }
 
+// attachBody returns the clen body bytes that follow a head ending at
+// bodyOff in data, capacity-clamped so appending to the body cannot
+// scribble past the message, or false until they have all arrived. The
+// comparison cannot overflow, whatever Content-Length claims.
+func attachBody(data []byte, bodyOff, clen int) ([]byte, bool) {
+	if clen > len(data)-bodyOff {
+		return nil, false
+	}
+	return data[bodyOff : bodyOff+clen : bodyOff+clen], true
+}
+
 // ParseRequest decodes one request from data, returning the message and
 // the number of bytes consumed. It returns ErrIncomplete until a full
 // message is buffered. A head that does not open with a request line
@@ -377,6 +388,22 @@ func ParseRequest(data []byte) (*Request, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	r, clen, err := parseRequestHead(head)
+	if err != nil {
+		return nil, 0, err
+	}
+	var ok bool
+	if r.Body, ok = attachBody(data, bodyOff, clen); !ok {
+		return nil, 0, ErrIncomplete
+	}
+	return r, bodyOff + clen, nil
+}
+
+// parseRequestHead decodes a request's head, the bytes before its blank
+// line, into a message without its body, and returns the body's
+// Content-Length. A head that does not open with a request line fails
+// with the bare ErrMalformed before anything is allocated.
+func parseRequestHead(head []byte) (*Request, int, error) {
 	if !isRequestLine(head) {
 		return nil, 0, ErrMalformed
 	}
@@ -392,14 +419,10 @@ func ParseRequest(data []byte) (*Request, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if clen > len(data)-bodyOff {
-		return nil, 0, ErrIncomplete
-	}
 	r.Host = hdr.Get("Host")
 	hdr.Del("Host")
 	r.Header = hdr
-	r.Body = data[bodyOff : bodyOff+clen : bodyOff+clen]
-	return r, bodyOff + clen, nil
+	return r, clen, nil
 }
 
 // ParseResponse decodes one response from data, returning the message and
@@ -410,6 +433,19 @@ func ParseResponse(data []byte) (*Response, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	r, clen, err := parseResponseHead(head)
+	if err != nil {
+		return nil, 0, err
+	}
+	var ok bool
+	if r.Body, ok = attachBody(data, bodyOff, clen); !ok {
+		return nil, 0, ErrIncomplete
+	}
+	return r, bodyOff + clen, nil
+}
+
+// parseResponseHead is parseRequestHead for a response.
+func parseResponseHead(head []byte) (*Response, int, error) {
 	startLine, rest := parseHead(head)
 	proto, codeStatus, ok := strings.Cut(startLine, " ")
 	if !ok || !strings.HasPrefix(proto, "HTTP/") {
@@ -429,10 +465,6 @@ func ParseResponse(data []byte) (*Response, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if clen > len(data)-bodyOff {
-		return nil, 0, ErrIncomplete
-	}
 	r.Header = hdr
-	r.Body = data[bodyOff : bodyOff+clen : bodyOff+clen]
-	return r, bodyOff + clen, nil
+	return r, clen, nil
 }

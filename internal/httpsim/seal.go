@@ -83,6 +83,23 @@ func Seal(host string, plaintext []byte) []byte {
 	return out
 }
 
+// frameSize reads the length of the frame buf starts with, header
+// included, from its header alone: ErrSealIncomplete until the header
+// has arrived, ErrSealCorrupt for a header no Seal writes.
+func frameSize(buf []byte) (int, error) {
+	if len(buf) < sealHeader {
+		return 0, ErrSealIncomplete
+	}
+	if !LooksSealed(buf) {
+		return 0, fmt.Errorf("%w: bad magic", ErrSealCorrupt)
+	}
+	n := int(binary.BigEndian.Uint32(buf[4:8]))
+	if n > 1<<30 {
+		return 0, fmt.Errorf("%w: bad length", ErrSealCorrupt)
+	}
+	return sealHeader + n, nil
+}
+
 // Open decrypts the first complete frame in buf under host's key. It
 // returns ErrSealIncomplete until a full frame is buffered and
 // ErrSealCorrupt for a frame that is malformed or sealed under another
@@ -97,21 +114,15 @@ func Open(host string, buf []byte) ([]byte, error) {
 // host with the plaintext: a server holding several hosts' certificates
 // learns which one its client sealed for. The errors are Open's.
 func OpenAny(hosts []string, buf []byte) (string, []byte, error) {
-	if len(buf) < sealHeader {
-		return "", nil, ErrSealIncomplete
+	size, err := frameSize(buf)
+	if err != nil {
+		return "", nil, err
 	}
-	if !LooksSealed(buf) {
-		return "", nil, fmt.Errorf("%w: bad magic", ErrSealCorrupt)
-	}
-	n := int(binary.BigEndian.Uint32(buf[4:8]))
-	if n > 1<<30 {
-		return "", nil, fmt.Errorf("%w: bad length", ErrSealCorrupt)
-	}
-	if len(buf) < sealHeader+n {
+	if len(buf) < size {
 		return "", nil, ErrSealIncomplete
 	}
 	want := [8]byte(buf[8:sealHeader])
-	body := buf[sealHeader : sealHeader+n]
+	body := buf[sealHeader:size]
 	for _, host := range hosts {
 		if tag(host, body) == want {
 			plaintext := make([]byte, len(body))

@@ -154,16 +154,7 @@ func (c *SharedCache) Handle(clientID string, req *httpsim.Request, origin https
 	if resp == nil {
 		return httpsim.NewResponse(502, nil)
 	}
-	host := req.Host
-	if e := httpcache.EntryFromResponse(0, url, host, resp); e != nil {
-		cc := httpcache.ParseCacheControl(resp.Header.Get("Cache-Control"))
-		if !cc.Private { // shared caches must not store private responses
-			if cc.HasSMaxAge { // a shared cache's own lifetime (RFC 9111 §5.2.2.10)
-				e.TTL = cc.SMaxAge
-			}
-			c.store.Put(partition, e)
-		}
-	}
+	c.store.Put(partition, httpcache.EntryFromResponse(0, url, req.Host, resp, true))
 	out := resp.Clone()
 	out.Header.Set("X-Cache", "MISS from "+c.name)
 	return out

@@ -130,6 +130,31 @@ func TestCachedErrorKeepsItsStatus(t *testing.T) {
 	}
 }
 
+// TestTransientErrorNotCached: a 500 without explicit freshness is not
+// heuristically cacheable (RFC 9111 §4.2.2, RFC 9110 §15.1), so the
+// next client reaches the origin again instead of the stored error; a
+// 404 is, and is served from the cache.
+func TestTransientErrorNotCached(t *testing.T) {
+	for _, c := range []struct {
+		code    int
+		wantHit bool
+	}{{500, false}, {404, true}} {
+		cache := NewSharedCache("squid", 1<<20, false)
+		origin := func(*httpsim.Request) *httpsim.Response {
+			return httpsim.NewResponse(c.code, []byte("origin says so"))
+		}
+		req := httpsim.NewRequest("GET", "top1.com", "/lib.js")
+		cache.Handle("c1", req, origin)
+		resp := cache.Handle("c2", req, origin)
+		if hit := strings.HasPrefix(resp.Header.Get("X-Cache"), "HIT"); hit != c.wantHit || resp.StatusCode != c.code {
+			t.Errorf("%d: second client got %d with X-Cache %q, want hit=%v", c.code, resp.StatusCode, resp.Header.Get("X-Cache"), c.wantHit)
+		}
+		if stored := cache.Len() == 1; stored != c.wantHit {
+			t.Errorf("%d: %d entries stored", c.code, cache.Len())
+		}
+	}
+}
+
 func TestPrivateResponsesNotShared(t *testing.T) {
 	cache := NewSharedCache("proxy", 1<<20, false)
 	origin := func(*httpsim.Request) *httpsim.Response {

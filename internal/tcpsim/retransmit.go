@@ -1,6 +1,9 @@
 package tcpsim
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Retransmission defaults. The base RTO is comfortably above the
 // simulation's worst-case clean round trip (~24ms through the scenario
@@ -41,13 +44,14 @@ func WithISN(isn uint32) StackOption {
 }
 
 // rtxSeg is one unacknowledged sequence-consuming segment awaiting
-// either an ACK or a retransmission. The payload is copied: callers may
-// reuse their buffers the moment Write returns.
+// either an ACK or a retransmission. Its payload bytes sit in the
+// connection's send buffer, after those of the segments queued before
+// it.
 type rtxSeg struct {
-	seq     uint32
-	flags   Flags
-	payload []byte
-	seqLen  int // sequence space consumed: len(payload), +1 for SYN/FIN
+	seq    uint32
+	flags  Flags
+	size   int // payload bytes
+	seqLen int // sequence space consumed: size, +1 for SYN/FIN
 }
 
 // seqConsumed reports how much sequence space a segment occupies; only
@@ -60,19 +64,30 @@ func seqConsumed(seg Segment) int {
 	return n
 }
 
-// track queues a sequence-consuming segment for possible retransmission
-// and arms the RTO timer if the queue was empty.
+// track queues a sequence-consuming segment for possible retransmission,
+// appending its payload to the send buffer (callers may reuse their
+// buffers the moment Write returns), and arms the RTO timer if the
+// queue was empty.
 func (c *Conn) track(seg Segment, seqLen int) {
-	var pay []byte
-	if len(seg.Payload) > 0 {
-		pay = append([]byte(nil), seg.Payload...)
-	}
-	c.rtxQ = append(c.rtxQ, rtxSeg{seq: seg.Seq, flags: seg.Flags, payload: pay, seqLen: seqLen})
+	c.reserveSend(len(seg.Payload))
+	c.sndBuf = append(c.sndBuf, seg.Payload...)
+	c.rtxQ = append(c.rtxQ, rtxSeg{seq: seg.Seq, flags: seg.Flags, size: len(seg.Payload), seqLen: seqLen})
 	if len(c.rtxQ) == 1 {
 		c.rtoBackoff = 0
 		c.retries = 0
 		c.armTimer()
 	}
+}
+
+// reserveSend makes room for n more unacknowledged bytes. The buffer
+// slides its live bytes down over the acknowledged ones first when that
+// makes room, so it grows only past the connection's largest backlog.
+func (c *Conn) reserveSend(n int) {
+	if c.sndOff > 0 && cap(c.sndBuf)-len(c.sndBuf) < n {
+		live := copy(c.sndBuf, c.sndBuf[c.sndOff:])
+		c.sndBuf, c.sndOff = c.sndBuf[:live], 0
+	}
+	c.sndBuf = slices.Grow(c.sndBuf, n)
 }
 
 // armTimer schedules the next RTO expiry. Bumping timerEpoch first
@@ -118,7 +133,7 @@ func (c *Conn) retransmitFirst() {
 	e := c.rtxQ[0]
 	c.stats.Retransmits++
 	flags := e.flags
-	seg := Segment{Flags: flags, Seq: e.seq, Window: DefaultWindow, Payload: e.payload}
+	seg := Segment{Flags: flags, Seq: e.seq, Window: DefaultWindow, Payload: c.sndBuf[c.sndOff : c.sndOff+e.size]}
 	if flags&FlagACK != 0 || c.state == StateEstablished || c.state == StateFinWait {
 		seg.Ack = c.rcvNxt
 	}
@@ -133,13 +148,24 @@ func (c *Conn) retransmitFirst() {
 func (c *Conn) processAck(ack uint32, hasPayload bool) {
 	if SeqLT(c.sndUna, ack) && SeqLEQ(ack, c.sndNxt) {
 		c.sndUna = ack
-		keep := c.rtxQ[:0]
-		for _, e := range c.rtxQ {
-			if SeqLT(ack, SeqAdd(e.seq, e.seqLen)) {
-				keep = append(keep, e)
-			}
+		// The queue is in send order, so the acknowledged segments are
+		// its prefix, and their payloads the send buffer's.
+		acked := 0
+		for acked < len(c.rtxQ) && !SeqLT(ack, SeqAdd(c.rtxQ[acked].seq, c.rtxQ[acked].seqLen)) {
+			c.sndOff += c.rtxQ[acked].size
+			acked++
 		}
-		c.rtxQ = keep
+		c.rtxQ = append(c.rtxQ[:0], c.rtxQ[acked:]...)
+		if len(c.rtxQ) == 0 {
+			// Nothing is outstanding: the buffer is reused from its
+			// first byte, unless the FIN was the last thing acknowledged.
+			// A connection that has sent it writes no more, and it may
+			// linger in FIN_WAIT for a FIN that never comes.
+			if c.state == StateFinWait {
+				c.sndBuf = nil
+			}
+			c.sndBuf, c.sndOff = c.sndBuf[:0], 0
+		}
 		c.dupAcks = 0
 		c.retries = 0
 		c.rtoBackoff = 0

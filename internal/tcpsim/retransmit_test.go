@@ -3,6 +3,7 @@ package tcpsim
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -51,6 +52,93 @@ func TestRetransmitRecoversFromLoss(t *testing.T) {
 	}
 	if conn.Stats().Retransmits == 0 {
 		t.Fatal("transfer completed without a single retransmission at 15% loss")
+	}
+}
+
+// TestRetransmitResendsTheLostBytes: over a lossy link, a stream of
+// distinct bytes written in pieces arrives intact. Each piece is written
+// as the server receives earlier ones, while some of them are still
+// unacknowledged, and from a buffer the writer scribbles over as soon as
+// Write returns. So every retransmission must resend the bytes of the
+// segment it repeats from the connection's own send buffer, wherever
+// they sit in it.
+func TestRetransmitResendsTheLostBytes(t *testing.T) {
+	p := netsim.LinkProfile{Name: "lossy", Loss: 0.15, Seed: 3}
+	l := faultyLab(t, p, WithMSS(512))
+	payload := make([]byte, 48<<10)
+	rand.New(rand.NewSource(29)).Read(payload)
+	var (
+		client  *Conn
+		sent    int
+		scratch []byte
+		got     []byte
+	)
+	writeNext := func() {
+		if sent == len(payload) {
+			return
+		}
+		end := min(sent+3000, len(payload))
+		scratch = append(scratch[:0], payload[sent:end]...)
+		if _, err := client.Write(scratch); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		for i := range scratch {
+			scratch[i] = 0xAA
+		}
+		sent = end
+	}
+	if err := l.server.Listen(80, accepting(onData(func(b []byte) {
+		got = append(got, b...)
+		writeNext()
+	}))); err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	if _, err := l.client.Dial("server", 80, &funcs{established: func(c *Conn) {
+		client = c
+		writeNext()
+	}}); err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	l.net.Run(0)
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("server got %d bytes, want %d — stream corrupted under loss", len(got), len(payload))
+	}
+	if client.Stats().Retransmits == 0 {
+		t.Fatal("transfer completed without a single retransmission at 15% loss")
+	}
+}
+
+// TestFinWaitDropsSendBuffer: a connection whose FIN is acknowledged
+// writes no more, so it lets go of its send buffer. The server side of
+// an HTTP exchange is such a connection, and it lingers in FIN_WAIT for
+// a FIN its client never sends, for as long as its stack lives.
+func TestFinWaitDropsSendBuffer(t *testing.T) {
+	l := newLab(t, WithRetransmit())
+	var server *Conn
+	if err := l.server.Listen(80, func(c *Conn) Handler {
+		server = c
+		return onData(func([]byte) {
+			if _, err := c.Write(make([]byte, 4000)); err != nil {
+				t.Errorf("write: %v", err)
+			}
+			_ = c.Close()
+		})
+	}); err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	if _, err := l.client.Dial("server", 80, &funcs{established: func(c *Conn) {
+		if _, err := c.Write([]byte("GET")); err != nil {
+			t.Errorf("write: %v", err)
+		}
+	}}); err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	l.net.Run(0)
+	if server == nil || server.State() != StateFinWait {
+		t.Fatalf("server connection %+v, want one in FIN_WAIT", server)
+	}
+	if len(server.rtxQ) != 0 || cap(server.sndBuf) != 0 {
+		t.Fatalf("FIN_WAIT connection holds %d queued segments and a %d-byte send buffer", len(server.rtxQ), cap(server.sndBuf))
 	}
 }
 

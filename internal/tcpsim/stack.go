@@ -281,12 +281,16 @@ type Conn struct {
 
 	// Retransmission state (active only when the stack enables it):
 	// sndUna is the oldest unacknowledged sequence number, rtxQ the
-	// outstanding sequence-consuming segments in send order. timerEpoch
+	// outstanding sequence-consuming segments in send order, and
+	// sndBuf[sndOff:] their payloads, back to back: retransmissions slice
+	// from it, and ACKs advance sndOff past what they cover. timerEpoch
 	// invalidates scheduled RTO expiries (netsim events cannot be
 	// cancelled, so stale epochs fire as no-ops); onTimer is onTimeout,
 	// bound once so that arming the timer allocates nothing.
 	sndUna     uint32
 	rtxQ       []rtxSeg
+	sndBuf     []byte
+	sndOff     int
 	rtoBackoff uint
 	retries    int
 	timerEpoch int32
@@ -315,11 +319,15 @@ var ErrClosed = errors.New("tcpsim: connection closed")
 
 // Write queues data for transmission, splitting it into MSS-sized
 // segments. It never keeps data: each segment is marshalled straight
-// into a pooled netsim frame, and the retransmission queue keeps its
-// own copy, so the caller may reuse data as soon as Write returns.
+// into a pooled netsim frame, and with retransmission on the
+// connection copies data into its send buffer, room for all of it made
+// at once, so the caller may reuse data as soon as Write returns.
 func (c *Conn) Write(data []byte) (int, error) {
 	if c.state == StateClosed {
 		return 0, ErrClosed
+	}
+	if c.stack.retransmit {
+		c.reserveSend(len(data))
 	}
 	sent := 0
 	for sent < len(data) {
@@ -467,6 +475,11 @@ func (c *Conn) ingest(seg Segment) {
 		c.deliver(seg.Payload[-d:])
 		return
 	}
+	if grow := d + len(seg.Payload) - len(c.rcvHave); grow > 0 {
+		// Extend the window once, to the segment's end.
+		c.rcvWin = append(c.rcvWin, make([]byte, grow)...)
+		c.rcvHave = append(c.rcvHave, make([]bool, grow)...)
+	}
 	for i, b := range seg.Payload {
 		off := d + i // position relative to rcvNxt
 		if off < 0 {
@@ -476,10 +489,6 @@ func (c *Conn) ingest(seg Segment) {
 			// "ignored" in the paper's figures.
 			c.stats.DuplicateBytes++
 			continue
-		}
-		for len(c.rcvHave) <= off {
-			c.rcvWin = append(c.rcvWin, 0)
-			c.rcvHave = append(c.rcvHave, false)
 		}
 		if c.rcvHave[off] {
 			switch c.stack.policy {
