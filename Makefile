@@ -67,12 +67,13 @@ bench-smoke:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
-## soak-smoke: the short soak gate — a few thousand retransmitting
-## echo rounds over a lossy, duplicating link, with the frame-pool
-## acquire/release counters required to balance (the full ≥10⁶-event
-## soak with ISN wraparound runs in `make test` via TestSoakLongHorizon)
+## soak-smoke: the short soak gate, a tcpsim test — a few thousand
+## retransmitting echo rounds over a lossy, duplicating link, with the
+## frame-pool acquire/release counters required to balance (the full
+## ≥10⁶-event soak with ISN wraparound runs in `make test` via
+## TestSoakLongHorizon)
 soak-smoke:
-	$(GO) test -short -run 'TestSoak' ./internal/experiments
+	$(GO) test -short -run 'TestSoak' ./internal/tcpsim
 
 ## artifacts: regenerate every artifact (short sizes) as JSON plus the
 ## run manifest into dist/, and record the scripted kill chain as a

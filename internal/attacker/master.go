@@ -64,31 +64,21 @@ type Master struct {
 	junkCount    int
 	junkSize     int
 
-	certs []string // hosts of fraudulent certificates (§V Discussion), in grant order
+	certs []string // hosts of fraudulent certificates (§V Discussion), in the order given
 
 	stats Stats
 }
 
-// Option configures a Master.
-type Option func(*Master)
-
-// WithFraudulentCert grants the master a mis-issued certificate for host,
-// letting it read and forge that host's sealed traffic.
-func WithFraudulentCert(host string) Option {
-	return func(m *Master) { m.certs = append(m.certs, host) }
-}
-
 // New attaches the master's tap to the victim's segment with the given
 // proximity delay (it must be closer than the uplink to win the race).
-func New(seg *netsim.Segment, proximity time.Duration, opts ...Option) *Master {
+// certs are the hosts of the mis-issued certificates the master holds,
+// which let it read and forge those hosts' sealed traffic; New keeps
+// the slice.
+func New(seg *netsim.Segment, proximity time.Duration, certs []string) *Master {
 	m := &Master{
 		targets:      make(map[string]*Target),
 		evictTrigger: make(map[string]bool),
-		junkCount:    64,
-		junkSize:     4096,
-	}
-	for _, opt := range opts {
-		opt(m)
+		certs:        certs,
 	}
 	m.sniffer = tcpsim.NewSniffer(seg, proximity, m.onSegment)
 	return m
@@ -113,13 +103,7 @@ func (m *Master) AddTarget(t Target) {
 // junkCount objects of junkSize bytes from junkHost.
 func (m *Master) EnableEviction(junkHost string, junkCount, junkSize int, triggers ...string) {
 	m.evictionOn = true
-	m.junkHost = junkHost
-	if junkCount > 0 {
-		m.junkCount = junkCount
-	}
-	if junkSize > 0 {
-		m.junkSize = junkSize
-	}
+	m.junkHost, m.junkCount, m.junkSize = junkHost, junkCount, junkSize
 	for _, h := range triggers {
 		m.evictTrigger[h] = true
 	}
@@ -174,29 +158,15 @@ func isNavigation(req *httpsim.Request) bool {
 	return p == "/" || strings.HasSuffix(p, ".html")
 }
 
-// inject races the spoofed response against the genuine server, splitting
-// it into MSS-sized spoofed segments marshalled directly into pooled
-// frames. A non-empty certHost seals the response under that
-// certificate's host, as the request it answers was sealed.
+// inject races the spoofed response against the genuine server. A
+// non-empty certHost seals the response under that certificate's host,
+// as the request it answers was sealed.
 func (m *Master) inject(o tcpsim.Observed, resp *httpsim.Response, certHost string) {
 	wire := resp.Marshal()
 	if certHost != "" {
 		wire = httpsim.Seal(certHost, wire)
 	}
-	tmpl := tcpsim.SpoofSegment(o)
-	tap := m.sniffer.Tap()
-	const mss = tcpsim.DefaultMSS
-	for off := 0; off < len(wire); off += mss {
-		end := off + mss
-		if end > len(wire) {
-			end = len(wire)
-		}
-		seg := tmpl
-		seg.Seq = tcpsim.SeqAdd(tmpl.Seq, off)
-		seg.Payload = wire[off:end]
-		tap.InjectPayload(o.Dst, o.Src, netsim.ProtoTCP,
-			func(dst []byte) []byte { return seg.AppendMarshal(dst) })
-	}
+	m.sniffer.Inject(o, wire)
 	m.stats.Injections++
 }
 

@@ -18,7 +18,7 @@ import (
 )
 
 func TestBuildInfectedResponseJS(t *testing.T) {
-	m := New(netsim.New().MustSegment("x", 0), 0)
+	m := New(netsim.New().MustSegment("x", 0), 0, nil)
 	resp := m.BuildInfectedResponse(&Target{
 		Name: "a.com/lib.js", Kind: KindJS,
 		ParasitePayload: "p1", Original: []byte("function lib(){}"),
@@ -42,7 +42,7 @@ func TestBuildInfectedResponseJS(t *testing.T) {
 }
 
 func TestBuildInfectedResponseHTML(t *testing.T) {
-	m := New(netsim.New().MustSegment("x", 0), 0)
+	m := New(netsim.New().MustSegment("x", 0), 0, nil)
 	resp := m.BuildInfectedResponse(&Target{
 		Name: "a.com/", Kind: KindHTML,
 		ParasitePayload: "p2", Original: []byte("<html><body><h1>x</h1></body></html>"),
@@ -168,7 +168,7 @@ func TestMasterSkipsReloadOriginalRequests(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	m := New(seg, 0)
+	m := New(seg, 0, nil)
 	m.AddTarget(Target{Name: "a.com/x.js", Kind: KindJS, ParasitePayload: "p", Original: []byte("o")})
 
 	cliIfc := seg.MustAttach("client", 0, nil)
@@ -203,7 +203,7 @@ func TestMasterSkipsReloadOriginalRequests(t *testing.T) {
 func TestMasterIgnoresSealedWithoutCert(t *testing.T) {
 	n := netsim.New()
 	seg := n.MustSegment("wifi", time.Millisecond)
-	m := New(seg, 0)
+	m := New(seg, 0, nil)
 	m.AddTarget(Target{Name: "a.com/x.js", Kind: KindJS, ParasitePayload: "p", Original: []byte("o")})
 	// Emit a sealed frame directly onto the segment.
 	src := seg.MustAttach("client", 0, nil)
@@ -223,7 +223,7 @@ func TestMasterIgnoresSealedWithoutCert(t *testing.T) {
 func TestMasterDecryptsWithCert(t *testing.T) {
 	n := netsim.New()
 	seg := n.MustSegment("wifi", time.Millisecond)
-	m := New(seg, 0, WithFraudulentCert("a.com"))
+	m := New(seg, 0, []string{"a.com"})
 	m.AddTarget(Target{Name: "a.com/x.js", Kind: KindJS, ParasitePayload: "p", Original: []byte("o")})
 	src := seg.MustAttach("client", 0, nil)
 	sealed := httpsim.Seal("a.com", httpsim.NewRequest("GET", "a.com", "/x.js").Marshal())

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"masterparasite/internal/httpcache"
 	"masterparasite/internal/httpsim"
@@ -42,7 +41,6 @@ type Browser struct {
 	userAgent string
 
 	net     *netsim.Network
-	ifc     *netsim.Interface
 	client  *httpsim.Client
 	resolve Resolver
 
@@ -69,54 +67,27 @@ type Browser struct {
 	cacheServes int
 }
 
-// Config bundles constructor parameters.
+// Config is what a browser is: the product, the platform it runs on,
+// and the DNS it asks.
 type Config struct {
 	Profile  Profile
 	OS       OS
-	Segment  *netsim.Segment
-	Addr     netsim.Addr
 	Resolver Resolver
-	// Delay is the interface's proximity delay on the segment.
-	Delay time.Duration
-	// Seed controls ISN generation for reproducibility.
-	Seed int64
-	// Reassembly overrides the TCP overlap policy (FirstWins when zero);
-	// the injection ablation sets LastWins.
-	Reassembly tcpsim.ReassemblyPolicy
-	// Retransmit enables tcpsim's retransmission state machine, so the
-	// browser survives a faulty (lossy/jittery) link profile.
-	Retransmit bool
 }
 
-// New attaches a browser to the network.
-func New(network *netsim.Network, cfg Config) (*Browser, error) {
+// New runs a browser on a host whose transport is stack. The host's
+// place on the network and its TCP behaviour are the stack's.
+func New(network *netsim.Network, stack *tcpsim.Stack, cfg Config) (*Browser, error) {
 	if cfg.Resolver == nil {
 		return nil, errors.New("browser: nil resolver")
 	}
 	if !cfg.Profile.RunsOn(cfg.OS) {
 		return nil, fmt.Errorf("browser: %s does not run on %s", cfg.Profile.UserAgent(), cfg.OS)
 	}
-	ifc, err := cfg.Segment.Attach(cfg.Addr, cfg.Delay, nil)
-	if err != nil {
-		return nil, fmt.Errorf("browser attach: %w", err)
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 42
-	}
-	stackOpts := []tcpsim.StackOption{tcpsim.WithSeed(seed)}
-	if cfg.Reassembly != 0 {
-		stackOpts = append(stackOpts, tcpsim.WithReassembly(cfg.Reassembly))
-	}
-	if cfg.Retransmit {
-		stackOpts = append(stackOpts, tcpsim.WithRetransmit())
-	}
-	stack := tcpsim.NewStack(network, ifc, stackOpts...)
 	b := &Browser{
 		Profile: cfg.Profile,
 		OS:      cfg.OS,
 		net:     network,
-		ifc:     ifc,
 		client:  httpsim.NewClient(stack),
 		resolve: cfg.Resolver,
 		cache: httpcache.NewStore(httpcache.Options{
@@ -137,11 +108,6 @@ func New(network *netsim.Network, cfg Config) (*Browser, error) {
 
 // ScriptRuntime returns the script runtime for behaviour registration.
 func (b *Browser) ScriptRuntime() *script.Runtime { return b.runtime }
-
-// Interface exposes the browser's network attachment point — the churn
-// model toggles its receive path to simulate the victim leaving and
-// rejoining the WiFi mid-attack.
-func (b *Browser) Interface() *netsim.Interface { return b.ifc }
 
 // Cache exposes the HTTP object cache (experiments inspect it).
 func (b *Browser) Cache() *httpcache.Store { return b.cache }

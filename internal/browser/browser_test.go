@@ -2,6 +2,8 @@ package browser
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -74,15 +76,24 @@ func (w *web) resolver() Resolver {
 	}
 }
 
+// host attaches a host to the fixture's WiFi and returns its transport.
+func (w *web) host(t *testing.T, addr netsim.Addr, seed int64) *tcpsim.Stack {
+	t.Helper()
+	ifc, err := w.seg.Attach(addr, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tcpsim.NewStack(w.net, ifc, tcpsim.WithSeed(seed))
+}
+
 func (w *web) browser(t *testing.T, name string) *Browser {
 	t.Helper()
 	p, err := ProfileByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(w.net, Config{
-		Profile: p, OS: Win10, Segment: w.seg,
-		Addr: netsim.Addr("victim-" + name), Resolver: w.resolver(), Seed: 7,
+	b, err := New(w.net, w.host(t, netsim.Addr("victim-"+name), 7), Config{
+		Profile: p, OS: Win10, Resolver: w.resolver(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -381,7 +392,7 @@ func TestIEBalloonsToOOM(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.MemoryLimit = 64 * 1024
-	b, err := New(w.net, Config{Profile: p, OS: Win10, Segment: w.seg, Addr: "ie-victim", Resolver: w.resolver()})
+	b, err := New(w.net, w.host(t, "ie-victim", 42), Config{Profile: p, OS: Win10, Resolver: w.resolver()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +461,7 @@ func TestProfileAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(w.net, Config{Profile: p, OS: Linux, Segment: w.seg, Addr: "x", Resolver: w.resolver()}); err == nil {
+	if _, err := New(w.net, w.host(t, "x", 42), Config{Profile: p, OS: Linux, Resolver: w.resolver()}); err == nil {
 		t.Fatal("Edge on Linux should not construct (n/a in Table II)")
 	}
 }
@@ -594,6 +605,83 @@ func TestCSPWildcardSubdomain(t *testing.T) {
 	if c.Allows("img-src", "cdn.com.evil.com", "me.com") {
 		t.Fatal("suffix confusion")
 	}
+}
+
+// TestCSPLevel3SourceLists pins three rules of CSP Level 3: a repeated
+// directive keeps its first occurrence, 'none' has no effect beside
+// other sources, and hosts match ASCII case-insensitively.
+func TestCSPLevel3SourceLists(t *testing.T) {
+	for _, c := range []struct {
+		policy, directive, origin string
+		want                      bool
+	}{
+		{"script-src 'self'; script-src *", "script-src", "evil.com", false},
+		{"script-src 'self'; script-src *", "script-src", "me.com", true},
+		{"SCRIPT-SRC 'self'; script-src *", "script-src", "evil.com", false},
+		{"img-src 'none' master.evil", "img-src", "master.evil", true},
+		{"img-src 'none' master.evil", "img-src", "other.com", false},
+		{"img-src 'none'", "img-src", "me.com", false},
+		{"img-src", "img-src", "me.com", false},
+		{"img-src MASTER.EVIL", "img-src", "master.evil", true},
+		{"img-src master.evil", "img-src", "Master.Evil", true},
+		{"img-src *.CDN.com", "img-src", "a.cdn.com", true},
+		{"img-src HTTPS://Master.Evil", "img-src", "master.evil", true},
+	} {
+		if got := ParseCSP(c.policy).Allows(c.directive, c.origin, "me.com"); got != c.want {
+			t.Errorf("%q allows %s from %s = %v, want %v", c.policy, c.directive, c.origin, got, c.want)
+		}
+	}
+}
+
+// parseCSPAlloc runs ParseCSP over value and reports the bytes it
+// allocated.
+func parseCSPAlloc(value string) (CSP, uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := ParseCSP(value)
+	runtime.ReadMemStats(&after)
+	return c, after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzParseCSP holds the policy parser to four properties on arbitrary
+// values: it never panics; it allocates in proportion to the value;
+// every directive name it keeps is lower-case; and each directive
+// carries the sources of its first occurrence, read here directive by
+// directive from the value. Its seeds are in testdata/fuzz/FuzzParseCSP.
+func FuzzParseCSP(f *testing.F) {
+	f.Fuzz(func(t *testing.T, value string) {
+		c, alloc := parseCSPAlloc(value)
+		// A value of one-byte sources costs ≈48 bytes a byte, in the
+		// field slices; the constant covers what the fuzzing engine
+		// allocates beside the call.
+		if bound := uint64(128*len(value)) + 64<<10; alloc > bound {
+			t.Fatalf("%d value bytes allocated %d, bound %d", len(value), alloc, bound)
+		}
+		first := make(map[string][]string)
+		for _, token := range strings.Split(value, ";") {
+			if strings.IndexFunc(token, func(r rune) bool { return r >= 0x80 }) >= 0 {
+				continue // CSP skips a directive that is not ASCII
+			}
+			fields := strings.FieldsFunc(token, func(r rune) bool { return strings.ContainsRune("\t\n\f\r ", r) })
+			if len(fields) == 0 {
+				continue
+			}
+			if name := strings.ToLower(fields[0]); first[name] == nil {
+				first[name] = append([]string{}, fields[1:]...)
+			}
+		}
+		if len(c.Directives) != len(first) {
+			t.Fatalf("%q: %d directives, want %d", value, len(c.Directives), len(first))
+		}
+		for name, sources := range c.Directives {
+			if name != strings.ToLower(name) {
+				t.Fatalf("%q: directive name %q is not lower-case", value, name)
+			}
+			if want, ok := first[name]; !ok || !slices.Equal(sources, want) {
+				t.Fatalf("%q: %s carries %q, want its first occurrence's %q", value, name, sources, want)
+			}
+		}
+	})
 }
 
 func mustEntry(t *testing.T, url string, resp *httpsim.Response) *httpcache.Entry {

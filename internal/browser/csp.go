@@ -2,6 +2,7 @@ package browser
 
 import (
 	"strings"
+	"unicode/utf8"
 )
 
 // CSPHeader names, including the deprecated variants counted in Fig. 5.
@@ -21,21 +22,47 @@ type CSP struct {
 	Directives map[string][]string
 }
 
-// ParseCSP parses a policy value ("" yields an absent policy).
+// ParseCSP parses a policy value ("" yields an absent policy) as CSP
+// Level 3's "parse a serialized CSP" does: a directive that is not
+// ASCII is skipped, a directive name is matched ASCII
+// case-insensitively, and a repeated directive keeps its first
+// occurrence.
 func ParseCSP(value string) CSP {
-	if strings.TrimSpace(value) == "" {
+	if strings.TrimFunc(value, isASCIISpace) == "" {
 		return CSP{}
 	}
 	c := CSP{Present: true, Directives: make(map[string][]string)}
-	for _, part := range strings.Split(value, ";") {
-		fields := strings.Fields(part)
+	for rest := value; rest != ""; {
+		var token string
+		token, rest, _ = strings.Cut(rest, ";")
+		if !isASCII(token) {
+			continue
+		}
+		fields := strings.FieldsFunc(token, isASCIISpace)
 		if len(fields) == 0 {
 			continue
 		}
 		name := strings.ToLower(fields[0])
-		c.Directives[name] = fields[1:]
+		if _, repeated := c.Directives[name]; !repeated {
+			c.Directives[name] = fields[1:]
+		}
 	}
 	return c
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// isASCIISpace reports ASCII whitespace as CSP defines it: tab, line
+// feed, form feed, carriage return and space.
+func isASCIISpace(r rune) bool {
+	return r == ' ' || r == '\t' || r == '\n' || r == '\f' || r == '\r'
 }
 
 // CSPFromHeaders extracts the effective policy from response headers,
@@ -72,16 +99,17 @@ func (c CSP) sourcesFor(directive string) ([]string, bool) {
 // directive (e.g. "img-src", "frame-src", "connect-src", "script-src") on
 // a page served from pageOrigin. An absent policy allows everything —
 // which the §VIII measurement shows is the common case (CSP on only
-// ~4.33% of pages).
+// ~4.33% of pages). Keywords and hosts match ASCII case-insensitively.
 func (c CSP) Allows(directive, origin, pageOrigin string) bool {
 	sources, ok := c.sourcesFor(directive)
 	if !ok {
 		return true
 	}
 	for _, s := range sources {
-		switch strings.ToLower(s) {
+		switch s = strings.ToLower(s); s {
 		case "'none'":
-			return false
+			// No effect beside other sources; alone, like an empty
+			// list, it leaves nothing to match.
 		case "*":
 			// The wildcard misconfiguration called out in §VIII:
 			// "'connect-src *;' ... simply allows every connect-src".
@@ -120,9 +148,10 @@ func (c CSP) HasDirective(directive string) bool {
 	return ok
 }
 
+// matchCSPHost matches a lower-case host source against origin.
 func matchCSPHost(pattern, origin string) bool {
 	pattern = strings.TrimPrefix(strings.TrimPrefix(pattern, "https://"), "http://")
-	origin = strings.TrimPrefix(strings.TrimPrefix(origin, "https://"), "http://")
+	origin = strings.TrimPrefix(strings.TrimPrefix(strings.ToLower(origin), "https://"), "http://")
 	if strings.HasPrefix(pattern, "*.") {
 		return strings.HasSuffix(origin, pattern[1:]) // ".example.com"
 	}

@@ -89,10 +89,16 @@ type Scenario struct {
 	// tlsHosts are the hosts served over the sealed channel, sorted: the
 	// web farm holds each one's certificate and tries them in this order.
 	tlsHosts []string
+	// victimIfc is the victim's attachment to the WiFi, which churn
+	// switches off and on.
+	victimIfc *netsim.Interface
 }
 
 // NewScenario assembles the network of Fig. 1/2: victim and attacker on
 // the same WiFi segment, web farm and attacker server across the uplink.
+// It places every host, in a fixed order (web farm, attacker server,
+// victim, then the master's tap), and builds every host's stack from
+// the same per-host options.
 func NewScenario(cfg Config) (*Scenario, error) {
 	if cfg.OS == "" {
 		cfg.OS = browser.Win10
@@ -174,29 +180,23 @@ func NewScenario(cfg Config) (*Scenario, error) {
 		return nil, fmt.Errorf("scenario attacker server: %w", err)
 	}
 
-	// Victim browser.
-	victim, err := browser.New(s.Net, browser.Config{
-		Profile:    profile,
-		OS:         cfg.OS,
-		Segment:    s.Wifi,
-		Addr:       victimAddr,
-		Resolver:   s.resolve,
-		Delay:      victimDelay,
-		Seed:       cfg.Seed,
-		Reassembly: cfg.ReassemblyPolicy,
-		Retransmit: cfg.Retransmit,
-	})
-	if err != nil {
+	// Victim browser, on the WiFi.
+	if s.victimIfc, err = s.Wifi.Attach(victimAddr, victimDelay, nil); err != nil {
+		return nil, fmt.Errorf("scenario victim attach: %w", err)
+	}
+	victimOpts := stackOpts(cfg.Seed)
+	if cfg.ReassemblyPolicy != 0 {
+		victimOpts = append(victimOpts, tcpsim.WithReassembly(cfg.ReassemblyPolicy))
+	}
+	victimStack := tcpsim.NewStack(s.Net, s.victimIfc, victimOpts...)
+	if s.Victim, err = browser.New(s.Net, victimStack, browser.Config{
+		Profile: profile, OS: cfg.OS, Resolver: s.resolve,
+	}); err != nil {
 		return nil, fmt.Errorf("scenario victim: %w", err)
 	}
-	s.Victim = victim
 
 	// The master's tap, closest to the victim.
-	var opts []attacker.Option
-	for _, h := range cfg.FraudulentCertHosts {
-		opts = append(opts, attacker.WithFraudulentCert(h))
-	}
-	s.Master = attacker.New(s.Wifi, attackerDelay, opts...)
+	s.Master = attacker.New(s.Wifi, attackerDelay, cfg.FraudulentCertHosts)
 
 	// Parasite machinery on the victim's runtime.
 	s.Registry = parasite.NewRegistry()
@@ -324,10 +324,9 @@ func (s *Scenario) LeaveAttackerNetwork() {
 // without disturbing byte-identity. With retransmission enabled the
 // transport rides out each outage; without it, in-flight exchanges die.
 func (s *Scenario) ScheduleChurn(start, period, gap time.Duration, cycles int) {
-	ifc := s.Victim.Interface()
 	for i := 0; i < cycles; i++ {
 		at := start + time.Duration(i)*period
-		s.Net.Schedule(at, func() { ifc.SetReceiveDrop(true) })
-		s.Net.Schedule(at+gap, func() { ifc.SetReceiveDrop(false) })
+		s.Net.Schedule(at, func() { s.victimIfc.SetReceiveDrop(true) })
+		s.Net.Schedule(at+gap, func() { s.victimIfc.SetReceiveDrop(false) })
 	}
 }

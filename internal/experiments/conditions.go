@@ -119,9 +119,14 @@ func conditionsRow(lp netsim.LinkProfile, attempts, payload int) (ConditionsRow,
 		BandwidthKBs: lp.Bandwidth / 1024,
 		Attempts:     attempts,
 	}
+	// The injection and eviction cells are Table II's and Table I's
+	// over the faulty link. A page load that did not complete is a lost
+	// race, or no eviction, rather than an error: on a harsh link the
+	// victim's fetch itself may die, and that is the measurement. So
+	// both cells' loadErr is dropped.
 	for i := 0; i < attempts; i++ {
 		seed := runner.Seed(conditionsSeed, fmt.Sprintf("inject-%s-%d", lp.Name, i))
-		ok, err := conditionsInjection(lp, seed)
+		ok, _, err := injectionSucceeds(core.Config{Seed: seed, Link: &lp, Retransmit: true}, "cond")
 		if err != nil {
 			return row, fmt.Errorf("conditions %s inject #%d: %w", lp.Name, i, err)
 		}
@@ -129,11 +134,16 @@ func conditionsRow(lp netsim.LinkProfile, attempts, payload int) (ConditionsRow,
 			row.InjectionWins++
 		}
 	}
-	evicted, err := conditionsEviction(lp, runner.Seed(conditionsSeed, "evict-"+lp.Name))
+	chrome, err := browser.ProfileByName("Chrome")
 	if err != nil {
 		return row, fmt.Errorf("conditions %s evict: %w", lp.Name, err)
 	}
-	row.Evicted = evicted
+	evict, _, err := tableIRow(core.Config{Profile: &chrome,
+		Seed: runner.Seed(conditionsSeed, "evict-"+lp.Name), Link: &lp, Retransmit: true})
+	if err != nil {
+		return row, fmt.Errorf("conditions %s evict: %w", lp.Name, err)
+	}
+	row.Evicted = evict.InterDomain
 	gp, err := cncGoodput(lp, payload, runner.Seed(conditionsSeed, "goodput-"+lp.Name))
 	if err != nil {
 		return row, fmt.Errorf("conditions %s goodput: %w", lp.Name, err)
@@ -147,72 +157,6 @@ func conditionsRow(lp netsim.LinkProfile, attempts, payload int) (ConditionsRow,
 	}
 	row.ChurnSurvived = churn
 	return row, nil
-}
-
-// conditionsInjection runs one spoofed-response injection race over the
-// faulty link (the Table II setup with the link profile installed). A
-// failed page load is a lost race, not an error: on a harsh link the
-// victim's fetch itself may die, and that is the measurement.
-func conditionsInjection(lp netsim.LinkProfile, seed int64) (bool, error) {
-	s, err := core.NewScenario(core.Config{Seed: seed, Link: &lp, Retransmit: true})
-	if err != nil {
-		return false, err
-	}
-	s.AddPage("somesite.com", "/", `<html><body><script src="/my.js"></script></body></html>`, nil)
-	s.AddPage("somesite.com", "/my.js", "function site(){}",
-		map[string]string{"Cache-Control": "max-age=600", "Content-Type": "application/javascript"})
-	cfg := parasite.NewConfig("cond", "bot-cond", core.MasterHost)
-	cfg.Anchor = false
-	s.Registry.Add(cfg)
-	s.Master.AddTarget(attacker.Target{
-		Name: "somesite.com/my.js", Kind: attacker.KindJS,
-		ParasitePayload: "cond", Original: []byte("function original(){}"),
-	})
-	page, err := s.Visit("somesite.com", "/")
-	if err != nil {
-		return false, nil // the link ate the page load: race lost
-	}
-	for _, sc := range page.Scripts {
-		if script.Infected(sc.Content) {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// conditionsEviction runs the Table I eviction flood (scaled Chrome)
-// over the faulty link and reports whether the cross-domain eviction
-// still lands.
-func conditionsEviction(lp netsim.LinkProfile, seed int64) (bool, error) {
-	chrome, err := browser.ProfileByName("Chrome")
-	if err != nil {
-		return false, err
-	}
-	scaled := scaleProfile(chrome)
-	s, err := core.NewScenario(core.Config{Profile: &scaled, Seed: seed, Link: &lp, Retransmit: true})
-	if err != nil {
-		return false, err
-	}
-	for _, d := range []string{"popular.com", "other.com"} {
-		s.AddPage(d, "/", `<html><body><script src="/app.js"></script></body></html>`, nil)
-		s.AddPage(d, "/app.js", "function "+strings.ReplaceAll(d, ".", "_")+"(){}",
-			map[string]string{"Cache-Control": "max-age=86400", "Content-Type": "application/javascript"})
-	}
-	s.AddPage("any.com", "/", `<html><body>benign</body></html>`, map[string]string{"Cache-Control": "no-store"})
-	if _, err := s.Visit("popular.com", "/"); err != nil {
-		return false, nil // prime died on the wire: no eviction
-	}
-	if _, err := s.Visit("other.com", "/"); err != nil {
-		return false, nil
-	}
-	junkSize := 4096
-	junkCount := int(scaled.CacheSize)*3/2/junkSize + 1
-	s.Master.EnableEviction(core.JunkHost, junkCount, junkSize, "any.com")
-	if _, err := s.Visit("any.com", "/"); err != nil {
-		return false, nil // flood died mid-way
-	}
-	return !s.Victim.Cache().Contains("popular.com", "popular.com/app.js") &&
-		!s.Victim.Cache().Contains("other.com", "other.com/app.js"), nil
 }
 
 // conditionsChurn infects the victim, moves it home, queues a command,
@@ -353,104 +297,4 @@ func cncGoodput(lp netsim.LinkProfile, payload int, seed int64) (goodputResult, 
 	}
 	res.KBs = float64(payload) / done.Seconds() / 1024
 	return res, nil
-}
-
-// SoakReport summarises one long-horizon soak run.
-type SoakReport struct {
-	Rounds         int  `json:"rounds"`
-	Events         int  `json:"events"`
-	BytesEchoed    int  `json:"bytes_echoed"`
-	FramesAcquired int  `json:"frames_acquired"`
-	FramesReleased int  `json:"frames_released"`
-	WrapCrossed    bool `json:"wrap_crossed"`
-}
-
-// soakRoundSize is the per-round echo payload of the soak.
-const soakRoundSize = 256
-
-// soakEcho is the soak server's connection Handler: it writes every
-// byte back.
-type soakEcho struct{}
-
-func (soakEcho) Established(*tcpsim.Conn) {}
-
-// Data echoes b. A write fails only once the conn died past the retry
-// cap; the client side then stalls and the report's BytesEchoed
-// shortfall surfaces it.
-func (soakEcho) Data(c *tcpsim.Conn, b []byte) { _, _ = c.Write(b) }
-
-// soakPinger is the soak client's connection Handler: it sends the
-// first round once connected, and each next round once the previous
-// one has echoed back, up to rounds.
-type soakPinger struct {
-	chunk        []byte
-	rounds       int
-	sent, echoed int
-}
-
-func (p *soakPinger) Established(c *tcpsim.Conn) {
-	p.sent++
-	if _, err := c.Write(p.chunk); err != nil {
-		p.sent--
-	}
-}
-
-func (p *soakPinger) Data(c *tcpsim.Conn, b []byte) {
-	p.echoed += len(b)
-	for p.echoed >= p.sent*soakRoundSize && p.sent < p.rounds {
-		p.sent++
-		if _, err := c.Write(p.chunk); err != nil {
-			p.sent--
-			return
-		}
-	}
-}
-
-// RunSoak is the long-horizon stability harness: a request/echo
-// ping-pong over a lossy, duplicating, jittery link with retransmitting
-// stacks whose ISNs start just below 2^32, so the stream crosses the
-// sequence wrap within the first few rounds and every later round runs
-// in wrapped sequence space. It returns the event count (the caller
-// asserts the horizon) and the frame-pool counters (the caller asserts
-// the pool drained — a leak grows unboundedly over a million events).
-func RunSoak(rounds int, seed int64) (SoakReport, error) {
-	lp := netsim.LinkProfile{
-		Name: "soak", Loss: 0.05, Duplicate: 0.02,
-		Jitter: time.Millisecond, Seed: uint64(seed),
-	}
-	net := netsim.New()
-	seg := net.MustSegment("soak-link", 500*time.Microsecond)
-	seg.SetLinkProfile(lp)
-	srvIfc := seg.MustAttach("soak-server", time.Millisecond, nil)
-	cliIfc := seg.MustAttach("soak-client", 200*time.Microsecond, nil)
-	opts := func(s int64) []tcpsim.StackOption {
-		return []tcpsim.StackOption{
-			tcpsim.WithSeed(s), tcpsim.WithRetransmit(),
-			tcpsim.WithISN(0xFFFFF000), tcpsim.WithMSS(512),
-		}
-	}
-	server := tcpsim.NewStack(net, srvIfc, opts(seed+1)...)
-	client := tcpsim.NewStack(net, cliIfc, opts(seed+2)...)
-
-	if err := server.Listen(80, func(*tcpsim.Conn) tcpsim.Handler { return soakEcho{} }); err != nil {
-		return SoakReport{}, err
-	}
-	p := &soakPinger{chunk: make([]byte, soakRoundSize), rounds: rounds}
-	for i := range p.chunk {
-		p.chunk[i] = byte(i)
-	}
-	conn, err := client.Dial("soak-server", 80, p)
-	if err != nil {
-		return SoakReport{}, err
-	}
-	events := net.Run(0)
-	acquired, released := net.FrameStats()
-	return SoakReport{
-		Rounds:         p.sent,
-		Events:         events,
-		BytesEchoed:    p.echoed,
-		FramesAcquired: acquired,
-		FramesReleased: released,
-		WrapCrossed:    conn.SndNxt() < 0x80000000,
-	}, nil
 }

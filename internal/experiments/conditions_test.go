@@ -113,47 +113,3 @@ func TestConditionsTextMentionsEveryProfile(t *testing.T) {
 		}
 	}
 }
-
-// soakCheck validates one soak report against the pool-balance and
-// wraparound invariants.
-func soakCheck(t *testing.T, rounds int, rep SoakReport) {
-	t.Helper()
-	if rep.Rounds != rounds || rep.BytesEchoed != rounds*soakRoundSize {
-		t.Fatalf("soak stalled: %d/%d rounds, %d bytes echoed", rep.Rounds, rounds, rep.BytesEchoed)
-	}
-	if rep.FramesAcquired == 0 || rep.FramesAcquired != rep.FramesReleased {
-		t.Fatalf("frame pool leaked: acquired %d, released %d", rep.FramesAcquired, rep.FramesReleased)
-	}
-	if !rep.WrapCrossed {
-		t.Fatal("stream never crossed the 2^32 sequence wrap")
-	}
-}
-
-// TestSoakSmoke is the -short tier (and `make soak-smoke`): a small
-// horizon exercising the same wrap + fault + pool invariants.
-func TestSoakSmoke(t *testing.T) {
-	const rounds = 2000
-	rep, err := RunSoak(rounds, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	soakCheck(t, rounds, rep)
-}
-
-// TestSoakLongHorizon is the full soak: at least a million simulator
-// events over the lossy, duplicating link, with the frame pool drained
-// at exit — a per-event leak of even one frame would show up here.
-func TestSoakLongHorizon(t *testing.T) {
-	if testing.Short() {
-		t.Skip("million-event soak; run without -short")
-	}
-	const rounds = 200_000
-	rep, err := RunSoak(rounds, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	soakCheck(t, rounds, rep)
-	if rep.Events < 1_000_000 {
-		t.Fatalf("soak processed %d events, want >= 1e6", rep.Events)
-	}
-}

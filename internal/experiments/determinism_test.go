@@ -6,6 +6,7 @@ import (
 
 	"masterparasite/internal/artifact"
 	"masterparasite/internal/browser"
+	"masterparasite/internal/core"
 	"masterparasite/internal/runner"
 )
 
@@ -79,7 +80,10 @@ func TestFleetStressKillChains(t *testing.T) {
 	}
 	rows, err := runner.Map(runner.New(8), make([]struct{}, 24), func(i int, _ struct{}) (TableIICell, error) {
 		p := profiles[i%len(profiles)]
-		ok, err := injectionSucceeds(p, browser.Win10)
+		ok, loadErr, err := injectionSucceeds(core.Config{Profile: &p, OS: browser.Win10, Seed: 17}, "t2")
+		if err == nil {
+			err = loadErr
+		}
 		if err != nil {
 			return TableIICell{}, err
 		}

@@ -88,7 +88,14 @@ func (d TableIData) Table() (header []string, rows [][]string) {
 // survived). Each profile is one independent scenario job.
 func TableI(env artifact.Env) (*artifact.Result, error) {
 	rows, err := runner.Map(env.Runner, browser.TableIProfiles(), func(_ int, p browser.Profile) (TableIRow, error) {
-		return tableIRow(p)
+		row, loadErr, err := tableIRow(core.Config{Profile: &p, Seed: 31})
+		if err != nil {
+			return TableIRow{}, fmt.Errorf("table I %s: %w", p.UserAgent(), err)
+		}
+		if loadErr != nil {
+			return TableIRow{}, fmt.Errorf("table I prime: %w", loadErr)
+		}
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
@@ -102,28 +109,32 @@ func TableI(env artifact.Env) (*artifact.Result, error) {
 	return &artifact.Result{Text: b.String(), Dataset: TableIData(rows)}, nil
 }
 
-// tableIRow runs the eviction evaluation for one browser profile in a
-// fresh, self-contained scenario.
-func tableIRow(p browser.Profile) (TableIRow, error) {
+// tableIRow runs the eviction evaluation in a fresh, self-contained
+// scenario built from cfg, whose Profile is the victim browser before
+// scaleProfile. A priming page load that did not complete is loadErr:
+// the flood never ran, and the row is empty. A failed flood page load
+// reads as the browser dying, as IE's does.
+func tableIRow(cfg core.Config) (row TableIRow, loadErr, err error) {
+	p := *cfg.Profile
 	scaled := scaleProfile(p)
-	s, err := core.NewScenario(core.Config{Profile: &scaled, Seed: 31})
+	cfg.Profile = &scaled
+	s, err := core.NewScenario(cfg)
 	if err != nil {
-		return TableIRow{}, fmt.Errorf("table I %s: %w", p.UserAgent(), err)
+		return TableIRow{}, nil, err
 	}
 	// Two victim domains to separate "evicts at all" from
 	// "inter-domain eviction".
 	for _, d := range []string{"popular.com", "other.com"} {
-		s.AddPage(d, "/", fmt.Sprintf(`<html><body><script src="/app.js"></script></body></html>`), nil)
+		s.AddPage(d, "/", `<html><body><script src="/app.js"></script></body></html>`, nil)
 		s.AddPage(d, "/app.js", "function "+strings.ReplaceAll(d, ".", "_")+"(){}",
 			map[string]string{"Cache-Control": "max-age=86400", "Content-Type": "application/javascript"})
 	}
 	s.AddPage("any.com", "/", `<html><body>benign</body></html>`, map[string]string{"Cache-Control": "no-store"})
 
-	if _, err := s.Visit("popular.com", "/"); err != nil {
-		return TableIRow{}, fmt.Errorf("table I prime: %w", err)
-	}
-	if _, err := s.Visit("other.com", "/"); err != nil {
-		return TableIRow{}, fmt.Errorf("table I prime: %w", err)
+	for _, d := range []string{"popular.com", "other.com"} {
+		if _, err := s.Visit(d, "/"); err != nil {
+			return TableIRow{}, err, nil
+		}
 	}
 
 	// Flood 1.5× the cache budget in junk.
@@ -144,7 +155,7 @@ func tableIRow(p browser.Profile) (TableIRow, error) {
 		Browser: p.Name + map[bool]string{true: "*", false: ""}[p.Incognito], Version: p.Version,
 		Eviction: evicted, InterDomain: interDomain,
 		SizeNote: p.SizeNote, Remark: p.Remark, OOMKilled: oom,
-	}, nil
+	}, nil, nil
 }
 
 // TableIICell is one OS×browser injection outcome.
@@ -185,7 +196,10 @@ func TableII(env artifact.Env) (*artifact.Result, error) {
 	cells, err := runner.Map(env.Runner, pairs, func(_ int, pr pair) (TableIICell, error) {
 		cell := TableIICell{OS: pr.os, Browser: pr.p.Name, Exists: pr.p.RunsOn(pr.os)}
 		if cell.Exists {
-			ok, err := injectionSucceeds(pr.p, pr.os)
+			ok, loadErr, err := injectionSucceeds(core.Config{Profile: &pr.p, OS: pr.os, Seed: 17}, "t2")
+			if err == nil {
+				err = loadErr
+			}
 			if err != nil {
 				return cell, fmt.Errorf("table II %s/%s: %w", pr.p.Name, pr.os, err)
 			}
@@ -220,31 +234,37 @@ func TableII(env artifact.Env) (*artifact.Result, error) {
 	return &artifact.Result{Text: b.String(), Dataset: TableIIData(cells)}, nil
 }
 
-func injectionSucceeds(p browser.Profile, os browser.OS) (bool, error) {
-	s, err := core.NewScenario(core.Config{Profile: &p, OS: os, Seed: 17})
+// injectionSucceeds runs one injection race in a fresh scenario built
+// from cfg: the master arms its infection module for somesite.com/my.js
+// with the parasite strain named strain (the strain's name is in the
+// injected bytes), and the victim visits somesite.com. It reports
+// whether an infected script reached the page; a page load that did not
+// complete is loadErr.
+func injectionSucceeds(cfg core.Config, strain string) (infected bool, loadErr, err error) {
+	s, err := core.NewScenario(cfg)
 	if err != nil {
-		return false, err
+		return false, nil, err
 	}
 	s.AddPage("somesite.com", "/", `<html><body><script src="/my.js"></script></body></html>`, nil)
 	s.AddPage("somesite.com", "/my.js", "function site(){}",
 		map[string]string{"Cache-Control": "max-age=600", "Content-Type": "application/javascript"})
-	cfg := parasite.NewConfig("t2", "bot-t2", core.MasterHost)
-	cfg.Anchor = false
-	s.Registry.Add(cfg)
+	pc := parasite.NewConfig(strain, "bot-"+strain, core.MasterHost)
+	pc.Anchor = false
+	s.Registry.Add(pc)
 	s.Master.AddTarget(attacker.Target{
 		Name: "somesite.com/my.js", Kind: attacker.KindJS,
-		ParasitePayload: "t2", Original: []byte("function original(){}"),
+		ParasitePayload: strain, Original: []byte("function original(){}"),
 	})
 	page, err := s.Visit("somesite.com", "/")
 	if err != nil {
-		return false, err
+		return false, err, nil
 	}
 	for _, sc := range page.Scripts {
 		if script.Infected(sc.Content) {
-			return true, nil
+			return true, nil, nil
 		}
 	}
-	return false, nil
+	return false, nil, nil
 }
 
 // TableIIIRow is one refresh-method evaluation row.

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,13 +60,14 @@ func TestArtifactBytesMatchGolden(t *testing.T) {
 			t.Errorf("%s: no golden entry", spec.ID)
 			continue
 		}
-		_, rendered, err := artifact.RunRendered(spec, pool, goldenParams, renderer)
+		res, rendered, err := artifact.RunRendered(spec, pool, goldenParams, renderer)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sum := artifact.Fingerprint(rendered); sum != g.SHA256 || len(rendered) != g.Bytes {
 			t.Errorf("%s: %d bytes, sha256 %.12s; golden %d bytes, %.12s", spec.ID, len(rendered), sum, g.Bytes, g.SHA256)
 		}
+		checkTables(t, res)
 	}
 
 	wifi, err := netsim.ProfileByName("coffee-shop-wifi")
@@ -87,6 +91,42 @@ func TestArtifactBytesMatchGolden(t *testing.T) {
 		}
 		if got, want := rec.Fingerprint(), strings.TrimSpace(string(fp)); got != want {
 			t.Errorf("%s: replay fingerprint %.12s, golden %.12s", c.file, got, want)
+		}
+	}
+}
+
+// checkTables renders res as CSV and as Markdown. The CSV must read
+// back as the dataset's Table(), header first, and the Markdown table
+// must hold its header, the separator and one line per row.
+func checkTables(t *testing.T, res *artifact.Result) {
+	t.Helper()
+	header, rows := res.Dataset.Table()
+	for _, format := range []string{"csv", "md"} {
+		r, err := artifact.RendererFor(format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := r.Render(&out, res); err != nil {
+			t.Errorf("%s as %s: %v", res.ID, format, err)
+			continue
+		}
+		if format == "csv" {
+			records, err := csv.NewReader(&out).ReadAll()
+			want := append([][]string{header}, rows...)
+			if err != nil || !slices.EqualFunc(records, want, slices.Equal) {
+				t.Errorf("%s as csv reads back %d records (%v), want the header and %d rows", res.ID, len(records), err, len(rows))
+			}
+			continue
+		}
+		lines := 0
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "|") {
+				lines++
+			}
+		}
+		if lines != 2+len(rows) {
+			t.Errorf("%s as md has %d table lines, want the header, the separator and %d rows", res.ID, lines, len(rows))
 		}
 	}
 }

@@ -217,7 +217,7 @@ func TestInjectedResponseWinsEndToEnd(t *testing.T) {
 	sniffer = tcpsim.NewSniffer(seg, 0, func(o tcpsim.Observed) {
 		if o.Seg.DstPort == 80 && len(o.Seg.Payload) > 0 &&
 			bytes.HasPrefix(o.Seg.Payload, []byte("GET ")) {
-			sniffer.Tap().Inject(tcpsim.SpoofReply(o, evilBytes))
+			sniffer.Inject(o, evilBytes)
 		}
 	})
 

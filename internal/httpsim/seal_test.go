@@ -108,7 +108,7 @@ func TestSealedEndToEndDefeatsInjection(t *testing.T) {
 				if attackerHasCert {
 					payload = Seal("bank.com", evil)
 				}
-				sniffer.Tap().Inject(tcpsim.SpoofReply(o, payload))
+				sniffer.Inject(o, payload)
 			}
 		})
 

@@ -32,17 +32,6 @@ func WithRetransmit() StackOption {
 	return func(s *Stack) { s.retransmit = true }
 }
 
-// WithISN pins the initial send sequence number of every connection the
-// stack opens or accepts, instead of drawing it from the seeded RNG.
-// The wraparound soak starts just below 2^32 so live transfers cross
-// the modular boundary.
-func WithISN(isn uint32) StackOption {
-	return func(s *Stack) {
-		v := isn
-		s.isnOverride = &v
-	}
-}
-
 // rtxSeg is one unacknowledged sequence-consuming segment awaiting
 // either an ACK or a retransmission. Its payload bytes sit in the
 // connection's send buffer, after those of the segments queued before
@@ -113,7 +102,7 @@ func (c *Conn) onTimeout(epoch int32) {
 		return
 	}
 	c.retries++
-	if c.retries > c.stack.maxRetries {
+	if c.retries > DefaultMaxRetries {
 		// The peer is unreachable: local teardown, no FIN (it would not
 		// arrive either).
 		c.teardown()

@@ -41,7 +41,7 @@ func transfer(t *testing.T, l *lab, payload []byte) ([]byte, *Conn) {
 
 func TestRetransmitRecoversFromLoss(t *testing.T) {
 	p := netsim.LinkProfile{Name: "lossy", Loss: 0.15, Seed: 3}
-	l := faultyLab(t, p, WithMSS(512))
+	l := faultyLab(t, p, withMSS(512))
 	payload := bytes.Repeat([]byte("abcdefgh"), 4096) // 32 KiB
 	got, conn := transfer(t, l, payload)
 	if !bytes.Equal(got, payload) {
@@ -64,7 +64,7 @@ func TestRetransmitRecoversFromLoss(t *testing.T) {
 // they sit in it.
 func TestRetransmitResendsTheLostBytes(t *testing.T) {
 	p := netsim.LinkProfile{Name: "lossy", Loss: 0.15, Seed: 3}
-	l := faultyLab(t, p, WithMSS(512))
+	l := faultyLab(t, p, withMSS(512))
 	payload := make([]byte, 48<<10)
 	rand.New(rand.NewSource(29)).Read(payload)
 	var (
@@ -161,7 +161,7 @@ func TestFastRetransmitFiresOnDupAcks(t *testing.T) {
 	// arrive out of order, the receiver emits duplicate ACKs, and the
 	// sender must fast-retransmit before the RTO fires at least once.
 	p := netsim.LinkProfile{Name: "burst", Loss: 0.08, Seed: 5}
-	l := faultyLab(t, p, WithMSS(256))
+	l := faultyLab(t, p, withMSS(256))
 	payload := bytes.Repeat([]byte("0123456789abcdef"), 4096) // 64 KiB
 	got, conn := transfer(t, l, payload)
 	if !bytes.Equal(got, payload) {
@@ -208,7 +208,7 @@ func TestSequenceWraparoundUnderRetransmission(t *testing.T) {
 	// Both ISNs start just below 2^32 so the stream crosses the modular
 	// boundary mid-transfer, on a lossy link for good measure.
 	p := netsim.LinkProfile{Name: "wrap", Loss: 0.1, Seed: 17}
-	l := faultyLab(t, p, WithMSS(512), WithISN(0xFFFFF000))
+	l := faultyLab(t, p, withMSS(512), withISN(0xFFFFF000))
 	payload := bytes.Repeat([]byte("wrap"), 4096) // 16 KiB >> 0x1000
 	got, conn := transfer(t, l, payload)
 	if !bytes.Equal(got, payload) {
@@ -216,8 +216,8 @@ func TestSequenceWraparoundUnderRetransmission(t *testing.T) {
 	}
 	// The raw sequence number must now be numerically tiny: the stream
 	// crossed 2^32 and wrapped back around.
-	if conn.SndNxt() >= 0x10000 {
-		t.Fatalf("SndNxt = %#x: stream never crossed the wrap", conn.SndNxt())
+	if conn.sndNxt >= 0x10000 {
+		t.Fatalf("sndNxt = %#x: stream never crossed the wrap", conn.sndNxt)
 	}
 }
 
@@ -229,12 +229,12 @@ func TestRetransmitOnCleanWireIsByteIdentical(t *testing.T) {
 		seg := n.MustSegment("wifi", time.Millisecond)
 		cIfc := seg.MustAttach("client", 0, nil)
 		sIfc := seg.MustAttach("server", 5*time.Millisecond, nil)
-		opts := []StackOption{WithSeed(7), WithMSS(512)}
+		opts := []StackOption{WithSeed(7), withMSS(512)}
 		if retransmit {
 			opts = append(opts, WithRetransmit())
 		}
 		client := NewStack(n, cIfc, opts...)
-		server := NewStack(n, sIfc, append([]StackOption{WithSeed(11), WithMSS(512)}, opts[2:]...)...)
+		server := NewStack(n, sIfc, append([]StackOption{WithSeed(11), withMSS(512)}, opts[2:]...)...)
 		var stream []string
 		n.SetWireTap(func(e netsim.WireEvent) {
 			stream = append(stream, fmt.Sprintf("%s t=%d %s>%s %dB", e.Kind, e.Time, e.Src, e.Dst, len(e.Payload)))

@@ -44,9 +44,6 @@ func NewSniffer(seg *netsim.Segment, delay time.Duration, fn func(Observed)) *Sn
 	return s
 }
 
-// Tap exposes the underlying tap for injection.
-func (s *Sniffer) Tap() *netsim.Tap { return s.tap }
-
 // Stop detaches the sniffer's observation callback. The experiments use
 // this to model the victim moving out of the attacker's radio range: the
 // master no longer observes or injects, and only the C&C channel remains
@@ -54,44 +51,28 @@ func (s *Sniffer) Tap() *netsim.Tap { return s.tap }
 // initial infection was made").
 func (s *Sniffer) Stop() { s.onTC = nil }
 
-// SpoofReply crafts the spoofed server→client data segment answering an
-// observed client request: source and destination are swapped, the
-// sequence number is the client's acknowledgement number (the next byte
-// the client expects from the server) and the acknowledgement covers the
-// client's request bytes. This is exactly the field adjustment described
-// in §V ("these fields he can adjust from the HTTP request packets that
-// the victim client sends").
-func SpoofReply(req Observed, payload []byte) netsim.Packet {
-	return SpoofReplyAt(req, 0, payload)
-}
-
-// SpoofSegment returns the header template of the spoofed reply to an
-// observed request: correct ports, sequence and acknowledgement numbers,
-// no payload. The master's injection loop stamps per-chunk Seq/Payload
-// onto copies of the template and marshals each straight into a pooled
-// frame.
-func SpoofSegment(req Observed) Segment {
-	return Segment{
-		SrcPort: req.Seg.DstPort,
-		DstPort: req.Seg.SrcPort,
-		Seq:     req.Seg.Ack,
-		Ack:     SeqAdd(req.Seg.Seq, len(req.Seg.Payload)),
-		Flags:   FlagACK | FlagPSH,
-		Window:  DefaultWindow,
-	}
-}
-
-// SpoofReplyAt crafts a spoofed continuation segment at an explicit
-// sequence offset past the observed request's acknowledgement point,
-// allowing multi-segment injected responses.
-func SpoofReplyAt(req Observed, offset int, payload []byte) netsim.Packet {
-	seg := SpoofSegment(req)
-	seg.Seq = SeqAdd(seg.Seq, offset)
-	seg.Payload = payload
-	return netsim.Packet{
-		Src:     req.Dst, // impersonate the server
-		Dst:     req.Src,
-		Proto:   netsim.ProtoTCP,
-		Payload: seg.Marshal(),
+// Inject races a spoofed reply to an observed client request onto the
+// segment through the sniffer's tap, impersonating the server. The
+// payload is cut into DefaultMSS-sized segments whose ports are the
+// request's swapped, whose sequence number is the request's
+// acknowledgement (the next byte the client expects from the server)
+// plus the segment's offset, and whose acknowledgement covers the
+// request's bytes: the field adjustment of §V ("these fields he can
+// adjust from the HTTP request packets that the victim client sends").
+// Each segment is marshalled straight into a pooled frame, so payload
+// may be reused once Inject returns.
+func (s *Sniffer) Inject(req Observed, payload []byte) {
+	for off := 0; off < len(payload); off += DefaultMSS {
+		seg := Segment{
+			SrcPort: req.Seg.DstPort,
+			DstPort: req.Seg.SrcPort,
+			Seq:     SeqAdd(req.Seg.Ack, off),
+			Ack:     SeqAdd(req.Seg.Seq, len(req.Seg.Payload)),
+			Flags:   FlagACK | FlagPSH,
+			Window:  DefaultWindow,
+			Payload: payload[off:min(off+DefaultMSS, len(payload))],
+		}
+		s.tap.InjectPayload(req.Dst, req.Src, netsim.ProtoTCP,
+			func(dst []byte) []byte { return seg.AppendMarshal(dst) })
 	}
 }

@@ -76,15 +76,6 @@ func WithReassembly(p ReassemblyPolicy) StackOption {
 	return func(s *Stack) { s.policy = p }
 }
 
-// WithMSS sets the maximum segment payload size.
-func WithMSS(mss int) StackOption {
-	return func(s *Stack) {
-		if mss > 0 {
-			s.mss = mss
-		}
-	}
-}
-
 // WithSeed seeds ISN generation, keeping runs reproducible. A stack
 // given no seed draws its ISNs from seed 1.
 func WithSeed(seed int64) StackOption {
@@ -112,14 +103,17 @@ type Stack struct {
 	net    *netsim.Network
 	ifc    *netsim.Interface
 	policy ReassemblyPolicy
-	mss    int
 	rng    *rand.Rand
 
-	// Retransmission knobs (see retransmit.go). Off by default: the
+	// Retransmission (see retransmit.go). Off by default: the
 	// perfect-wire experiments were recorded without it and their wire
 	// bytes are pinned by golden and fingerprint tests.
-	retransmit  bool
-	maxRetries  int
+	retransmit bool
+
+	// mss is DefaultMSS and isnOverride nil, except where tcpsim's own
+	// tests cut smaller segments or pin every ISN (the soak starts just
+	// below 2^32 so its stream crosses the sequence wrap).
+	mss         int
 	isnOverride *uint32
 
 	listeners map[uint16]func(*Conn) Handler
@@ -137,14 +131,13 @@ type connKey struct {
 // handler.
 func NewStack(network *netsim.Network, ifc *netsim.Interface, opts ...StackOption) *Stack {
 	s := &Stack{
-		net:        network,
-		ifc:        ifc,
-		policy:     FirstWins,
-		mss:        DefaultMSS,
-		maxRetries: DefaultMaxRetries,
-		listeners:  make(map[uint16]func(*Conn) Handler),
-		conns:      make(map[connKey]*Conn),
-		nextPort:   49152,
+		net:       network,
+		ifc:       ifc,
+		policy:    FirstWins,
+		mss:       DefaultMSS,
+		listeners: make(map[uint16]func(*Conn) Handler),
+		conns:     make(map[connKey]*Conn),
+		nextPort:  49152,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -155,9 +148,6 @@ func NewStack(network *netsim.Network, ifc *netsim.Interface, opts ...StackOptio
 	ifc.SetHandler(func(now time.Duration, pkt netsim.Packet) { s.receive(now, pkt) })
 	return s
 }
-
-// Addr returns the stack's network address.
-func (s *Stack) Addr() netsim.Addr { return s.ifc.Addr() }
 
 // ErrPortInUse reports a duplicate listener.
 var ErrPortInUse = errors.New("tcpsim: port already listening")
@@ -301,12 +291,6 @@ type Conn struct {
 
 	stats ConnStats
 }
-
-// LocalPort returns the local port number.
-func (c *Conn) LocalPort() uint16 { return c.key.localPort }
-
-// RemotePort returns the remote port number.
-func (c *Conn) RemotePort() uint16 { return c.key.remotePort }
 
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
@@ -538,10 +522,3 @@ func (c *Conn) deliver(data []byte) {
 		c.h.Data(c, data)
 	}
 }
-
-// SndNxt exposes the next send sequence number (used by tests and by the
-// message-flow renderer).
-func (c *Conn) SndNxt() uint32 { return c.sndNxt }
-
-// RcvNxt exposes the next expected receive sequence number.
-func (c *Conn) RcvNxt() uint32 { return c.rcvNxt }

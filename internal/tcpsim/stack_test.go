@@ -32,6 +32,19 @@ func newLab(t *testing.T, opts ...StackOption) *lab {
 	}
 }
 
+// withMSS cuts the stack's segments at mss payload bytes instead of
+// DefaultMSS.
+func withMSS(mss int) StackOption {
+	return func(s *Stack) { s.mss = mss }
+}
+
+// withISN pins the initial send sequence number of every connection
+// the stack opens or accepts, instead of drawing it from the seeded
+// RNG.
+func withISN(isn uint32) StackOption {
+	return func(s *Stack) { s.isnOverride = &isn }
+}
+
 // funcs adapts test closures to Handler; a nil closure ignores its
 // event. A test that wants a connection's data only after some setup
 // keeps the adapter and fills data in later.
@@ -99,7 +112,7 @@ func TestHandshakeAndEcho(t *testing.T) {
 }
 
 func TestLargeTransferSplitsIntoMSS(t *testing.T) {
-	l := newLab(t, WithMSS(100))
+	l := newLab(t, withMSS(100))
 	payload := bytes.Repeat([]byte("x"), 1050)
 	var got []byte
 	if err := l.server.Listen(80, accepting(onData(func(b []byte) { got = append(got, b...) }))); err != nil {
@@ -185,7 +198,7 @@ func TestInjectionFirstWins(t *testing.T) {
 	sniffer = NewSniffer(l.seg, 0, func(o Observed) {
 		// React to the client's HTTP-like request (data toward port 80).
 		if o.Seg.DstPort == 80 && len(o.Seg.Payload) > 0 {
-			sniffer.Tap().Inject(SpoofReply(o, forged))
+			sniffer.Inject(o, forged)
 		}
 	})
 
@@ -233,14 +246,14 @@ func TestInjectionLastWinsAblation(t *testing.T) {
 	}
 	// Deliver an out-of-order byte at rcvNxt+1, twice with different
 	// content; under last-wins the second wins once the gap fills.
-	base := conn.RcvNxt()
-	conn.handle(Segment{SrcPort: conn.RemotePort(), DstPort: conn.LocalPort(),
+	base := conn.rcvNxt
+	conn.handle(Segment{SrcPort: conn.key.remotePort, DstPort: conn.key.localPort,
 		Seq: SeqAdd(base, 1), Flags: FlagACK, Payload: []byte("A")})
-	conn.handle(Segment{SrcPort: conn.RemotePort(), DstPort: conn.LocalPort(),
+	conn.handle(Segment{SrcPort: conn.key.remotePort, DstPort: conn.key.localPort,
 		Seq: SeqAdd(base, 1), Flags: FlagACK, Payload: []byte("B")})
 	var got []byte
 	h.data = func(_ *Conn, b []byte) { got = append(got, b...) }
-	conn.handle(Segment{SrcPort: conn.RemotePort(), DstPort: conn.LocalPort(),
+	conn.handle(Segment{SrcPort: conn.key.remotePort, DstPort: conn.key.localPort,
 		Seq: base, Flags: FlagACK, Payload: []byte("x")})
 	if string(got) != "xB" {
 		t.Fatalf("got %q, want xB (last-wins overwrite)", got)
@@ -261,14 +274,14 @@ func TestFirstWinsBufferedOverlap(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	l.net.Run(0)
-	base := conn.RcvNxt()
-	conn.handle(Segment{SrcPort: conn.RemotePort(), DstPort: conn.LocalPort(),
+	base := conn.rcvNxt
+	conn.handle(Segment{SrcPort: conn.key.remotePort, DstPort: conn.key.localPort,
 		Seq: SeqAdd(base, 1), Flags: FlagACK, Payload: []byte("A")})
-	conn.handle(Segment{SrcPort: conn.RemotePort(), DstPort: conn.LocalPort(),
+	conn.handle(Segment{SrcPort: conn.key.remotePort, DstPort: conn.key.localPort,
 		Seq: SeqAdd(base, 1), Flags: FlagACK, Payload: []byte("B")})
 	var got []byte
 	h.data = func(_ *Conn, b []byte) { got = append(got, b...) }
-	conn.handle(Segment{SrcPort: conn.RemotePort(), DstPort: conn.LocalPort(),
+	conn.handle(Segment{SrcPort: conn.key.remotePort, DstPort: conn.key.localPort,
 		Seq: base, Flags: FlagACK, Payload: []byte("x")})
 	if string(got) != "xA" {
 		t.Fatalf("got %q, want xA (first-wins keeps original)", got)
@@ -290,8 +303,8 @@ func TestOutOfWindowSegmentRejected(t *testing.T) {
 	h.data = func(*Conn, []byte) { delivered = true }
 	// A blind off-path attacker who guesses a wildly wrong sequence
 	// number is rejected by the window check.
-	conn.handle(Segment{SrcPort: conn.RemotePort(), DstPort: conn.LocalPort(),
-		Seq: SeqAdd(conn.RcvNxt(), -200000), Flags: FlagACK, Payload: []byte("evil")})
+	conn.handle(Segment{SrcPort: conn.key.remotePort, DstPort: conn.key.localPort,
+		Seq: SeqAdd(conn.rcvNxt, -200000), Flags: FlagACK, Payload: []byte("evil")})
 	if delivered {
 		t.Fatal("out-of-window payload delivered")
 	}
@@ -316,7 +329,7 @@ func TestWrongFourTupleIgnored(t *testing.T) {
 	// Inject a data packet claiming to be from a different source port:
 	// no connection matches, so the stack drops it.
 	tap := l.seg.AttachTap(0, nil)
-	seg := Segment{SrcPort: 81, DstPort: conn.LocalPort(), Seq: conn.RcvNxt(),
+	seg := Segment{SrcPort: 81, DstPort: conn.key.localPort, Seq: conn.rcvNxt,
 		Flags: FlagACK | FlagPSH, Payload: []byte("evil")}
 	tap.Inject(netsim.Packet{Src: "server", Dst: "client", Proto: netsim.ProtoTCP, Payload: seg.Marshal()})
 	l.net.Run(0)
@@ -335,8 +348,8 @@ func TestRSTTearsDownConnection(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	l.net.Run(0)
-	conn.handle(Segment{SrcPort: conn.RemotePort(), DstPort: conn.LocalPort(),
-		Seq: conn.RcvNxt(), Flags: FlagRST})
+	conn.handle(Segment{SrcPort: conn.key.remotePort, DstPort: conn.key.localPort,
+		Seq: conn.rcvNxt, Flags: FlagRST})
 	if conn.State() != StateClosed {
 		t.Fatalf("state = %v after RST, want CLOSED", conn.State())
 	}
@@ -433,40 +446,110 @@ func TestDuplicateListenRejected(t *testing.T) {
 	}
 }
 
+// spoofedFrame is one segment Sniffer.Inject put on the wire.
+type spoofedFrame struct {
+	src, dst netsim.Addr
+	seg      Segment
+}
+
+// injectReply answers req with payload through Sniffer.Inject and
+// returns the segments that reach the wire, in order.
+func injectReply(t *testing.T, req Observed, payload []byte) []spoofedFrame {
+	t.Helper()
+	n := netsim.New()
+	wire := n.MustSegment("wifi", 0)
+	sniffer := NewSniffer(wire, 0, nil)
+	var got []spoofedFrame
+	wire.AttachTap(0, func(_ time.Duration, pkt netsim.Packet) {
+		seg, err := ParseSegment(pkt.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg.Payload = bytes.Clone(seg.Payload) // the frame is pooled
+		got = append(got, spoofedFrame{pkt.Src, pkt.Dst, seg})
+	})
+	sniffer.Inject(req, payload)
+	n.Run(0)
+	return got
+}
+
+// TestSpoofReplyFields: Inject answers an observed request as its
+// server would: from the server to the client, the request's ports
+// swapped, starting at the client's acknowledgement and acknowledging
+// the whole request.
 func TestSpoofReplyFields(t *testing.T) {
 	req := Observed{
 		Src: "client", Dst: "server",
 		Seg: Segment{SrcPort: 50000, DstPort: 80, Seq: 1000, Ack: 555,
 			Payload: []byte("GET /")},
 	}
-	pkt := SpoofReply(req, []byte("HTTP/1.1 200 OK"))
-	if pkt.Src != "server" || pkt.Dst != "client" {
-		t.Fatalf("addressing = %s->%s", pkt.Src, pkt.Dst)
+	got := injectReply(t, req, []byte("HTTP/1.1 200 OK"))
+	if len(got) != 1 {
+		t.Fatalf("%d segments injected, want 1", len(got))
 	}
-	seg, err := ParseSegment(pkt.Payload)
-	if err != nil {
-		t.Fatal(err)
+	f := got[0]
+	if f.src != "server" || f.dst != "client" {
+		t.Fatalf("addressing = %s->%s", f.src, f.dst)
 	}
-	if seg.SrcPort != 80 || seg.DstPort != 50000 {
-		t.Fatalf("ports = %d->%d", seg.SrcPort, seg.DstPort)
+	if f.seg.SrcPort != 80 || f.seg.DstPort != 50000 {
+		t.Fatalf("ports = %d->%d", f.seg.SrcPort, f.seg.DstPort)
 	}
-	if seg.Seq != 555 {
-		t.Fatalf("seq = %d, want client's ack 555", seg.Seq)
+	if f.seg.Seq != 555 {
+		t.Fatalf("seq = %d, want client's ack 555", f.seg.Seq)
 	}
-	if seg.Ack != 1005 {
-		t.Fatalf("ack = %d, want 1005 (request fully acked)", seg.Ack)
+	if f.seg.Ack != 1005 {
+		t.Fatalf("ack = %d, want 1005 (request fully acked)", f.seg.Ack)
+	}
+	if f.seg.Flags != FlagACK|FlagPSH {
+		t.Fatalf("flags = %v, want ACK|PSH", f.seg.Flags)
+	}
+	if string(f.seg.Payload) != "HTTP/1.1 200 OK" {
+		t.Fatalf("payload = %q", f.seg.Payload)
 	}
 }
 
+// TestSpoofReplyAtOffset: a payload longer than two MSS is cut into
+// DefaultMSS pieces, each numbered from the client's acknowledgement
+// plus its offset and carrying the same addressing, ports, ack and
+// flags as the first.
 func TestSpoofReplyAtOffset(t *testing.T) {
-	req := Observed{Src: "c", Dst: "s", Seg: Segment{SrcPort: 1, DstPort: 2, Seq: 10, Ack: 100}}
-	pkt := SpoofReplyAt(req, 1460, []byte("part2"))
-	seg, err := ParseSegment(pkt.Payload)
-	if err != nil {
-		t.Fatal(err)
+	req := Observed{
+		Src: "client", Dst: "server",
+		Seg: Segment{SrcPort: 50000, DstPort: 80, Seq: 1000, Ack: 555,
+			Payload: []byte("GET /")},
 	}
-	if seg.Seq != 100+1460 {
-		t.Fatalf("seq = %d, want %d", seg.Seq, 100+1460)
+	payload := make([]byte, 2*DefaultMSS+100)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	got := injectReply(t, req, payload)
+	if len(got) != 3 {
+		t.Fatalf("%d segments injected, want 3", len(got))
+	}
+	var joined []byte
+	for i, f := range got {
+		if f.src != "server" || f.dst != "client" {
+			t.Fatalf("segment %d addressing = %s->%s", i, f.src, f.dst)
+		}
+		if f.seg.SrcPort != 80 || f.seg.DstPort != 50000 {
+			t.Fatalf("segment %d ports = %d->%d", i, f.seg.SrcPort, f.seg.DstPort)
+		}
+		if want := uint32(555 + i*DefaultMSS); f.seg.Seq != want {
+			t.Fatalf("segment %d seq = %d, want %d (client's ack 555 + offset)", i, f.seg.Seq, want)
+		}
+		if f.seg.Ack != 1005 {
+			t.Fatalf("segment %d ack = %d, want 1005 (request fully acked)", i, f.seg.Ack)
+		}
+		if f.seg.Flags != FlagACK|FlagPSH {
+			t.Fatalf("segment %d flags = %v, want ACK|PSH", i, f.seg.Flags)
+		}
+		if want := min(DefaultMSS, len(payload)-len(joined)); len(f.seg.Payload) != want {
+			t.Fatalf("segment %d carries %d bytes, want %d", i, len(f.seg.Payload), want)
+		}
+		joined = append(joined, f.seg.Payload...)
+	}
+	if !bytes.Equal(joined, payload) {
+		t.Fatal("injected segments do not carry the payload in order")
 	}
 }
 
