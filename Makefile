@@ -69,7 +69,8 @@ bench-check:
 
 ## soak-smoke: the short soak gate, a tcpsim test — a few thousand
 ## retransmitting echo rounds over a lossy, duplicating link, with the
-## frame-pool acquire/release counters required to balance (the full
+## frame-pool acquire/release counters required to balance and, once
+## the client closes, no connection left on either stack (the full
 ## ≥10⁶-event soak with ISN wraparound runs in `make test` via
 ## TestSoakLongHorizon)
 soak-smoke:

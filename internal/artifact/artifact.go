@@ -6,7 +6,7 @@
 // base Seed its scenarios derive their randomness from, and a Run
 // function that regenerates it inside an Env. internal/experiments
 // self-registers one Spec per table and figure; frontends
-// (cmd/experiments, cmd/crawl, CI) discover artifacts through the
+// (cmd/experiments, labd, CI) discover artifacts through the
 // package-level registry instead of hard-coding entry points.
 //
 // A Run returns a Result whose Dataset is typed and JSON-marshalable —

@@ -159,28 +159,22 @@ func conditionsRow(lp netsim.LinkProfile, attempts, payload int) (ConditionsRow,
 	return row, nil
 }
 
-// conditionsChurn infects the victim, moves it home, queues a command,
-// and then flaps the victim's interface on and off while the parasite
-// polls. Survival means the full C&C round trip — command decoded and
-// executed downstream, ping exfiltrated upstream — despite the outages.
+// conditionsChurn infects the victim in Table II's injection scenario,
+// with the strain anchored and given a ping module, moves it home,
+// queues a command, and then flaps the victim's interface on and off
+// while the parasite polls. Survival means the full C&C round trip —
+// command decoded and executed downstream, ping exfiltrated upstream —
+// despite the outages.
 func conditionsChurn(lp netsim.LinkProfile, seed int64) (bool, error) {
-	s, err := core.NewScenario(core.Config{Seed: seed, Link: &lp, Retransmit: true})
-	if err != nil {
-		return false, err
-	}
-	s.AddPage("somesite.com", "/", `<html><body><script src="/my.js"></script></body></html>`, nil)
-	s.AddPage("somesite.com", "/my.js", "function site(){}",
-		map[string]string{"Cache-Control": "max-age=600", "Content-Type": "application/javascript"})
-	cfg := parasite.NewConfig("cond", "bot-cond", core.MasterHost)
-	cfg.Modules["ping"] = func(_ script.Env, _ string, exfil parasite.Exfil) error {
+	strain := parasite.NewConfig("cond", "bot-cond", core.MasterHost)
+	strain.Modules["ping"] = func(_ script.Env, _ string, exfil parasite.Exfil) error {
 		exfil("ping", []byte("alive"))
 		return nil
 	}
-	s.Registry.Add(cfg)
-	s.Master.AddTarget(attacker.Target{
-		Name: "somesite.com/my.js", Kind: attacker.KindJS,
-		ParasitePayload: "cond", Original: []byte("function original(){}"),
-	})
+	s, err := injectionScenario(core.Config{Seed: seed, Link: &lp, Retransmit: true}, strain)
+	if err != nil {
+		return false, err
+	}
 	if _, err := s.Visit("somesite.com", "/"); err != nil {
 		return false, nil // never infected: nothing to persist
 	}

@@ -234,27 +234,18 @@ func TableII(env artifact.Env) (*artifact.Result, error) {
 	return &artifact.Result{Text: b.String(), Dataset: TableIIData(cells)}, nil
 }
 
-// injectionSucceeds runs one injection race in a fresh scenario built
-// from cfg: the master arms its infection module for somesite.com/my.js
-// with the parasite strain named strain (the strain's name is in the
-// injected bytes), and the victim visits somesite.com. It reports
-// whether an infected script reached the page; a page load that did not
-// complete is loadErr.
+// injectionSucceeds runs one injection race in an injectionScenario
+// built from cfg, with the unanchored parasite strain named strain (the
+// strain's name is in the injected bytes): the victim visits
+// somesite.com. It reports whether an infected script reached the page;
+// a page load that did not complete is loadErr.
 func injectionSucceeds(cfg core.Config, strain string) (infected bool, loadErr, err error) {
-	s, err := core.NewScenario(cfg)
+	pc := parasite.NewConfig(strain, "bot-"+strain, core.MasterHost)
+	pc.Anchor = false
+	s, err := injectionScenario(cfg, pc)
 	if err != nil {
 		return false, nil, err
 	}
-	s.AddPage("somesite.com", "/", `<html><body><script src="/my.js"></script></body></html>`, nil)
-	s.AddPage("somesite.com", "/my.js", "function site(){}",
-		map[string]string{"Cache-Control": "max-age=600", "Content-Type": "application/javascript"})
-	pc := parasite.NewConfig(strain, "bot-"+strain, core.MasterHost)
-	pc.Anchor = false
-	s.Registry.Add(pc)
-	s.Master.AddTarget(attacker.Target{
-		Name: "somesite.com/my.js", Kind: attacker.KindJS,
-		ParasitePayload: strain, Original: []byte("function original(){}"),
-	})
 	page, err := s.Visit("somesite.com", "/")
 	if err != nil {
 		return false, err, nil
@@ -265,6 +256,26 @@ func injectionSucceeds(cfg core.Config, strain string) (infected bool, loadErr, 
 		}
 	}
 	return false, nil, nil
+}
+
+// injectionScenario builds a fresh scenario from cfg in which
+// somesite.com serves a page that loads /my.js, and the master arms its
+// infection module for somesite.com/my.js with strain, which the
+// scenario's registry holds.
+func injectionScenario(cfg core.Config, strain *parasite.Config) (*core.Scenario, error) {
+	s, err := core.NewScenario(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.AddPage("somesite.com", "/", `<html><body><script src="/my.js"></script></body></html>`, nil)
+	s.AddPage("somesite.com", "/my.js", "function site(){}",
+		map[string]string{"Cache-Control": "max-age=600", "Content-Type": "application/javascript"})
+	s.Registry.Add(strain)
+	s.Master.AddTarget(attacker.Target{
+		Name: "somesite.com/my.js", Kind: attacker.KindJS,
+		ParasitePayload: strain.ID, Original: []byte("function original(){}"),
+	})
+	return s, nil
 }
 
 // TableIIIRow is one refresh-method evaluation row.

@@ -89,8 +89,9 @@ func (sc *serverConn) Data(conn *tcpsim.Conn, b []byte) {
 }
 
 // finish ends the connection's one message and lets go of what it
-// assembled: the connection outlives it by far, since its stack keeps
-// it in FIN_WAIT for a FIN the client never sends.
+// assembled. An answered connection leaves its stack soon after, once
+// the client acknowledges its FIN, but one whose request cannot be read
+// is never answered or closed, and stays.
 func (sc *serverConn) finish() { sc.done, sc.req, sc.in = true, nil, inbound{} }
 
 // sizeRequest parses the request's head once its blank line is in.

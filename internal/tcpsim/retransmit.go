@@ -147,12 +147,7 @@ func (c *Conn) processAck(ack uint32, hasPayload bool) {
 		c.rtxQ = append(c.rtxQ[:0], c.rtxQ[acked:]...)
 		if len(c.rtxQ) == 0 {
 			// Nothing is outstanding: the buffer is reused from its
-			// first byte, unless the FIN was the last thing acknowledged.
-			// A connection that has sent it writes no more, and it may
-			// linger in FIN_WAIT for a FIN that never comes.
-			if c.state == StateFinWait {
-				c.sndBuf = nil
-			}
+			// first byte.
 			c.sndBuf, c.sndOff = c.sndBuf[:0], 0
 		}
 		c.dupAcks = 0

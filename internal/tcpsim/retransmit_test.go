@@ -108,40 +108,6 @@ func TestRetransmitResendsTheLostBytes(t *testing.T) {
 	}
 }
 
-// TestFinWaitDropsSendBuffer: a connection whose FIN is acknowledged
-// writes no more, so it lets go of its send buffer. The server side of
-// an HTTP exchange is such a connection, and it lingers in FIN_WAIT for
-// a FIN its client never sends, for as long as its stack lives.
-func TestFinWaitDropsSendBuffer(t *testing.T) {
-	l := newLab(t, WithRetransmit())
-	var server *Conn
-	if err := l.server.Listen(80, func(c *Conn) Handler {
-		server = c
-		return onData(func([]byte) {
-			if _, err := c.Write(make([]byte, 4000)); err != nil {
-				t.Errorf("write: %v", err)
-			}
-			_ = c.Close()
-		})
-	}); err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	if _, err := l.client.Dial("server", 80, &funcs{established: func(c *Conn) {
-		if _, err := c.Write([]byte("GET")); err != nil {
-			t.Errorf("write: %v", err)
-		}
-	}}); err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	l.net.Run(0)
-	if server == nil || server.State() != StateFinWait {
-		t.Fatalf("server connection %+v, want one in FIN_WAIT", server)
-	}
-	if len(server.rtxQ) != 0 || cap(server.sndBuf) != 0 {
-		t.Fatalf("FIN_WAIT connection holds %d queued segments and a %d-byte send buffer", len(server.rtxQ), cap(server.sndBuf))
-	}
-}
-
 func TestHandshakeSurvivesHeavyLoss(t *testing.T) {
 	// 50% loss: SYN, SYN-ACK, or the final ACK will be eaten within a
 	// few connections; the handshake machinery must recover all cases.

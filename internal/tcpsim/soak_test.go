@@ -15,6 +15,7 @@ type soakReport struct {
 	framesAcquired int
 	framesReleased int
 	wrapCrossed    bool
+	held           []State // the connections both stacks hold at exit
 }
 
 // soakRoundSize is the per-round echo payload of the soak.
@@ -33,7 +34,8 @@ func (soakEcho) Data(c *Conn, b []byte) { _, _ = c.Write(b) }
 
 // soakPinger is the soak client's connection Handler: it sends the
 // first round once connected, and each next round once the previous
-// one has echoed back, up to rounds.
+// one has echoed back, up to rounds; once the last has echoed back, it
+// closes the connection.
 type soakPinger struct {
 	chunk        []byte
 	rounds       int
@@ -56,6 +58,9 @@ func (p *soakPinger) Data(c *Conn, b []byte) {
 			return
 		}
 	}
+	if p.echoed == p.rounds*soakRoundSize {
+		_ = c.Close()
+	}
 }
 
 // runSoak is the long-horizon stability harness: a request/echo
@@ -63,8 +68,10 @@ func (p *soakPinger) Data(c *Conn, b []byte) {
 // stacks whose ISNs start just below 2^32, so the stream crosses the
 // sequence wrap within the first few rounds and every later round runs
 // in wrapped sequence space. It returns the event count (the caller
-// asserts the horizon) and the frame-pool counters (the caller asserts
-// the pool drained — a leak grows unboundedly over a million events).
+// asserts the horizon), the frame-pool counters (the caller asserts
+// the pool drained — a leak grows unboundedly over a million events)
+// and the connections left once the client has closed (the caller
+// asserts there are none).
 func runSoak(t *testing.T, rounds int, seed int64) soakReport {
 	t.Helper()
 	lp := netsim.LinkProfile{
@@ -102,11 +109,12 @@ func runSoak(t *testing.T, rounds int, seed int64) soakReport {
 		framesAcquired: acquired,
 		framesReleased: released,
 		wrapCrossed:    conn.sndNxt < 0x80000000,
+		held:           append(held(server), held(client)...),
 	}
 }
 
-// soakCheck validates one soak report against the pool-balance and
-// wraparound invariants.
+// soakCheck validates one soak report against the pool-balance,
+// lifecycle and wraparound invariants.
 func soakCheck(t *testing.T, rounds int, rep soakReport) {
 	t.Helper()
 	if rep.rounds != rounds || rep.bytesEchoed != rounds*soakRoundSize {
@@ -115,13 +123,17 @@ func soakCheck(t *testing.T, rounds int, rep soakReport) {
 	if rep.framesAcquired == 0 || rep.framesAcquired != rep.framesReleased {
 		t.Fatalf("frame pool leaked: acquired %d, released %d", rep.framesAcquired, rep.framesReleased)
 	}
+	if len(rep.held) > 0 {
+		t.Fatalf("connections outlived the close: %v", rep.held)
+	}
 	if !rep.wrapCrossed {
 		t.Fatal("stream never crossed the 2^32 sequence wrap")
 	}
 }
 
 // TestSoakSmoke is the -short tier (and `make soak-smoke`): a small
-// horizon exercising the same wrap + fault + pool invariants.
+// horizon exercising the same wrap + fault + pool + lifecycle
+// invariants.
 func TestSoakSmoke(t *testing.T) {
 	const rounds = 2000
 	soakCheck(t, rounds, runSoak(t, rounds, 9))
@@ -129,7 +141,8 @@ func TestSoakSmoke(t *testing.T) {
 
 // TestSoakLongHorizon is the full soak: at least a million simulator
 // events over the lossy, duplicating link, with the frame pool drained
-// at exit — a per-event leak of even one frame would show up here.
+// and no connection left at exit — a per-event leak of even one frame
+// would show up here.
 func TestSoakLongHorizon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-event soak; run without -short")

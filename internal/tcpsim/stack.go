@@ -330,9 +330,11 @@ func (c *Conn) Write(data []byte) (int, error) {
 	return sent, nil
 }
 
-// Close sends FIN and tears the connection down locally.
+// Close sends FIN and enters FIN_WAIT, which ends when the FIN is
+// acknowledged (or on the peer's FIN, an RST or the retry cap). Closing
+// a connection that has sent its FIN, or has ended, does nothing.
 func (c *Conn) Close() error {
-	if c.state == StateClosed {
+	if c.state == StateFinWait || c.state == StateClosed {
 		return nil
 	}
 	c.sendSegment(Segment{Flags: FlagFIN | FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt, Window: DefaultWindow})
@@ -424,6 +426,12 @@ func (c *Conn) handle(seg Segment) {
 		c.teardown()
 	}
 	if seg.Flags&FlagRST != 0 && InWindow(seg.Seq, c.rcvNxt, DefaultWindow) {
+		c.teardown()
+	}
+	// Our FIN is acknowledged, and a peer tears down on the FIN it
+	// acknowledges, so nothing more can come. An ACK past sndNxt is of
+	// bytes never sent and ends nothing (RFC 9293 §3.10.7.4).
+	if c.state == StateFinWait && seg.Flags&FlagACK != 0 && seg.Ack == c.sndNxt {
 		c.teardown()
 	}
 }

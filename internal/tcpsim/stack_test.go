@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -144,7 +145,8 @@ func TestDialToNonListeningPortIgnored(t *testing.T) {
 }
 
 // TestCloseDeliversOnClose: the client's FIN closes the server's side
-// of the connection.
+// of the connection, and the server's acknowledgement of it the
+// client's, which then refuses writes.
 func TestCloseDeliversOnClose(t *testing.T) {
 	l := newLab(t)
 	var serverConn *Conn
@@ -166,14 +168,11 @@ func TestCloseDeliversOnClose(t *testing.T) {
 	if serverConn == nil || serverConn.State() != StateClosed {
 		t.Fatal("server side not closed by the client's FIN")
 	}
-	if _, err := clientConn.Write([]byte("x")); err == nil {
-		// Client is in FIN_WAIT; writing after close should still work at
-		// this simplified layer only until teardown, but once the peer's
-		// FIN+ACK arrives the conn closes. Accept either, but a closed
-		// conn must refuse writes.
-		if clientConn.State() == StateClosed {
-			t.Fatal("write on closed connection succeeded")
-		}
+	if clientConn.State() != StateClosed {
+		t.Fatalf("client state = %v once its FIN is acknowledged, want CLOSED", clientConn.State())
+	}
+	if _, err := clientConn.Write([]byte("x")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("write on closed connection: %v, want ErrClosed", err)
 	}
 }
 
