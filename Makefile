@@ -112,8 +112,12 @@ chaos-smoke:
 ## race run), the allocation budgets, the fuzz smoke pass, a
 ## single-iteration benchmark smoke pass, the bench/ module build and short tests, the short soak gate,
 ## the sharded-fleet determinism gate, the kill-point recovery gate, and
-## the artifact regeneration (the race run carries the serving contract:
-## TestRealArtifactOverRealHTTPMatchesBatchManifest in internal/labd)
+## the artifact regeneration (the race run carries the byte gate,
+## TestArtifactBytesMatchGolden in internal/experiments; beside it the
+## text gate, TestGoldenTextOutput in cmd/experiments, for the
+## `-format text` output the JSON bytes do not carry; and the serving
+## contract, TestRealArtifactOverRealHTTPMatchesBatchManifest in
+## internal/labd)
 ci: fmt-check vet doclint build
 	$(GO) test -short -race ./...
 	$(MAKE) allocs

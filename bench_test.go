@@ -330,7 +330,7 @@ func BenchmarkCache_PutGetEvict(b *testing.B) {
 			resp := httpsim.NewResponse(200, body)
 			resp.Header.Set("Cache-Control", "max-age=60")
 			url := fmt.Sprintf("d.com/o%d", j)
-			store.Put("", httpcache.EntryFromResponse(0, url, "d.com", resp, false))
+			store.Put("", httpcache.EntryFromResponse(0, url, resp, false))
 			store.Get("", url)
 		}
 	}

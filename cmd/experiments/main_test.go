@@ -20,11 +20,11 @@ var deterministicRun = []string{
 
 // TestGoldenTextOutput locks the refactor's core promise: the registry
 // frontend's `-format text` output is byte-identical to the
-// pre-registry CLI (testdata/golden-all.txt was captured from it).
+// pre-registry CLI (testdata/golden-all.txt was captured from it). It
+// runs in every tier, -short included: the JSON byte gate
+// (TestArtifactBytesMatchGolden) cannot see this output, since a
+// Result's Text is not part of its JSON.
 func TestGoldenTextOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("regenerates the full artifact set; run without -short (tier-1 covers it)")
-	}
 	want, err := os.ReadFile(filepath.Join("testdata", "golden-all.txt"))
 	if err != nil {
 		t.Fatal(err)

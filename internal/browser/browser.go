@@ -191,7 +191,8 @@ type fetchOpts struct {
 }
 
 // fetch retrieves url for a page in the pageHost origin context. cb runs
-// inside the network event loop.
+// inside the network event loop. A response served from the Cache API or
+// the HTTP cache, revalidated or not, is the stored response itself.
 func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(*httpsim.Response, error)) {
 	if b.oomKilled {
 		cb(nil, ErrBrowserKilled)
@@ -199,8 +200,8 @@ func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(*httpsim.R
 	}
 	// 1. Cache API (service-worker) interception.
 	if b.Profile.SupportsCacheAPI && !opts.bypassCacheAPI {
-		if e, ok := b.cacheAPI.Get(url); ok {
-			cb(e.ToResponse(), nil)
+		if resp, ok := b.cacheAPI.Get(url); ok {
+			cb(resp, nil)
 			return
 		}
 	}
@@ -209,7 +210,7 @@ func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(*httpsim.R
 	if !opts.bypassCache {
 		if e, ok := b.cache.GetFresh(now, pageHost, url); ok {
 			b.cacheServes++
-			cb(e.ToResponse(), nil)
+			cb(e.Response, nil)
 			return
 		}
 	}
@@ -218,9 +219,11 @@ func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(*httpsim.R
 	req := httpsim.NewRequest("GET", host, pathOf(url))
 	var stale *httpcache.Entry
 	if !opts.bypassCache {
-		if e, ok := b.cache.Get(pageHost, url); ok && e.ETag != "" {
-			stale = e
-			req.Header.Set("If-None-Match", e.ETag)
+		if e, ok := b.cache.Get(pageHost, url); ok {
+			if etag := e.Response.Header.Get("Etag"); etag != "" {
+				stale = e
+				req.Header.Set("If-None-Match", etag)
+			}
 		}
 	}
 	b.send(req, func(resp *httpsim.Response, err error) {
@@ -232,12 +235,12 @@ func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(*httpsim.R
 			// Revalidated: refresh the stored entry's clock.
 			stale.StoredAt = b.net.Now()
 			b.cacheServes++
-			cb(stale.ToResponse(), nil)
+			cb(stale.Response, nil)
 			return
 		}
 		b.netFetches++
 		b.absorb(host, resp)
-		if e := httpcache.EntryFromResponse(b.net.Now(), url, host, resp, false); e != nil {
+		if e := httpcache.EntryFromResponse(b.net.Now(), url, resp, false); e != nil {
 			b.cache.Put(pageHost, e)
 			if b.Profile.Ballooning && b.Profile.MemoryLimit > 0 &&
 				b.cache.Size() > b.Profile.MemoryLimit {

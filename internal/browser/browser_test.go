@@ -356,8 +356,7 @@ func TestHardReloadBypassesHTTPCacheButNotCacheAPI(t *testing.T) {
 	// Anchor a parasite in the Cache API: even a hard reload serves it.
 	resp := httpsim.NewResponse(200, []byte("PARASITE"))
 	resp.Header.Set("Cache-Control", "max-age=31536000")
-	entryURL := "site.com/app.js"
-	b.CacheAPI().Put(mustEntry(t, entryURL, resp))
+	b.CacheAPI().Put("site.com/app.js", resp)
 	var hard2 *Page
 	b.VisitWith("site.com", "/", VisitOpts{HardReload: true}, func(p *Page, err error) { hard2 = p })
 	w.net.Run(0)
@@ -372,7 +371,7 @@ func TestClearCacheVsClearCookies(t *testing.T) {
 	b := w.browser(t, "Chrome")
 	resp := httpsim.NewResponse(200, []byte("PARASITE"))
 	resp.Header.Set("Cache-Control", "max-age=31536000")
-	b.CacheAPI().Put(mustEntry(t, "top1.com/persistent.js", resp))
+	b.CacheAPI().Put("top1.com/persistent.js", resp)
 
 	b.ClearCache()
 	if b.CacheAPI().Len() != 1 {
@@ -381,6 +380,103 @@ func TestClearCacheVsClearCookies(t *testing.T) {
 	b.ClearCookies()
 	if b.CacheAPI().Len() != 0 {
 		t.Fatal("clear-cookies did not remove the Cache API parasite")
+	}
+}
+
+// TestCacheAPIAnchorsNoStore: the Cache API applies no HTTP storage
+// rule, so a script anchors a no-store response as it is, and a hard
+// reload then serves it.
+func TestCacheAPIAnchorsNoStore(t *testing.T) {
+	w := newWeb(t)
+	w.addPage("site.com", "/", `<html><body><script src="/app.js"></script></body></html>`, nil)
+	w.pages["site.com/app.js"] = httpsim.NewResponse(200, script.Embed(nil, "anchor", ""))
+	b := w.browser(t, "Chrome")
+	anchored := httpsim.NewResponse(200, []byte("PARASITE"))
+	anchored.Header.Set("Cache-Control", "no-store")
+	b.ScriptRuntime().Register("anchor", func(env script.Env, _ string) error {
+		env.CacheAPIPut("/app.js", anchored)
+		return nil
+	})
+	w.visit(t, b, "site.com", "/")
+	if got, ok := b.CacheAPI().Get("site.com/app.js"); !ok || got != anchored {
+		t.Fatal("CacheAPIPut did not anchor the no-store response")
+	}
+	var hard *Page
+	b.VisitWith("site.com", "/", VisitOpts{HardReload: true}, func(p *Page, err error) { hard = p })
+	w.net.Run(0)
+	if hard == nil || len(hard.Scripts) != 1 || string(hard.Scripts[0].Content) != "PARASITE" {
+		t.Fatal("a hard reload did not serve the anchored no-store response")
+	}
+}
+
+// TestCacheServesTheStoredResponse: a response is read-only once built,
+// so a cache hands its callback the response it stores, not a copy: on
+// a fresh HTTP-cache hit, on a 304 revalidation and on a Cache API hit.
+func TestCacheServesTheStoredResponse(t *testing.T) {
+	w := newWeb(t)
+	w.addPage("site.com", "/fresh.js", "fresh", nil)
+	w.addPage("site.com", "/tagged.js", "tagged", map[string]string{"Cache-Control": "no-cache", "ETag": `"v1"`})
+	b := w.browser(t, "Chrome")
+	fetch := func(url string, opts fetchOpts) *httpsim.Response {
+		t.Helper()
+		var got *httpsim.Response
+		b.fetch("site.com", url, opts, func(resp *httpsim.Response, err error) {
+			if err != nil {
+				t.Errorf("fetch %s: %v", url, err)
+			}
+			got = resp
+		})
+		w.net.Run(0)
+		return got
+	}
+	for _, url := range []string{"site.com/fresh.js", "site.com/tagged.js"} {
+		stored := fetch(url, fetchOpts{})
+		if e, ok := b.Cache().Get("site.com", url); !ok || e.Response != stored {
+			t.Fatalf("%s: the cache does not hold the fetched response", url)
+		}
+		if got := fetch(url, fetchOpts{}); got != stored {
+			t.Errorf("%s: a cache serve got %p, want the stored response %p", url, got, stored)
+		}
+	}
+	if w.served["site.com/fresh.js"] != 1 || w.served["site.com/tagged.js"] != 2 || b.CacheServes() != 2 {
+		t.Fatalf("served fresh.js %d and tagged.js %d times with %d cache serves, want 1, 2 (one 304) and 2",
+			w.served["site.com/fresh.js"], w.served["site.com/tagged.js"], b.CacheServes())
+	}
+	anchored := httpsim.NewResponse(200, []byte("PARASITE"))
+	b.CacheAPI().Put("site.com/fresh.js", anchored)
+	if got := fetch("site.com/fresh.js", fetchOpts{bypassCache: true}); got != anchored {
+		t.Errorf("a Cache API hit got %p, want the anchored response %p", got, anchored)
+	}
+}
+
+// TestCacheHitAllocs budgets a fresh HTTP-cache hit and a Cache API hit
+// at zero allocations: each serves the stored response itself. Skipped
+// in -short mode: the CI race detector perturbs counts.
+func TestCacheHitAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts shift under -race; make allocs runs this")
+	}
+	w := newWeb(t)
+	w.addPage("site.com", "/app.js", "function app(){}", nil)
+	b := w.browser(t, "Chrome")
+	var got *httpsim.Response
+	cb := func(resp *httpsim.Response, _ error) { got = resp }
+	b.fetch("site.com", "site.com/app.js", fetchOpts{}, cb)
+	w.net.Run(0)
+	b.CacheAPI().Put("site.com/anchor.js", httpsim.NewResponse(200, []byte("PARASITE")))
+	const budget = 0 // measured with Go 1.24.0
+	for _, c := range []struct{ name, url string }{
+		{"HTTP-cache hit", "site.com/app.js"},
+		{"Cache API hit", "site.com/anchor.js"},
+	} {
+		got = nil
+		allocs := testing.AllocsPerRun(100, func() { b.fetch("site.com", c.url, fetchOpts{}, cb) })
+		if got == nil {
+			t.Fatalf("%s: %s was not served from a cache", c.name, c.url)
+		}
+		if allocs > budget {
+			t.Errorf("%s allocs/op = %.1f, want <= %d", c.name, allocs, budget)
+		}
 	}
 }
 
@@ -686,7 +782,7 @@ func FuzzParseCSP(f *testing.F) {
 
 func mustEntry(t *testing.T, url string, resp *httpsim.Response) *httpcache.Entry {
 	t.Helper()
-	e := httpcache.EntryFromResponse(0, url, hostOf(url), resp, false)
+	e := httpcache.EntryFromResponse(0, url, resp, false)
 	if e == nil {
 		t.Fatal("uncacheable response in fixture")
 	}

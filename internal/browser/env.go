@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"masterparasite/internal/dom"
-	"masterparasite/internal/httpcache"
 	"masterparasite/internal/httpsim"
 	"masterparasite/internal/script"
 )
@@ -115,16 +114,8 @@ func (e *pageEnv) AddImage(url string, onload func(width, height int, ok bool)) 
 }
 
 // CacheAPIPut anchors a response in the Cache API store (Table III
-// persistence).
+// persistence). The store applies no HTTP storage rule: a no-store
+// response is anchored as it is.
 func (e *pageEnv) CacheAPIPut(url string, resp *httpsim.Response) {
-	url = normalizeURL(e.page().Host, url)
-	entry := httpcache.EntryFromResponse(e.Now(), url, hostOf(url), resp, false)
-	if entry == nil {
-		// Cache API storage ignores HTTP's storage rule (no-store, or
-		// a status stored only with explicit freshness); store anyway.
-		clean := resp.Clone()
-		clean.Header.Set("Cache-Control", "max-age=31536000")
-		entry = httpcache.EntryFromResponse(e.Now(), url, hostOf(url), clean, false)
-	}
-	e.browser().cacheAPI.Put(entry)
+	e.browser().cacheAPI.Put(normalizeURL(e.page().Host, url), resp)
 }

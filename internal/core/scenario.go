@@ -237,7 +237,8 @@ func (s *Scenario) SetTLS(host string, on bool) {
 // listener holds.
 func (s *Scenario) certs() []string { return s.tlsHosts }
 
-// serve is the web farm's dispatch.
+// serve is the web farm's dispatch. A static page is served as it is
+// stored: the server only marshals it.
 func (s *Scenario) serve(req *httpsim.Request) *httpsim.Response {
 	if h, ok := s.handlers[req.Host]; ok {
 		return h(req)
@@ -256,7 +257,7 @@ func (s *Scenario) serve(req *httpsim.Request) *httpsim.Response {
 	if inm := req.Header.Get("If-None-Match"); inm != "" && inm == resp.Header.Get("Etag") {
 		return httpsim.NewResponse(304, nil)
 	}
-	return resp.Clone()
+	return resp
 }
 
 // resolve is the scenario DNS.

@@ -64,10 +64,10 @@ func TestInjectionInfectsCache(t *testing.T) {
 		t.Fatal("victim executed the genuine script; injection lost the race")
 	}
 	e, ok := s.Victim.Cache().Get("somesite.com", "somesite.com/my.js")
-	if !ok || !script.Infected(e.Body) {
+	if !ok || !script.Infected(e.Response.Body) {
 		t.Fatal("infected object not cached")
 	}
-	if cc := e.Header.Get("Cache-Control"); !strings.Contains(cc, "max-age=31536000") {
+	if cc := e.Response.Header.Get("Cache-Control"); !strings.Contains(cc, "max-age=31536000") {
 		t.Fatalf("attacker cache headers lost: %q", cc)
 	}
 	if s.Master.Stats().Injections == 0 {
@@ -98,7 +98,7 @@ func TestReloadOriginalKeepsPageFunctional(t *testing.T) {
 		if strings.HasPrefix(url, "somesite.com/my.js?t=") {
 			found = true
 			e, _ := s.Victim.Cache().Get("somesite.com", url)
-			if script.Infected(e.Body) {
+			if script.Infected(e.Response.Body) {
 				t.Fatal("reloaded original is infected; camouflage broken")
 			}
 		}
@@ -126,7 +126,7 @@ func TestPropagationInfectsOtherDomains(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s object not cached via propagation", d)
 		}
-		if !script.Infected(e.Body) {
+		if !script.Infected(e.Response.Body) {
 			t.Fatalf("%s object cached but not infected", d)
 		}
 	}

@@ -95,10 +95,10 @@ func TestCrawlerSelectedTargetsAreInfectable(t *testing.T) {
 	// The infected copy is cached under the stable name, so it will be
 	// invoked on every future visit for (at least) the crawled window.
 	e, ok := s.Victim.Cache().Get(host, targetURL)
-	if !ok || !script.Infected(e.Body) {
+	if !ok || !script.Infected(e.Response.Body) {
 		t.Fatal("stable-name cache entry not poisoned")
 	}
-	if !strings.Contains(e.Header.Get("Cache-Control"), "max-age=31536000") {
+	if !strings.Contains(e.Response.Header.Get("Cache-Control"), "max-age=31536000") {
 		t.Fatal("poisoned entry lifetime not maximised")
 	}
 }

@@ -9,18 +9,16 @@ import (
 	"masterparasite/internal/httpsim"
 )
 
-// Entry is one cached object.
+// Entry is one cached object: the stored response itself, never a copy
+// of it (RFC 9111 §4 reuses the response it stored), and the cache's
+// metadata beside it. A response is read-only once built, so the entry
+// and every serve of it share one message.
 type Entry struct {
-	URL        string // host-qualified URL without query string: the cache key
-	Domain     string
-	StatusCode int // the stored response's status, served back with it
-	Status     string
-	Body       []byte
-	Header     httpsim.Header
-	StoredAt   time.Duration
-	TTL        time.Duration // freshness lifetime at StoredAt
-	ETag       string
-	NoCache    bool // requires revalidation even while fresh
+	URL      string            // host-qualified URL, query included: the cache key
+	Response *httpsim.Response // as stored, and served as it is
+	StoredAt time.Duration
+	TTL      time.Duration // freshness lifetime at StoredAt
+	NoCache  bool          // requires revalidation even while fresh
 }
 
 // DefaultHeuristicTTL applies when a response carries no explicit
@@ -46,8 +44,9 @@ func heuristicallyCacheable(code int) bool {
 // stored, and neither is a status that is not heuristically cacheable
 // unless it carries explicit freshness. The TTL is max-age; a shared
 // cache also refuses private responses, and s-maxage, when present, is
-// its lifetime in place of max-age (RFC 9111 §5.2.2.7, §5.2.2.10).
-func EntryFromResponse(now time.Duration, url, domain string, resp *httpsim.Response, shared bool) *Entry {
+// its lifetime in place of max-age (RFC 9111 §5.2.2.7, §5.2.2.10). The
+// entry holds resp itself.
+func EntryFromResponse(now time.Duration, url string, resp *httpsim.Response, shared bool) *Entry {
 	cc := ParseCacheControl(resp.Header.Get("Cache-Control"))
 	if cc.NoStore || shared && cc.Private {
 		return nil
@@ -63,18 +62,7 @@ func EntryFromResponse(now time.Duration, url, domain string, resp *httpsim.Resp
 	default:
 		return nil
 	}
-	return &Entry{
-		URL:        url,
-		Domain:     domain,
-		StatusCode: resp.StatusCode,
-		Status:     resp.Status,
-		Body:       append([]byte(nil), resp.Body...),
-		Header:     resp.Header.Clone(),
-		StoredAt:   now,
-		TTL:        ttl,
-		ETag:       resp.Header.Get("Etag"),
-		NoCache:    cc.NoCache,
-	}
+	return &Entry{URL: url, Response: resp, StoredAt: now, TTL: ttl, NoCache: cc.NoCache}
 }
 
 // Fresh reports whether the entry may be served without revalidation.
@@ -87,21 +75,11 @@ func (e *Entry) Fresh(now time.Duration) bool {
 
 // Size is the entry's accounting size in bytes.
 func (e *Entry) Size() int {
-	n := len(e.Body) + len(e.URL)
-	for _, f := range e.Header {
+	n := len(e.Response.Body) + len(e.URL)
+	for _, f := range e.Response.Header {
 		n += len(f.Key) + len(f.Value)
 	}
 	return n
-}
-
-// ToResponse reconstructs the HTTP response served from cache, with the
-// status it was stored with; the header is appended into the response's
-// inline fields.
-func (e *Entry) ToResponse() *httpsim.Response {
-	resp := httpsim.NewResponse(e.StatusCode, append([]byte(nil), e.Body...))
-	resp.Status = e.Status
-	resp.Header = append(resp.Header, e.Header...)
-	return resp
 }
 
 // Policy selects the replacement algorithm.
@@ -366,34 +344,32 @@ func (j *CookieJar) Len() int {
 // "clear cache", and are removed only together with the site's cookies
 // and site data. The parasite abuses it as its persistence anchor.
 type CacheAPIStore struct {
-	entries map[string]*Entry // keyed by URL
+	responses map[string]*httpsim.Response // keyed by URL
 }
 
 // NewCacheAPIStore returns an empty Cache API store.
 func NewCacheAPIStore() *CacheAPIStore {
-	return &CacheAPIStore{entries: make(map[string]*Entry)}
+	return &CacheAPIStore{responses: make(map[string]*httpsim.Response)}
 }
 
-// Put stores an entry. The Cache API ignores HTTP freshness: entries live
-// until explicitly deleted.
-func (s *CacheAPIStore) Put(e *Entry) {
-	if e == nil {
-		return
-	}
-	s.entries[e.URL] = e
+// Put stores resp under url. The Cache API ignores HTTP's storage rule
+// and freshness: whatever its Cache-Control says, a response lives until
+// it is explicitly deleted.
+func (s *CacheAPIStore) Put(url string, resp *httpsim.Response) {
+	s.responses[url] = resp
 }
 
-// Get returns the stored entry for url.
-func (s *CacheAPIStore) Get(url string) (*Entry, bool) {
-	e, ok := s.entries[url]
-	return e, ok
+// Get returns the response stored under url.
+func (s *CacheAPIStore) Get(url string) (*httpsim.Response, bool) {
+	resp, ok := s.responses[url]
+	return resp, ok
 }
 
-// Len counts entries.
-func (s *CacheAPIStore) Len() int { return len(s.entries) }
+// Len counts stored responses.
+func (s *CacheAPIStore) Len() int { return len(s.responses) }
 
 // Clear wipes the store. The browser invokes this only on "clear cookies
 // and site data", never on cache clearing (Table III).
 func (s *CacheAPIStore) Clear() {
-	s.entries = make(map[string]*Entry)
+	s.responses = make(map[string]*httpsim.Response)
 }

@@ -66,14 +66,14 @@ func TestEntryIgnoresSMaxAge(t *testing.T) {
 		{"s-maxage=120", DefaultHeuristicTTL},
 		{"max-age=10, s-maxage=120", 10 * time.Second},
 	} {
-		if e := EntryFromResponse(0, "a.com/x.js", "a.com", respWithCC(c.cc, "x"), false); e == nil || e.TTL != c.want {
+		if e := EntryFromResponse(0, "a.com/x.js", respWithCC(c.cc, "x"), false); e == nil || e.TTL != c.want {
 			t.Errorf("Cache-Control %q: entry %+v, want TTL %v", c.cc, e, c.want)
 		}
 	}
 }
 
 func TestEntryFromResponseFreshness(t *testing.T) {
-	e := EntryFromResponse(0, "a.com/x.js", "a.com", respWithCC("max-age=60", "body"), false)
+	e := EntryFromResponse(0, "a.com/x.js", respWithCC("max-age=60", "body"), false)
 	if e == nil {
 		t.Fatal("entry is nil")
 	}
@@ -86,13 +86,13 @@ func TestEntryFromResponseFreshness(t *testing.T) {
 }
 
 func TestEntryNoStoreUncacheable(t *testing.T) {
-	if e := EntryFromResponse(0, "a.com/x", "a.com", respWithCC("no-store", "x"), false); e != nil {
+	if e := EntryFromResponse(0, "a.com/x", respWithCC("no-store", "x"), false); e != nil {
 		t.Fatal("no-store response produced an entry")
 	}
 }
 
 func TestEntryNoCacheNeverFresh(t *testing.T) {
-	e := EntryFromResponse(0, "a.com/x", "a.com", respWithCC("no-cache, max-age=60", "x"), false)
+	e := EntryFromResponse(0, "a.com/x", respWithCC("no-cache, max-age=60", "x"), false)
 	if e == nil {
 		t.Fatal("nil entry")
 	}
@@ -102,7 +102,7 @@ func TestEntryNoCacheNeverFresh(t *testing.T) {
 }
 
 func TestEntryHeuristicTTL(t *testing.T) {
-	e := EntryFromResponse(0, "a.com/x", "a.com", respWithCC("", "x"), false)
+	e := EntryFromResponse(0, "a.com/x", respWithCC("", "x"), false)
 	if e.TTL != DefaultHeuristicTTL {
 		t.Fatalf("TTL = %v, want heuristic %v", e.TTL, DefaultHeuristicTTL)
 	}
@@ -139,11 +139,11 @@ func TestHeuristicFreshnessOnlyForCacheableCodes(t *testing.T) {
 		if c.cc != "" {
 			resp.Header.Set("Cache-Control", c.cc)
 		}
-		e := EntryFromResponse(0, "a.com/x", "a.com", resp, c.shared)
+		e := EntryFromResponse(0, "a.com/x", resp, c.shared)
 		switch {
 		case c.want == 0 && e != nil:
 			t.Errorf("%d %q (shared %v): stored with TTL %v, want not stored", c.code, c.cc, c.shared, e.TTL)
-		case c.want != 0 && (e == nil || e.TTL != c.want || e.StatusCode != c.code):
+		case c.want != 0 && (e == nil || e.TTL != c.want || e.Response.StatusCode != c.code):
 			t.Errorf("%d %q (shared %v): entry %+v, want %d with TTL %v", c.code, c.cc, c.shared, e, c.code, c.want)
 		}
 	}
@@ -165,29 +165,21 @@ func TestSharedEntryRule(t *testing.T) {
 		{"max-age=10, s-maxage=120", true, true, 2 * time.Minute},
 		{"s-maxage=0, max-age=60", true, true, 0},
 	} {
-		e := EntryFromResponse(0, "a.com/x", "a.com", respWithCC(c.cc, "x"), c.shared)
+		e := EntryFromResponse(0, "a.com/x", respWithCC(c.cc, "x"), c.shared)
 		if (e != nil) != c.stored || e != nil && e.TTL != c.ttl {
 			t.Errorf("%q (shared %v): entry %+v, want stored=%v with TTL %v", c.cc, c.shared, e, c.stored, c.ttl)
 		}
 	}
 }
 
-func TestEntryToResponseIndependence(t *testing.T) {
-	e := EntryFromResponse(0, "a.com/x", "a.com", respWithCC("max-age=1", "abc"), false)
-	r := e.ToResponse()
-	r.Body[0] = 'X'
-	r.Header.Set("Injected", "yes")
-	if e.Body[0] != 'a' || e.Header.Has("Injected") {
-		t.Fatal("ToResponse aliases the entry")
-	}
-}
-
+// TestStorePutGet: the store hands back the entry it was given, and the
+// entry holds the response it was derived from, not a copy.
 func TestStorePutGet(t *testing.T) {
 	s := NewStore(Options{Capacity: 1 << 20})
-	e := EntryFromResponse(0, "a.com/x.js", "a.com", respWithCC("max-age=60", "body"), false)
-	s.Put("a.com", e)
+	resp := respWithCC("max-age=60", "body")
+	s.Put("a.com", EntryFromResponse(0, "a.com/x.js", resp, false))
 	got, ok := s.Get("a.com", "a.com/x.js")
-	if !ok || string(got.Body) != "body" {
+	if !ok || got.Response != resp {
 		t.Fatal("get after put failed")
 	}
 	if _, ok := s.GetFresh(30*time.Second, "a.com", "a.com/x.js"); !ok {
@@ -200,14 +192,14 @@ func TestStorePutGet(t *testing.T) {
 
 func TestStoreReplaceSameKey(t *testing.T) {
 	s := NewStore(Options{Capacity: 1 << 20})
-	s.Put("", EntryFromResponse(0, "a.com/x", "a.com", respWithCC("max-age=9", "old"), false))
-	s.Put("", EntryFromResponse(0, "a.com/x", "a.com", respWithCC("max-age=9", "new"), false))
+	s.Put("", EntryFromResponse(0, "a.com/x", respWithCC("max-age=9", "old"), false))
+	s.Put("", EntryFromResponse(0, "a.com/x", respWithCC("max-age=9", "new"), false))
 	if s.Len() != 1 {
 		t.Fatalf("len = %d, want 1", s.Len())
 	}
 	got, _ := s.Get("", "a.com/x")
-	if string(got.Body) != "new" {
-		t.Fatalf("body = %q, want new", got.Body)
+	if string(got.Response.Body) != "new" {
+		t.Fatalf("body = %q, want new", got.Response.Body)
 	}
 }
 
@@ -215,7 +207,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	// Three ~equal entries in a cache that fits two: touching the oldest
 	// should protect it under LRU.
 	mkEntry := func(url string) *Entry {
-		return EntryFromResponse(0, url, "a.com", respWithCC("max-age=60", "0123456789"), false)
+		return EntryFromResponse(0, url, respWithCC("max-age=60", "0123456789"), false)
 	}
 	one := mkEntry("a.com/1")
 	cap2 := int64(one.Size()*2 + 4)
@@ -234,7 +226,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestFIFOEvictionIgnoresRecency(t *testing.T) {
 	mkEntry := func(url string) *Entry {
-		return EntryFromResponse(0, url, "a.com", respWithCC("max-age=60", "0123456789"), false)
+		return EntryFromResponse(0, url, respWithCC("max-age=60", "0123456789"), false)
 	}
 	one := mkEntry("a.com/1")
 	s := NewStore(Options{Capacity: int64(one.Size()*2 + 4), Policy: FIFO})
@@ -251,10 +243,10 @@ func TestEvictionFloodSupplantsVictimObjects(t *testing.T) {
 	// The §IV attack in miniature: cached objects of popular.com are
 	// supplanted by a flood of attacker junk objects.
 	s := NewStore(Options{Capacity: 4096})
-	s.Put("", EntryFromResponse(0, "popular.com/app.js", "popular.com", respWithCC("max-age=3600", "important"), false))
+	s.Put("", EntryFromResponse(0, "popular.com/app.js", respWithCC("max-age=3600", "important"), false))
 	for i := 0; i < 100; i++ {
 		url := fmt.Sprintf("attacker.com/junk%02d.jpg", i)
-		s.Put("", EntryFromResponse(0, url, "attacker.com", respWithCC("max-age=3600", string(make([]byte, 200))), false))
+		s.Put("", EntryFromResponse(0, url, respWithCC("max-age=3600", string(make([]byte, 200))), false))
 	}
 	if s.Contains("", "popular.com/app.js") {
 		t.Fatal("victim object survived the eviction flood")
@@ -270,7 +262,7 @@ func TestBallooningNeverEvicts(t *testing.T) {
 	s := NewStore(Options{Capacity: 1024, Ballooning: true})
 	for i := 0; i < 50; i++ {
 		url := fmt.Sprintf("x.com/%d", i)
-		s.Put("", EntryFromResponse(0, url, "x.com", respWithCC("max-age=60", string(make([]byte, 100))), false))
+		s.Put("", EntryFromResponse(0, url, respWithCC("max-age=60", string(make([]byte, 100))), false))
 	}
 	if s.Stats().Evictions != 0 {
 		t.Fatal("ballooning store evicted")
@@ -287,7 +279,7 @@ func TestPartitionedStoreIsolatesContexts(t *testing.T) {
 	// §VIII countermeasure: with partitioning, an entry cached under one
 	// top-level site is invisible to another.
 	s := NewStore(Options{Capacity: 1 << 20, Partitioned: true})
-	s.Put("site-a.com", EntryFromResponse(0, "cdn.com/lib.js", "cdn.com", respWithCC("max-age=60", "lib"), false))
+	s.Put("site-a.com", EntryFromResponse(0, "cdn.com/lib.js", respWithCC("max-age=60", "lib"), false))
 	if _, ok := s.Get("site-b.com", "cdn.com/lib.js"); ok {
 		t.Fatal("partitioned cache leaked across contexts")
 	}
@@ -298,7 +290,7 @@ func TestPartitionedStoreIsolatesContexts(t *testing.T) {
 
 func TestUnpartitionedStoreShared(t *testing.T) {
 	s := NewStore(Options{Capacity: 1 << 20})
-	s.Put("site-a.com", EntryFromResponse(0, "cdn.com/lib.js", "cdn.com", respWithCC("max-age=60", "lib"), false))
+	s.Put("site-a.com", EntryFromResponse(0, "cdn.com/lib.js", respWithCC("max-age=60", "lib"), false))
 	if _, ok := s.Get("site-b.com", "cdn.com/lib.js"); !ok {
 		t.Fatal("shared cache should serve any context")
 	}
@@ -306,8 +298,8 @@ func TestUnpartitionedStoreShared(t *testing.T) {
 
 func TestClearAndDelete(t *testing.T) {
 	s := NewStore(Options{Capacity: 1 << 20})
-	s.Put("", EntryFromResponse(0, "a.com/1", "a.com", respWithCC("max-age=60", "x"), false))
-	s.Put("", EntryFromResponse(0, "a.com/2", "a.com", respWithCC("max-age=60", "y"), false))
+	s.Put("", EntryFromResponse(0, "a.com/1", respWithCC("max-age=60", "x"), false))
+	s.Put("", EntryFromResponse(0, "a.com/2", respWithCC("max-age=60", "y"), false))
 	s.Clear()
 	if s.Len() != 0 || s.Size() != 0 {
 		t.Fatal("clear left residue")
@@ -316,8 +308,8 @@ func TestClearAndDelete(t *testing.T) {
 
 func TestCountWhere(t *testing.T) {
 	s := NewStore(Options{})
-	s.Put("", EntryFromResponse(0, "a.com/1.js", "a.com", respWithCC("max-age=60", "x"), false))
-	s.Put("", EntryFromResponse(0, "a.com/1.png", "a.com", respWithCC("max-age=60", "x"), false))
+	s.Put("", EntryFromResponse(0, "a.com/1.js", respWithCC("max-age=60", "x"), false))
+	s.Put("", EntryFromResponse(0, "a.com/1.png", respWithCC("max-age=60", "x"), false))
 	n := s.CountWhere(func(e *Entry) bool { return e.URL[len(e.URL)-3:] == ".js" })
 	if n != 1 {
 		t.Fatalf("CountWhere = %d", n)
@@ -334,7 +326,7 @@ func TestSizeInvariantUnderCapacity(t *testing.T) {
 				b = b[:512]
 			}
 			url := fmt.Sprintf("d%d.com/o", i)
-			s.Put("", EntryFromResponse(0, url, "d.com", respWithCC("max-age=5", string(b)), false))
+			s.Put("", EntryFromResponse(0, url, respWithCC("max-age=5", string(b)), false))
 		}
 		var sum int64
 		for _, u := range s.URLs() {
@@ -376,11 +368,11 @@ func TestCookieJar(t *testing.T) {
 
 func TestCacheAPIStoreLifecycle(t *testing.T) {
 	s := NewCacheAPIStore()
-	e := EntryFromResponse(0, "top1.com/persistent.js", "top1.com", respWithCC("max-age=1", "parasite"), false)
-	s.Put(e)
-	// Cache API entries ignore HTTP freshness entirely.
-	got, ok := s.Get("top1.com/persistent.js")
-	if !ok || string(got.Body) != "parasite" {
+	resp := respWithCC("no-store", "parasite")
+	s.Put("top1.com/persistent.js", resp)
+	// The Cache API ignores HTTP's storage rule and freshness entirely,
+	// and keeps the response it was given.
+	if got, ok := s.Get("top1.com/persistent.js"); !ok || got != resp {
 		t.Fatal("cache API get failed")
 	}
 	if s.Len() != 1 {
@@ -394,7 +386,7 @@ func TestCacheAPIStoreLifecycle(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	s := NewStore(Options{})
-	s.Put("", EntryFromResponse(0, "a.com/x", "a.com", respWithCC("max-age=60", "x"), false))
+	s.Put("", EntryFromResponse(0, "a.com/x", respWithCC("max-age=60", "x"), false))
 	s.Get("", "a.com/x")
 	s.Get("", "a.com/missing")
 	st := s.Stats()

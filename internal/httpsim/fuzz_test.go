@@ -71,7 +71,7 @@ func sortedFields(h legacyHeader) Header {
 
 // withoutContentLength drops the one header Marshal rewrites.
 func withoutContentLength(h Header) Header {
-	return slices.DeleteFunc(h.Clone(), func(f Field) bool { return f.Key == "Content-Length" })
+	return slices.DeleteFunc(slices.Clone(h), func(f Field) bool { return f.Key == "Content-Length" })
 }
 
 // checkRequest holds ParseRequest to the frozen parser on data, then

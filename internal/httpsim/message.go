@@ -26,9 +26,9 @@ type Field struct {
 
 // Header is a single-valued header kept sorted by canonical key, so
 // Marshal writes it in order without sorting. A message carries about
-// ten fields at most, so lookups scan. Set and Del edit in place: two
-// struct copies of a message share in-place edits but not appends, so
-// a response copy that will be edited is made with Response.Clone.
+// ten fields at most, so lookups scan. Set and Del edit in place, and
+// only the code building a message calls them: a response's header is
+// read-only once the response is handed on (see Response).
 type Header []Field
 
 // inlineFields is how many header fields a built or parsed message
@@ -85,9 +85,6 @@ func (h *Header) Del(key string) {
 		*h = slices.Delete(*h, i, i+1)
 	}
 }
-
-// Clone returns an independent copy.
-func (h Header) Clone() Header { return slices.Clone(h) }
 
 // Request is an HTTP request message.
 type Request struct {
@@ -184,7 +181,11 @@ func (r *Request) AppendMarshal(b []byte) []byte {
 	return append(b, r.Body...)
 }
 
-// Response is an HTTP response message.
+// Response is an HTTP response message. It is read-only once the code
+// that made it hands it on, to a server, to a client callback or to a
+// cache: the caches store it and serve it again, and a web farm serves
+// the same stored page to every request, all without a copy. Code that
+// needs a changed response edits a Clone.
 type Response struct {
 	StatusCode int
 	Status     string

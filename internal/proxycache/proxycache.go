@@ -136,7 +136,9 @@ func (c *SharedCache) Len() int { return c.store.Len() }
 
 // Handle processes one client request through the cache: serve from the
 // shared store when fresh, otherwise forward to origin and cache the
-// response. clientID only matters under per-client isolation.
+// response. clientID only matters under per-client isolation. The store
+// keeps the origin's response as it is; the one copy is the response
+// returned, which carries X-Cache.
 func (c *SharedCache) Handle(clientID string, req *httpsim.Request, origin httpsim.HandlerFunc) *httpsim.Response {
 	url := req.URL()
 	partition := ""
@@ -145,16 +147,16 @@ func (c *SharedCache) Handle(clientID string, req *httpsim.Request, origin https
 	}
 	if e, ok := c.store.GetFresh(0, partition, url); ok {
 		c.hits++
-		resp := e.ToResponse()
-		resp.Header.Set("X-Cache", "HIT from "+c.name)
-		return resp
+		out := e.Response.Clone()
+		out.Header.Set("X-Cache", "HIT from "+c.name)
+		return out
 	}
 	c.forwarded++
 	resp := origin(req)
 	if resp == nil {
 		return httpsim.NewResponse(502, nil)
 	}
-	c.store.Put(partition, httpcache.EntryFromResponse(0, url, req.Host, resp, true))
+	c.store.Put(partition, httpcache.EntryFromResponse(0, url, resp, true))
 	out := resp.Clone()
 	out.Header.Set("X-Cache", "MISS from "+c.name)
 	return out
@@ -177,7 +179,7 @@ type InfectionResult struct {
 // result reports how many of them got the parasite out of the cache.
 func RunInfection(cache *SharedCache, infected *httpsim.Response, clients int) InfectionResult {
 	req := httpsim.NewRequest("GET", "top1.com", "/persistent.js")
-	infectedOrigin := func(*httpsim.Request) *httpsim.Response { return infected.Clone() }
+	infectedOrigin := func(*httpsim.Request) *httpsim.Response { return infected }
 	cleanOrigin := func(*httpsim.Request) *httpsim.Response {
 		resp := httpsim.NewResponse(200, []byte("function lib(){}"))
 		resp.Header.Set("Cache-Control", "max-age=3600")

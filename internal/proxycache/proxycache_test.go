@@ -85,12 +85,16 @@ func TestIsolatedCacheContainsInfection(t *testing.T) {
 	}
 }
 
+// TestCacheHitHeaders: each response the proxy returns carries
+// X-Cache, and each is a copy: the origin's response, which the cache
+// stores as it is, stays read-only.
 func TestCacheHitHeaders(t *testing.T) {
 	cache := NewSharedCache("cdn-edge", 1<<20, false)
+	var stored *httpsim.Response
 	origin := func(*httpsim.Request) *httpsim.Response {
-		r := httpsim.NewResponse(200, []byte("x"))
-		r.Header.Set("Cache-Control", "max-age=60")
-		return r
+		stored = httpsim.NewResponse(200, []byte("x"))
+		stored.Header.Set("Cache-Control", "max-age=60")
+		return stored
 	}
 	req := httpsim.NewRequest("GET", "a.com", "/o")
 	first := cache.Handle("c1", req, origin)
@@ -103,6 +107,9 @@ func TestCacheHitHeaders(t *testing.T) {
 	}
 	if cache.Hits() != 1 || cache.Forwarded() != 1 {
 		t.Fatalf("hits=%d fwd=%d", cache.Hits(), cache.Forwarded())
+	}
+	if first == stored || second == stored || stored.Header.Has("X-Cache") {
+		t.Fatal("X-Cache went onto the stored response, not onto a copy")
 	}
 }
 

@@ -131,7 +131,8 @@ type Env interface {
 	// LocalStorage returns the page origin's local storage map (live).
 	LocalStorage() map[string]string
 	// Fetch issues a cache-aware subresource request from the page
-	// context. The URL is host-qualified ("host/path").
+	// context. The URL is host-qualified ("host/path"). The response
+	// may be the one a cache stores, so cb only reads it.
 	Fetch(url string, cb func(*httpsim.Response, error))
 	// FetchNoCache bypasses the cache, as done with cache-buster query
 	// strings (Fig. 2 step 3: "GET somesite.com/my.js?t=500198").

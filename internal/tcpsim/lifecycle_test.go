@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -126,5 +127,47 @@ func TestCloseSendsOneFIN(t *testing.T) {
 	}
 	if c, s := held(l.client), held(l.server); conn.State() != StateClosed || len(c)+len(s) > 0 {
 		t.Fatalf("client connection %v; client holds %v, server holds %v", conn.State(), c, s)
+	}
+}
+
+// TestWriteAfterCloseSendsNothing: once Close has sent the FIN, Write
+// returns ErrClosed and puts nothing on the wire (RFC 9293 §3.10.2,
+// "connection closing"). No byte follows the FIN, so its
+// acknowledgement still covers everything sent and the connection
+// leaves its stack, with retransmission and without.
+func TestWriteAfterCloseSendsNothing(t *testing.T) {
+	for _, retransmit := range []bool{false, true} {
+		var opts []StackOption
+		if retransmit {
+			opts = append(opts, WithRetransmit())
+		}
+		l := newLab(t, opts...)
+		var serverGot []byte
+		if err := l.server.Listen(80, accepting(onData(func(b []byte) { serverGot = append(serverGot, b...) }))); err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		conn, err := l.client.Dial("server", 80, nil)
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		l.net.Run(0)
+		if err := conn.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		out := conn.Stats().SegmentsOut
+		if n, err := conn.Write([]byte("late")); n != 0 || !errors.Is(err, ErrClosed) {
+			t.Errorf("retransmit %v: Write after Close = %d, %v; want 0, ErrClosed", retransmit, n, err)
+		}
+		if got := conn.Stats().SegmentsOut; got != out {
+			t.Errorf("retransmit %v: Write after Close sent %d segments", retransmit, got-out)
+		}
+		l.net.Run(0)
+		if len(serverGot) != 0 {
+			t.Errorf("retransmit %v: the server read %q after the FIN", retransmit, serverGot)
+		}
+		if c, s := held(l.client), held(l.server); conn.State() != StateClosed || len(c)+len(s) > 0 {
+			t.Errorf("retransmit %v: client connection %v; client holds %v, server holds %v",
+				retransmit, conn.State(), c, s)
+		}
 	}
 }

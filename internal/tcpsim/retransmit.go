@@ -7,8 +7,15 @@ import (
 
 // Retransmission defaults. The base RTO is comfortably above the
 // simulation's worst-case clean round trip (~24ms through the scenario
-// web farm), so a clean wire never fires a spurious retransmission and
-// enabling the machinery leaves clean-run wire bytes untouched.
+// web farm), so a clean wire fires no spurious retransmission. Enabling
+// the machinery still changes a clean run's wire bytes where an
+// injection wins: when the spoofed response is longer than the genuine
+// one, the victim acknowledges past the genuine server's FIN, and that
+// server times out DefaultMaxRetries times, re-sending its oldest
+// unacknowledged segment each time (httpsim's
+// TestInjectedRaceFootprint). The kill chain's spoofed responses are
+// longer than the genuine ones, which is why Retransmit stays off for
+// the clean artifacts.
 const (
 	// DefaultRTO is the initial retransmission timeout.
 	DefaultRTO = 50 * time.Millisecond

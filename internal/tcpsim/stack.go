@@ -298,16 +298,19 @@ func (c *Conn) State() State { return c.state }
 // Stats returns a copy of the connection counters.
 func (c *Conn) Stats() ConnStats { return c.stats }
 
-// ErrClosed reports use of a closed connection.
+// ErrClosed reports use of a closed connection, or a write on one that
+// has sent its FIN.
 var ErrClosed = errors.New("tcpsim: connection closed")
 
 // Write queues data for transmission, splitting it into MSS-sized
 // segments. It never keeps data: each segment is marshalled straight
 // into a pooled netsim frame, and with retransmission on the
 // connection copies data into its send buffer, room for all of it made
-// at once, so the caller may reuse data as soon as Write returns.
+// at once, so the caller may reuse data as soon as Write returns. After
+// Close, Write sends nothing and returns ErrClosed: no byte may follow
+// the FIN (RFC 9293 §3.10.2, "connection closing").
 func (c *Conn) Write(data []byte) (int, error) {
-	if c.state == StateClosed {
+	if c.state == StateFinWait || c.state == StateClosed {
 		return 0, ErrClosed
 	}
 	if c.stack.retransmit {
