@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check doclint test test-short race allocs fuzz-smoke bench bench-smoke bench-check soak-smoke fleet-smoke artifacts labd chaos-smoke ci
+.PHONY: build vet fmt-check doclint test test-short race allocs fig3-paper fuzz-smoke bench bench-smoke bench-check soak-smoke fleet-smoke artifacts labd chaos-smoke ci
 
 ## build: compile every package and command
 build:
@@ -39,6 +39,12 @@ race:
 ## or -race
 allocs:
 	$(GO) test -count=1 -run 'Allocs$$' ./...
+
+## fig3-paper: Fig. 3 at the paper's own size (15,000 sites × 100
+## days), rendered as JSON and held to its SHA-256 — a crawl -short
+## skips and -race slows several-fold, so this runs it without either
+fig3-paper:
+	$(GO) test -count=1 -run '^TestFigure3PaperScaleBytes$$' ./internal/experiments
 
 ## fuzz-smoke: every native Fuzz* target for a short time box each.
 ## The targets are discovered, not listed: `go test -list` names each
@@ -109,7 +115,8 @@ chaos-smoke:
 
 ## ci: what .github/workflows/ci.yml runs — gofmt + vet + doclint, build,
 ## race tests on the short corpora (the full-size crawl would dominate the
-## race run), the allocation budgets, the fuzz smoke pass, a
+## race run), the allocation budgets, the paper-scale Fig. 3 bytes, the
+## fuzz smoke pass, a
 ## single-iteration benchmark smoke pass, the bench/ module build and short tests, the short soak gate,
 ## the sharded-fleet determinism gate, the kill-point recovery gate, and
 ## the artifact regeneration (the race run carries the byte gate,
@@ -121,6 +128,7 @@ chaos-smoke:
 ci: fmt-check vet doclint build
 	$(GO) test -short -race ./...
 	$(MAKE) allocs
+	$(MAKE) fig3-paper
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check

@@ -205,26 +205,27 @@ func (b *Browser) fetch(pageHost, url string, opts fetchOpts, cb func(*httpsim.R
 			return
 		}
 	}
-	now := b.net.Now()
-	// 2. HTTP cache.
-	if !opts.bypassCache {
-		if e, ok := b.cache.GetFresh(now, pageHost, url); ok {
-			b.cacheServes++
-			cb(e.Response, nil)
-			return
-		}
-	}
-	// 3. Network, possibly conditional.
-	host := hostOf(url)
-	req := httpsim.NewRequest("GET", host, pathOf(url))
+	// 2. HTTP cache: one lookup serves a fresh entry, or keeps a stale
+	// one with an ETag to revalidate.
 	var stale *httpcache.Entry
+	var etag string
 	if !opts.bypassCache {
 		if e, ok := b.cache.Get(pageHost, url); ok {
-			if etag := e.Response.Header.Get("Etag"); etag != "" {
+			if e.Fresh(b.net.Now()) {
+				b.cacheServes++
+				cb(e.Response, nil)
+				return
+			}
+			if etag = e.Response.Header.Get("Etag"); etag != "" {
 				stale = e
-				req.Header.Set("If-None-Match", etag)
 			}
 		}
+	}
+	// 3. Network, conditional on the stale entry's ETag.
+	host := hostOf(url)
+	req := httpsim.NewRequest("GET", host, pathOf(url))
+	if stale != nil {
+		req.Header.Set("If-None-Match", etag)
 	}
 	b.send(req, func(resp *httpsim.Response, err error) {
 		if err != nil {

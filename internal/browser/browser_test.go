@@ -101,6 +101,21 @@ func (w *web) browser(t *testing.T, name string) *Browser {
 	return b
 }
 
+// fetch runs one browser fetch of url for a site.com page to
+// completion and returns the response it served.
+func (w *web) fetch(t *testing.T, b *Browser, url string, opts fetchOpts) *httpsim.Response {
+	t.Helper()
+	var got *httpsim.Response
+	b.fetch("site.com", url, opts, func(resp *httpsim.Response, err error) {
+		if err != nil {
+			t.Errorf("fetch %s: %v", url, err)
+		}
+		got = resp
+	})
+	w.net.Run(0)
+	return got
+}
+
 func (w *web) visit(t *testing.T, b *Browser, host, path string) *Page {
 	t.Helper()
 	var page *Page
@@ -417,24 +432,12 @@ func TestCacheServesTheStoredResponse(t *testing.T) {
 	w.addPage("site.com", "/fresh.js", "fresh", nil)
 	w.addPage("site.com", "/tagged.js", "tagged", map[string]string{"Cache-Control": "no-cache", "ETag": `"v1"`})
 	b := w.browser(t, "Chrome")
-	fetch := func(url string, opts fetchOpts) *httpsim.Response {
-		t.Helper()
-		var got *httpsim.Response
-		b.fetch("site.com", url, opts, func(resp *httpsim.Response, err error) {
-			if err != nil {
-				t.Errorf("fetch %s: %v", url, err)
-			}
-			got = resp
-		})
-		w.net.Run(0)
-		return got
-	}
 	for _, url := range []string{"site.com/fresh.js", "site.com/tagged.js"} {
-		stored := fetch(url, fetchOpts{})
+		stored := w.fetch(t, b, url, fetchOpts{})
 		if e, ok := b.Cache().Get("site.com", url); !ok || e.Response != stored {
 			t.Fatalf("%s: the cache does not hold the fetched response", url)
 		}
-		if got := fetch(url, fetchOpts{}); got != stored {
+		if got := w.fetch(t, b, url, fetchOpts{}); got != stored {
 			t.Errorf("%s: a cache serve got %p, want the stored response %p", url, got, stored)
 		}
 	}
@@ -444,8 +447,38 @@ func TestCacheServesTheStoredResponse(t *testing.T) {
 	}
 	anchored := httpsim.NewResponse(200, []byte("PARASITE"))
 	b.CacheAPI().Put("site.com/fresh.js", anchored)
-	if got := fetch("site.com/fresh.js", fetchOpts{bypassCache: true}); got != anchored {
+	if got := w.fetch(t, b, "site.com/fresh.js", fetchOpts{bypassCache: true}); got != anchored {
 		t.Errorf("a Cache API hit got %p, want the anchored response %p", got, anchored)
+	}
+}
+
+// TestCacheCountsOneLookupPerFetch: a fetch looks its URL up in the
+// HTTP cache once, so the store counts one miss per network fetch of an
+// uncached URL, one hit per fresh serve and one hit per 304
+// revalidation.
+func TestCacheCountsOneLookupPerFetch(t *testing.T) {
+	w := newWeb(t)
+	w.addPage("site.com", "/fresh.js", "fresh", nil)
+	w.addPage("site.com", "/tagged.js", "tagged", map[string]string{"Cache-Control": "no-cache", "ETag": `"v1"`})
+	b := w.browser(t, "Chrome")
+	for _, step := range []struct {
+		url          string
+		hits, misses int
+	}{
+		{"site.com/fresh.js", 0, 1},  // network fetch
+		{"site.com/fresh.js", 1, 1},  // fresh serve
+		{"site.com/tagged.js", 1, 2}, // network fetch
+		{"site.com/tagged.js", 2, 2}, // 304 revalidation
+	} {
+		w.fetch(t, b, step.url, fetchOpts{})
+		if st := b.Cache().Stats(); st.Hits != step.hits || st.Misses != step.misses {
+			t.Fatalf("after fetching %s: %d hits and %d misses, want %d and %d",
+				step.url, st.Hits, st.Misses, step.hits, step.misses)
+		}
+	}
+	if b.NetFetches() != 2 || b.CacheServes() != 2 || w.served["site.com/tagged.js"] != 2 {
+		t.Fatalf("%d network fetches, %d cache serves and tagged.js served %d times, want 2, 2 and 2 (one 304)",
+			b.NetFetches(), b.CacheServes(), w.served["site.com/tagged.js"])
 	}
 }
 

@@ -7,16 +7,19 @@
 // The crawler consumes rendered pages as a crawler over the live web
 // would, with the synthetic corpus standing in for the Alexa
 // population: the persistency crawl scans each rendered body's start
-// tags for script names and hashes (dom.ScanTags, no document tree),
-// and the header survey reads the response headers.
+// tags for script names and hashes (dom.ScanTags, in place, no document
+// tree), and the header survey reads the response headers. Like a real
+// daily crawler that revalidates with an ETag, the persistency crawl
+// fetches a site again only on a day its page changed
+// (webcorpus.Site.SamePage), so each page version is rendered and
+// scanned once.
 //
 // Crawling is embarrassingly parallel: pages render purely from the
-// corpus's deterministic generators, so the daily crawl tiles into
-// (site-chunk × day) jobs and the header survey fans out one job per
-// site, both through the scenario-fleet runner with per-tile counts
+// corpus's deterministic generators, so the daily crawl fans out one
+// job per site chunk over every day and the header survey one job per
+// site, both through the scenario-fleet runner with per-job counts
 // folded in submission order. Counts are integers and addition is
-// order-free, so the statistics are bit-identical at any worker count
-// and any tiling.
+// order-free, so the statistics are bit-identical at any worker count.
 package crawler
 
 import (
@@ -76,21 +79,16 @@ func (r *PersistencyResult) Table() (header []string, rows [][]string) {
 	return header, rows
 }
 
-// scriptObs is what the crawler extracts from one page: same-site script
-// names mapped to their content hashes. The map is nil for pages that
-// carry no qualifying script — the common case on a crawl — so the
-// JS-free fast path allocates nothing beyond the scan itself.
-type scriptObs struct {
-	scripts map[string]string // name → hash
-}
-
-// crawl renders one site's page for a day into page, scans it, and adds
-// its scripts to o, allocating o's map on the first one. Only same-site
-// scripts are counted for the persistence study; shared third-party
-// files (the analytics vector of §VI-B1) are tracked separately because
-// they would otherwise dominate the statistic. crawl returns the page
-// buffer for the next render, and false when the site does not answer.
-func (o *scriptObs) crawl(site *webcorpus.Site, day int, page []byte) ([]byte, bool) {
+// sameSiteScripts renders one site's page for a day into page, scans
+// it, and calls fn with the src and data-hash of each same-site script.
+// Only same-site scripts are counted for the persistence study; shared
+// third-party files (the analytics vector of §VI-B1) are tracked
+// separately because they would otherwise dominate the statistic. src
+// and hash alias page (dom.ScanTags' lifetime rule), so they are valid
+// only during fn unless nothing rewrites page. sameSiteScripts returns
+// the page buffer for the next render, and false when the site does not
+// answer.
+func sameSiteScripts(site *webcorpus.Site, day int, page []byte, fn func(src, hash string)) ([]byte, bool) {
 	page, ok := site.AppendPage(page[:0], day)
 	if !ok {
 		return page, false
@@ -113,152 +111,132 @@ func (o *scriptObs) crawl(site *webcorpus.Site, day int, page []byte) ([]byte, b
 		if rest, ok := strings.CutPrefix(src, site.Host); !ok || !strings.HasPrefix(rest, "/") {
 			return // third-party
 		}
-		if o.scripts == nil {
-			o.scripts = make(map[string]string, 8)
-		}
-		o.scripts[src] = attrs.Get("data-hash")
+		fn(src, attrs.Get("data-hash"))
 	})
 	return page, true
 }
 
-// baseline is the day-0 crawl of a corpus: one observation per site, in
-// site order. Both measurements compare later days against it.
+// baseline is the day-0 crawl of a corpus, in site order: each site's
+// same-site scripts, name → hash (nil for a site with none, the JS-free
+// fast path), and whether it answered. Both measurements compare later
+// days against it. Each site renders into a page buffer of its own that
+// nothing reuses, so the maps' keys and values alias those pages.
 type baseline struct {
-	obs     []scriptObs
+	scripts []map[string]string
 	ok      []bool
 	crawled int
 }
 
 // crawlBaseline crawls every site once on day 0, one job per site.
 func crawlBaseline(r *runner.Runner, c *webcorpus.Corpus) *baseline {
-	type obsOK struct {
-		obs scriptObs
-		ok  bool
+	type siteBase struct {
+		scripts map[string]string
+		ok      bool
 	}
-	crawls, _ := runner.Map(r, c.Sites, func(_ int, s *webcorpus.Site) (obsOK, error) {
-		var o scriptObs
-		_, ok := o.crawl(s, 0, nil)
-		return obsOK{obs: o, ok: ok}, nil
+	crawls, _ := runner.Map(r, c.Sites, func(_ int, s *webcorpus.Site) (siteBase, error) {
+		var sb siteBase
+		_, sb.ok = sameSiteScripts(s, 0, nil, func(src, hash string) {
+			if sb.scripts == nil {
+				sb.scripts = make(map[string]string, 8)
+			}
+			sb.scripts[src] = hash
+		})
+		return sb, nil
 	})
 	b := &baseline{
-		obs: make([]scriptObs, len(crawls)),
-		ok:  make([]bool, len(crawls)),
+		scripts: make([]map[string]string, len(crawls)),
+		ok:      make([]bool, len(crawls)),
 	}
-	for i, cr := range crawls {
-		b.obs[i] = cr.obs
-		b.ok[i] = cr.ok
-		if cr.ok {
+	for i, sb := range crawls {
+		b.scripts[i] = sb.scripts
+		b.ok[i] = sb.ok
+		if sb.ok {
 			b.crawled++
 		}
 	}
 	return b
 }
 
-// dayTile is one unit of the crawl fan-out: one measurement day over a
-// contiguous chunk of the corpus.
-type dayTile struct {
-	day    int
-	lo, hi int
+// siteCounts counts sites per Fig. 3 curve: those serving a same-site
+// script, those still serving a baseline script by name, and by name
+// and hash. One site's day counts 0 or 1 on each.
+type siteCounts struct {
+	anyJS, name, hash int
 }
 
-// tileCounts is a tile's fold contribution — plain integer counts, so
-// folding is associative and the totals cannot depend on scheduling.
-type tileCounts struct {
-	anyJS, persName, persHash int
+// add adds o's counts to c.
+func (c *siteCounts) add(o siteCounts) {
+	c.anyJS += o.anyJS
+	c.name += o.name
+	c.hash += o.hash
 }
 
 // CrawlPersistency runs the daily crawl for the given number of days and
-// produces the Fig. 3 curves against a day-0 baseline crawl. The
-// measurement fans out as (site-chunk × day) tiles rather than one
-// monolithic all-sites job per day, so a wide worker pool stays
-// load-balanced even when the study has fewer days than the pool has
-// workers; per-tile integer counts are folded in day order.
+// produces the Fig. 3 curves against a day-0 baseline crawl. It fans out
+// one job per runner.Chunks site chunk over every day. A site is
+// crawled again only on a day its page differs from the page it last
+// crawled (webcorpus.Site.SamePage, what an ETag revalidation tells a
+// real daily crawler); otherwise it keeps its counts from that crawl.
+// Per-day counts are integers folded in chunk order, so the curves are
+// identical at any worker count.
 func CrawlPersistency(r *runner.Runner, c *webcorpus.Corpus, days int) *PersistencyResult {
 	if days <= 0 {
 		days = webcorpus.StudyDays
 	}
 	base := crawlBaseline(r, c)
-	crawled := base.crawled
 	// Percentages are over successfully crawled sites, as in the paper
 	// (its statistics are over the 13,419 responders). An all-404 corpus
 	// has no denominator at all: report an empty result instead of
 	// dividing the curves by zero.
-	res := &PersistencyResult{Sites: crawled}
-	if crawled == 0 {
+	res := &PersistencyResult{Sites: base.crawled}
+	if base.crawled == 0 {
 		return res
 	}
 
-	// Day 0 needs no second crawl: every baseline trivially persists
-	// against itself, so all three curves start at the share of crawled
-	// sites serving at least one script.
-	withJS := 0
-	for i := range base.obs {
-		if base.ok[i] && len(base.obs[i].scripts) > 0 {
-			withJS++
-		}
-	}
-	day0Share := 100 * float64(withJS) / float64(crawled)
-	res.Points = append(res.Points, PersistencyPoint{
-		Day: 0, AnyJS: day0Share, PersistentName: day0Share, PersistentHash: day0Share,
-	})
-
 	chunks := runner.Chunks(len(c.Sites), r.Workers())
-	tiles := make([]dayTile, 0, days*len(chunks))
-	for day := 1; day <= days; day++ {
-		for _, ch := range chunks {
-			tiles = append(tiles, dayTile{day: day, lo: ch[0], hi: ch[1]})
-		}
-	}
-	counts, _ := runner.Map(r, tiles, func(_ int, t dayTile) (tileCounts, error) {
-		var tc tileCounts
-		var page []byte   // one render buffer for the tile
-		var obs scriptObs // one observation map, cleared per site
-		for i := t.lo; i < t.hi; i++ {
+	counts, _ := runner.Map(r, chunks, func(_ int, ch [2]int) ([]siteCounts, error) {
+		perDay := make([]siteCounts, days+1)
+		var page []byte // one render buffer for the chunk
+		for i := ch[0]; i < ch[1]; i++ {
 			if !base.ok[i] {
 				continue
 			}
-			clear(obs.scripts)
-			var ok bool
-			if page, ok = obs.crawl(c.Sites[i], t.day, page); !ok {
-				continue
+			site, scripts := c.Sites[i], base.scripts[i]
+			// On day 0 every baseline script persists against itself.
+			js := 0
+			if len(scripts) > 0 {
+				js = 1
 			}
-			if len(obs.scripts) > 0 {
-				tc.anyJS++
-			}
-			name := false
-			hash := false
-			for n, baseHash := range base.obs[i].scripts {
-				if dayHash, live := obs.scripts[n]; live {
-					name = true
-					if dayHash == baseHash {
-						hash = true
-						break
-					}
+			now, last := siteCounts{js, js, js}, 0
+			for day := 0; day <= days; day++ {
+				if !site.SamePage(day, last) {
+					now, last = siteCounts{}, day
+					page, _ = sameSiteScripts(site, day, page, func(src, hash string) {
+						now.anyJS = 1
+						if baseHash, live := scripts[src]; live {
+							now.name = 1
+							if hash == baseHash {
+								now.hash = 1
+							}
+						}
+					})
 				}
-			}
-			if name {
-				tc.persName++
-			}
-			if hash {
-				tc.persHash++
+				perDay[day].add(now)
 			}
 		}
-		return tc, nil
+		return perDay, nil
 	})
-	n := float64(crawled)
-	perChunk := len(chunks)
-	for day := 1; day <= days; day++ {
-		var total tileCounts
-		for _, tc := range counts[(day-1)*perChunk : day*perChunk] {
-			total.anyJS += tc.anyJS
-			total.persName += tc.persName
-			total.persHash += tc.persHash
+	n := float64(base.crawled)
+	for day := 0; day <= days; day++ {
+		var total siteCounts
+		for _, perDay := range counts {
+			total.add(perDay[day])
 		}
 		res.Points = append(res.Points, PersistencyPoint{
 			Day:            day,
 			AnyJS:          100 * float64(total.anyJS) / n,
-			PersistentName: 100 * float64(total.persName) / n,
-			PersistentHash: 100 * float64(total.persHash) / n,
+			PersistentName: 100 * float64(total.name) / n,
+			PersistentHash: 100 * float64(total.hash) / n,
 		})
 	}
 	return res
@@ -272,21 +250,16 @@ func CrawlPersistency(r *runner.Runner, c *webcorpus.Corpus, days int) *Persiste
 func SelectTargets(r *runner.Runner, c *webcorpus.Corpus, window int) map[string][]string {
 	base := crawlBaseline(r, c)
 	stable, _ := runner.Map(r, c.Sites, func(i int, s *webcorpus.Site) ([]string, error) {
-		if !base.ok[i] || len(base.obs[i].scripts) == 0 {
-			return nil, nil
-		}
-		var last scriptObs
-		if _, ok := last.crawl(s, window, nil); !ok {
+		scripts := base.scripts[i]
+		if len(scripts) == 0 {
 			return nil, nil
 		}
 		var names []string
-		for n := range base.obs[i].scripts {
-			if _, live := last.scripts[n]; live {
-				names = append(names, n)
+		sameSiteScripts(s, window, nil, func(src, _ string) {
+			if _, live := scripts[src]; live {
+				names = append(names, strings.Clone(src))
 			}
-		}
-		// The baseline map iterates in random order; sort so the
-		// selection is reproducible run to run.
+		})
 		sort.Strings(names)
 		return names, nil
 	})

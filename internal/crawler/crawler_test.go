@@ -1,8 +1,10 @@
 package crawler
 
 import (
+	"maps"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"masterparasite/internal/runner"
@@ -188,6 +190,31 @@ func TestPersistencyResultAt(t *testing.T) {
 		}
 		if got := res.At(day); got != want {
 			t.Fatalf("At(%d) = %+v, want %+v", day, got, want)
+		}
+	}
+}
+
+// TestBaselineSurvivesTheDailyCrawl: the baseline's script names and
+// hashes alias its day-0 pages, which is sound only while no later
+// render reuses those buffers. After a daily crawl of the same corpus,
+// every site's baseline must still map its day-0 same-site scripts to
+// their hashes.
+func TestBaselineSurvivesTheDailyCrawl(t *testing.T) {
+	t.Parallel()
+	c := webcorpus.Generate(webcorpus.Params{Sites: 200, Seed: 5})
+	base := crawlBaseline(testRunner(), c)
+	CrawlPersistency(testRunner(), c, 30)
+	for i, s := range c.Sites {
+		want := make(map[string]string)
+		if s.Responds {
+			for _, o := range s.ObjectsOn(0) {
+				if o.Kind == webcorpus.KindJS && strings.HasPrefix(o.Name, s.Host+"/") {
+					want[o.Name] = o.Hash
+				}
+			}
+		}
+		if !maps.Equal(base.scripts[i], want) {
+			t.Fatalf("%s: baseline %v after a daily crawl, want its day-0 scripts %v", s.Host, base.scripts[i], want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package dom
 import (
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // ParseHTML builds a document from HTML bytes. The parser is tolerant:
@@ -13,10 +14,11 @@ import (
 // whatever bytes an attacker injects.
 //
 // ParseHTML is the tree builder over the package's one tokenizer, which
-// ScanTags shares: every tag name, attribute, and text fragment is a
-// substring of one string conversion of the input, elements come from a
-// chunked arena, and lowercasing/case-folding never allocates on the
-// (overwhelmingly common) already-lowercase path.
+// ScanTags shares. It copies the input once, because the tree outlives
+// the call: every tag name, attribute, and text fragment is a substring
+// of that copy, elements come from a chunked arena, and
+// lowercasing/case-folding never allocates on the (overwhelmingly
+// common) already-lowercase path.
 func ParseHTML(url string, content []byte) *Document {
 	d := &Document{URL: url}
 	var arena elemArena
@@ -70,12 +72,14 @@ func ParseHTML(url string, content []byte) *Document {
 // a duplicate attribute keeps its last value, and markup inside a
 // <script> is raw text, never a tag.
 //
-// attrs is scratch that the next tag overwrites: it is valid only during
-// fn. tag and the strings in attrs are substrings of one copy of content
-// and stay valid.
+// ScanTags reads content in place, without a copy, so tag and the
+// strings in attrs may alias content, and attrs itself is scratch that
+// the next tag overwrites: all of them are valid only during fn. A
+// caller that keeps a string clones it, or keeps a content buffer that
+// nothing rewrites. Empty content has no tags.
 func ScanTags(content []byte, fn func(tag string, attrs AttrList)) {
 	w := scanScratch.Get().(*attrWriter)
-	z := tokenizer{s: string(content)}
+	z := tokenizer{s: unsafe.String(unsafe.SliceData(content), len(content))}
 	for tok := z.next(w); tok.kind != tokenEOF; tok = z.next(w) {
 		if tok.kind == tokenStartTag {
 			fn(tok.name, tok.attrs)

@@ -79,6 +79,7 @@ func checkScanMatchesParse(t testing.TB, page []byte) {
 }
 
 func TestScanTagsMatchesParseHTML(t *testing.T) {
+	checkScanMatchesParse(t, nil)
 	for _, page := range scanCases {
 		checkScanMatchesParse(t, []byte(page))
 	}
@@ -101,8 +102,8 @@ func FuzzScanTags(f *testing.F) {
 	})
 }
 
-// TestScanTagsAllocs locks in the tree-free scan's budget: the one
-// string copy of the page, whose substrings the callback may keep.
+// TestScanTagsAllocs locks in the tree-free scan's budget: none, since
+// it reads the page in place and recycles its attribute scratch.
 // Skipped in -short mode: the CI race detector perturbs allocation
 // counts.
 func TestScanTagsAllocs(t *testing.T) {
@@ -127,7 +128,7 @@ func TestScanTagsAllocs(t *testing.T) {
 	if scripts == 0 {
 		t.Fatal("no <script> tag scanned on a corpus page")
 	}
-	if got > 1 {
-		t.Errorf("ScanTags allocs/op = %.0f, want <= 1", got)
+	if got > 0 { // measured with Go 1.24.0
+		t.Errorf("ScanTags allocs/op = %.0f, want 0", got)
 	}
 }

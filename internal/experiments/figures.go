@@ -18,7 +18,7 @@ import (
 
 // Figure3 reproduces the persistency measurement: a daily crawl of the
 // synthetic Alexa population, rendered as the three curves of the
-// figure. The crawl fans out per-day jobs on the runner.
+// figure. The crawl fans out one job per site chunk on the runner.
 func Figure3(env artifact.Env) (*artifact.Result, error) {
 	sites, days := env.Param("sites"), env.Param("days")
 	corpus := webcorpus.Generate(webcorpus.Params{Sites: sites, Seed: int64(env.Param("seed"))})

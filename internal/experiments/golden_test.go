@@ -95,6 +95,33 @@ func TestArtifactBytesMatchGolden(t *testing.T) {
 	}
 }
 
+// TestFigure3PaperScaleBytes pins Fig. 3 at the paper's own size,
+// 15,000 sites over 100 days, which the README offers: the golden
+// sizes never roll a churn period past day 20, and the periods run to
+// day 99. Skipped under -short, where the race detector makes it slow;
+// `make fig3-paper` runs it.
+func TestFigure3PaperScaleBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale crawl; make fig3-paper runs this")
+	}
+	const want = "424d6e724ae8fbe99fcb993124224008002f06ae95041c20c96b7b12eedd6f01"
+	spec, ok := artifact.Get("fig3")
+	if !ok {
+		t.Fatal("fig3 is not registered")
+	}
+	renderer, err := artifact.RendererFor("json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rendered, err := artifact.RunRendered(spec, runner.New(0), map[string]int{"sites": 15000, "days": 100}, renderer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := artifact.Fingerprint(rendered); sum != want {
+		t.Errorf("fig3 at 15,000 sites × 100 days: %d bytes, sha256 %.12s; want %.12s", len(rendered), sum, want)
+	}
+}
+
 // checkTables renders res as CSV and as Markdown. The CSV must read
 // back as the dataset's Table(), header first, and the Markdown table
 // must hold its header, the separator and one line per row.

@@ -391,6 +391,24 @@ func gen(period, day int) int {
 	return day / period
 }
 
+// SamePage reports whether the site serves the same page on days a and
+// b: every object is in the same rename generation and the same
+// content generation on both. Images and the stylesheet never churn,
+// and the analytics object is constant, so for a site that responds
+// this holds exactly when AppendPage renders identical bytes — what an
+// ETag revalidation (RFC 9110 §8.8.3, §13.1.2) tells a real daily
+// crawler.
+func (s *Site) SamePage(a, b int) bool {
+	for i := range s.Objects {
+		spec := &s.Objects[i]
+		if gen(spec.RenamePeriod, a) != gen(spec.RenamePeriod, b) ||
+			gen(spec.ContentPeriod, a) != gen(spec.ContentPeriod, b) {
+			return false
+		}
+	}
+	return true
+}
+
 // ObjectsOn returns the site's object states for a study day.
 func (s *Site) ObjectsOn(day int) []ObjectState {
 	states := s.appendObjectsOn(make([]ObjectState, 0, len(s.Objects)+1), day)

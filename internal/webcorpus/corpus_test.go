@@ -287,3 +287,45 @@ func TestRenderPageMatchesHistoricalRendering(t *testing.T) {
 		}
 	}
 }
+
+// TestSamePageIffSameBytes keeps the daily crawl's shortcut honest: over
+// a seeded corpus and every pair of distinct days in [0, StudyDays],
+// SamePage holds exactly when AppendPage renders identical bytes. It
+// fails if a page ever gains an element that changes with the day but
+// not with an object's generation.
+func TestSamePageIffSameBytes(t *testing.T) {
+	same, differ := 0, 0
+	var page []byte
+	for _, s := range Generate(Params{Sites: 60, Seed: 1}).Sites {
+		if !s.Responds {
+			continue
+		}
+		// version[d] numbers day d's page by its first day.
+		version := make([]int, StudyDays+1)
+		first := make(map[string]int)
+		for day := range version {
+			page, _ = s.AppendPage(page[:0], day)
+			v, ok := first[string(page)]
+			if !ok {
+				v = day
+				first[string(page)] = day
+			}
+			version[day] = v
+		}
+		for a := range version {
+			for b := a + 1; b < len(version); b++ {
+				if got, want := s.SamePage(a, b), version[a] == version[b]; got != want {
+					t.Fatalf("%s: SamePage(%d, %d) = %v, want %v (whether the two pages are identical)", s.Host, a, b, got, want)
+				}
+				if version[a] == version[b] {
+					same++
+				} else {
+					differ++
+				}
+			}
+		}
+	}
+	if same == 0 || differ == 0 {
+		t.Fatalf("%d identical and %d differing day pairs: the corpus does not exercise both", same, differ)
+	}
+}
