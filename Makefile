@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check doclint test test-short race allocs fig3-paper fuzz-smoke bench bench-smoke bench-check soak-smoke fleet-smoke artifacts labd chaos-smoke ci
+.PHONY: build vet fmt-check doclint test test-short race allocs crawl-paper fuzz-smoke bench bench-smoke bench-check soak-smoke fleet-smoke artifacts labd chaos-smoke ci
 
 ## build: compile every package and command
 build:
@@ -40,11 +40,12 @@ race:
 allocs:
 	$(GO) test -count=1 -run 'Allocs$$' ./...
 
-## fig3-paper: Fig. 3 at the paper's own size (15,000 sites × 100
-## days), rendered as JSON and held to its SHA-256 — a crawl -short
-## skips and -race slows several-fold, so this runs it without either
-fig3-paper:
-	$(GO) test -count=1 -run '^TestFigure3PaperScaleBytes$$' ./internal/experiments
+## crawl-paper: the crawls at the paper's own size — Fig. 3 over
+## 15,000 sites × 100 days and Fig. 5 over 15,000 sites — rendered as
+## JSON and held to their SHA-256s; -short skips them and -race slows
+## them several-fold, so this runs them without either
+crawl-paper:
+	$(GO) test -count=1 -run '^TestFigure[35]PaperScaleBytes$$' ./internal/experiments
 
 ## fuzz-smoke: every native Fuzz* target for a short time box each.
 ## The targets are discovered, not listed: `go test -list` names each
@@ -115,8 +116,8 @@ chaos-smoke:
 
 ## ci: what .github/workflows/ci.yml runs — gofmt + vet + doclint, build,
 ## race tests on the short corpora (the full-size crawl would dominate the
-## race run), the allocation budgets, the paper-scale Fig. 3 bytes, the
-## fuzz smoke pass, a
+## race run), the allocation budgets, the paper-scale Fig. 3 and Fig. 5
+## bytes, the fuzz smoke pass, a
 ## single-iteration benchmark smoke pass, the bench/ module build and short tests, the short soak gate,
 ## the sharded-fleet determinism gate, the kill-point recovery gate, and
 ## the artifact regeneration (the race run carries the byte gate,
@@ -128,7 +129,7 @@ chaos-smoke:
 ci: fmt-check vet doclint build
 	$(GO) test -short -race ./...
 	$(MAKE) allocs
-	$(MAKE) fig3-paper
+	$(MAKE) crawl-paper
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check

@@ -26,10 +26,11 @@ func deterministicRun() []string {
 // deterministic artifact to testdata/golden-all.txt. Its first nine
 // sections (Tables I–V, Figs. 3 and 5, flows, countermeasures) were
 // captured from the pre-registry CLI and the last four (replay,
-// conditions and the two fleet artifacts) from the registry CLI. It
-// runs in every tier, -short included: the JSON byte gate
-// (TestArtifactBytesMatchGolden) cannot see this output, since a
-// Result's Text is not part of its JSON.
+// conditions and the two fleet artifacts) from the registry CLI; Fig.
+// 3's table has since printed its last day once, and its anchors the
+// day each was measured on. It runs in every tier, -short included:
+// the JSON byte gate (TestArtifactBytesMatchGolden) cannot see this
+// output, since a Result's Text is not part of its JSON.
 func TestGoldenTextOutput(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "golden-all.txt"))
 	if err != nil {

@@ -20,8 +20,8 @@ var artifactAllocBudgets = map[string]struct{ allocs, bytes uint64 }{
 	"table3":                {3988, 727831},   // 3,871; 706,632
 	"table4":                {1166, 88671},    // 1,132; 86,088
 	"table5":                {12921, 1907972}, // 12,544; 1,852,400
-	"fig3":                  {18130, 2957007}, // 17,601; 2,870,880
-	"fig5":                  {12749, 2003301}, // 12,377; 1,944,952
+	"fig3":                  {2445, 1070763},  // 2,374; 1,039,576
+	"fig5":                  {2217, 971653},   // 2,152; 943,352
 	"flows":                 {1362, 217100},   // 1,322; 210,776
 	"countermeasures":       {3902, 629050},   // 3,788; 610,728
 	"replay":                {11735, 6428016}, // 11,393; 6,240,792
@@ -31,8 +31,8 @@ var artifactAllocBudgets = map[string]struct{ allocs, bytes uint64 }{
 }
 
 // TestArtifactAllocs is the per-artifact allocation ratchet: after one
-// warm-up pass over every deterministic spec (memoized corpora and
-// pools fill once per process), it counts the allocations and the bytes
+// warm-up pass over every deterministic spec (package-level pools and
+// tables fill once per process), it counts the allocations and the bytes
 // allocated by each spec's Exec on runner.New(1) and holds them to
 // artifactAllocBudgets. A spec with no budget fails. Skipped in -short
 // mode, where the race detector perturbs counts; `make allocs` runs it.

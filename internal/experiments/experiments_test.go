@@ -3,7 +3,9 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -193,6 +195,37 @@ func TestFigure3SmallRun(t *testing.T) {
 	}
 	if r.Params["sites"] != 400 || r.Params["days"] != 20 || r.Params["seed"] != 1 {
 		t.Fatalf("resolved params = %v", r.Params)
+	}
+}
+
+// TestFigure3TextRowsOncePerDay holds Fig. 3's text table to one row
+// per distinct day, ascending and ending on the study's last day, and
+// its 100-day anchor to naming the day it was measured on.
+func TestFigure3TextRowsOncePerDay(t *testing.T) {
+	for _, days := range []int{5, 20, 100} {
+		r := runArtifact(t, "fig3", map[string]int{"sites": 100, "days": days})
+		_, table, ok := strings.Cut(r.Text, "persistent(name)")
+		if !ok {
+			t.Fatalf("days %d: no table header in %q", days, r.Text)
+		}
+		table, anchors, _ := strings.Cut(table, "\n\n")
+		var rows []int
+		for _, line := range strings.Split(strings.TrimSpace(table), "\n") {
+			day, err := strconv.Atoi(strings.Fields(line)[0])
+			if err != nil {
+				t.Fatalf("days %d: row %q: %v", days, line, err)
+			}
+			if len(rows) > 0 && day <= rows[len(rows)-1] {
+				t.Errorf("days %d: row for day %d follows day %d", days, day, rows[len(rows)-1])
+			}
+			rows = append(rows, day)
+		}
+		if len(rows) == 0 || rows[len(rows)-1] != days {
+			t.Errorf("days %d: rows %v do not end on the last day", days, rows)
+		}
+		if want := fmt.Sprintf("@%dd)", days); !strings.HasSuffix(strings.TrimSpace(anchors), want) {
+			t.Errorf("days %d: anchors %q do not end with %q", days, anchors, want)
+		}
 	}
 }
 

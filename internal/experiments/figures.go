@@ -27,16 +27,18 @@ func Figure3(env artifact.Env) (*artifact.Result, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sites crawled: %d, days: %d\n", res.Sites, days)
 	fmt.Fprintf(&b, "%-6s %-10s %-18s %-18s\n", "day", "any .js", "persistent(hash)", "persistent(name)")
-	for _, day := range []int{0, 1, 5, 10, 20, 40, 60, 80, days} {
-		if day > days {
-			continue
+	rows := []int{0, 1, 5, 10, 20, 40, 60, 80, days}
+	for i, day := range rows {
+		if day >= days && i < len(rows)-1 {
+			continue // past the study, or its last day, which the last row prints
 		}
 		p := res.At(day)
 		fmt.Fprintf(&b, "%-6d %-10.2f %-18.2f %-18.2f\n", p.Day, p.AnyJS, p.PersistentHash, p.PersistentName)
 	}
-	p5, pEnd := res.At(5), res.At(days)
-	fmt.Fprintf(&b, "\npaper anchors: ≈87.5%% name-persistent @5d (measured %.1f%%), ≈75.3%% @100d (measured %.1f%%)\n",
-		p5.PersistentName, pEnd.PersistentName)
+	// A short study measures an anchor on its last day, and says so.
+	p5, pEnd := res.At(5), res.At(100)
+	fmt.Fprintf(&b, "\npaper anchors: ≈87.5%% name-persistent @5d (measured %.1f%% @%dd), ≈75.3%% @100d (measured %.1f%% @%dd)\n",
+		p5.PersistentName, p5.Day, pEnd.PersistentName, pEnd.Day)
 	return &artifact.Result{Text: b.String(), Dataset: res}, nil
 }
 

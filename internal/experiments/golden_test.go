@@ -99,26 +99,42 @@ func TestArtifactBytesMatchGolden(t *testing.T) {
 // 15,000 sites over 100 days, which the README offers: the golden
 // sizes never roll a churn period past day 20, and the periods run to
 // day 99. Skipped under -short, where the race detector makes it slow;
-// `make fig3-paper` runs it.
+// `make crawl-paper` runs it.
 func TestFigure3PaperScaleBytes(t *testing.T) {
+	checkPaperScale(t, "fig3", map[string]int{"sites": 15000, "days": 100},
+		"424d6e724ae8fbe99fcb993124224008002f06ae95041c20c96b7b12eedd6f01")
+}
+
+// TestFigure5PaperScaleBytes pins Fig. 5 at the paper's 15,000 sites:
+// the header survey renders every site's day-0 page, and the golden
+// size covers only 400 of them. Skipped under -short with Fig. 3's;
+// `make crawl-paper` runs it.
+func TestFigure5PaperScaleBytes(t *testing.T) {
+	checkPaperScale(t, "fig5", map[string]int{"sites": 15000},
+		"61c9837542e644d0d13d7e4e9e5c1105713449b253d3dc51c57faf89d0112db1")
+}
+
+// checkPaperScale renders artifact id as JSON at params on all cores
+// and requires its SHA-256 to be want.
+func checkPaperScale(t *testing.T, id string, params map[string]int, want string) {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("paper-scale crawl; make fig3-paper runs this")
+		t.Skip("paper-scale crawl; make crawl-paper runs this")
 	}
-	const want = "424d6e724ae8fbe99fcb993124224008002f06ae95041c20c96b7b12eedd6f01"
-	spec, ok := artifact.Get("fig3")
+	spec, ok := artifact.Get(id)
 	if !ok {
-		t.Fatal("fig3 is not registered")
+		t.Fatalf("%s is not registered", id)
 	}
 	renderer, err := artifact.RendererFor("json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rendered, err := artifact.RunRendered(spec, runner.New(0), map[string]int{"sites": 15000, "days": 100}, renderer)
+	_, rendered, err := artifact.RunRendered(spec, runner.New(0), params, renderer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum := artifact.Fingerprint(rendered); sum != want {
-		t.Errorf("fig3 at 15,000 sites × 100 days: %d bytes, sha256 %.12s; want %.12s", len(rendered), sum, want)
+		t.Errorf("%s at %v: %d bytes, sha256 %.12s; want %.12s", id, params, len(rendered), sum, want)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"masterparasite/internal/httpsim"
 )
@@ -77,11 +76,6 @@ type ObjectState struct {
 	Hash string
 	Kind ObjectKind
 	Size int
-
-	// digest is a site object's content identity before it is spelled
-	// in hex: the pages render it straight from here, and Hash stays
-	// empty until ObjectsOn spells it.
-	digest uint64
 }
 
 // SSLVersion labels a site's TLS configuration for the §V measurement.
@@ -106,7 +100,9 @@ type CSPConfig struct {
 	Wildcard   bool // connect-src *
 }
 
-// Site is one synthetic domain.
+// Site is one synthetic domain. A Site is read-only after Generate:
+// every page and object state is spelled from its fields on demand, so
+// concurrent crawls of one site share nothing they write.
 type Site struct {
 	Rank int
 	Host string
@@ -126,71 +122,8 @@ type Site struct {
 
 	Objects []ObjectSpec
 
+	// seed keys the site's content hashes.
 	seed int64
-	memo siteMemo
-}
-
-// siteMemo caches the site's object-churn timeline. Names and content
-// hashes are pure functions of (object index, generation), and a
-// generation spans many study days, so the daily crawl re-derives the
-// same handful of strings and SHA-256 digests thousands of times —
-// memoizing them per generation turns ObjectsOn and RenderPage into
-// lookups. A hash is kept as its digest's first 8 bytes and spelled in
-// hex only where a page or an ObjectState needs it. Sites are crawled
-// concurrently by the scenario fleet, so the generation maps are
-// guarded by a read-mostly lock.
-type siteMemo struct {
-	once sync.Once
-
-	// eternalNames[i] is the day-independent name of object i when it
-	// never renames ("" for periodically renamed objects).
-	eternalNames []string
-	// banner is the constant page trailer "<h1>host (rank N)</h1>".
-	banner string
-
-	mu     sync.RWMutex
-	names  map[uint64]string // genKey(objIdx, nameGen) → name
-	hashes map[uint64]uint64 // genKey(objIdx, contentGen) → digest prefix
-}
-
-// genKey packs an object index and a generation into one map key.
-func genKey(objIdx, gen int) uint64 {
-	return uint64(objIdx)<<32 | uint64(uint32(gen))
-}
-
-// ensureMemo initialises the timeline cache on first use.
-func (s *Site) ensureMemo() {
-	s.memo.once.Do(func() {
-		s.memo.eternalNames = make([]string, len(s.Objects))
-		for i, spec := range s.Objects {
-			if spec.RenamePeriod == 0 {
-				s.memo.eternalNames[i] = s.Host + "/" + spec.Base + "." + spec.Kind.ext()
-			}
-		}
-		s.memo.banner = "<h1>" + s.Host + " (rank " + strconv.Itoa(s.Rank) + ")</h1>"
-		s.memo.names = make(map[uint64]string)
-		s.memo.hashes = make(map[uint64]uint64)
-	})
-}
-
-// objectName returns the memoized name of object i at a rename
-// generation.
-func (s *Site) objectName(i int, spec *ObjectSpec, nameGen int) string {
-	if spec.RenamePeriod == 0 {
-		return s.memo.eternalNames[i]
-	}
-	key := genKey(i, nameGen)
-	s.memo.mu.RLock()
-	name, ok := s.memo.names[key]
-	s.memo.mu.RUnlock()
-	if ok {
-		return name
-	}
-	name = s.Host + "/" + spec.Base + "." + strconv.Itoa(nameGen) + "." + spec.Kind.ext()
-	s.memo.mu.Lock()
-	s.memo.names[key] = name
-	s.memo.mu.Unlock()
-	return name
 }
 
 // Params configures corpus generation.
@@ -219,14 +152,18 @@ const (
 //	no HSTS           67.92% of responders; 545 preloaded (§V)
 //	CSP header         4.7%  of pages, 15.3% of those deprecated (Fig. 5)
 //	Google Analytics    63%  (§VI-B1)
+//
+// The sites live in one slab that Corpus.Sites points into.
 func Generate(p Params) *Corpus {
 	if p.Sites <= 0 {
 		p.Sites = DefaultSites
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
-	c := &Corpus{Params: p, Sites: make([]*Site, 0, p.Sites)}
-	for rank := 1; rank <= p.Sites; rank++ {
-		c.Sites = append(c.Sites, generateSite(rng, rank, p.Seed))
+	slab := make([]Site, p.Sites)
+	c := &Corpus{Params: p, Sites: make([]*Site, p.Sites)}
+	for i := range slab {
+		generateSite(&slab[i], rng, i+1, p.Seed)
+		c.Sites[i] = &slab[i]
 	}
 	return c
 }
@@ -259,12 +196,12 @@ func siteHost(rank int) string {
 	return string(append(b, ".example"...))
 }
 
-func generateSite(rng *rand.Rand, rank int, seed int64) *Site {
-	s := &Site{
-		Rank: rank,
-		Host: siteHost(rank),
-		seed: seed + int64(rank)*7919,
-	}
+// generateSite fills s, a zero Site, with the site at rank, drawing
+// from rng.
+func generateSite(s *Site, rng *rand.Rand, rank int, seed int64) {
+	s.Rank = rank
+	s.Host = siteHost(rank)
+	s.seed = seed + int64(rank)*7919
 	s.Responds = rng.Float64() < 0.8946 // → ≈13419/15000
 
 	// TLS configuration.
@@ -323,17 +260,21 @@ func generateSite(rng *rand.Rand, rank int, seed int64) *Site {
 	// with JS has 2–14 script objects plus styling and images. Churn
 	// processes are calibrated so ≈87.5% of sites keep at least one
 	// name-stable script over 5 days, decaying to ≈75.3% over 100 days
-	// (Fig. 3).
-	hasJS := rng.Float64() < 0.885
-	if hasJS {
-		n := 2 + rng.Intn(13)
+	// (Fig. 3). Objects is sized once: the scripts, at most 7 images
+	// and the stylesheet.
+	scripts := 0
+	if rng.Float64() < 0.885 {
+		scripts = 2 + rng.Intn(13)
+	}
+	s.Objects = make([]ObjectSpec, 0, scripts+len(mediaBases)+1)
+	if scripts > 0 {
 		// 85.1% of JS-carrying sites keep exactly one name-eternal script
 		// (0.885 × 0.851 ≈ 75.3%, the Fig. 3 100-day floor); all other
 		// scripts churn with periods up to ~80 days, which produces the
 		// gradual decline from ≈87.5% at the 5-day window.
 		eternalIdx := -1
 		if rng.Float64() < 0.851 {
-			eternalIdx = rng.Intn(n)
+			eternalIdx = rng.Intn(scripts)
 		}
 		// A non-eternal site's persistence ends when its longest-lived
 		// script is renamed. Drawing a site-level horizon L first and
@@ -341,7 +282,7 @@ func generateSite(rng *rand.Rand, rank int, seed int64) *Site {
 		// uniformly over the study, producing Fig. 3's gradual decline
 		// (instead of max-of-n periods clustering near the cap).
 		horizon := 3 + rng.Intn(97)
-		for i := 0; i < n; i++ {
+		for i := 0; i < scripts; i++ {
 			spec := ObjectSpec{
 				Base: appBases[i],
 				Kind: KindJS,
@@ -370,7 +311,8 @@ func generateSite(rng *rand.Rand, rank int, seed int64) *Site {
 		}
 	}
 	// Non-script objects (not part of the persistence study but present
-	// on pages).
+	// on pages). The loop condition draws on every pass, so hoisting it
+	// would change the corpus.
 	for i := 0; i < 2+rng.Intn(6); i++ {
 		s.Objects = append(s.Objects, ObjectSpec{
 			Base: mediaBases[i],
@@ -380,7 +322,6 @@ func generateSite(rng *rand.Rand, rank int, seed int64) *Site {
 	s.Objects = append(s.Objects, ObjectSpec{
 		Base: "css/main", Kind: KindCSS, Size: 4096,
 	})
-	return s
 }
 
 // gen returns which generation of a churn process is live on a day.
@@ -411,76 +352,66 @@ func (s *Site) SamePage(a, b int) bool {
 
 // ObjectsOn returns the site's object states for a study day.
 func (s *Site) ObjectsOn(day int) []ObjectState {
-	states := s.appendObjectsOn(make([]ObjectState, 0, len(s.Objects)+1), day)
+	states := make([]ObjectState, 0, len(s.Objects)+1)
+	// The name and the hash are spelled into separate buffers: the
+	// conversions below may run after both appends.
+	var name [64]byte
 	var hash [hashLen]byte
-	for i := range states {
-		if o := &states[i]; o.Hash == "" {
-			o.Hash = string(o.appendHash(hash[:0]))
-		}
-	}
-	return states
-}
-
-// appendObjectsOn appends the day's object states to dst, drawing names
-// and content digests from the per-generation memo; a site object's
-// Hash is left for appendHash to spell.
-func (s *Site) appendObjectsOn(dst []ObjectState, day int) []ObjectState {
-	s.ensureMemo()
 	for i := range s.Objects {
-		spec := &s.Objects[i]
-		dst = append(dst, ObjectState{
-			Name:   s.objectName(i, spec, gen(spec.RenamePeriod, day)),
-			digest: s.contentHash(i, gen(spec.ContentPeriod, day)),
-			Kind:   spec.Kind,
-			Size:   spec.Size,
+		states = append(states, ObjectState{
+			Name: string(s.appendName(name[:0], i, day)),
+			Hash: string(s.appendHash(hash[:0], i, day)),
+			Kind: s.Objects[i].Kind,
+			Size: s.Objects[i].Size,
 		})
 	}
 	if s.UsesGoogleAnalytics {
-		dst = append(dst, ObjectState{
-			Name: "analytics.example/ga.js",
-			Hash: "ga-shared-v1",
+		states = append(states, ObjectState{
+			Name: analyticsName,
+			Hash: analyticsHash,
 			Kind: KindJS,
 			Size: 17000,
 		})
 	}
-	return dst
+	return states
+}
+
+// The shared analytics script (§VI-B1): one name and one content on
+// every site that embeds it.
+const (
+	analyticsName = "analytics.example/ga.js"
+	analyticsHash = "ga-shared-v1"
+)
+
+// appendName appends object i's name on a day to dst: host/base.ext,
+// with the rename generation before the extension (host/base.gen.ext)
+// for a periodically renamed object.
+func (s *Site) appendName(dst []byte, i, day int) []byte {
+	spec := &s.Objects[i]
+	dst = append(dst, s.Host...)
+	dst = append(dst, '/')
+	dst = append(dst, spec.Base...)
+	dst = append(dst, '.')
+	if spec.RenamePeriod != 0 {
+		dst = strconv.AppendInt(dst, int64(gen(spec.RenamePeriod, day)), 10)
+		dst = append(dst, '.')
+	}
+	return append(dst, spec.Kind.ext()...)
 }
 
 // hashLen is the length of a site object's hex content hash.
 const hashLen = 2 * 8
 
-// appendHash appends the object's content hash to dst: Hash when it is
-// set, else the hex spelling of the digest.
-func (o *ObjectState) appendHash(dst []byte) []byte {
-	if o.Hash != "" {
-		return append(dst, o.Hash...)
-	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], o.digest)
-	return hex.AppendEncode(dst, b[:])
-}
-
-// contentHash returns the memoized digest prefix of object objIdx at a
-// content generation: the first 8 bytes of a SHA-256 over the site
-// seed, the index and the generation.
-func (s *Site) contentHash(objIdx, contentGen int) uint64 {
-	key := genKey(objIdx, contentGen)
-	s.memo.mu.RLock()
-	digest, ok := s.memo.hashes[key]
-	s.memo.mu.RUnlock()
-	if ok {
-		return digest
-	}
-	var buf [24]byte
-	binary.BigEndian.PutUint64(buf[0:8], uint64(s.seed))
-	binary.BigEndian.PutUint64(buf[8:16], uint64(objIdx))
-	binary.BigEndian.PutUint64(buf[16:24], uint64(contentGen))
-	sum := sha256.Sum256(buf[:])
-	digest = binary.BigEndian.Uint64(sum[:8])
-	s.memo.mu.Lock()
-	s.memo.hashes[key] = digest
-	s.memo.mu.Unlock()
-	return digest
+// appendHash appends object i's content hash on a day to dst: the hex
+// of the first 8 bytes of a SHA-256 over the site seed, the index and
+// the content generation.
+func (s *Site) appendHash(dst []byte, i, day int) []byte {
+	var in [24]byte
+	binary.BigEndian.PutUint64(in[0:8], uint64(s.seed))
+	binary.BigEndian.PutUint64(in[8:16], uint64(i))
+	binary.BigEndian.PutUint64(in[16:24], uint64(gen(s.Objects[i].ContentPeriod, day)))
+	sum := sha256.Sum256(in[:])
+	return hex.AppendEncode(dst, sum[:8])
 }
 
 // SecurityHeaders renders the site's response headers.
@@ -495,26 +426,39 @@ func (s *Site) SecurityHeaders() httpsim.Header {
 	return h
 }
 
-// statePool recycles the object-state scratch AppendPage assembles a
-// page from; the states never escape the call.
-var statePool = sync.Pool{New: func() any { return new([]ObjectState) }}
-
 // Page markup fragments. The body is assembled by exact-size append
-// instead of strings.Builder+Fprintf: at full population the crawl
-// renders ~1.5M pages, and the fragment lengths plus the memoized name
-// and hash lengths give the final byte count up front.
+// instead of strings.Builder+Fprintf: a length pass over the site's
+// specs gives the final byte count up front, and the names and hashes
+// are then spelled straight into the page.
 const (
 	pagePrefix   = "<html><head>"
 	pageBodyOpen = "</head><body>"
 	pageSuffix   = "</body></html>"
+	bannerOpen   = "<h1>"
+	bannerRank   = " (rank "
+	bannerClose  = ")</h1>"
 	scriptOpen   = `<script src="//`
 	scriptHash   = `" data-hash="`
 	scriptClose  = `"></script>`
 	cssOpen      = `<link rel="stylesheet" href="//`
-	cssClose     = `">`
 	imgOpen      = `<img src="//`
-	imgClose     = `">`
+	tagClose     = `">`
+
+	analyticsScript = scriptOpen + analyticsName + scriptHash + analyticsHash + scriptClose
 )
+
+// markup returns the markup before and after an object's name on a
+// page; a script's data-hash attribute goes between the name and post.
+func (k ObjectKind) markup() (pre, post string) {
+	switch k {
+	case KindJS:
+		return scriptOpen, scriptClose
+	case KindCSS:
+		return cssOpen, tagClose
+	default:
+		return imgOpen, tagClose
+	}
+}
 
 // RenderPage produces the site's front page for a day: an HTML response
 // listing that day's objects, with the site's security headers — what the
@@ -540,48 +484,41 @@ func (s *Site) AppendPage(dst []byte, day int) ([]byte, bool) {
 	if !s.Responds {
 		return dst, false
 	}
-	scratch := statePool.Get().(*[]ObjectState)
-	states := s.appendObjectsOn((*scratch)[:0], day)
-
-	n := len(pagePrefix) + len(pageBodyOpen) + len(s.memo.banner) + len(pageSuffix)
-	for i := range states {
-		switch o := &states[i]; o.Kind {
-		case KindJS:
-			hash := len(o.Hash)
-			if hash == 0 {
-				hash = hashLen
-			}
-			n += len(scriptOpen) + len(o.Name) + len(scriptHash) + hash + len(scriptClose)
-		case KindCSS:
-			n += len(cssOpen) + len(o.Name) + len(cssClose)
-		case KindImg:
-			n += len(imgOpen) + len(o.Name) + len(imgClose)
+	// The length pass spells the rank and each name into scratch.
+	var scratch [64]byte
+	n := len(pagePrefix) + len(pageBodyOpen) + len(pageSuffix) + len(bannerOpen) + len(s.Host) +
+		len(bannerRank) + len(strconv.AppendInt(scratch[:0], int64(s.Rank), 10)) + len(bannerClose)
+	for i := range s.Objects {
+		pre, post := s.Objects[i].Kind.markup()
+		n += len(pre) + len(s.appendName(scratch[:0], i, day)) + len(post)
+		if s.Objects[i].Kind == KindJS {
+			n += len(scriptHash) + hashLen
 		}
+	}
+	if s.UsesGoogleAnalytics {
+		n += len(analyticsScript)
 	}
 	dst = slices.Grow(dst, n)
 	dst = append(dst, pagePrefix...)
-	for i := range states {
-		switch o := &states[i]; o.Kind {
-		case KindJS:
-			dst = append(dst, scriptOpen...)
-			dst = append(dst, o.Name...)
+	for i := range s.Objects {
+		pre, post := s.Objects[i].Kind.markup()
+		dst = append(dst, pre...)
+		dst = s.appendName(dst, i, day)
+		if s.Objects[i].Kind == KindJS {
 			dst = append(dst, scriptHash...)
-			dst = o.appendHash(dst)
-			dst = append(dst, scriptClose...)
-		case KindCSS:
-			dst = append(dst, cssOpen...)
-			dst = append(dst, o.Name...)
-			dst = append(dst, cssClose...)
-		case KindImg:
-			dst = append(dst, imgOpen...)
-			dst = append(dst, o.Name...)
-			dst = append(dst, imgClose...)
+			dst = s.appendHash(dst, i, day)
 		}
+		dst = append(dst, post...)
+	}
+	if s.UsesGoogleAnalytics {
+		dst = append(dst, analyticsScript...)
 	}
 	dst = append(dst, pageBodyOpen...)
-	dst = append(dst, s.memo.banner...)
+	dst = append(dst, bannerOpen...)
+	dst = append(dst, s.Host...)
+	dst = append(dst, bannerRank...)
+	dst = strconv.AppendInt(dst, int64(s.Rank), 10)
+	dst = append(dst, bannerClose...)
 	dst = append(dst, pageSuffix...)
-	*scratch = states
-	statePool.Put(scratch)
 	return dst, true
 }
