@@ -611,6 +611,12 @@ func TestProfileLookup(t *testing.T) {
 	if got := len(TableIIBrowsers()); got != 6 {
 		t.Fatalf("table II browsers = %d, want 6", got)
 	}
+	// Profiles hands out a copy: rewriting it leaves the table alone.
+	mine := Profiles()
+	mine[0].Name, mine[0].CacheSize = "Mosaic", 1
+	if p, err := ProfileByName("Chrome"); err != nil || p.CacheSize != 320*mib || Profiles()[0].Name != "Chrome" {
+		t.Fatalf("a caller's copy rewrote the profile table: %+v, %v", p, err)
+	}
 }
 
 func TestHSTSPinning(t *testing.T) {

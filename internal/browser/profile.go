@@ -11,6 +11,7 @@ package browser
 
 import (
 	"fmt"
+	"slices"
 
 	"masterparasite/internal/httpcache"
 )
@@ -85,77 +86,81 @@ const (
 	mb  = 1000 * 1000
 )
 
+// profiles is the browser population of the evaluation, in the order of
+// Table I with Safari appended (Safari appears only in Table II). It is
+// built once and never written: Profiles hands out copies of it, which
+// share its OSes maps, and those are only read (RunsOn).
+var profiles = []Profile{
+	{
+		Name: "Chrome", Version: "81.0.4044.122",
+		CacheSize: 320 * mib, SizeNote: "320MiB†",
+		Policy:            httpcache.LRU,
+		InterDomainShared: true,
+		SupportsCacheAPI:  true,
+		Remark:            "†from Chromium",
+		OSes:              map[OS]bool{Win10: true, MacOS: true, Linux: true, Android: true, IOS: true},
+	},
+	{
+		Name: "Chrome", Version: "81.0.4044.122", Incognito: true,
+		CacheSize: 320 * mib, SizeNote: "—",
+		Policy:            httpcache.LRU,
+		InterDomainShared: true,
+		SupportsCacheAPI:  true,
+		Remark:            "*incognito mode",
+		OSes:              map[OS]bool{Win10: true, MacOS: true, Linux: true, Android: true, IOS: true},
+	},
+	{
+		Name: "Edge", Version: "84.0.522.59",
+		CacheSize: 320 * mib, SizeNote: "320MiB†",
+		Policy:            httpcache.LRU,
+		InterDomainShared: true,
+		SupportsCacheAPI:  true,
+		Remark:            "†from Chromium",
+		OSes:              map[OS]bool{Win10: true},
+	},
+	{
+		Name: "IE", Version: "11.1365.17134.0",
+		CacheSize: 330 * mb, SizeNote: "330MB",
+		Policy:            httpcache.FIFO,
+		Ballooning:        true,
+		MemoryLimit:       512 * mb,
+		InterDomainShared: false,
+		SupportsCacheAPI:  false,
+		Remark:            "DOS on memory",
+		OSes:              map[OS]bool{Win10: true},
+	},
+	{
+		Name: "Firefox", Version: "75.0",
+		CacheSize: 256 * mb, SizeNote: "256MB",
+		Policy:            httpcache.LRU,
+		InterDomainShared: true,
+		SupportsCacheAPI:  true,
+		SlowEviction:      true,
+		Remark:            "performance impact",
+		OSes:              map[OS]bool{Win10: true, MacOS: true, Linux: true, Android: true, IOS: true},
+	},
+	{
+		Name: "Opera", Version: "68.0.3618.56",
+		CacheSize: 320 * mib, SizeNote: "320MiB†",
+		Policy:            httpcache.LRU,
+		InterDomainShared: true,
+		SupportsCacheAPI:  true,
+		Remark:            "†from Chromium",
+		OSes:              map[OS]bool{Win10: true, MacOS: true, Linux: true, Android: true, IOS: true},
+	},
+	{
+		Name: "Safari", Version: "13.1",
+		CacheSize: 256 * mb, SizeNote: "n/a",
+		Policy:            httpcache.LRU,
+		InterDomainShared: true,
+		SupportsCacheAPI:  true,
+		OSes:              map[OS]bool{Win10: true, MacOS: true, IOS: true},
+	},
+}
+
 // Profiles returns the browser population of the evaluation, in the order
 // of Table I with Safari appended (Safari appears only in Table II).
-func Profiles() []Profile {
-	return []Profile{
-		{
-			Name: "Chrome", Version: "81.0.4044.122",
-			CacheSize: 320 * mib, SizeNote: "320MiB†",
-			Policy:            httpcache.LRU,
-			InterDomainShared: true,
-			SupportsCacheAPI:  true,
-			Remark:            "†from Chromium",
-			OSes:              map[OS]bool{Win10: true, MacOS: true, Linux: true, Android: true, IOS: true},
-		},
-		{
-			Name: "Chrome", Version: "81.0.4044.122", Incognito: true,
-			CacheSize: 320 * mib, SizeNote: "—",
-			Policy:            httpcache.LRU,
-			InterDomainShared: true,
-			SupportsCacheAPI:  true,
-			Remark:            "*incognito mode",
-			OSes:              map[OS]bool{Win10: true, MacOS: true, Linux: true, Android: true, IOS: true},
-		},
-		{
-			Name: "Edge", Version: "84.0.522.59",
-			CacheSize: 320 * mib, SizeNote: "320MiB†",
-			Policy:            httpcache.LRU,
-			InterDomainShared: true,
-			SupportsCacheAPI:  true,
-			Remark:            "†from Chromium",
-			OSes:              map[OS]bool{Win10: true},
-		},
-		{
-			Name: "IE", Version: "11.1365.17134.0",
-			CacheSize: 330 * mb, SizeNote: "330MB",
-			Policy:            httpcache.FIFO,
-			Ballooning:        true,
-			MemoryLimit:       512 * mb,
-			InterDomainShared: false,
-			SupportsCacheAPI:  false,
-			Remark:            "DOS on memory",
-			OSes:              map[OS]bool{Win10: true},
-		},
-		{
-			Name: "Firefox", Version: "75.0",
-			CacheSize: 256 * mb, SizeNote: "256MB",
-			Policy:            httpcache.LRU,
-			InterDomainShared: true,
-			SupportsCacheAPI:  true,
-			SlowEviction:      true,
-			Remark:            "performance impact",
-			OSes:              map[OS]bool{Win10: true, MacOS: true, Linux: true, Android: true, IOS: true},
-		},
-		{
-			Name: "Opera", Version: "68.0.3618.56",
-			CacheSize: 320 * mib, SizeNote: "320MiB†",
-			Policy:            httpcache.LRU,
-			InterDomainShared: true,
-			SupportsCacheAPI:  true,
-			Remark:            "†from Chromium",
-			OSes:              map[OS]bool{Win10: true, MacOS: true, Linux: true, Android: true, IOS: true},
-		},
-		{
-			Name: "Safari", Version: "13.1",
-			CacheSize: 256 * mb, SizeNote: "n/a",
-			Policy:            httpcache.LRU,
-			InterDomainShared: true,
-			SupportsCacheAPI:  true,
-			OSes:              map[OS]bool{Win10: true, MacOS: true, IOS: true},
-		},
-	}
-}
+func Profiles() []Profile { return slices.Clone(profiles) }
 
 // ProfileByName finds a profile ("Chrome", "Chrome*" for incognito, "IE",
 // "Edge", "Firefox", "Opera", "Safari").
@@ -165,7 +170,7 @@ func ProfileByName(name string) (Profile, error) {
 		incognito = true
 		name = name[:len(name)-1]
 	}
-	for _, p := range Profiles() {
+	for _, p := range profiles {
 		if p.Name == name && p.Incognito == incognito {
 			return p, nil
 		}
@@ -176,7 +181,7 @@ func ProfileByName(name string) (Profile, error) {
 // TableIProfiles returns the profiles evaluated in Table I (no Safari).
 func TableIProfiles() []Profile {
 	var out []Profile
-	for _, p := range Profiles() {
+	for _, p := range profiles {
 		if p.Name == "Safari" {
 			continue
 		}
@@ -189,7 +194,7 @@ func TableIProfiles() []Profile {
 // variant; the injection result does not depend on the private mode).
 func TableIIBrowsers() []Profile {
 	var out []Profile
-	for _, p := range Profiles() {
+	for _, p := range profiles {
 		if p.Incognito {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -15,7 +16,10 @@ import (
 
 // runFleet builds and drains one fleet at the given worker count,
 // optionally lossy and optionally with a replay recorder tapping every
-// shard's wire, and returns the result plus per-shard fingerprints.
+// shard's wire, and returns the result plus per-shard fingerprints. It
+// fails the test unless every shard's frame pool balances after the
+// run: a reference count set wrong on any send path leaks or
+// double-frees a frame there.
 func runFleet(t *testing.T, workers int, lossy, taps bool) (FleetResult, map[string]string) {
 	t.Helper()
 	cfg := FleetConfig{LANs: 6, BotsPerLAN: 60, Seed: 42}
@@ -31,25 +35,35 @@ func runFleet(t *testing.T, workers int, lossy, taps bool) (FleetResult, map[str
 	}
 	recs := make(map[string]*replay.Recorder)
 	if taps {
-		attach := func(name string, n *netsim.Network) {
+		for _, sh := range fleetShards(fleet) {
 			rec := replay.NewRecorder(nil)
-			replay.NewTap(rec).Attach(n)
-			recs[name] = rec
-		}
-		attach("backbone", fleet.Backbone().Network())
-		for i := 0; i < fleet.LANs(); i++ {
-			attach(fleet.LANShard(i).Name(), fleet.LANShard(i).Network())
+			replay.NewTap(rec).Attach(sh.Network())
+			recs[sh.Name()] = rec
 		}
 	}
 	res, err := fleet.Run(workers)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, sh := range fleetShards(fleet) {
+		if acq, rel := sh.Network().FrameStats(); acq == 0 || acq != rel {
+			t.Errorf("shard %s: frame pool unbalanced after Run: acquired=%d released=%d", sh.Name(), acq, rel)
+		}
+	}
 	prints := make(map[string]string, len(recs))
 	for name, rec := range recs {
 		prints[name] = rec.Fingerprint()
 	}
 	return res, prints
+}
+
+// fleetShards lists a fleet's shards, the backbone first.
+func fleetShards(f *Fleet) []*netsim.Shard {
+	shards := []*netsim.Shard{f.Backbone()}
+	for i := 0; i < f.LANs(); i++ {
+		shards = append(shards, f.LANShard(i))
+	}
+	return shards
 }
 
 // fleetDigest folds a fleet result and its per-shard replay
@@ -75,7 +89,10 @@ func fleetDigest(res FleetResult, prints map[string]string) string {
 // under a lossy, duplicating LinkProfile alike. The sequential run's
 // digest over all of it is pinned, so the fleet's wire bytes (REG,
 // INF and command frames, boundary crossings) cannot change even
-// uniformly across worker counts.
+// uniformly across worker counts. A run with no recorder, where the
+// uplinks share the delivered frames instead of copying them, gives
+// the same result, and every run leaves each shard's frame pool
+// balanced (runFleet).
 func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	pinned := map[string]string{"clean": "f98847b4be04e640", "lossy": "89ab6f6fa92b395a"}
 	for _, lossy := range []bool{false, true} {
@@ -90,6 +107,9 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 			}
 			if d := fleetDigest(ref, refPrints); d != pinned[name] {
 				t.Errorf("digest %s, pinned %s", d, pinned[name])
+			}
+			if bare, _ := runFleet(t, 1, lossy, false); !reflect.DeepEqual(bare, ref) {
+				t.Errorf("untapped run diverged:\ntapped:   %+v\nuntapped: %+v", ref, bare)
 			}
 			for _, workers := range []int{4, 8} {
 				got, prints := runFleet(t, workers, lossy, true)
@@ -189,7 +209,7 @@ func TestNewFleetAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts shift under -race; make allocs runs this")
 	}
-	const newFleetAllocBudget = 1863 // measured 1,808 on Go 1.24.0, +3%
+	const newFleetAllocBudget = 1697 // measured 1,648 on Go 1.24.0, +3%
 	cfg := FleetConfig{LANs: 32, BotsPerLAN: 400, Seed: 10}
 	var err error
 	allocs := testing.AllocsPerRun(1, func() { _, err = NewFleet(cfg) })
@@ -207,16 +227,20 @@ func TestNewFleetAllocs(t *testing.T) {
 // on one worker must stay within fleetRunAllocBudget allocations, the
 // measured count plus 3%, the BENCHMARK.json bound. A change that lowers
 // the count lowers the budget with it. The same run pins the fleet's
-// event count and its 8-worker critical path exactly: both are pure
-// functions of the topology. Skipped in -short mode, where the race
-// detector perturbs counts; `make allocs` runs it.
+// event count, the frames its shards acquire and its 8-worker critical
+// path exactly: all three are pure functions of the topology. One frame
+// per uplink hearing: a local send shares its frame with the uplink,
+// and an arrival is sent on in the frame the barrier filled. Skipped in
+// -short mode, where the race detector perturbs counts; `make allocs`
+// runs it.
 func TestFleetRunAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts shift under -race; make allocs runs this")
 	}
 	const (
-		fleetRunAllocBudget = 15695 // measured 15,237 on Go 1.24.0, +3%
+		fleetRunAllocBudget = 9706 // measured 9,424 on Go 1.24.0, +3%
 		wantEvents          = 204712
+		wantFrames          = 84280
 		wantCriticalPath8   = 48300
 	)
 	cfg := FleetConfig{LANs: 32, BotsPerLAN: 400, Seed: 10}
@@ -239,6 +263,14 @@ func TestFleetRunAllocs(t *testing.T) {
 	}
 	if res.Events != wantEvents {
 		t.Errorf("events = %d, pinned %d", res.Events, wantEvents)
+	}
+	frames := 0
+	for _, sh := range fleetShards(fleet) {
+		acq, _ := sh.Network().FrameStats()
+		frames += acq
+	}
+	if frames != wantFrames {
+		t.Errorf("frames acquired = %d, pinned %d", frames, wantFrames)
 	}
 
 	fleet, err = NewFleet(cfg)

@@ -117,34 +117,57 @@ func sameSiteScripts(site *webcorpus.Site, day int, page []byte, fn func(src, ha
 }
 
 // baseline is the day-0 crawl of a corpus, in site order: each site's
-// same-site scripts, name → hash (nil for a site with none, the JS-free
-// fast path), and whether it answered. Both measurements compare later
-// days against it. Each site renders into a page buffer of its own that
-// nothing reuses, so the maps' keys and values alias those pages.
+// same-site scripts (nil for a site with none, the JS-free fast path),
+// and whether it answered. Both measurements compare later days against
+// it. Each site renders into a page buffer of its own that nothing
+// reuses, so the scripts' srcs and hashes alias those pages.
 type baseline struct {
-	scripts []map[string]string
+	scripts []siteScripts
 	ok      []bool
 	crawled int
+}
+
+// siteScripts is one site's day-0 same-site scripts, one entry per src.
+// A site has at most webcorpus.MaxScripts, so one slice holds them all
+// and a scan finds an entry without a map's allocations.
+type siteScripts []script
+
+// script is one baseline script: its src and its data-hash.
+type script struct{ src, hash string }
+
+// find returns the index of src's entry, or -1 when src was not served
+// on day 0.
+func (ss siteScripts) find(src string) int {
+	for i := range ss {
+		if ss[i].src == src {
+			return i
+		}
+	}
+	return -1
 }
 
 // crawlBaseline crawls every site once on day 0, one job per site.
 func crawlBaseline(r *runner.Runner, c *webcorpus.Corpus) *baseline {
 	type siteBase struct {
-		scripts map[string]string
+		scripts siteScripts
 		ok      bool
 	}
 	crawls, _ := runner.Map(r, c.Sites, func(_ int, s *webcorpus.Site) (siteBase, error) {
 		var sb siteBase
 		_, sb.ok = sameSiteScripts(s, 0, nil, func(src, hash string) {
-			if sb.scripts == nil {
-				sb.scripts = make(map[string]string, 8)
+			if i := sb.scripts.find(src); i >= 0 {
+				sb.scripts[i].hash = hash // a repeated src: the later hash wins
+				return
 			}
-			sb.scripts[src] = hash
+			if sb.scripts == nil {
+				sb.scripts = make(siteScripts, 0, webcorpus.MaxScripts)
+			}
+			sb.scripts = append(sb.scripts, script{src, hash})
 		})
 		return sb, nil
 	})
 	b := &baseline{
-		scripts: make([]map[string]string, len(crawls)),
+		scripts: make([]siteScripts, len(crawls)),
 		ok:      make([]bool, len(crawls)),
 	}
 	for i, sb := range crawls {
@@ -213,9 +236,12 @@ func CrawlPersistency(r *runner.Runner, c *webcorpus.Corpus, days int) *Persiste
 					now, last = siteCounts{}, day
 					page, _ = sameSiteScripts(site, day, page, func(src, hash string) {
 						now.anyJS = 1
-						if baseHash, live := scripts[src]; live {
+						if now.hash == 1 {
+							return // the day counts on every curve already
+						}
+						if i := scripts.find(src); i >= 0 {
 							now.name = 1
-							if hash == baseHash {
+							if hash == scripts[i].hash {
 								now.hash = 1
 							}
 						}
@@ -256,7 +282,7 @@ func SelectTargets(r *runner.Runner, c *webcorpus.Corpus, window int) map[string
 		}
 		var names []string
 		sameSiteScripts(s, window, nil, func(src, _ string) {
-			if _, live := scripts[src]; live {
+			if scripts.find(src) >= 0 {
 				names = append(names, strings.Clone(src))
 			}
 		})

@@ -117,6 +117,21 @@ func (e *Element) Find(pred func(*Element) bool) []*Element {
 	return out
 }
 
+// first returns the first element of e's subtree (e included), in
+// document order, that matches pred, or nil: Find(pred)[0] without
+// walking past the match.
+func (e *Element) first(pred func(*Element) bool) *Element {
+	if pred(e) {
+		return e
+	}
+	for _, c := range e.Children {
+		if m := c.first(pred); m != nil {
+			return m
+		}
+	}
+	return nil
+}
+
 // TextContent concatenates the element's text and all descendant text.
 func (e *Element) TextContent() string {
 	var b strings.Builder
@@ -149,24 +164,21 @@ func NewDocument(url string) *Document {
 	return &Document{URL: url, Root: root}
 }
 
-// Body returns the <body> element.
+// Body returns the first <body> element in document order, appending
+// one to the root when there is none.
 func (d *Document) Body() *Element {
-	els := d.Root.Find(func(e *Element) bool { return e.Tag == "body" })
-	if len(els) == 0 {
-		b := NewElement("body")
-		d.Root.Append(b)
+	if b := d.Root.first(func(e *Element) bool { return e.Tag == "body" }); b != nil {
 		return b
 	}
-	return els[0]
+	b := NewElement("body")
+	d.Root.Append(b)
+	return b
 }
 
-// FindByID returns the first element with the given id.
+// FindByID returns the first element with the given id, in document
+// order, or nil.
 func (d *Document) FindByID(id string) *Element {
-	els := d.Root.Find(func(e *Element) bool { return e.Attr("id") == id })
-	if len(els) == 0 {
-		return nil
-	}
-	return els[0]
+	return d.Root.first(func(e *Element) bool { return e.Attr("id") == id })
 }
 
 // FindByTag returns all elements with the given tag.

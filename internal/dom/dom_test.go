@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -127,6 +128,57 @@ func TestFindByIDAndTag(t *testing.T) {
 	}
 	if len(d.FindByTag("input")) != 2 {
 		t.Fatal("FindByTag(input) wrong")
+	}
+}
+
+// TestFirstMatchIsFindsFirst: Body and FindByID stop at their first
+// match, which must be the element Find returns first, on generated
+// trees where tags and ids repeat at every depth. A Body call on a tree
+// with no <body> appends one to the root.
+func TestFirstMatchIsFindsFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tags := []string{"div", "body", "p", "span"}
+	ids := []string{"", "a", "b", "c"}
+	var grow func(e *Element, depth int)
+	grow = func(e *Element, depth int) {
+		for i := rng.Intn(4); i > 0 && depth < 5; i-- {
+			c := NewElement(tags[rng.Intn(len(tags))])
+			if id := ids[rng.Intn(len(ids))]; id != "" {
+				c.SetAttr("id", id)
+			}
+			e.Append(c)
+			grow(c, depth+1)
+		}
+	}
+	withBody := 0
+	for tree := 0; tree < 500; tree++ {
+		d := &Document{URL: "x", Root: NewElement("html")}
+		grow(d.Root, 0)
+		for _, id := range ids[1:] {
+			var want *Element
+			if all := d.Root.Find(func(e *Element) bool { return e.Attr("id") == id }); len(all) > 0 {
+				want = all[0]
+			}
+			if got := d.FindByID(id); got != want {
+				t.Fatalf("tree %d: FindByID(%q) = %p, Find's first %p", tree, id, got, want)
+			}
+		}
+		bodies := d.FindByTag("body")
+		got := d.Body()
+		if len(bodies) > 0 {
+			if got != bodies[0] {
+				t.Fatalf("tree %d: Body() = %p, Find's first %p", tree, got, bodies[0])
+			}
+			withBody++
+			continue
+		}
+		kids := d.Root.Children
+		if got.Tag != "body" || kids[len(kids)-1] != got {
+			t.Fatalf("tree %d: Body() on a body-less tree = <%s>, not a <body> appended to the root", tree, got.Tag)
+		}
+	}
+	if withBody == 0 || withBody == 500 {
+		t.Fatalf("%d of 500 trees hold a <body>: the generator misses a case", withBody)
 	}
 }
 

@@ -185,8 +185,11 @@ func (z *tokenizer) startTag(raw string, w *attrWriter) (token, bool) {
 		return tok, false
 	}
 	name, rest := raw, ""
-	if n := strings.IndexAny(raw, " \t\n\r"); n >= 0 {
-		name, rest = raw[:n], raw[n:]
+	for i := 0; i < len(raw); i++ {
+		if isSpace(raw[i]) {
+			name, rest = raw[:i], raw[i:]
+			break
+		}
 	}
 	tok.name = lowerASCII(name)
 	if rest != "" {

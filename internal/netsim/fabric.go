@@ -17,7 +17,7 @@
 //     destination shard in a fixed order — arrival timestamp, then src
 //     shard ID, then per-mailbox send order. Each payload is copied into
 //     a frame from the dst shard's own pool and scheduled as a forward
-//     event, which re-transmits it on its segment at the arrival
+//     event, which sends that frame on its segment at the arrival
 //     instant. The arenas then reset: no event points into one.
 //
 // Because each shard is deterministic on its own, the mailboxes fill
@@ -240,7 +240,7 @@ func (f *Fabric) seal() error {
 	n := 0 // the interfaces, counted so the table never grows
 	for _, s := range f.shards {
 		for _, seg := range s.net.segments {
-			n += len(seg.ifaces)
+			n += len(seg.byAddr)
 		}
 	}
 	f.owners = make(map[Addr]owner, n)
@@ -251,12 +251,15 @@ func (f *Fabric) seal() error {
 		}
 		slices.SortFunc(segs, func(a, b *Segment) int { return strings.Compare(a.name, b.name) })
 		for _, seg := range segs {
-			for _, ifc := range seg.ifaces {
-				if prev, dup := f.owners[ifc.addr]; dup {
-					return fmt.Errorf("netsim: address %s owned by %s/%s and %s/%s",
-						ifc.addr, prev.shard.name, prev.seg.name, s.name, seg.name)
+			for _, chunk := range seg.chunks { // attach order
+				for i := range chunk {
+					addr := chunk[i].addr
+					if prev, dup := f.owners[addr]; dup {
+						return fmt.Errorf("netsim: address %s owned by %s/%s and %s/%s",
+							addr, prev.shard.name, prev.seg.name, s.name, seg.name)
+					}
+					f.owners[addr] = owner{shard: s, seg: seg}
 				}
-				f.owners[ifc.addr] = owner{shard: s, seg: seg}
 			}
 		}
 	}
@@ -305,10 +308,10 @@ func sortMailbox(mb []boundary) {
 // stable sort here costs more than the simulation itself.
 //
 // Each payload is copied out of its source arena into a frame from d's
-// pool, which a forward event re-transmits at the arrival instant —
-// possibly several windows later, when uplink latencies differ. Once
-// every mailbox has drained, no event points into an arena, so the
-// arenas reset for the next window.
+// pool, which a forward event sends on its segment at the arrival
+// instant — possibly several windows later, when uplink latencies
+// differ. Once every mailbox has drained, no event points into an
+// arena, so the arenas reset for the next window.
 func (f *Fabric) exchange() {
 	for _, d := range f.shards {
 		runs := f.mergeScratch[:0]
@@ -332,7 +335,6 @@ func (f *Fabric) exchange() {
 			f.stats.Boundary++
 			fr := d.net.acquireFrame()
 			fr.load(b.seg, b.src, b.dst, b.proto, append(fr.buf[:0], run.arena[b.start:b.end]...))
-			fr.refs = 1
 			d.net.push(event{at: b.at, kind: evForward, fr: fr})
 			if run.mb = run.mb[1:]; len(run.mb) == 0 {
 				runs = append(runs[:min], runs[min+1:]...)

@@ -487,3 +487,69 @@ func TestSegmentAddressIndex(t *testing.T) {
 		t.Fatalf("indexed delivery reached handler %d times, want 1", got)
 	}
 }
+
+// TestUplinkSharesTheDeliveredFrame: a segment watched only by its
+// uplink acquires one frame per send, local or not, because the uplink
+// exports only frames no receiver holds; a frame arriving from another
+// shard is sent on in the frame the barrier filled, so the hub acquires
+// one frame per arrival. An AttachTap tap or a recording wire tap on
+// the segment still gets a copy of every delivered frame.
+func TestUplinkSharesTheDeliveredFrame(t *testing.T) {
+	const sends = 5
+	for _, c := range []struct {
+		name      string
+		tap, wire bool
+		want      int // frames the LAN acquires: local sends (+ copies), then off-segment sends
+	}{
+		{"uplink-only", false, false, 2 * sends},
+		{"tap", true, false, 3 * sends},
+		{"wire-tap", false, true, 3 * sends},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fab := NewFabric()
+			hub := fab.MustAddShard("hub")
+			hubSeg := hub.Network().MustSegment("backbone", time.Microsecond)
+			served := 0
+			hubSeg.MustAttach("server", 0, func(time.Duration, Packet) { served++ })
+			if err := hub.Uplink(hubSeg, time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			lan := fab.MustAddShard("lan")
+			seg := lan.Network().MustSegment("wifi", time.Microsecond)
+			heard := 0
+			a := seg.MustAttach("a", 0, nil)
+			seg.MustAttach("b", 0, func(time.Duration, Packet) { heard++ })
+			if err := lan.Uplink(seg, time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if c.tap {
+				seg.AttachTap(0, func(time.Duration, Packet) {})
+			}
+			if c.wire {
+				lan.Network().SetWireTap(func(WireEvent) {})
+			}
+			for i := 0; i < sends; i++ {
+				lan.Network().Schedule(time.Duration(i)*time.Microsecond, func() {
+					a.Send(Packet{Dst: "b", Proto: ProtoRaw, Payload: []byte("local")})
+					a.Send(Packet{Dst: "server", Proto: ProtoRaw, Payload: []byte("away")})
+				})
+			}
+			if _, err := fab.Run(1); err != nil {
+				t.Fatal(err)
+			}
+			if heard != sends || served != sends {
+				t.Fatalf("b heard %d and the server %d frames, want %d each", heard, served, sends)
+			}
+			for _, sh := range []struct {
+				name string
+				n    *Network
+				want int
+			}{{"lan", lan.Network(), c.want}, {"hub", hub.Network(), sends}} {
+				acq, rel := sh.n.FrameStats()
+				if acq != sh.want || rel != acq {
+					t.Errorf("%s: acquired %d frames and released %d, want %d and %d", sh.name, acq, rel, sh.want, sh.want)
+				}
+			}
+		})
+	}
+}

@@ -146,7 +146,7 @@ const (
 	evDeliver                     // unicast delivery of fr to ifc
 	evDupDeliver                  // the extra copy a link's duplication model made
 	evTap                         // delivery of fr to fr.seg.taps[arg]
-	evForward                     // re-transmit fr on fr.seg, then release it
+	evForward                     // send fr on fr.seg: an arrival from another shard
 )
 
 // event is a scheduled callback or frame delivery, stored in the network's
@@ -178,7 +178,8 @@ type Network struct {
 	free   []int32
 	heap   []int32
 
-	framePool []*frame
+	framePool  []*frame // released frames, reused first
+	frameSpare []frame  // the unused rest of the chunk new frames come from
 
 	segments map[string]*Segment
 	wiretap  func(WireEvent)
@@ -314,7 +315,14 @@ func (n *Network) acquireFrame() *frame {
 		fr = n.framePool[k-1]
 		n.framePool = n.framePool[:k-1]
 	} else {
-		fr = &frame{}
+		if len(n.frameSpare) == 0 {
+			// With the pool empty every frame made so far is in flight,
+			// so this chunk doubles them: a pool grows a logarithmic
+			// number of times.
+			n.frameSpare = make([]frame, max(n.framesAcquired-n.framesReleased, 1))
+		}
+		fr = &n.frameSpare[0]
+		n.frameSpare = n.frameSpare[1:]
 	}
 	n.framesAcquired++
 	return fr
@@ -392,8 +400,9 @@ func (n *Network) Step() bool {
 	case evTap:
 		n.deliverTap(ev.fr, ev.fr.seg.taps[ev.arg])
 	case evForward:
-		ev.fr.seg.transmit(0, ev.fr.pkt)
-		n.releaseFrame(ev.fr)
+		// The frame the barrier filled is sent on as it is.
+		seg := ev.fr.seg
+		seg.transmitFrame(0, ev.fr, seg.byAddr[ev.fr.pkt.Dst])
 	}
 	return true
 }
@@ -505,11 +514,12 @@ type Segment struct {
 	net     *Network
 	name    string
 	latency time.Duration
-	ifaces  []*Interface
 	byAddr  map[Addr]*Interface // address index: attach checks and delivery lookups stay O(1) at fleet scale
-	spare   []Interface         // the unused rest of the chunk Attach hands interfaces out of
-	taps    []*Tap
-	uplink  bool // a fabric uplink taps this segment (Shard.Uplink)
+	// chunks hold the attached interfaces in attach order; only the
+	// last has room left.
+	chunks [][]Interface
+	taps   []*Tap
+	uplink bool // a fabric uplink taps this segment (Shard.Uplink)
 
 	// Fault model (see link.go). faulty caches !profile.Clean() so the
 	// perfect-wire fast path stays a single predicate with zero PRNG
@@ -540,15 +550,15 @@ func (s *Segment) Attach(addr Addr, extraDelay time.Duration, h Handler) (*Inter
 	if _, dup := s.byAddr[addr]; dup {
 		return nil, fmt.Errorf("%w: %s on %s", ErrAddrInUse, addr, s.name)
 	}
-	if len(s.spare) == 0 {
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
 		// Chunks double as the segment grows, so a fleet-sized segment
 		// allocates its interfaces a logarithmic number of times.
-		s.spare = make([]Interface, max(len(s.ifaces), 1))
+		s.chunks = append(s.chunks, make([]Interface, 0, max(len(s.byAddr), 1)))
+		last++
 	}
-	ifc := &s.spare[0]
-	s.spare = s.spare[1:]
-	*ifc = Interface{seg: s, addr: addr, delay: extraDelay, handler: h}
-	s.ifaces = append(s.ifaces, ifc)
+	s.chunks[last] = append(s.chunks[last], Interface{seg: s, addr: addr, delay: extraDelay, handler: h})
+	ifc := &s.chunks[last][len(s.chunks[last])-1]
 	s.byAddr[addr] = ifc
 	return ifc, nil
 }
@@ -641,10 +651,8 @@ func (s *Segment) transmit(senderDelay time.Duration, pkt Packet) {
 		func(dst []byte) []byte { return append(dst, pkt.Payload...) })
 }
 
-// transmitPayload is the shared transmit path: one pooled frame serves the
-// unicast delivery zero-copy; taps observe a copy-on-tap duplicate so a
-// receiver that mutates its payload cannot alter what the eavesdropper
-// (or the genuine addressee) sees.
+// transmitPayload is the shared transmit path: fill writes the payload
+// into a pooled frame, which transmitFrame sends.
 func (s *Segment) transmitPayload(senderDelay time.Duration, src, dst Addr, proto Protocol, fill func([]byte) []byte) {
 	target := s.byAddr[dst]
 	if target == nil && len(s.taps) == 0 {
@@ -655,10 +663,23 @@ func (s *Segment) transmitPayload(senderDelay time.Duration, src, dst Addr, prot
 		}
 		return
 	}
-	main := s.net.acquireFrame()
-	main.load(s, src, dst, proto, fill(main.buf[:0]))
+	fr := s.net.acquireFrame()
+	fr.load(s, src, dst, proto, fill(fr.buf[:0]))
+	s.transmitFrame(senderDelay, fr, target)
+}
+
+// transmitFrame sends a loaded frame, addressed to target (nil when its
+// addressee is not attached here), and takes it over: its reference
+// count is set here. The unicast delivery reads the frame zero-copy;
+// taps observe a copy-on-tap duplicate so a receiver that mutates its
+// payload cannot alter what the eavesdropper (or the genuine addressee)
+// sees. A fabric uplink's tap reads only frames addressed off the
+// segment, which no receiver holds, so when it is the segment's only tap
+// and no wire tap records its hearing, it shares the delivered frame.
+func (s *Segment) transmitFrame(senderDelay time.Duration, main *frame, target *Interface) {
+	pkt := &main.pkt
 	if s.net.wiretap != nil {
-		s.net.emitWire(WireSend, s, src, dst, proto, main.pkt.Payload)
+		s.net.emitWire(WireSend, s, pkt.Src, pkt.Dst, pkt.Proto, pkt.Payload)
 	}
 	// Fault model: every draw comes from the segment's private PRNG in a
 	// fixed order per frame (serialize, loss, else duplication, then
@@ -672,7 +693,7 @@ func (s *Segment) transmitPayload(senderDelay time.Duration, src, dst Addr, prot
 	}
 	var ser time.Duration
 	if s.faulty {
-		ser = s.serialize(len(main.pkt.Payload), senderDelay)
+		ser = s.serialize(len(pkt.Payload), senderDelay)
 		if deliveries > 0 {
 			if s.profile.Loss > 0 && s.rng.chance(s.profile.Loss) {
 				// The addressee never hears the frame; taps (the
@@ -681,7 +702,7 @@ func (s *Segment) transmitPayload(senderDelay time.Duration, src, dst Addr, prot
 				deliveries = 0
 				s.lost++
 				if s.net.wiretap != nil {
-					s.net.emitWire(WireDrop, s, src, dst, proto, main.pkt.Payload)
+					s.net.emitWire(WireDrop, s, pkt.Src, pkt.Dst, pkt.Proto, pkt.Payload)
 				}
 			} else if s.profile.Duplicate > 0 && s.rng.chance(s.profile.Duplicate) {
 				deliveries = 2
@@ -696,15 +717,14 @@ func (s *Segment) transmitPayload(senderDelay time.Duration, src, dst Addr, prot
 		return
 	}
 	tapFr := main
-	if deliveries > 0 {
+	uplinkOnly := len(s.taps) == 1 && s.uplink && s.net.wiretap == nil
+	if deliveries > 0 && len(s.taps) > 0 && !uplinkOnly {
 		main.refs = deliveries
-		if len(s.taps) > 0 {
-			tapFr = s.net.acquireFrame()
-			tapFr.load(s, src, dst, proto, append(tapFr.buf[:0], main.pkt.Payload...))
-		}
-	}
-	if tapFr != main || deliveries == 0 {
+		tapFr = s.net.acquireFrame()
+		tapFr.load(s, pkt.Src, pkt.Dst, pkt.Proto, append(tapFr.buf[:0], pkt.Payload...))
 		tapFr.refs = len(s.taps)
+	} else {
+		main.refs = deliveries + len(s.taps)
 	}
 	base := s.net.now + senderDelay + ser + s.latency
 	for copyNo := 0; copyNo < deliveries; copyNo++ {

@@ -144,6 +144,10 @@ const (
 	StudyDays    = 100
 )
 
+// MaxScripts is the most script objects a site carries: a site with
+// JavaScript has 2 to MaxScripts.
+const MaxScripts = 14
+
 // Generate builds the population. Marginals (paper §V, §VI, Fig. 5):
 //
 //	HTTPS adoption      79%  (21% plain HTTP, §V)
@@ -264,7 +268,7 @@ func generateSite(s *Site, rng *rand.Rand, rank int, seed int64) {
 	// and the stylesheet.
 	scripts := 0
 	if rng.Float64() < 0.885 {
-		scripts = 2 + rng.Intn(13)
+		scripts = 2 + rng.Intn(MaxScripts-1)
 	}
 	s.Objects = make([]ObjectSpec, 0, scripts+len(mediaBases)+1)
 	if scripts > 0 {
